@@ -226,10 +226,10 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
     if not _has_oscillation(trace.l):
         raise ValueError("degenerate trace: no oscillation (local max + subsequent min)")
     t = trace.t - trace.t[0]
-    k_seed = max(3, len(t) // 20)
-    v0_init = float(np.polyfit(t[:k_seed], trace.l[:k_seed], 1)[0])
+    n_lead = max(3, len(t) // 20)
+    v0_init = float(np.polyfit(t[:n_lead], trace.l[:n_lead], 1)[0])
     if v0_init <= 0:
-        # noisy leading samples; seed from the amplitude and guess frequency
+        # noisy leading samples; start from the amplitude and guess frequency
         v0_init = float(np.max(np.abs(trace.l)) * guess.omega_n)
 
     def residuals(theta):
@@ -239,7 +239,7 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
         l_model, _ = analytic_response(v0, SpringParams(b, k, guess.l_max, guess.delta_l), t)
         return l_model - trace.l
 
-    # v0 is refined jointly with (b_s, k_s): the finite-difference seed from
+    # v0 is refined jointly with (b_s, k_s): the finite-difference estimate from
     # the first samples is curvature-biased and noise-sensitive on its own.
     sol = least_squares(
         residuals,

@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import yaml
+
 from .arm import DisplacementTrace, SpringParams, fit_spring_params
 from .scenario import ScenarioConfig, compare_modes, run_scenario, sweep_velocities
 from .simlog import SimLog, compute_metrics
@@ -138,7 +140,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

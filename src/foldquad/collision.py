@@ -6,7 +6,7 @@ restitution bounce within a single physics step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class Wall:
 
 @dataclass
 class Foldable:
-    spring: SpringParams = field(default_factory=SpringParams)
+    """Arm-spring contact; the spring is the scenario's `SpringParams`."""
 
 
 @dataclass

@@ -32,7 +32,6 @@ class ControllerConfig:
     position_rate: float = 100.0
     max_thrust: float = 35.0
     integral_limit: float = 1.0
-    derivative_feedforward: bool = False
 
     def __post_init__(self):
         for name in ("k_p", "k_v", "k_vi", "k_vd", "k_r", "k_omega",
@@ -130,15 +129,7 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     f = p.m * float(f_vec @ (s.R @ E3))
     f = float(np.clip(f, 0.0, cfg.max_thrust))
 
-    omega_d = np.zeros(3)
-    alpha_d = np.zeros(3)
-    if cfg.derivative_feedforward and cs.prev_R_d is not None:
-        dR = cs.prev_R_d.T @ R_d
-        omega_d = vee(0.5 * (dR - dR.T), tol=np.inf) / dt
-        if cs.held_att is not None:
-            alpha_d = (omega_d - cs.held_att.omega_d) / dt
-
-    att = AttitudeSetpoint(R_d=R_d, omega_d=omega_d, alpha_d=alpha_d)
+    att = AttitudeSetpoint(R_d=R_d)
     cs2 = replace(cs, integral=integral, prev_e_v=e_v.copy(),
                   held_f=f, held_att=att, prev_R_d=R_d)
     return f, att, cs2

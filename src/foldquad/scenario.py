@@ -11,8 +11,8 @@ from .arm import ArmState, ContactTimeoutError, SpringParams
 from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import ControllerConfig, ControllerState, Setpoint, recovery_setpoint, step_controller
-from .dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams
-from .simlog import SimLog, compute_metrics, rotation_to_quaternion
+from .dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams, integrate_step
+from .simlog import Metrics, SimLog, compute_metrics, rotation_to_quaternion
 
 _EPS = 1e-12
 
@@ -34,7 +34,6 @@ class ScenarioConfig:
     duration: float = 5.0
     dt: float = 1e-3
     log_interval: float = 5e-3
-    seed: int = 0
 
     def __post_init__(self):
         self.start_position = np.asarray(self.start_position, dtype=float).reshape(3)
@@ -46,8 +45,6 @@ class ScenarioConfig:
             raise ValueError("dt must be in (0, 0.01]")
         if self.log_interval < self.dt:
             raise ValueError("log_interval must be >= dt")
-        if isinstance(self.mode, Foldable):
-            self.mode = Foldable(spring=self.spring)
 
     # -- flat key-value (YAML) persistence --------------------------------
 
@@ -84,7 +81,6 @@ class ScenarioConfig:
             "duration": float(self.duration),
             "physics_dt": float(self.dt),
             "log_interval": float(self.log_interval),
-            "seed": int(self.seed),
         }
         return d
 
@@ -108,7 +104,7 @@ class ScenarioConfig:
         if d["contact_mode"] == "rigid":
             mode = Rigid(restitution=d["restitution"])
         elif d["contact_mode"] == "foldable":
-            mode = Foldable(spring=spring)
+            mode = Foldable()
         else:
             raise ValueError(f"unknown contact_mode: {d['contact_mode']!r}")
         controller = ControllerConfig(
@@ -127,7 +123,7 @@ class ScenarioConfig:
             start_velocity=d["start_velocity"], start_yaw=d["start_yaw"],
             setpoint=d["setpoint"], setpoint_yaw=d["setpoint_yaw"],
             duration=d["duration"], dt=d["physics_dt"],
-            log_interval=d["log_interval"], seed=d["seed"],
+            log_interval=d["log_interval"],
         )
 
     def save(self, path):
@@ -144,7 +140,7 @@ class ScenarioConfig:
 
     def with_mode(self, mode: ContactMode):
         cfg = copy.deepcopy(self)
-        cfg.mode = Foldable(spring=cfg.spring) if isinstance(mode, Foldable) else mode
+        cfg.mode = mode
         return cfg
 
 
@@ -152,9 +148,10 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     """Integrate the closed loop and return the sampled log.
 
     The controller runs on its own schedule (attitude rate, position loop
-    sub-sampled); on the first touch of the wall the recovery setpoint is
-    generated once and latched until contact exits. A state blow-up aborts
-    with the partial log and a diagnostic.
+    sub-sampled). Each first touch of the wall generates the recovery
+    setpoint, held until the next one; a foldable touch then steps the
+    arm-constrained contact until the arm releases. A state blow-up or a
+    contact that never releases aborts with the partial log and a diagnostic.
     """
     state = BodyState.hover(cfg.start_position, yaw=cfg.start_yaw)
     if np.any(cfg.start_velocity != 0.0):
@@ -170,9 +167,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     att_dt = 1.0 / cfg.controller.attitude_rate
 
     in_contact = False
-    recovery_latched = False
-    arm = ArmState()
-    arm_l_display = 0.0  # residual deflection shown in the log after release
+    arm = ArmState()  # after release its deflection stays in the log
     contact_start = 0.0
     contact_since_log = False
 
@@ -184,8 +179,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     def log_row():
         q = rotation_to_quaternion(state.R)
         rows.append([
-            t, *state.x, *state.v, *q, *state.omega,
-            arm.l if in_contact else arm_l_display,
+            t, *state.x, *state.v, *q, *state.omega, arm.l,
             u.f, *u.tau, 1.0 if (in_contact or contact_since_log) else 0.0,
             *sp.x_d,
         ])
@@ -203,18 +197,17 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
 
             if not in_contact:
                 ev = detect_contact(state, cfg.wall, cfg.vehicle, t) if cfg.wall else None
-                if ev is not None:
+                if ev is None:
+                    state = integrate_step(state, u, cfg.vehicle, cfg.dt)
+                else:
                     events.append(ev)
                     contact_since_log = True
-                    if not recovery_latched:
-                        sp = recovery_setpoint(state.x, ev.v_c[:2], cfg.controller,
-                                               yaw_d=sp.yaw_d)
-                        recovery_latched = True
-                    if isinstance(cfg.mode, Rigid):
+                    sp = recovery_setpoint(state.x, ev.v_c[:2], cfg.controller,
+                                           yaw_d=sp.yaw_d)
+                    if isinstance(cfg.mode, Rigid):  # rigid contact exits in one step
                         state = resolve_rigid(state, ev, cfg.mode.restitution,
                                               cfg.wall, cfg.vehicle)
-                        state = _integrate(state, u, cfg.vehicle, cfg.dt)
-                        recovery_latched = False  # rigid contact exits immediately
+                        state = integrate_step(state, u, cfg.vehicle, cfg.dt)
                     else:
                         in_contact = True
                         contact_start = t
@@ -225,33 +218,24 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                             v=state.v, R=state.R, omega=state.omega,
                         )
                         arm = ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
-                        state, arm, exited = contact_constrained_step(
-                            state, arm, cfg.wall, u, cfg.vehicle,
-                            cfg.mode.spring, cfg.dt)
-                        if exited:
-                            in_contact = False
-                            recovery_latched = False
-                            arm_l_display = arm.l
-                    if stop_at_first_contact:
-                        t += cfg.dt
-                        break
-                else:
-                    state = _integrate(state, u, cfg.vehicle, cfg.dt)
-            else:
+            if in_contact:
                 contact_since_log = True
                 state, arm, exited = contact_constrained_step(
-                    state, arm, cfg.wall, u, cfg.vehicle, cfg.mode.spring, cfg.dt)
+                    state, arm, cfg.wall, u, cfg.vehicle, cfg.spring, cfg.dt)
                 if exited:
                     in_contact = False
-                    recovery_latched = False
-                    arm_l_display = arm.l
                 elif t - contact_start > 1.0:
                     raise ContactTimeoutError(
                         "foldable contact did not release within 1 s")
             t += cfg.dt
+            if stop_at_first_contact and events:
+                break
     except StateBlowUpError as exc:
         aborted = True
         diagnostic = f"state blow-up at t={t:.4f} s: {exc}"
+    except ContactTimeoutError as exc:
+        aborted = True
+        diagnostic = f"contact timeout at t={t:.4f} s: {exc}"
 
     if not aborted:
         log_row()
@@ -260,17 +244,12 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                   aborted=aborted, diagnostic=diagnostic)
 
 
-def _integrate(state, u, vehicle, dt):
-    from .dynamics import integrate_step
-    return integrate_step(state, u, vehicle, dt)
-
-
 @dataclass
 class ComparisonReport:
     """Side-by-side foldable vs rigid outcomes for one scenario."""
 
-    foldable: "MetricsLike"
-    rigid: "MetricsLike"
+    foldable: Metrics
+    rigid: Metrics
     foldable_log: SimLog
     rigid_log: SimLog
 
@@ -298,7 +277,7 @@ class SweepRow:
     speed: float
     mode: str
     achieved_v_c: float | None
-    metrics: "MetricsLike | None"
+    metrics: Metrics | None
     unreachable: bool = False
 
     def to_dict(self):

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from foldquad.arm import SpringParams, simulate_contact
 from foldquad.cli import main as cli_main
 from foldquad.collision import Rigid, Wall
+from foldquad.control import ControllerConfig, recovery_setpoint
 from foldquad.scenario import (ScenarioConfig, _cruise_cfg, compare_modes,
                                find_start_gap, run_scenario, sweep_velocities)
 from foldquad.simlog import COLUMNS, Metrics, SimLog, compute_metrics
@@ -89,6 +91,35 @@ def test_default_scenario_contact_and_recovery():
     assert m.v_rb is not None and 0.0 < m.v_rb < m.v_c
     # recovery setpoint altitude equals altitude at the collision instant
     assert log.vec("xd")[-1][2] == log.events[0].x_c[2]
+
+
+@pytest.mark.parametrize("mode, t_c2", [("foldable", 2.317), ("rigid", 2.447)])
+def test_recollision_regenerates_recovery_setpoint(mode, t_c2):
+    """A second touch of the wall generates a fresh recovery setpoint."""
+    cfg = ScenarioConfig(controller=ControllerConfig(gamma1=1e-6, gamma2=1e-6),
+                         start_velocity=[2.5, 0.0, 0.0], duration=3.0,
+                         log_interval=1e-3)
+    if mode == "rigid":
+        cfg = cfg.with_mode(Rigid())
+    log = run_scenario(cfg)
+    assert len(log.events) == 2
+    ev1, ev2 = log.events
+    assert ev1.t_c == pytest.approx(0.063, abs=1e-9)
+    assert ev2.t_c == pytest.approx(t_c2, abs=1e-9)
+    x_d1 = recovery_setpoint(ev1.x_c, ev1.v_c[:2], cfg.controller).x_d
+    x_d2 = recovery_setpoint(ev2.x_c, ev2.v_c[:2], cfg.controller).x_d
+    assert np.array_equal(log.vec("xd")[-1], x_d2)
+    assert not np.array_equal(x_d1, x_d2)
+
+
+def test_contact_uses_scenario_spring():
+    """compare_modes carries ScenarioConfig.spring into the foldable contact."""
+    cfg = ScenarioConfig(spring=SpringParams(k_s=900.0), log_interval=1e-3)
+    m = compare_modes(cfg).foldable
+    oracle = simulate_contact(m.v_c, cfg.spring, cfg.dt)
+    assert abs(m.contact_duration - oracle.duration) <= 2 * cfg.dt
+    default = simulate_contact(m.v_c, SpringParams(), cfg.dt)
+    assert abs(m.contact_duration - default.duration) > 10 * cfg.dt
 
 
 def test_rigid_mode_oscillates_more_than_foldable():
@@ -265,3 +296,19 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("no_such_key: 1\n")
     assert cli_main(["run", str(bad), "--out-dir", str(tmp_path)]) == 1
+
+
+def test_cli_malformed_yaml_exit_code(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("mass: [1,\n")
+    assert cli_main(["run", str(bad), "--out-dir", str(tmp_path)]) == 1
+
+
+def test_cli_contact_timeout_aborts_with_partial_log(tmp_path, capsys):
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=2.0).save(cfg_path)
+    rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path),
+                   "--set", "spring_damping=0", "--set", "spring_stiffness=1"])
+    assert rc == 2
+    assert (tmp_path / "wall_log.csv").exists()
+    assert "did not release" in capsys.readouterr().err
