@@ -26,6 +26,9 @@ class SpringParams:
     delta_l: float = 0.002
 
     def __post_init__(self):
+        # plain floats: numpy scalars make every advance_arm step slower
+        self.b_s, self.k_s = float(self.b_s), float(self.k_s)
+        self.l_max, self.delta_l = float(self.l_max), float(self.delta_l)
         if self.b_s < 0:
             raise ValueError("b_s must be non-negative")
         if self.k_s <= 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import E3, BodyState, ControlInput, VehicleParams, as_vec3, vee
+from .dynamics import E3, BodyState, ControlInput, VehicleParams, as_vec3, cross3, vee
 
 _THRUST_DIR_EPS = 1e-6
 
@@ -93,14 +93,14 @@ def rotation_from_thrust_dir(b3, yaw):
     """Assemble R_d with third body axis b3 and decoupled heading yaw."""
     b3 = b3 / np.linalg.norm(b3)
     b1c = np.array([np.cos(yaw), np.sin(yaw), 0.0])
-    b2 = np.cross(b3, b1c)
+    b2 = np.array(cross3(b3, b1c))
     n2 = np.linalg.norm(b2)
     if n2 < 1e-8:  # thrust direction parallel to heading; use the other axis
         b1c = np.array([-np.sin(yaw), np.cos(yaw), 0.0])
-        b2 = np.cross(b3, b1c)
+        b2 = np.array(cross3(b3, b1c))
         n2 = np.linalg.norm(b2)
     b2 = b2 / n2
-    b1 = np.cross(b2, b3)
+    b1 = cross3(b2, b3)
     return np.column_stack([b1, b2, b3])
 
 
@@ -147,7 +147,7 @@ def attitude_moment(e_R, e_omega, omega, asp: AttitudeSetpoint,
                     p: VehicleParams, cfg: ControllerConfig):
     """Body moment tau = -k_R e_R - k_Omega e_Omega + Omega x J Omega + J alpha_d."""
     return (-cfg.k_r * e_R - cfg.k_omega * e_omega
-            + np.cross(omega, p.J @ omega) + p.J @ asp.alpha_d)
+            + cross3(omega, p.J @ omega) + p.J @ asp.alpha_d)
 
 
 def step_controller(s: BodyState, sp: Setpoint, cs: ControllerState,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 E3 = np.array([0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
 
 _ROT_ORTHO_TOL = 1e-6  # loose sanity bound on stored states; integrator keeps <= 1e-9
 
@@ -41,20 +42,31 @@ def vee(M, tol=1e-9):
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
+def cross3(a, b):
+    """a x b of two 3-sequences as a tuple; bit-equal to np.cross, minus its overhead."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def renormalize_rotation(R):
     """Project onto the nearest rotation matrix (orthogonal polar factor).
 
     Uses the Newton iteration X <- (X + X^-T) / 2, which converges
     quadratically to the polar factor and is idempotent on inputs that are
-    already orthonormal. Requires det(R) > 0.
+    already orthonormal. Requires det(R) > 0. For rows a, b, c of X, X^-T
+    is the cofactor matrix (rows b x c, c x a, a x b) over det = a . (b x c).
     """
     X = np.asarray(R, dtype=float).reshape(3, 3).copy()
-    if np.linalg.det(X) <= 0.0:
-        raise ValueError("det(R) <= 0: rotation state is corrupted")
     for _ in range(20):
-        if np.max(np.abs(X.T @ X - np.eye(3))) < 1e-15:
+        a, b, c = X.tolist()
+        bc = cross3(b, c)
+        det = a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2]
+        if det <= 0.0:  # Newton iterates keep the sign of det(R)
+            raise ValueError("det(R) <= 0: rotation state is corrupted")
+        if np.max(np.abs(X.T @ X - _EYE3)) < 1e-15:
             break
-        X = 0.5 * (X + np.linalg.inv(X).T)
+        X = 0.5 * (X + np.array([bc, cross3(c, a), cross3(a, b)]) / det)
     return X
 
 
@@ -120,40 +132,41 @@ class BodyState:
         return cls(x=np.asarray(x, dtype=float), v=np.zeros(3), R=R, omega=np.zeros(3))
 
 
-def _deriv(x, v, R, omega, u, p):
-    """Equations of motion on raw arrays (intermediate RK stages may be
-    non-orthonormal or even non-finite; overflow is caught after the step)."""
-    wx, wy, wz = omega
-    skew = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-    xdot = v
-    vdot = p.g * E3 - (u.f / p.m) * (R @ E3)
-    Rdot = R @ skew
-    omegadot = p.J_inv @ (u.tau - np.cross(omega, p.J @ omega))
-    return xdot, vdot, Rdot, omegadot
+def _deriv(y, u, p):
+    """Equations of motion on the flat state y = (x, v, R row-major, omega):
+    vdot uses R @ e3 = R[:, 2], and row i of Rdot = R hat(omega) is R[i] x omega.
+    RK stages may be non-orthonormal or non-finite; the step checks its result."""
+    q = y.tolist()
+    w, a = q[15:], u.f / p.m
+    omegadot = p.J_inv @ (u.tau - cross3(w, (p.J @ y[15:]).tolist()))
+    return np.array([*q[3:6], -a * q[8], -a * q[11], p.g - a * q[14],
+                     *cross3(q[6:9], w), *cross3(q[9:12], w), *cross3(q[12:15], w),
+                     *omegadot.tolist()])
+
+
+def _flat(s: BodyState):
+    return np.concatenate((s.x, s.v, s.R.ravel(), s.omega))
 
 
 def dynamics_derivative(s: BodyState, u: ControlInput, p: VehicleParams):
     """Time derivative (xdot, vdot, Rdot, omegadot) of the body state."""
-    return _deriv(s.x, s.v, s.R, s.omega, u, p)
+    d = _deriv(_flat(s), u, p)
+    return d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:]
 
 
 def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -> BodyState:
-    """One classical RK4 step followed by rotation renormalization.
+    """One classical RK4 step on the flat state, then rotation renormalization.
 
     Deterministic: identical inputs give bit-identical outputs.
     """
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
-    y0 = (s.x, s.v, s.R, s.omega)
-    k1 = _deriv(*y0, u, p)
-    k2 = _deriv(*(a + 0.5 * dt * b for a, b in zip(y0, k1)), u, p)
-    k3 = _deriv(*(a + 0.5 * dt * b for a, b in zip(y0, k2)), u, p)
-    k4 = _deriv(*(a + dt * b for a, b in zip(y0, k3)), u, p)
-    x, v, R, omega = (
-        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
-    )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))
-            and np.all(np.isfinite(R)) and np.all(np.isfinite(omega))):
+    y0 = _flat(s)
+    k1 = _deriv(y0, u, p)
+    k2 = _deriv(y0 + 0.5 * dt * k1, u, p)
+    k3 = _deriv(y0 + 0.5 * dt * k2, u, p)
+    k4 = _deriv(y0 + dt * k3, u, p)
+    y = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(y).all():
         raise StateBlowUpError("non-finite state after integration step")
-    return BodyState(x=x, v=v, R=renormalize_rotation(R), omega=omega)
+    return BodyState(x=y[:3], v=y[3:6], R=renormalize_rotation(y[6:15]), omega=y[15:])

@@ -40,6 +40,18 @@ def test_spring_derivative():
     assert abs(lddot - (-30.0 * 0.5 - 500.0 * 0.01)) < 1e-15
 
 
+
+def test_spring_params_store_plain_floats():
+    p = SpringParams(b_s=np.float64(30.0), k_s=np.float64(500.0),
+                     l_max=np.float64(0.03), delta_l=np.float64(0.002))
+    for name in ("b_s", "k_s", "l_max", "delta_l"):
+        assert type(getattr(p, name)) is float  # np.float64 subclasses float
+    a, b = simulate_contact(1.43, p, dt=1e-4), simulate_contact(1.43, NOMINAL, dt=1e-4)
+    assert (a.v_rb, a.duration, a.peak_l) == (b.v_rb, b.duration, b.peak_l)
+    assert a.saturated == b.saturated
+    assert np.array_equal(a.trace.t, b.trace.t) and np.array_equal(a.trace.l, b.trace.l)
+
+
 # -- analytic_response --------------------------------------------------------
 
 def test_analytic_initial_condition():

@@ -206,6 +206,32 @@ def test_rk4_matches_euler_substeps():
         assert err < 1e-6
 
 
+
+def test_rk4_matches_euler_substeps_full_inertia():
+    """The Euler sub-step oracle with a symmetric positive-definite J that has
+    off-diagonal terms, so a diagonal-only shortcut in the dynamics fails."""
+    J = np.array([[0.0034, 0.0004, -0.0003],
+                  [0.0004, 0.0036, 0.0005],
+                  [-0.0003, 0.0005, 0.0053]])
+    p = VehicleParams(J=J)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        s = BodyState(x=rng.normal(size=3), v=rng.normal(size=3),
+                      R=random_rotation(rng), omega=rng.normal(size=3))
+        u = ControlInput(f=abs(rng.normal()) * 10.0, tau=rng.normal(size=3) * 0.01)
+        dt = 1e-3
+        out = integrate_step(s, u, p, dt)
+        x, v, R, om = s.x.copy(), s.v.copy(), s.R.copy(), s.omega.copy()
+        h = dt / 100
+        for _ in range(100):
+            acc = p.g * E3 - (u.f / p.m) * (R @ E3)
+            x, v = x + h * v, v + h * acc
+            R = R + h * (R @ hat(om))
+            om = om + h * np.linalg.solve(J, u.tau - np.cross(om, J @ om))
+        err = max(np.max(np.abs(out.x - x)), np.max(np.abs(out.v - v)),
+                  np.max(np.abs(out.R - R)), np.max(np.abs(out.omega - om)))
+        assert err < 1e-6
+
 def test_orthonormality_every_step():
     p = VehicleParams()
     rng = np.random.default_rng(7)

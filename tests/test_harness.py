@@ -204,6 +204,29 @@ def test_compare_modes_deterministic():
     assert a.foldable_log.to_csv() == b.foldable_log.to_csv()
 
 
+
+# Metrics of compare_modes(ScenarioConfig()) recorded before the flat-array
+# RK4; later changes to the hot path may reorder arithmetic, not results.
+GOLDEN_REFERENCE = {
+    "foldable": dict(v_c=1.4306753006078476, v_rb=0.1385906837341682,
+                     contact_duration=0.1750000000000001, peak_l=0.029970595989050587,
+                     overshoot=0.022114677310527964, settling_time=2.08499999999985,
+                     re_collision_count=0, mean_impact_force=9.971564426218976),
+    "rigid": dict(v_c=1.4306753006078476, v_rb=1.2845805651254352,
+                  contact_duration=0.010000000000000009, peak_l=0.0,
+                  overshoot=0.06809870663394468, settling_time=2.2549999999998493,
+                  re_collision_count=0, mean_impact_force=301.93645226954084),
+}
+
+
+def test_reference_compare_matches_golden_metrics():
+    report = compare_modes(ScenarioConfig())
+    for mode, metrics in (("foldable", report.foldable), ("rigid", report.rigid)):
+        got = metrics.to_dict()
+        assert got.keys() == GOLDEN_REFERENCE[mode].keys()
+        for name, want in GOLDEN_REFERENCE[mode].items():
+            assert got[name] == pytest.approx(want, rel=1e-9, abs=0.0), (mode, name)
+
 def test_find_start_gap_hits_target_speed():
     cfg = ScenarioConfig()
     gap, achieved = find_start_gap(cfg, 1.5, cruise=True)
