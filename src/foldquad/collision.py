@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arm import ArmState, SpringParams, advance_arm
-from .dynamics import E3, BodyState, ControlInput, VehicleParams, as_vec3, integrate_step
+from .dynamics import (E3, BodyState, ControlInput, StateBlowUpError, VehicleParams, as_vec3,
+                       integrate_step)
 
 
 @dataclass
@@ -96,7 +97,8 @@ def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput
     the tangential axes and attitude dynamics continue under tau. On release
     the normal velocity equals l_dot, i.e. the rebound velocity.
 
-    Returns (BodyState, ArmState, exited).
+    Returns (BodyState, ArmState, exited); raises StateBlowUpError if the
+    state is not finite.
     """
     n_in = -w.normal  # into-wall direction
     l2, ld2, _saturated, exited = advance_arm(a.l, a.l_dot, sp, dt)
@@ -115,8 +117,10 @@ def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput
     coord = w.offset + (p.r_contact - l2)
     x2 = x2 + (coord - float(w.normal @ x2)) * w.normal
     v2 = v_t2 + ld2 * n_in
+    if not (np.isfinite(x2).all() and np.isfinite(v2).all()):
+        raise StateBlowUpError("non-finite state after contact step")
 
-    return BodyState(x=x2, v=v2, R=free.R, omega=free.omega), ArmState(l=l2, l_dot=ld2), exited
+    return BodyState._trusted(x2, v2, free.R, free.omega), ArmState(l=l2, l_dot=ld2), exited
 
 
 def impact_force_estimate(m, dv, dt_c):

@@ -13,11 +13,11 @@ import numpy as np
 E3 = np.array([0.0, 0.0, 1.0])
 _EYE3 = np.eye(3)
 
-_ROT_ORTHO_TOL = 1e-6  # loose sanity bound on stored states; integrator keeps <= 1e-9
+_ROT_ORTHO_TOL = 1e-6  # loose bound on max|R^T R - I| of any stored rotation
 
 
 class StateBlowUpError(RuntimeError):
-    """Raised when integration produces a non-finite state."""
+    """Raised when a step yields a non-finite state or a rotation it cannot renormalize."""
 
 
 def as_vec3(v, name="vector"):
@@ -54,8 +54,10 @@ def renormalize_rotation(R):
 
     Uses the Newton iteration X <- (X + X^-T) / 2, which converges
     quadratically to the polar factor and is idempotent on inputs that are
-    already orthonormal. Requires det(R) > 0. For rows a, b, c of X, X^-T
-    is the cofactor matrix (rows b x c, c x a, a x b) over det = a . (b x c).
+    already orthonormal. For rows a, b, c of X, X^-T is the cofactor matrix
+    (rows b x c, c x a, a x b) over det = a . (b x c). Raises ValueError if
+    det(R) <= 0, or if 20 iterations leave max|X^T X - I| above _ROT_ORTHO_TOL
+    (an ill-conditioned R).
     """
     X = np.asarray(R, dtype=float).reshape(3, 3).copy()
     for _ in range(20):
@@ -65,8 +67,10 @@ def renormalize_rotation(R):
         if det <= 0.0:  # Newton iterates keep the sign of det(R)
             raise ValueError("det(R) <= 0: rotation state is corrupted")
         if np.max(np.abs(X.T @ X - _EYE3)) < 1e-15:
-            break
+            return X
         X = 0.5 * (X + np.array([bc, cross3(c, a), cross3(a, b)]) / det)
+    if not np.max(np.abs(X.T @ X - _EYE3)) <= _ROT_ORTHO_TOL:  # also rejects NaN
+        raise ValueError("R did not converge to a rotation: input is ill-conditioned")
     return X
 
 
@@ -108,7 +112,14 @@ class ControlInput:
 
 @dataclass
 class BodyState:
-    """Position, inertial velocity, body->inertial rotation, body rate."""
+    """Position, inertial velocity, body->inertial rotation, body rate.
+
+    Constructing one validates it: finite (3,) vectors and an R within
+    _ROT_ORTHO_TOL of orthonormal. The integrators (`integrate_step`,
+    `collision.contact_constrained_step`) build their results with
+    `_trusted` instead, after checking the same conditions in the step:
+    a finite state and a renormalized R, or StateBlowUpError.
+    """
 
     x: np.ndarray
     v: np.ndarray
@@ -130,6 +141,13 @@ class BodyState:
         c, s = np.cos(yaw), np.sin(yaw)
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return cls(x=np.asarray(x, dtype=float), v=np.zeros(3), R=R, omega=np.zeros(3))
+
+    @classmethod
+    def _trusted(cls, x, v, R, omega):
+        """Build without validation; the caller guarantees what __post_init__ checks."""
+        s = object.__new__(cls)
+        s.x, s.v, s.R, s.omega = x, v, R, omega
+        return s
 
 
 def _deriv(y, u, p):
@@ -157,7 +175,8 @@ def dynamics_derivative(s: BodyState, u: ControlInput, p: VehicleParams):
 def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -> BodyState:
     """One classical RK4 step on the flat state, then rotation renormalization.
 
-    Deterministic: identical inputs give bit-identical outputs.
+    Deterministic: identical inputs give bit-identical outputs. The result is
+    finite with an orthonormal R; otherwise StateBlowUpError is raised.
     """
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
@@ -169,4 +188,8 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     y = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(y).all():
         raise StateBlowUpError("non-finite state after integration step")
-    return BodyState(x=y[:3], v=y[3:6], R=renormalize_rotation(y[6:15]), omega=y[15:])
+    try:
+        R = renormalize_rotation(y[6:15])
+    except ValueError as exc:
+        raise StateBlowUpError(f"renormalization after integration step: {exc}") from exc
+    return BodyState._trusted(y[:3], y[3:6], R, y[15:])

@@ -1,6 +1,7 @@
 """Scenario configuration and closed-loop simulation orchestration."""
 from __future__ import annotations
 
+import cmath
 import copy
 from dataclasses import dataclass, field
 
@@ -45,6 +46,13 @@ class ScenarioConfig:
             raise ValueError("dt must be in (0, 0.01]")
         if self.log_interval < self.dt:
             raise ValueError("log_interval must be >= dt")
+        # the contact step runs arm RK4 at dt: each root of s^2 + b_s s + k_s, times dt, is stable
+        b, k = self.spring.b_s, self.spring.k_s
+        d = cmath.sqrt(b * b - 4.0 * k)
+        for z in (0.5 * (-b + d) * self.dt, 0.5 * (-b - d) * self.dt):
+            if abs(1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24) > 1.0:
+                raise ValueError(f"arm spring (b_s={b:g}, k_s={k:g}) is unstable "
+                                 f"under RK4 at physics_dt={self.dt:g}")
 
     # -- flat key-value (YAML) persistence --------------------------------
 

@@ -6,7 +6,7 @@ from foldquad.arm import ArmState, SpringParams, simulate_contact
 from foldquad.collision import (CollisionEvent, Foldable, Rigid, Wall,
                                 contact_constrained_step, detect_contact,
                                 impact_force_estimate, resolve_rigid)
-from foldquad.dynamics import BodyState, ControlInput, VehicleParams
+from foldquad.dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams
 
 P = VehicleParams()
 WALL = Wall(normal=[-1.0, 0.0, 0.0], offset=-0.3)  # plane x1 = 0.3, free space x1 < 0.3
@@ -163,6 +163,18 @@ def test_energy_monotone_inside_constrained_contact():
         e = 0.5 * a.l_dot**2 + 0.5 * spring.k_s * a.l**2
         assert e <= e_prev * (1.0 + 1e-9)
         e_prev = e
+
+
+def test_contact_step_blow_up_detected():
+    # an arm spring far outside RK4's stability region overflows within a few steps;
+    # the step must raise rather than return a non-finite state
+    s, arm = _touching_state([1.4, 0.0, 0.0]), ArmState(l=0.0, l_dot=1.4)
+    spring = SpringParams(k_s=1e12)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateBlowUpError):
+        for _ in range(100):
+            s, arm, _ = contact_constrained_step(
+                s, arm, WALL, ControlInput(f=0.0), P, spring, 1e-3)
+            assert np.isfinite(s.x).all() and np.isfinite(s.v).all()
 
 
 def test_foldable_rebound_below_rigid_for_all_restitutions():

@@ -69,6 +69,12 @@ def test_renormalize_rejects_nonpositive_det():
         renormalize_rotation(np.diag([1.0, 1.0, -1.0]))
 
 
+def test_renormalize_rejects_ill_conditioned_input():
+    # singular values 1e8 and 1e-8 need more than 20 Newton halvings
+    with pytest.raises(ValueError, match="did not converge"):
+        renormalize_rotation(np.diag([1e8, 1.0, 1e-8]))
+
+
 # -- parameters and state validation -----------------------------------------
 
 def test_vehicle_params_defaults():

@@ -335,3 +335,29 @@ def test_cli_contact_timeout_aborts_with_partial_log(tmp_path, capsys):
     assert rc == 2
     assert (tmp_path / "wall_log.csv").exists()
     assert "did not release" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["k_r=1e6", "k_omega=1e5", "inertia=[1e-7,1e-7,1e-7]"])
+def test_cli_state_blow_up_aborts_with_partial_log(tmp_path, capsys, override):
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=2.0).save(cfg_path)
+    rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
+    assert rc == 2
+    assert (tmp_path / "wall_log.csv").exists()
+    assert "state blow-up" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_s", [1e9, 1e12])
+def test_cli_rejects_arm_spring_unstable_at_physics_dt(tmp_path, capsys, k_s):
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=2.0).save(cfg_path)
+    rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path),
+                   "--set", f"spring_stiffness={k_s}"])
+    assert rc == 1
+    assert not (tmp_path / "wall_log.csv").exists()
+    assert "unstable under RK4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b_s,k_s", [(30.0, 500.0), (30.0, 900.0)])
+def test_arm_spring_stable_at_physics_dt_accepted(b_s, k_s):
+    ScenarioConfig(spring=SpringParams(b_s=b_s, k_s=k_s))
