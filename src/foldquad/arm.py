@@ -2,14 +2,17 @@
 rebound extraction and parameter identification from displacement traces."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
+CONTACT_TIMEOUT_S = 1.0  # a contact that has not released after this long is aborted
+
 
 class ContactTimeoutError(RuntimeError):
-    """Contact integration did not terminate within the 1 s guard."""
+    """Contact integration did not terminate within CONTACT_TIMEOUT_S."""
 
 
 @dataclass
@@ -139,6 +142,16 @@ def _spring_rk4_step(l, l_dot, b_s, k_s, dt):
     return l2, d2
 
 
+def check_rk4_stable(p: SpringParams, dt):
+    """Raise ValueError unless each root s of s^2 + b_s s + k_s puts z = s dt
+    inside the stability region of _spring_rk4_step."""
+    d = cmath.sqrt(p.b_s * p.b_s - 4.0 * p.k_s)
+    for z in (0.5 * (-p.b_s + d) * dt, 0.5 * (-p.b_s - d) * dt):
+        if abs(1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24) > 1.0:
+            raise ValueError(f"arm spring (b_s={p.b_s:g}, k_s={p.k_s:g}) is unstable "
+                             f"under RK4 at physics_dt={dt:g}")
+
+
 def advance_arm(l, l_dot, p: SpringParams, dt):
     """One integration step with travel clamp and release test.
 
@@ -162,7 +175,8 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
     """Integrate the arm ODE from (l=0, l_dot=v_impact) until release.
 
     The rebound speed is |l_dot| at the step where l first falls to delta_l
-    after the compression peak. Guards against non-termination at 1 s.
+    after the compression peak. Guards against non-termination at
+    CONTACT_TIMEOUT_S.
     """
     if v_impact <= 0:
         raise ValueError("v_impact must be positive")
@@ -188,10 +202,9 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
                 saturated=saturated_any,
                 trace=DisplacementTrace(t=np.array(ts), l=np.array(ls)),
             )
-        if t > 1.0:
-            raise ContactTimeoutError(
-                "contact did not release within 1 s; check spring parameters"
-            )
+        if t > CONTACT_TIMEOUT_S:
+            raise ContactTimeoutError(f"contact did not release within {CONTACT_TIMEOUT_S:g} s; "
+                                      "check spring parameters")
 
 
 @dataclass

@@ -45,11 +45,7 @@ class Foldable:
 
 @dataclass
 class Rigid:
-    restitution: float = 0.9
-
-    def __post_init__(self):
-        if not (0.0 <= self.restitution <= 1.0):
-            raise ValueError("restitution must lie in [0, 1]")
+    """Restitution bounce; the coefficient is the scenario's `restitution`."""
 
 
 ContactMode = Foldable | Rigid

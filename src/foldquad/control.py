@@ -7,7 +7,7 @@ between its ticks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,11 +34,9 @@ class ControllerConfig:
     integral_limit: float = 1.0
 
     def __post_init__(self):
-        for name in ("k_p", "k_v", "k_vi", "k_vd", "k_r", "k_omega",
-                     "gamma1", "gamma2", "attitude_rate", "position_rate",
-                     "max_thrust", "integral_limit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.attitude_rate < self.position_rate:
             raise ValueError("attitude_rate must be >= position_rate")
 

@@ -81,8 +81,7 @@ class VehicleParams:
     m: float = 1.112
     J: np.ndarray = field(default_factory=lambda: np.diag([0.0034, 0.0034, 0.0053]))
     g: float = 9.81
-    l_arm: float = 0.11      # nominal arm length (m)
-    l_max: float = 0.03      # maximum inward arm travel (m)
+    l_arm: float = 0.11      # nominal arm length (m); its travel limit is SpringParams.l_max
     r_contact: float = 0.145  # contact envelope radius (m)
 
     def __post_init__(self):
@@ -91,8 +90,8 @@ class VehicleParams:
             raise ValueError("mass must be positive")
         if np.max(np.abs(self.J - self.J.T)) > 1e-12 or np.any(np.linalg.eigvalsh(self.J) <= 0):
             raise ValueError("inertia must be symmetric positive-definite")
-        if not (0.0 < self.l_max < self.l_arm < self.r_contact):
-            raise ValueError("geometry must satisfy 0 < l_max < l_arm < r_contact")
+        if not (0.0 < self.l_arm < self.r_contact):
+            raise ValueError("geometry must satisfy 0 < l_arm < r_contact")
         self.J_inv = np.linalg.inv(self.J)
 
 

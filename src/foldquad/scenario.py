@@ -1,14 +1,14 @@
 """Scenario configuration and closed-loop simulation orchestration."""
 from __future__ import annotations
 
-import cmath
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
-from .arm import ArmState, ContactTimeoutError, SpringParams
+from .arm import (CONTACT_TIMEOUT_S, ArmState, ContactTimeoutError, SpringParams,
+                  check_rk4_stable)
 from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import ControllerConfig, ControllerState, Setpoint, recovery_setpoint, step_controller
@@ -17,14 +17,50 @@ from .simlog import Metrics, SimLog, compute_metrics, rotation_to_quaternion
 
 _EPS = 1e-12
 
+# flat YAML key -> the one field it sets: (part, field) on a part of the config,
+# or (None, field) on the config itself. inertia, contact_mode and wall_* are
+# handled by to_dict/from_dict.
+_KEYS = {
+    "mass": ("vehicle", "m"),
+    "gravity": ("vehicle", "g"),
+    "arm_length": ("vehicle", "l_arm"),
+    "contact_radius": ("vehicle", "r_contact"),
+    "spring_damping": ("spring", "b_s"),
+    "spring_stiffness": ("spring", "k_s"),
+    "arm_travel_max": ("spring", "l_max"),
+    "contact_exit_threshold": ("spring", "delta_l"),
+    **{f.name: ("controller", f.name) for f in fields(ControllerConfig)},
+    "restitution": (None, "restitution"),
+    "start_position": (None, "start_position"),
+    "start_velocity": (None, "start_velocity"),
+    "start_yaw": (None, "start_yaw"),
+    "setpoint": (None, "setpoint"),
+    "setpoint_yaw": (None, "setpoint_yaw"),
+    "duration": (None, "duration"),
+    "physics_dt": (None, "dt"),
+    "log_interval": (None, "log_interval"),
+}
+_PARTS = {"vehicle": VehicleParams, "spring": SpringParams, "controller": ControllerConfig}
+_MODES = {"foldable": Foldable, "rigid": Rigid}
+
+
+def _plain(value):
+    """A float, or a list of floats (row lists for a matrix), for YAML."""
+    return np.asarray(value, dtype=float).tolist()
+
 
 @dataclass
 class ScenarioConfig:
-    """Full description of one reproducible run."""
+    """Full description of one reproducible run.
+
+    `restitution` is the rigid-mode bounce coefficient; `compare_modes` and
+    `sweep_velocities` use it for their rigid runs whatever `mode` is.
+    """
 
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     spring: SpringParams = field(default_factory=SpringParams)
     mode: ContactMode = field(default_factory=lambda: Foldable())
+    restitution: float = 0.9
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     wall: Wall | None = field(default_factory=lambda: Wall(normal=[-1.0, 0.0, 0.0], offset=-0.3))
     start_position: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -0.5]))
@@ -40,56 +76,28 @@ class ScenarioConfig:
         self.start_position = np.asarray(self.start_position, dtype=float).reshape(3)
         self.start_velocity = np.asarray(self.start_velocity, dtype=float).reshape(3)
         self.setpoint = np.asarray(self.setpoint, dtype=float).reshape(3)
+        if not (0.0 <= self.restitution <= 1.0):
+            raise ValueError("restitution must lie in [0, 1]")
+        if not self.spring.l_max < self.vehicle.l_arm:
+            raise ValueError("arm_travel_max must be below arm_length")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if not (0.0 < self.dt <= 0.01):
             raise ValueError("dt must be in (0, 0.01]")
         if self.log_interval < self.dt:
             raise ValueError("log_interval must be >= dt")
-        # the contact step runs arm RK4 at dt: each root of s^2 + b_s s + k_s, times dt, is stable
-        b, k = self.spring.b_s, self.spring.k_s
-        d = cmath.sqrt(b * b - 4.0 * k)
-        for z in (0.5 * (-b + d) * self.dt, 0.5 * (-b - d) * self.dt):
-            if abs(1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24) > 1.0:
-                raise ValueError(f"arm spring (b_s={b:g}, k_s={k:g}) is unstable "
-                                 f"under RK4 at physics_dt={self.dt:g}")
+        check_rk4_stable(self.spring, self.dt)  # the contact step runs arm RK4 at dt
 
     # -- flat key-value (YAML) persistence --------------------------------
 
     def to_dict(self):
-        c = self.controller
-
-        def vec(a):
-            return [float(x) for x in a]
-
-        d = {
-            "mass": float(self.vehicle.m),
-            "inertia": vec(np.diag(self.vehicle.J)),
-            "gravity": float(self.vehicle.g),
-            "arm_length": float(self.vehicle.l_arm),
-            "arm_travel_max": float(self.vehicle.l_max),
-            "contact_radius": float(self.vehicle.r_contact),
-            "spring_damping": float(self.spring.b_s),
-            "spring_stiffness": float(self.spring.k_s),
-            "contact_exit_threshold": float(self.spring.delta_l),
-            "contact_mode": "rigid" if isinstance(self.mode, Rigid) else "foldable",
-            "restitution": float(self.mode.restitution) if isinstance(self.mode, Rigid) else 0.9,
-            "k_p": c.k_p, "k_v": c.k_v, "k_vi": c.k_vi, "k_vd": c.k_vd,
-            "k_r": c.k_r, "k_omega": c.k_omega,
-            "gamma1": c.gamma1, "gamma2": c.gamma2,
-            "attitude_rate": c.attitude_rate, "position_rate": c.position_rate,
-            "max_thrust": c.max_thrust, "integral_limit": c.integral_limit,
-            "wall_normal": vec(self.wall.normal) if self.wall else None,
-            "wall_offset": float(self.wall.offset) if self.wall else None,
-            "start_position": vec(self.start_position),
-            "start_velocity": vec(self.start_velocity),
-            "start_yaw": float(self.start_yaw),
-            "setpoint": vec(self.setpoint),
-            "setpoint_yaw": float(self.setpoint_yaw),
-            "duration": float(self.duration),
-            "physics_dt": float(self.dt),
-            "log_interval": float(self.log_interval),
-        }
+        d = {key: _plain(getattr(getattr(self, part) if part else self, name))
+             for key, (part, name) in _KEYS.items()}
+        J = self.vehicle.J
+        d["inertia"] = _plain(np.diag(J) if np.array_equal(J, np.diag(np.diag(J))) else J)
+        d["contact_mode"] = "rigid" if isinstance(self.mode, Rigid) else "foldable"
+        d["wall_normal"] = _plain(self.wall.normal) if self.wall else None
+        d["wall_offset"] = _plain(self.wall.offset) if self.wall else None
         return d
 
     @classmethod
@@ -98,41 +106,22 @@ class ScenarioConfig:
         unknown = set(d) - set(base)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        base.update(d)
-        d = base
-        vehicle = VehicleParams(
-            m=d["mass"], J=np.diag(d["inertia"]), g=d["gravity"],
-            l_arm=d["arm_length"], l_max=d["arm_travel_max"],
-            r_contact=d["contact_radius"],
-        )
-        spring = SpringParams(
-            b_s=d["spring_damping"], k_s=d["spring_stiffness"],
-            l_max=d["arm_travel_max"], delta_l=d["contact_exit_threshold"],
-        )
-        if d["contact_mode"] == "rigid":
-            mode = Rigid(restitution=d["restitution"])
-        elif d["contact_mode"] == "foldable":
-            mode = Foldable()
-        else:
+        d = {**base, **d}
+        mode = _MODES.get(str(d["contact_mode"]))
+        if mode is None:
             raise ValueError(f"unknown contact_mode: {d['contact_mode']!r}")
-        controller = ControllerConfig(
-            k_p=d["k_p"], k_v=d["k_v"], k_vi=d["k_vi"], k_vd=d["k_vd"],
-            k_r=d["k_r"], k_omega=d["k_omega"],
-            gamma1=d["gamma1"], gamma2=d["gamma2"],
-            attitude_rate=d["attitude_rate"], position_rate=d["position_rate"],
-            max_thrust=d["max_thrust"], integral_limit=d["integral_limit"],
-        )
+        kwargs = {part: {} for part in (*_PARTS, None)}
+        for key, (part, name) in _KEYS.items():
+            if np.asarray(d[key]).dtype.kind not in "iuf":
+                raise ValueError(f"{key} must be a number or a list of numbers, not {d[key]!r}")
+            kwargs[part][name] = d[key]
+        J = np.asarray(d["inertia"], dtype=float)
+        kwargs["vehicle"]["J"] = np.diag(J) if J.shape == (3,) else J
         wall = None
         if d["wall_normal"] is not None:
             wall = Wall(normal=d["wall_normal"], offset=d["wall_offset"])
-        return cls(
-            vehicle=vehicle, spring=spring, mode=mode, controller=controller,
-            wall=wall, start_position=d["start_position"],
-            start_velocity=d["start_velocity"], start_yaw=d["start_yaw"],
-            setpoint=d["setpoint"], setpoint_yaw=d["setpoint_yaw"],
-            duration=d["duration"], dt=d["physics_dt"],
-            log_interval=d["log_interval"],
-        )
+        return cls(**{part: make(**kwargs[part]) for part, make in _PARTS.items()},
+                   mode=mode(), wall=wall, **kwargs[None])
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -213,7 +202,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                     sp = recovery_setpoint(state.x, ev.v_c[:2], cfg.controller,
                                            yaw_d=sp.yaw_d)
                     if isinstance(cfg.mode, Rigid):  # rigid contact exits in one step
-                        state = resolve_rigid(state, ev, cfg.mode.restitution,
+                        state = resolve_rigid(state, ev, cfg.restitution,
                                               cfg.wall, cfg.vehicle)
                         state = integrate_step(state, u, cfg.vehicle, cfg.dt)
                     else:
@@ -232,9 +221,9 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                     state, arm, cfg.wall, u, cfg.vehicle, cfg.spring, cfg.dt)
                 if exited:
                     in_contact = False
-                elif t - contact_start > 1.0:
+                elif t - contact_start > CONTACT_TIMEOUT_S:
                     raise ContactTimeoutError(
-                        "foldable contact did not release within 1 s")
+                        f"foldable contact did not release within {CONTACT_TIMEOUT_S:g} s")
             t += cfg.dt
             if stop_at_first_contact and events:
                 break
@@ -268,8 +257,7 @@ class ComparisonReport:
 def compare_modes(cfg: ScenarioConfig) -> ComparisonReport:
     """Run the identical scenario in foldable and rigid modes."""
     fold_cfg = cfg.with_mode(Foldable())
-    rigid_mode = cfg.mode if isinstance(cfg.mode, Rigid) else Rigid()
-    rigid_cfg = cfg.with_mode(rigid_mode)
+    rigid_cfg = cfg.with_mode(Rigid())
     fold_log = run_scenario(fold_cfg)
     rigid_log = run_scenario(rigid_cfg)
     return ComparisonReport(
@@ -298,20 +286,12 @@ class SweepRow:
         }
 
 
-def _start_at_gap(cfg, gap):
-    """Copy of cfg with the start placed `gap` metres before touching contact."""
-    out = copy.deepcopy(cfg)
-    n = cfg.wall.normal
-    coord = cfg.wall.offset + cfg.vehicle.r_contact + gap
-    out.start_position = cfg.start_position + (coord - float(n @ cfg.start_position)) * n
-    return out
-
-
 _CRUISE_MARGIN = 1.15
 
 
 def _cruise_cfg(cfg, speed, gap):
-    """Level cruise toward the wall at roughly `speed`, starting `gap` m out.
+    """Level cruise toward the wall at roughly `speed`, starting `gap` m
+    before touching contact.
 
     The setpoint is placed just past the touch point so the commanded
     approach velocity at contact is about `speed` (distance speed/k_p scaled
@@ -319,16 +299,19 @@ def _cruise_cfg(cfg, speed, gap):
     at the start values, so the vehicle arrives level rather than still
     accelerating toward a distant goal.
     """
-    out = _start_at_gap(cfg, gap)
+    out = copy.deepcopy(cfg)
     n = cfg.wall.normal
-    coord = cfg.wall.offset + cfg.vehicle.r_contact - _CRUISE_MARGIN * speed / cfg.controller.k_p
+    touch = cfg.wall.offset + cfg.vehicle.r_contact
+    out.start_position = cfg.start_position + (touch + gap - float(n @ cfg.start_position)) * n
+    coord = touch - _CRUISE_MARGIN * speed / cfg.controller.k_p
     out.setpoint = out.start_position + (coord - float(n @ out.start_position)) * n
     out.start_velocity = -speed * n
     return out
 
-def _probe_v_c(cfg, gap, speed=None):
-    """Approach speed at first contact when starting `gap` m from touching."""
-    probe = _cruise_cfg(cfg, speed, gap) if speed is not None else _start_at_gap(cfg, gap)
+
+def _probe_v_c(cfg, gap, speed):
+    """Approach speed at first contact of the level cruise at `speed` from `gap`."""
+    probe = _cruise_cfg(cfg, speed, gap)
     probe.duration = min(cfg.duration, 10.0)
     log = run_scenario(probe, stop_at_first_contact=True)
     if not log.events:
@@ -337,21 +320,19 @@ def _probe_v_c(cfg, gap, speed=None):
     return float(ev.v_c @ ev.normal)
 
 
-def find_start_gap(cfg: ScenarioConfig, target_speed, tol=0.04, cruise=False):
+def find_start_gap(cfg: ScenarioConfig, target_speed, tol=0.04):
     """Start distance whose first-contact speed matches target_speed.
 
-    Scans increasing gaps and bisects on the rising branch of v_c(gap);
-    returns (gap, achieved_v_c) or (None, best_v_c) when unreachable. With
-    cruise=True each probe uses the level cruise setpoint for target_speed.
+    Each probe is the level cruise setpoint for target_speed. Scans
+    increasing gaps and bisects on the rising branch of v_c(gap); returns
+    (gap, achieved_v_c) or (None, best_v_c) when unreachable.
     """
-    speed = target_speed if cruise else None
     gaps = [0.02, 0.05, 0.1, 0.2, 0.35, 0.6, 1.0, 1.6, 2.5, 4.0, 6.0]
     best = (None, -np.inf)
-    lo = hi = None
-    v_lo = v_hi = None
+    lo = hi = v_hi = None
     prev_gap, prev_v = None, None
     for gap in gaps:
-        v = _probe_v_c(cfg, gap, speed)
+        v = _probe_v_c(cfg, gap, target_speed)
         if v is None:
             continue
         if v > best[1]:
@@ -359,20 +340,20 @@ def find_start_gap(cfg: ScenarioConfig, target_speed, tol=0.04, cruise=False):
         if abs(v - target_speed) <= tol:
             return gap, v
         if prev_v is not None and prev_v < target_speed <= v:
-            lo, hi, v_lo, v_hi = prev_gap, gap, prev_v, v
+            lo, hi, v_hi = prev_gap, gap, v
             break
         prev_gap, prev_v = gap, v
     if lo is None:
         return None, best[1] if np.isfinite(best[1]) else None
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        v = _probe_v_c(cfg, mid, speed)
+        v = _probe_v_c(cfg, mid, target_speed)
         if v is None:
             return None, best[1]
         if abs(v - target_speed) <= tol:
             return mid, v
         if v < target_speed:
-            lo, v_lo = mid, v
+            lo = mid
         else:
             hi, v_hi = mid, v
     return hi, v_hi
@@ -391,7 +372,7 @@ def sweep_velocities(cfg: ScenarioConfig, speeds) -> list[SweepRow]:
     for speed in speeds:
         if speed <= 0:
             raise ValueError("sweep speeds must be positive")
-        gap, achieved = find_start_gap(cfg, speed, cruise=True)
+        gap, achieved = find_start_gap(cfg, speed)
         if gap is None:
             for mode in ("foldable", "rigid"):
                 rows.append(SweepRow(speed=speed, mode=mode, achieved_v_c=achieved,

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from foldquad.arm import ArmState, SpringParams, simulate_contact
-from foldquad.collision import (CollisionEvent, Foldable, Rigid, Wall,
+from foldquad.collision import (CollisionEvent, Foldable, Wall,
                                 contact_constrained_step, detect_contact,
                                 impact_force_estimate, resolve_rigid)
 from foldquad.dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams
+from foldquad.scenario import ScenarioConfig
 
 P = VehicleParams()
 WALL = Wall(normal=[-1.0, 0.0, 0.0], offset=-0.3)  # plane x1 = 0.3, free space x1 < 0.3
@@ -33,9 +34,9 @@ def test_wall_rejects_zero_normal():
 
 def test_rigid_restitution_bounds():
     with pytest.raises(ValueError):
-        Rigid(restitution=1.5)
+        ScenarioConfig(restitution=1.5)
     with pytest.raises(ValueError):
-        Rigid(restitution=-0.1)
+        ScenarioConfig(restitution=-0.1)
 
 
 # -- detect_contact -------------------------------------------------------------

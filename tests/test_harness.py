@@ -39,7 +39,7 @@ def test_config_overrides(tmp_path):
     loaded = ScenarioConfig.load(path, overrides={"contact_mode": "rigid",
                                                   "restitution": 0.5})
     assert isinstance(loaded.mode, Rigid)
-    assert loaded.mode.restitution == 0.5
+    assert loaded.restitution == 0.5
 
 
 def test_config_rejects_unknown_keys():
@@ -54,6 +54,42 @@ def test_config_validation():
         ScenarioConfig(dt=0.02)
     with pytest.raises(ValueError):
         ScenarioConfig(dt=1e-3, log_interval=1e-4)
+
+
+def test_config_rejects_arm_travel_beyond_arm_length():
+    with pytest.raises(ValueError, match="arm_travel_max"):
+        ScenarioConfig(spring=SpringParams(l_max=0.5))
+    with pytest.raises(ValueError, match="arm_travel_max"):
+        ScenarioConfig.from_dict({"arm_travel_max": 0.11})
+
+
+@pytest.mark.parametrize("override", ["k_p=abc", "mass=abc", "restitution=abc",
+                                      "restitution=true", "start_position=[1, 2, \"x\"]"])
+def test_cli_rejects_non_numeric_value(tmp_path, capsys, override):
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=0.1).save(cfg_path)
+    rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
+    assert rc == 1
+    assert "must be a number" in capsys.readouterr().err
+
+
+def test_config_inertia_as_moments_or_rows():
+    rows = [[0.0034, 1e-4, 0.0], [1e-4, 0.0034, 2e-5], [0.0, 2e-5, 0.0053]]
+    cfg = ScenarioConfig.from_dict({"inertia": rows})
+    assert np.array_equal(cfg.vehicle.J, rows)
+    assert cfg.to_dict()["inertia"] == rows
+    moments = ScenarioConfig.from_dict({"inertia": [0.004, 0.005, 0.006]})
+    assert np.array_equal(moments.vehicle.J, np.diag([0.004, 0.005, 0.006]))
+    assert moments.to_dict()["inertia"] == [0.004, 0.005, 0.006]
+
+
+def test_compare_rigid_side_uses_config_restitution():
+    """A foldable config's restitution reaches the rigid run of compare_modes."""
+    report = compare_modes(ScenarioConfig.from_dict({"restitution": 0.5}))
+    rigid_cfg = ScenarioConfig.from_dict({"contact_mode": "rigid", "restitution": 0.5})
+    rigid = compute_metrics(run_scenario(rigid_cfg), rigid_cfg)
+    assert report.rigid.v_rb == rigid.v_rb
+    assert report.rigid.v_rb == pytest.approx(0.7124, abs=1e-4)
 
 
 # -- run_scenario ----------------------------------------------------------------
@@ -229,7 +265,7 @@ def test_reference_compare_matches_golden_metrics():
 
 def test_find_start_gap_hits_target_speed():
     cfg = ScenarioConfig()
-    gap, achieved = find_start_gap(cfg, 1.5, cruise=True)
+    gap, achieved = find_start_gap(cfg, 1.5)
     assert gap is not None
     assert abs(achieved - 1.5) <= 0.05
 
@@ -250,7 +286,7 @@ def test_sweep_rejects_nonpositive_speed():
 def test_altitude_hold_through_recovery():
     """|x3(t) - x3(t_c)| stays within 0.15 m after a level-cruise impact."""
     base = ScenarioConfig()
-    gap, _ = find_start_gap(base, 2.0, cruise=True)
+    gap, _ = find_start_gap(base, 2.0)
     cfg = _cruise_cfg(base, 2.0, gap)
     log = run_scenario(cfg)
     ev = log.events[0]
