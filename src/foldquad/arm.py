@@ -6,7 +6,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 CONTACT_TIMEOUT_S = 1.0  # a contact that has not released after this long is aborted
 
@@ -237,6 +236,8 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
     from the first samples; the linear ODE makes the closed form exact, so no
     re-integration per iteration is needed.
     """
+    from scipy.optimize import least_squares  # imported here: it dominates `import foldquad`
+
     if len(trace) < 10:
         raise ValueError("trace too short for identification (need >= 10 samples)")
     if not _has_oscillation(trace.l):

@@ -31,7 +31,8 @@ class Wall:
         nn = np.linalg.norm(n)
         if nn == 0:
             raise ValueError("wall normal must be non-zero")
-        self.normal = n / nn
+        # a normal that is already unit stays as it is, so a reloaded wall is bit-identical
+        self.normal = n / nn if abs(nn - 1.0) > 1e-12 else n.copy()
         self.offset = float(self.offset)
 
     def distance(self, x):

@@ -54,8 +54,6 @@ class Setpoint:
 @dataclass
 class AttitudeSetpoint:
     R_d: np.ndarray
-    omega_d: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    alpha_d: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 @dataclass
@@ -134,18 +132,16 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
 
 
 def attitude_errors(R, omega, asp: AttitudeSetpoint):
-    """Rotation error e_R = 0.5 vee(R_d^T R - R^T R_d) and rate error."""
+    """Rotation error e_R = 0.5 vee(R_d^T R - R^T R_d) and rate error
+    e_Omega = Omega (the setpoint has no angular-rate feedforward)."""
     R_d = asp.R_d
     e_R = 0.5 * vee(R_d.T @ R - R.T @ R_d, tol=np.inf)
-    e_omega = omega - R.T @ R_d @ asp.omega_d
-    return e_R, e_omega
+    return e_R, omega
 
 
-def attitude_moment(e_R, e_omega, omega, asp: AttitudeSetpoint,
-                    p: VehicleParams, cfg: ControllerConfig):
-    """Body moment tau = -k_R e_R - k_Omega e_Omega + Omega x J Omega + J alpha_d."""
-    return (-cfg.k_r * e_R - cfg.k_omega * e_omega
-            + cross3(omega, p.J @ omega) + p.J @ asp.alpha_d)
+def attitude_moment(e_R, e_omega, omega, p: VehicleParams, cfg: ControllerConfig):
+    """Body moment tau = -k_R e_R - k_Omega e_Omega + Omega x J Omega."""
+    return -cfg.k_r * e_R - cfg.k_omega * e_omega + cross3(omega, p.J @ omega)
 
 
 def step_controller(s: BodyState, sp: Setpoint, cs: ControllerState,
@@ -161,5 +157,5 @@ def step_controller(s: BodyState, sp: Setpoint, cs: ControllerState,
         next_t = t + pos_dt if cs.next_pos_t is None else cs.next_pos_t + pos_dt
         cs = replace(cs, next_pos_t=next_t)
     e_R, e_omega = attitude_errors(s.R, s.omega, cs.held_att)
-    tau = attitude_moment(e_R, e_omega, s.omega, cs.held_att, p, cfg)
+    tau = attitude_moment(e_R, e_omega, s.omega, p, cfg)
     return ControlInput(f=cs.held_f, tau=tau), cs

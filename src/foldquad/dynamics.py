@@ -6,12 +6,12 @@ accelerates the vehicle along -R @ e3.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 E3 = np.array([0.0, 0.0, 1.0])
-_EYE3 = np.eye(3)
 
 _ROT_ORTHO_TOL = 1e-6  # loose bound on max|R^T R - I| of any stored rotation
 
@@ -49,6 +49,25 @@ def cross3(a, b):
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
+def _polar(r):
+    """renormalize_rotation on the row-major floats r of rows a, b, c; returns 9 floats."""
+    for i in range(21):  # at most 20 Newton steps
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = r
+        p0, p1, p2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0  # b x c
+        det = a0 * p0 + a1 * p1 + a2 * p2
+        if not 0.0 < det < math.inf:  # Newton iterates keep the sign of det(R)
+            raise ValueError(f"det(R) = {det}: rotation state is corrupted")
+        err = max(abs(a0 * a0 + b0 * b0 + c0 * c0 - 1.0), abs(a1 * a1 + b1 * b1 + c1 * c1 - 1.0),
+                  abs(a2 * a2 + b2 * b2 + c2 * c2 - 1.0), abs(a0 * a1 + b0 * b1 + c0 * c1),
+                  abs(a0 * a2 + b0 * b2 + c0 * c2), abs(a1 * a2 + b1 * b2 + c1 * c2))
+        if err < 1e-15 or i == 20 and err <= _ROT_ORTHO_TOL:  # err = max|X^T X - I|
+            return r
+        cof = (p0, p1, p2, c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0,
+               a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)  # c x a, a x b
+        r = [0.5 * (x + y / det) for x, y in zip(r, cof)]
+    raise ValueError("R did not converge to a rotation: input is ill-conditioned")
+
+
 def renormalize_rotation(R):
     """Project onto the nearest rotation matrix (orthogonal polar factor).
 
@@ -56,22 +75,10 @@ def renormalize_rotation(R):
     quadratically to the polar factor and is idempotent on inputs that are
     already orthonormal. For rows a, b, c of X, X^-T is the cofactor matrix
     (rows b x c, c x a, a x b) over det = a . (b x c). Raises ValueError if
-    det(R) <= 0, or if 20 iterations leave max|X^T X - I| above _ROT_ORTHO_TOL
-    (an ill-conditioned R).
+    det(R) is not positive and finite (so NaN and inf are rejected), or if 20
+    iterations leave max|X^T X - I| above _ROT_ORTHO_TOL (an ill-conditioned R).
     """
-    X = np.asarray(R, dtype=float).reshape(3, 3).copy()
-    for _ in range(20):
-        a, b, c = X.tolist()
-        bc = cross3(b, c)
-        det = a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2]
-        if det <= 0.0:  # Newton iterates keep the sign of det(R)
-            raise ValueError("det(R) <= 0: rotation state is corrupted")
-        if np.max(np.abs(X.T @ X - _EYE3)) < 1e-15:
-            return X
-        X = 0.5 * (X + np.array([bc, cross3(c, a), cross3(a, b)]) / det)
-    if not np.max(np.abs(X.T @ X - _EYE3)) <= _ROT_ORTHO_TOL:  # also rejects NaN
-        raise ValueError("R did not converge to a rotation: input is ill-conditioned")
-    return X
+    return np.array(_polar(np.asarray(R, dtype=float).reshape(9).tolist())).reshape(3, 3)
 
 
 @dataclass
@@ -93,6 +100,8 @@ class VehicleParams:
         if not (0.0 < self.l_arm < self.r_contact):
             raise ValueError("geometry must satisfy 0 < l_arm < r_contact")
         self.J_inv = np.linalg.inv(self.J)
+        # plain floats for the scalar equations of motion
+        self.J_flat, self.J_inv_flat = (tuple(M.ravel().tolist()) for M in (self.J, self.J_inv))
 
 
 @dataclass
@@ -149,25 +158,32 @@ class BodyState:
         return s
 
 
-def _deriv(y, u, p):
-    """Equations of motion on the flat state y = (x, v, R row-major, omega):
-    vdot uses R @ e3 = R[:, 2], and row i of Rdot = R hat(omega) is R[i] x omega.
+def _deriv(y, a, tau, p):
+    """Equations of motion on the flat state y = (x, v, R row-major, omega) as
+    floats, for thrust acceleration a = f/m and moment tau: vdot uses
+    R @ e3 = R[:, 2], and row i of Rdot = R hat(omega) is R[i] x omega.
     RK stages may be non-orthonormal or non-finite; the step checks its result."""
-    q = y.tolist()
-    w, a = q[15:], u.f / p.m
-    omegadot = p.J_inv @ (u.tau - cross3(w, (p.J @ y[15:]).tolist()))
-    return np.array([*q[3:6], -a * q[8], -a * q[11], p.g - a * q[14],
-                     *cross3(q[6:9], w), *cross3(q[9:12], w), *cross3(q[12:15], w),
-                     *omegadot.tolist()])
-
-
-def _flat(s: BodyState):
-    return np.concatenate((s.x, s.v, s.R.ravel(), s.omega))
+    _, _, _, v0, v1, v2, r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = y
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = p.J_flat
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = p.J_inv_flat
+    h0 = j00 * w0 + j01 * w1 + j02 * w2  # J omega
+    h1 = j10 * w0 + j11 * w1 + j12 * w2
+    h2 = j20 * w0 + j21 * w1 + j22 * w2
+    t0 = tau[0] - (w1 * h2 - w2 * h1)  # tau - omega x J omega
+    t1 = tau[1] - (w2 * h0 - w0 * h2)
+    t2 = tau[2] - (w0 * h1 - w1 * h0)
+    return [v0, v1, v2, -a * r02, -a * r12, p.g - a * r22,
+            r01 * w2 - r02 * w1, r02 * w0 - r00 * w2, r00 * w1 - r01 * w0,
+            r11 * w2 - r12 * w1, r12 * w0 - r10 * w2, r10 * w1 - r11 * w0,
+            r21 * w2 - r22 * w1, r22 * w0 - r20 * w2, r20 * w1 - r21 * w0,
+            i00 * t0 + i01 * t1 + i02 * t2, i10 * t0 + i11 * t1 + i12 * t2,
+            i20 * t0 + i21 * t1 + i22 * t2]
 
 
 def dynamics_derivative(s: BodyState, u: ControlInput, p: VehicleParams):
     """Time derivative (xdot, vdot, Rdot, omegadot) of the body state."""
-    d = _deriv(_flat(s), u, p)
+    d = np.array(_deriv([*s.x.tolist(), *s.v.tolist(), *s.R.ravel().tolist(),
+                         *s.omega.tolist()], u.f / p.m, u.tau.tolist(), p))
     return d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:]
 
 
@@ -179,16 +195,19 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     """
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
-    y0 = _flat(s)
-    k1 = _deriv(y0, u, p)
-    k2 = _deriv(y0 + 0.5 * dt * k1, u, p)
-    k3 = _deriv(y0 + 0.5 * dt * k2, u, p)
-    k4 = _deriv(y0 + dt * k3, u, p)
-    y = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(y).all():
+    y0 = [*s.x.tolist(), *s.v.tolist(), *s.R.ravel().tolist(), *s.omega.tolist()]
+    a, tau, h, c = u.f / p.m, u.tau.tolist(), 0.5 * dt, dt / 6.0
+    k1 = _deriv(y0, a, tau, p)
+    k2 = _deriv([q + h * k for q, k in zip(y0, k1)], a, tau, p)
+    k3 = _deriv([q + h * k for q, k in zip(y0, k2)], a, tau, p)
+    k4 = _deriv([q + dt * k for q, k in zip(y0, k3)], a, tau, p)
+    y = [q + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+         for q, d1, d2, d3, d4 in zip(y0, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y)):
         raise StateBlowUpError("non-finite state after integration step")
     try:
-        R = renormalize_rotation(y[6:15])
+        y[6:15] = _polar(y[6:15])
     except ValueError as exc:
         raise StateBlowUpError(f"renormalization after integration step: {exc}") from exc
-    return BodyState._trusted(y[:3], y[3:6], R, y[15:])
+    y = np.array(y)
+    return BodyState._trusted(y[:3], y[3:6], y[6:15].reshape(3, 3), y[15:])

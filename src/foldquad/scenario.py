@@ -106,20 +106,25 @@ class ScenarioConfig:
         unknown = set(d) - set(base)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if d.get("wall_normal", base["wall_normal"]) is None and d.get("wall_offset") is not None:
+            raise ValueError("wall_offset is set but wall_normal is null: give both or neither")
         d = {**base, **d}
         mode = _MODES.get(str(d["contact_mode"]))
         if mode is None:
             raise ValueError(f"unknown contact_mode: {d['contact_mode']!r}")
+        has_wall = d["wall_normal"] is not None
+        for key in (*_KEYS, "inertia", *(("wall_normal", "wall_offset") if has_wall else ())):
+            value = np.asarray(d[key])
+            shape_ok = key == "inertia" or value.shape == np.shape(base[key])  # inertia: 3 or 3x3
+            if value.dtype.kind not in "iuf" or not shape_ok:
+                raise ValueError(f"{key} must be a number or a list of numbers shaped like "
+                                 f"the default {base[key]!r}, not {d[key]!r}")
         kwargs = {part: {} for part in (*_PARTS, None)}
         for key, (part, name) in _KEYS.items():
-            if np.asarray(d[key]).dtype.kind not in "iuf":
-                raise ValueError(f"{key} must be a number or a list of numbers, not {d[key]!r}")
             kwargs[part][name] = d[key]
         J = np.asarray(d["inertia"], dtype=float)
         kwargs["vehicle"]["J"] = np.diag(J) if J.shape == (3,) else J
-        wall = None
-        if d["wall_normal"] is not None:
-            wall = Wall(normal=d["wall_normal"], offset=d["wall_offset"])
+        wall = Wall(normal=d["wall_normal"], offset=d["wall_offset"]) if has_wall else None
         return cls(**{part: make(**kwargs[part]) for part, make in _PARTS.items()},
                    mode=mode(), wall=wall, **kwargs[None])
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,11 +65,8 @@ class SimLog:
         return self.data[:, _COL[name]]
 
     def vec(self, prefix):
-        """Stacked (n, 3) view of e.g. x1..x3 via prefix 'x'."""
-        names = {"x": ("x1", "x2", "x3"), "v": ("v1", "v2", "v3"),
-                 "xd": ("xd1", "xd2", "xd3"), "tau": ("tau1", "tau2", "tau3"),
-                 "w": ("w1", "w2", "w3")}[prefix]
-        return self.data[:, [_COL[n] for n in names]]
+        """Stacked (n, 3) columns e.g. x1..x3 via prefix 'x'."""
+        return self.data[:, [_COL[f"{prefix}{i}"] for i in (1, 2, 3)]]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -102,16 +99,7 @@ class Metrics:
     mean_impact_force: float | None = None
 
     def to_dict(self):
-        return {
-            "v_c": self.v_c,
-            "v_rb": self.v_rb,
-            "contact_duration": self.contact_duration,
-            "peak_l": self.peak_l,
-            "overshoot": self.overshoot,
-            "settling_time": self.settling_time,
-            "re_collision_count": self.re_collision_count,
-            "mean_impact_force": self.mean_impact_force,
-        }
+        return asdict(self)
 
     def to_json(self, indent=2):
         return json.dumps(self.to_dict(), indent=indent)
@@ -119,20 +107,9 @@ class Metrics:
 
 def _contact_episodes(flags):
     """Maximal runs of truthy contact flags as (start_idx, end_idx) inclusive."""
-    on = flags > 0.5
-    episodes = []
-    i = 0
-    n = len(on)
-    while i < n:
-        if on[i]:
-            j = i
-            while j + 1 < n and on[j + 1]:
-                j += 1
-            episodes.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return episodes
+    on = np.concatenate(([False], flags > 0.5, [False]))
+    edges = np.flatnonzero(on[1:] != on[:-1])  # run starts, then one past their ends
+    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def _settling_time(t, x, xd, start_idx):

@@ -27,6 +27,15 @@ def test_wall_normalizes_and_measures_distance():
     assert abs(w.distance([0.3, 5.0, -1.0])) < 1e-15
 
 
+def test_wall_normalization_is_idempotent():
+    """A wall built from the normal of another is bit-identical, so a saved and
+    reloaded config keeps its wall exactly."""
+    rng = np.random.default_rng(21)
+    for n in rng.normal(size=(2000, 3)):
+        once = Wall(normal=n, offset=0.0).normal
+        assert np.array_equal(Wall(normal=once, offset=0.0).normal, once)
+
+
 def test_wall_rejects_zero_normal():
     with pytest.raises(ValueError):
         Wall(normal=[0.0, 0.0, 0.0], offset=0.0)

@@ -132,10 +132,9 @@ def test_attitude_errors_zero_case():
     rng = np.random.default_rng(13)
     R = random_rotation(rng)
     om = rng.normal(size=3)
-    asp = AttitudeSetpoint(R_d=R, omega_d=om)
-    e_R, e_om = attitude_errors(R, om, asp)
+    e_R, e_om = attitude_errors(R, om, AttitudeSetpoint(R_d=R))
     assert np.allclose(e_R, 0, atol=1e-12)
-    assert np.allclose(e_om, 0, atol=1e-12)
+    assert np.array_equal(e_om, om)  # no rate feedforward: the rate error is the body rate
 
 
 def test_attitude_error_closed_form_single_axis():
@@ -164,22 +163,19 @@ def test_attitude_error_zero_iff_equal():
 
 
 def test_attitude_moment_zero_case():
-    tau = attitude_moment(np.zeros(3), np.zeros(3), np.zeros(3),
-                          AttitudeSetpoint(R_d=np.eye(3)), P, CFG)
+    tau = attitude_moment(np.zeros(3), np.zeros(3), np.zeros(3), P, CFG)
     assert np.allclose(tau, 0, atol=1e-15)
 
 
 def test_attitude_moment_gyroscopic_vanishes_on_principal_axis():
     om = np.array([1.0, 0.0, 0.0])
-    tau = attitude_moment(np.zeros(3), np.zeros(3), om,
-                          AttitudeSetpoint(R_d=np.eye(3)), P, CFG)
+    tau = attitude_moment(np.zeros(3), np.zeros(3), om, P, CFG)
     assert np.allclose(tau, 0, atol=1e-15)
 
 
 def test_attitude_moment_proportional_term():
     cfg = ControllerConfig(k_r=2.0, k_omega=0.25)
-    tau = attitude_moment(np.array([0.1, 0.0, 0.0]), np.zeros(3), np.zeros(3),
-                          AttitudeSetpoint(R_d=np.eye(3)), P, cfg)
+    tau = attitude_moment(np.array([0.1, 0.0, 0.0]), np.zeros(3), np.zeros(3), P, cfg)
     assert np.allclose(tau, [-0.2, 0.0, 0.0], atol=1e-15)
 
 
@@ -253,7 +249,7 @@ def test_closed_loop_attitude_convergence_from_30_deg():
     while t < 2.0:
         if t >= next_att - 1e-12:
             e_R, e_om = attitude_errors(s.R, s.omega, asp)
-            tau = attitude_moment(e_R, e_om, s.omega, asp, P, CFG)
+            tau = attitude_moment(e_R, e_om, s.omega, P, CFG)
             u = ControlInput(f=P.m * P.g, tau=tau)
             next_att += 1.0 / CFG.attitude_rate
         s = integrate_step(s, u, P, 1e-3)

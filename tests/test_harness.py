@@ -1,16 +1,20 @@
 """Scenario orchestration, logging, metrics, comparisons and the CLI."""
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foldquad
 from foldquad.arm import SpringParams, simulate_contact
 from foldquad.cli import main as cli_main
 from foldquad.collision import Rigid, Wall
 from foldquad.control import ControllerConfig, recovery_setpoint
 from foldquad.scenario import (ScenarioConfig, _cruise_cfg, compare_modes,
                                find_start_gap, run_scenario, sweep_velocities)
-from foldquad.simlog import COLUMNS, Metrics, SimLog, compute_metrics
+from foldquad.simlog import COLUMNS, Metrics, SimLog, _contact_episodes, compute_metrics
 
 
 def quiet_config(**kw):
@@ -64,13 +68,39 @@ def test_config_rejects_arm_travel_beyond_arm_length():
 
 
 @pytest.mark.parametrize("override", ["k_p=abc", "mass=abc", "restitution=abc",
-                                      "restitution=true", "start_position=[1, 2, \"x\"]"])
+                                      "restitution=true", "start_position=[1, 2, \"x\"]",
+                                      "mass=[1, 2]", "wall_offset=[1, 2]",
+                                      "start_position=[1, 2]"])
 def test_cli_rejects_non_numeric_value(tmp_path, capsys, override):
     cfg_path = tmp_path / "wall.yaml"
     ScenarioConfig(duration=0.1).save(cfg_path)
     rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
     assert rc == 1
     assert "must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["wall_normal: [-1.0, 0.0, 0.0]\nwall_offset: null\n",
+                                  "wall_normal: null\nwall_offset: 5.0\n"])
+def test_cli_rejects_wall_with_one_side_null(tmp_path, capsys, text):
+    cfg_path = tmp_path / "wall.yaml"
+    cfg_path.write_text(text)
+    assert cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+    assert "wall_offset" in capsys.readouterr().err
+    assert not (tmp_path / "wall_log.csv").exists()
+
+
+def test_config_wall_normal_null_alone_means_no_wall():
+    assert ScenarioConfig.from_dict({"wall_normal": None}).wall is None
+    assert ScenarioConfig.from_dict({"wall_normal": None, "wall_offset": None}).wall is None
+
+
+def test_import_does_not_load_scipy():
+    """Only fit_spring_params needs scipy; run, compare and sweep start without it."""
+    code = "import sys, foldquad; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {"PYTHONPATH": str(Path(foldquad.__file__).parents[1]), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_inertia_as_moments_or_rows():
@@ -196,6 +226,25 @@ def _hand_built_log():
     data[:, col["contact"]] = [0, 0, 1, 1, 0, 0, 0, 0]
     data[:, col["xd1"]] = 0.11
     return SimLog(data=data)
+
+
+def test_contact_episodes_match_loop_reference():
+    """The vectorized run finder returns what a plain scan over the flags does."""
+    def scan(flags):
+        runs, start = [], None
+        for i, on in enumerate(flags > 0.5):
+            if on and start is None:
+                start = i
+            elif not on and start is not None:
+                runs.append((start, i - 1))
+                start = None
+        return runs + ([(start, len(flags) - 1)] if start is not None else [])
+
+    rng = np.random.default_rng(31)
+    for n in range(30):
+        for _ in range(50):
+            flags = (rng.random(n) < rng.random()).astype(float)
+            assert _contact_episodes(flags) == scan(flags)
 
 
 def test_metrics_hand_built_contact_window():
