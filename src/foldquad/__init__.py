@@ -11,7 +11,7 @@ from .control import (AttitudeSetpoint, ControllerConfig, ControllerState, Setpo
                       recovery_setpoint, step_controller)
 from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
                        dynamics_derivative, hat, integrate_step,
-                       renormalize_rotation, vee)
+                       renormalize_rotation)
 from .scenario import (ComparisonReport, ScenarioConfig, SweepRow, compare_modes,
                        find_start_gap, run_scenario, sweep_velocities)
 from .simlog import COLUMNS, Metrics, SimLog, compute_metrics
@@ -28,5 +28,5 @@ __all__ = [
     "fit_spring_params", "hat", "impact_force_estimate", "integrate_step",
     "position_loop", "recovery_setpoint", "renormalize_rotation",
     "resolve_rigid", "run_scenario", "simulate_contact", "spring_derivative",
-    "step_controller", "sweep_velocities", "vee",
+    "step_controller", "sweep_velocities",
 ]

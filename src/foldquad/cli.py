@@ -19,7 +19,7 @@ def _parse_overrides(pairs):
         if "=" not in pair:
             raise SystemExit(f"bad override {pair!r}; expected key=value")
         key, value = pair.split("=", 1)
-        out[key.strip()] = json.loads(value) if value.lstrip()[:1] in "[{0123456789-." else value
+        out[key.strip()] = json.loads(value) if value.lstrip()[:1] in "[{0123456789-.NI" else value
     return out
 
 

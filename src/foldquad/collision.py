@@ -36,7 +36,9 @@ class Wall:
         self.offset = float(self.offset)
 
     def distance(self, x):
-        return float(self.normal @ x) - self.offset
+        n0, n1, n2 = self.normal.tolist()
+        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+        return (n0 * x0 + n1 * x1 + n2 * x2) - self.offset
 
 
 @dataclass
@@ -65,9 +67,9 @@ class CollisionEvent:
 def detect_contact(s: BodyState, w: Wall, p: VehicleParams, t=0.0):
     """Return a CollisionEvent if the contact sphere touches the wall while
     approaching it, else None. Separating or out-of-reach states give None."""
-    d = w.distance(s.x)
-    approaching = float(s.v @ w.normal) < 0.0
-    if d <= p.r_contact and approaching:
+    n0, n1, n2 = w.normal.tolist()
+    v0, v1, v2 = s.v.tolist()
+    if w.distance(s.x) <= p.r_contact and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
         return CollisionEvent(t_c=float(t), x_c=s.x.copy(), v_c=s.v.copy(), normal=-w.normal)
     return None
 

@@ -7,11 +7,12 @@ between its ticks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import E3, BodyState, ControlInput, VehicleParams, as_vec3, cross3, vee
+from .dynamics import BodyState, ControlInput, VehicleParams, as_vec3, cross3
 
 _THRUST_DIR_EPS = 1e-6
 
@@ -35,7 +36,7 @@ class ControllerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            if not getattr(self, f.name) > 0:  # NaN fails too
                 raise ValueError(f"{f.name} must be positive")
         if self.attitude_rate < self.position_rate:
             raise ValueError("attitude_rate must be >= position_rate")
@@ -58,13 +59,12 @@ class AttitudeSetpoint:
 
 @dataclass
 class ControllerState:
-    """Loop memory owned by a single simulation loop."""
+    """Loop memory owned by a single simulation loop, in floats; R_d is row-major."""
 
-    integral: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    prev_e_v: np.ndarray | None = None
+    integral: tuple = (0.0, 0.0, 0.0)
+    prev_e_v: tuple | None = None
     held_f: float = 0.0
-    held_att: AttitudeSetpoint | None = None
-    prev_R_d: np.ndarray | None = None
+    held_R_d: tuple = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # identity before a tick
     next_pos_t: float | None = None
 
 
@@ -86,18 +86,15 @@ def recovery_setpoint(x_tc, v_c_xy, cfg: ControllerConfig, yaw_d=0.0) -> Setpoin
 
 
 def rotation_from_thrust_dir(b3, yaw):
-    """Assemble R_d with third body axis b3 and decoupled heading yaw."""
-    b3 = b3 / np.linalg.norm(b3)
-    b1c = np.array([np.cos(yaw), np.sin(yaw), 0.0])
-    b2 = np.array(cross3(b3, b1c))
-    n2 = np.linalg.norm(b2)
+    """R_d, as a row-major 9-tuple, with unit third body axis b3 and decoupled heading yaw."""
+    b2 = cross3(b3, (math.cos(yaw), math.sin(yaw), 0.0))
+    n2 = math.hypot(*b2)
     if n2 < 1e-8:  # thrust direction parallel to heading; use the other axis
-        b1c = np.array([-np.sin(yaw), np.cos(yaw), 0.0])
-        b2 = np.array(cross3(b3, b1c))
-        n2 = np.linalg.norm(b2)
-    b2 = b2 / n2
+        b2 = cross3(b3, (-math.sin(yaw), math.cos(yaw), 0.0))
+        n2 = math.hypot(*b2)
+    b2 = [c / n2 for c in b2]
     b1 = cross3(b2, b3)
-    return np.column_stack([b1, b2, b3])
+    return (b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2])
 
 
 def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
@@ -107,41 +104,45 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     v_d = k_p e_x; the velocity PID output is a commanded acceleration whose
     matching specific-force vector fixes the desired body-z axis; thrust is
     that vector projected on the current body-z, clamped to [0, max_thrust].
+    A vanishing specific force keeps the held R_d.
     """
-    e_x = sp.x_d - s.x
-    v_d = cfg.k_p * e_x
-    e_v = v_d - s.v
-    integral = np.clip(cs.integral + e_v * dt,
-                       -cfg.integral_limit, cfg.integral_limit)
-    d_e_v = np.zeros(3) if cs.prev_e_v is None else (e_v - cs.prev_e_v) / dt
-    a_cmd = cfg.k_v * e_v + cfg.k_vi * integral + cfg.k_vd * d_e_v
+    lim = cfg.integral_limit
+    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(sp.x_d.tolist(), s.x.tolist(), s.v.tolist())]
+    integral = tuple(min(max(i + e * dt, -lim), lim) for i, e in zip(cs.integral, e_v))
+    d_e_v = (0.0, 0.0, 0.0) if cs.prev_e_v is None else [
+        (e - q) / dt for e, q in zip(e_v, cs.prev_e_v)]
+    a0, a1, a2 = (cfg.k_v * e + cfg.k_vi * i + cfg.k_vd * d
+                  for e, i, d in zip(e_v, integral, d_e_v))
+    f_vec = (-a0, -a1, p.g - a2)  # desired specific force g e3 - a_cmd along body-z
+    norm = math.hypot(*f_vec)
+    R_d = cs.held_R_d if norm < _THRUST_DIR_EPS else rotation_from_thrust_dir(
+        [c / norm for c in f_vec], sp.yaw_d)
+    _, _, r02, _, _, r12, _, _, r22 = s.R.ravel().tolist()  # body-z is the third column
+    f = min(max(p.m * (f_vec[0] * r02 + f_vec[1] * r12 + f_vec[2] * r22), 0.0), cfg.max_thrust)
+    return f, AttitudeSetpoint(R_d=np.array(R_d).reshape(3, 3)), ControllerState(
+        integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d, next_pos_t=cs.next_pos_t)
 
-    f_vec = p.g * E3 - a_cmd  # desired specific force along body-z
-    norm = float(np.linalg.norm(f_vec))
-    if norm < _THRUST_DIR_EPS:
-        R_d = np.eye(3) if cs.prev_R_d is None else cs.prev_R_d
-    else:
-        R_d = rotation_from_thrust_dir(f_vec / norm, sp.yaw_d)
-    f = p.m * float(f_vec @ (s.R @ E3))
-    f = float(np.clip(f, 0.0, cfg.max_thrust))
 
-    att = AttitudeSetpoint(R_d=R_d)
-    cs2 = replace(cs, integral=integral, prev_e_v=e_v.copy(),
-                  held_f=f, held_att=att, prev_R_d=R_d)
-    return f, att, cs2
+def _rotation_error(r, d):
+    """e_R = 0.5 vee(A - A^T) with A = R_d^T R, for row-major 9-float R and R_d."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    d00, d01, d02, d10, d11, d12, d20, d21, d22 = d
+    return (0.5 * ((d02 * r01 + d12 * r11 + d22 * r21) - (d01 * r02 + d11 * r12 + d21 * r22)),
+            0.5 * ((d00 * r02 + d10 * r12 + d20 * r22) - (d02 * r00 + d12 * r10 + d22 * r20)),
+            0.5 * ((d01 * r00 + d11 * r10 + d21 * r20) - (d00 * r01 + d10 * r11 + d20 * r21)))
 
 
 def attitude_errors(R, omega, asp: AttitudeSetpoint):
-    """Rotation error e_R = 0.5 vee(R_d^T R - R^T R_d) and rate error
-    e_Omega = Omega (the setpoint has no angular-rate feedforward)."""
-    R_d = asp.R_d
-    e_R = 0.5 * vee(R_d.T @ R - R.T @ R_d, tol=np.inf)
-    return e_R, omega
+    """Rotation error e_R = 0.5 vee(R_d^T R - R^T R_d) as a (3,) array, and
+    rate error e_Omega = Omega (the setpoint has no angular-rate feedforward)."""
+    return np.array(_rotation_error(np.ravel(R).tolist(), np.ravel(asp.R_d).tolist())), omega
 
 
 def attitude_moment(e_R, e_omega, omega, p: VehicleParams, cfg: ControllerConfig):
-    """Body moment tau = -k_R e_R - k_Omega e_Omega + Omega x J Omega."""
-    return -cfg.k_r * e_R - cfg.k_omega * e_omega + cross3(omega, p.J @ omega)
+    """Body moment tau = -k_R e_R - k_Omega e_Omega + Omega x J Omega, as a 3-tuple."""
+    J, (w0, w1, w2) = p.J_flat, omega
+    gyro = cross3(omega, [J[i] * w0 + J[i + 1] * w1 + J[i + 2] * w2 for i in (0, 3, 6)])
+    return tuple(-cfg.k_r * e - cfg.k_omega * eo + g for e, eo, g in zip(e_R, e_omega, gyro))
 
 
 def step_controller(s: BodyState, sp: Setpoint, cs: ControllerState,
@@ -153,9 +154,9 @@ def step_controller(s: BodyState, sp: Setpoint, cs: ControllerState,
     """
     pos_dt = 1.0 / cfg.position_rate
     if cs.next_pos_t is None or t >= cs.next_pos_t - 1e-12:
-        _, _, cs = position_loop(s, sp, cs, cfg, p, pos_dt)
         next_t = t + pos_dt if cs.next_pos_t is None else cs.next_pos_t + pos_dt
-        cs = replace(cs, next_pos_t=next_t)
-    e_R, e_omega = attitude_errors(s.R, s.omega, cs.held_att)
-    tau = attitude_moment(e_R, e_omega, s.omega, p, cfg)
-    return ControlInput(f=cs.held_f, tau=tau), cs
+        _, _, cs = position_loop(s, sp, cs, cfg, p, pos_dt)
+        cs.next_pos_t = next_t  # cs is the new state position_loop built
+    omega = s.omega.tolist()
+    tau = attitude_moment(_rotation_error(s.R.ravel().tolist(), cs.held_R_d), omega, omega, p, cfg)
+    return ControlInput._trusted(cs.held_f, np.array(tau)), cs

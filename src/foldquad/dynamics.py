@@ -34,14 +34,6 @@ def hat(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def vee(M, tol=1e-9):
-    """Inverse of hat. Rejects matrices that are not skew within tol."""
-    M = np.asarray(M, dtype=float).reshape(3, 3)
-    if np.max(np.abs(M + M.T)) > tol:
-        raise ValueError("matrix is not skew-symmetric within tolerance")
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
-
-
 def cross3(a, b):
     """a x b of two 3-sequences as a tuple; bit-equal to np.cross, minus its overhead."""
     a0, a1, a2 = a
@@ -114,8 +106,15 @@ class ControlInput:
     def __post_init__(self):
         self.f = float(self.f)
         self.tau = as_vec3(self.tau, "tau")
-        if self.f < 0:
-            raise ValueError("thrust must be non-negative")
+        if not 0.0 <= self.f < math.inf:
+            raise ValueError(f"thrust must be finite and non-negative, not {self.f}")
+
+    @classmethod
+    def _trusted(cls, f, tau):
+        """Build without validation; `integrate_step` rejects what a non-finite f or tau yields."""
+        u = object.__new__(cls)
+        u.f, u.tau = f, tau
+        return u
 
 
 @dataclass

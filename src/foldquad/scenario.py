@@ -116,9 +116,9 @@ class ScenarioConfig:
         for key in (*_KEYS, "inertia", *(("wall_normal", "wall_offset") if has_wall else ())):
             value = np.asarray(d[key])
             shape_ok = key == "inertia" or value.shape == np.shape(base[key])  # inertia: 3 or 3x3
-            if value.dtype.kind not in "iuf" or not shape_ok:
+            if value.dtype.kind not in "iuf" or not shape_ok or not np.isfinite(value).all():
                 raise ValueError(f"{key} must be a number or a list of numbers shaped like "
-                                 f"the default {base[key]!r}, not {d[key]!r}")
+                                 f"the default {base[key]!r}, all finite, not {d[key]!r}")
         kwargs = {part: {} for part in (*_PARTS, None)}
         for key, (part, name) in _KEYS.items():
             kwargs[part][name] = d[key]
@@ -179,11 +179,10 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     diagnostic = ""
 
     def log_row():
-        q = rotation_to_quaternion(state.R)
         rows.append([
-            t, *state.x, *state.v, *q, *state.omega, arm.l,
-            u.f, *u.tau, 1.0 if (in_contact or contact_since_log) else 0.0,
-            *sp.x_d,
+            t, *state.x.tolist(), *state.v.tolist(), *rotation_to_quaternion(state.R),
+            *state.omega.tolist(), arm.l, u.f, *u.tau.tolist(),
+            1.0 if (in_contact or contact_since_log) else 0.0, *sp.x_d.tolist(),
         ])
 
     try:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -22,27 +23,24 @@ SETTLE_RADIUS = 0.05  # m
 
 
 def rotation_to_quaternion(R):
-    """Unit quaternion (w, x, y, z) from a rotation matrix, w >= 0."""
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    """Unit quaternion (w, x, y, z) from a rotation matrix, w >= 0, as a tuple of floats."""
+    R = np.asarray(R, dtype=float).tolist()
+    tr = R[0][0] + R[1][1] + R[2][2]
     if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (R[2][1] - R[1][2]) / s, (R[0][2] - R[2][0]) / s, (R[1][0] - R[0][1]) / s]
     else:
-        i = int(np.argmax([R[0, 0], R[1, 1], R[2, 2]]))
+        i = max(range(3), key=lambda k: R[k][k])  # the first largest, as np.argmax
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(1.0 + R[i, i] - R[j, j] - R[k, k]) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
+        s = math.sqrt(1.0 + R[i][i] - R[j][j] - R[k][k]) * 2.0
+        q = [(R[k][j] - R[j][k]) / s, 0.0, 0.0, 0.0]
         q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
+        q[1 + j] = (R[j][i] + R[i][j]) / s
+        q[1 + k] = (R[k][i] + R[i][k]) / s
     if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+        q = [-c for c in q]
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return tuple(c / n for c in q)
 
 
 @dataclass

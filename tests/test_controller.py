@@ -32,6 +32,11 @@ def test_config_rejects_nonpositive_gains():
         ControllerConfig(k_omega=-0.1)
 
 
+def test_config_rejects_nan_gain():
+    with pytest.raises(ValueError, match="k_r"):
+        ControllerConfig(k_r=np.nan)
+
+
 def test_config_rejects_slow_attitude_loop():
     with pytest.raises(ValueError):
         ControllerConfig(attitude_rate=50.0, position_rate=100.0)
@@ -121,7 +126,7 @@ def test_position_loop_degenerate_direction_holds_previous():
                   omega=np.zeros(3))
     sp = Setpoint(x_d=np.array([0.0, 0.0, 9.81 + 9.81]))
     prev = rot_x(0.3)
-    cs = ControllerState(prev_R_d=prev)
+    cs = ControllerState(held_R_d=tuple(prev.ravel().tolist()))
     _, att, _ = position_loop(s, sp, cs, cfg, P, 0.01)
     assert np.array_equal(att.R_d, prev)
 

@@ -4,7 +4,7 @@ import pytest
 
 from foldquad.dynamics import (E3, BodyState, ControlInput, StateBlowUpError,
                                VehicleParams, dynamics_derivative, hat,
-                               integrate_step, renormalize_rotation, vee)
+                               integrate_step, renormalize_rotation)
 
 
 def random_rotation(rng):
@@ -15,29 +15,13 @@ def random_rotation(rng):
     return Q
 
 
-# -- hat / vee ---------------------------------------------------------------
+# -- hat ---------------------------------------------------------------------
 
 def test_hat_matches_cross_product():
     rng = np.random.default_rng(1)
     for _ in range(20):
         v, w = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(hat(v) @ w, np.cross(v, w), atol=1e-14)
-
-
-def test_vee_zero_matrix():
-    assert np.array_equal(vee(np.zeros((3, 3))), np.zeros(3))
-
-
-def test_vee_hat_round_trip():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        v = rng.normal(size=3)
-        assert np.max(np.abs(vee(hat(v)) - v)) < 1e-12
-
-
-def test_vee_rejects_non_skew():
-    with pytest.raises(ValueError):
-        vee(np.eye(3))
 
 
 # -- renormalize_rotation ----------------------------------------------------
@@ -92,6 +76,12 @@ def test_vehicle_params_rejects_bad_inertia():
 def test_control_input_rejects_negative_thrust():
     with pytest.raises(ValueError):
         ControlInput(f=-1.0)
+
+
+@pytest.mark.parametrize("f", [np.nan, np.inf])
+def test_control_input_rejects_non_finite_thrust(f):
+    with pytest.raises(ValueError, match="finite"):
+        ControlInput(f=f)
 
 
 def test_body_state_rejects_non_orthonormal_rotation():

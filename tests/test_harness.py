@@ -79,6 +79,19 @@ def test_cli_rejects_non_numeric_value(tmp_path, capsys, override):
     assert "must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["log_interval=NaN", "duration=Infinity", "mass=NaN",
+                                      "k_r=NaN", "setpoint_yaw=NaN", "inertia=[0.003, NaN, 0.005]",
+                                      "start_position=[0, -Infinity, 0]", "wall_offset=NaN"])
+def test_cli_rejects_non_finite_value(tmp_path, capsys, override):
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=0.1).save(cfg_path)
+    rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{override.split('=')[0]} must be a number" in err and "all finite" in err
+    assert not (tmp_path / "wall_log.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["wall_normal: [-1.0, 0.0, 0.0]\nwall_offset: null\n",
                                   "wall_normal: null\nwall_offset: 5.0\n"])
 def test_cli_rejects_wall_with_one_side_null(tmp_path, capsys, text):

@@ -5,6 +5,8 @@
 return a state that the validating constructor accepts. The scalar
 `integrate_step` matches an RK4 written with numpy matrices, and
 `renormalize_rotation` returns orthonormal, idempotent rotations or raises.
+The scalar controller tick matches the position loop and attitude moment
+written with numpy arrays.
 A scenario config saved to YAML and loaded back must reproduce every field.
 """
 import dataclasses
@@ -19,12 +21,14 @@ from scipy.spatial.transform import Rotation
 
 from foldquad.arm import ArmState, SpringParams
 from foldquad.collision import Foldable, Rigid, Wall, contact_constrained_step
-from foldquad.control import ControllerConfig
+from foldquad.control import (ControllerConfig, ControllerState, Setpoint, position_loop,
+                              step_controller)
 from foldquad.dynamics import (E3, BodyState, ControlInput, StateBlowUpError, VehicleParams,
                                hat, integrate_step, renormalize_rotation)
 from foldquad.scenario import ScenarioConfig
 
 P = VehicleParams()
+CFG = ControllerConfig()
 SPRING = SpringParams()
 WALL = Wall(normal=[-1.0, 0.0, 0.0], offset=-0.3)
 EXAMPLES = settings(max_examples=50, deadline=None)
@@ -211,3 +215,97 @@ def test_renormalize_rejects_nonpositive_det(q, i):
     R[i] = 0.0
     with pytest.raises(ValueError):
         renormalize_rotation(R)
+
+
+# -- the scalar controller tick against numpy ---------------------------------------
+
+def reference_rotation_from_thrust_dir(b3, yaw):
+    b3 = b3 / np.linalg.norm(b3)
+    b2 = np.cross(b3, [np.cos(yaw), np.sin(yaw), 0.0])
+    if np.linalg.norm(b2) < 1e-8:
+        b2 = np.cross(b3, [-np.sin(yaw), np.cos(yaw), 0.0])
+    b2 = b2 / np.linalg.norm(b2)
+    return np.column_stack([np.cross(b2, b3), b2, b3])
+
+
+def reference_position_loop(s, sp, integral, prev_e_v, held_R_d, cfg, p, dt):
+    """The position loop with numpy arrays: (f, R_d, integral, e_v, f_vec, a_cmd)."""
+    e_v = cfg.k_p * (sp.x_d - s.x) - s.v
+    integral = np.clip(integral + e_v * dt, -cfg.integral_limit, cfg.integral_limit)
+    d_e_v = np.zeros(3) if prev_e_v is None else (e_v - prev_e_v) / dt
+    a_cmd = cfg.k_v * e_v + cfg.k_vi * integral + cfg.k_vd * d_e_v
+    f_vec = p.g * E3 - a_cmd
+    norm = np.linalg.norm(f_vec)
+    if norm < 1e-6:
+        R_d = np.eye(3) if held_R_d is None else held_R_d
+    else:
+        R_d = reference_rotation_from_thrust_dir(f_vec / norm, sp.yaw_d)
+    f = float(np.clip(p.m * float(f_vec @ (s.R @ E3)), 0.0, cfg.max_thrust))
+    return f, R_d, integral, e_v, f_vec, a_cmd
+
+
+def reference_moment(R, omega, R_d, p, cfg):
+    M = R_d.T @ R - R.T @ R_d
+    e_R = 0.5 * np.array([M[2, 1], M[0, 2], M[1, 0]])  # vee
+    gyro = np.cross(omega, p.J @ omega)
+    return -cfg.k_r * e_R - cfg.k_omega * omega + gyro, (cfg.k_r * e_R, cfg.k_omega * omega, gyro)
+
+
+def assert_close(name, got, want, *terms):
+    """Within 1e-12 of the largest magnitude among the result and the terms it sums."""
+    scale = max(np.max(np.abs(t)) for t in (want, *terms))
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * scale, name
+
+
+@st.composite
+def controller_cases(draw):
+    """A state, a controller state and a setpoint. In the 'degenerate' case the
+    commanded acceleration cancels gravity (no thrust direction); in the
+    'parallel' case the thrust direction is horizontal along the heading yaw.
+    Both start from a zero integral and no previous e_v, so a_cmd = (k_v + k_vi dt) e_v."""
+    s = draw(moderate_states)
+    case = draw(st.sampled_from(["free", "degenerate", "parallel"]))
+    yaw = draw(st.floats(-np.pi, np.pi))
+    held = draw(st.none() | quaternions.map(lambda q: Rotation.from_quat(q).as_matrix()))
+    cs = ControllerState() if held is None else ControllerState(held_R_d=tuple(held.ravel().tolist()))
+    if case == "free":
+        x_d = s.x + draw(vec3(100.0))
+        cs = dataclasses.replace(
+            cs, integral=tuple(draw(vec3(CFG.integral_limit)).tolist()),
+            prev_e_v=draw(st.none() | vec3(100.0).map(lambda a: tuple(a.tolist()))))
+    else:
+        c = 0.0 if case == "degenerate" else draw(st.floats(0.5, 20.0))
+        a_cmd = np.array([-c * np.cos(yaw), -c * np.sin(yaw), P.g])
+        e_v = a_cmd / (CFG.k_v + CFG.k_vi / CFG.position_rate)
+        x_d = s.x + (e_v + s.v) / CFG.k_p
+    return case, s, Setpoint(x_d=x_d, yaw_d=yaw), cs, held
+
+
+@EXAMPLES
+@given(controller_cases(), inertias)
+def test_controller_tick_matches_numpy(case_data, J):
+    case, s, sp, cs, held = case_data
+    p = VehicleParams(J=J)
+    dt = 1.0 / CFG.position_rate
+    f, att, cs2 = position_loop(s, sp, cs, CFG, p, dt)
+    u, cs3 = step_controller(s, sp, cs, CFG, p, 0.0)  # the first tick runs the position loop
+    want_f, want_R_d, want_int, want_e_v, f_vec, a_cmd = reference_position_loop(
+        s, sp, np.array(cs.integral), None if cs.prev_e_v is None else np.array(cs.prev_e_v),
+        held, CFG, p, dt)
+    norm = np.linalg.norm(f_vec)
+    if case == "degenerate":
+        assert norm < 1e-6
+        assert np.array_equal(att.R_d, np.eye(3) if held is None else held)
+    elif case == "parallel":
+        assert att.R_d[2, 1] > 0.99  # b2 = b3 x (-sin yaw, cos yaw, 0) is about e3
+    cond = 1.0 if norm < 1e-6 else max(1.0, np.max(np.abs(a_cmd)) / norm)
+    assert_close("f", f, want_f, p.m * norm)
+    assert_close("R_d", att.R_d, want_R_d, cond)
+    assert_close("integral", cs2.integral, want_int, np.array(cs.integral), want_e_v * dt)
+    assert_close("e_v", cs2.prev_e_v, want_e_v, CFG.k_p * (sp.x_d - s.x), s.v)
+    assert np.array_equal(att.R_d, np.reshape(cs2.held_R_d, (3, 3))) and cs2.held_f == f
+    want_tau, terms = reference_moment(s.R, s.omega, want_R_d, p, CFG)
+    assert_close("tau", u.tau, want_tau, *terms, CFG.k_r * cond)
+    assert u.f == f and (cs3.integral, cs3.prev_e_v, cs3.held_R_d) == (
+        cs2.integral, cs2.prev_e_v, cs2.held_R_d)
+    assert cs3.next_pos_t == dt
