@@ -71,7 +71,7 @@ def cmd_sweep(args):
     text = json.dumps([r.to_dict() for r in rows], indent=2)
     (out / f"{Path(args.config).stem}_sweep.json").write_text(text + "\n")
     print(text)
-    return 0
+    return 2 if any(r.aborted for r in rows) else 0
 
 
 def cmd_fit(args):

@@ -6,12 +6,13 @@ restitution bounce within a single physics step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arm import ArmState, SpringParams, advance_arm
-from .dynamics import (E3, BodyState, ControlInput, StateBlowUpError, VehicleParams, as_vec3,
+from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams, as_vec3,
                        integrate_step)
 
 
@@ -37,7 +38,7 @@ class Wall:
 
     def distance(self, x):
         n0, n1, n2 = self.normal.tolist()
-        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+        x0, x1, x2 = x
         return (n0 * x0 + n1 * x1 + n2 * x2) - self.offset
 
 
@@ -68,9 +69,9 @@ def detect_contact(s: BodyState, w: Wall, p: VehicleParams, t=0.0):
     """Return a CollisionEvent if the contact sphere touches the wall while
     approaching it, else None. Separating or out-of-reach states give None."""
     n0, n1, n2 = w.normal.tolist()
-    v0, v1, v2 = s.v.tolist()
-    if w.distance(s.x) <= p.r_contact and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
-        return CollisionEvent(t_c=float(t), x_c=s.x.copy(), v_c=s.v.copy(), normal=-w.normal)
+    v0, v1, v2 = s.y[3:6]
+    if w.distance(s.y[:3]) <= p.r_contact and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
+        return CollisionEvent(t_c=float(t), x_c=s.x, v_c=s.v, normal=-w.normal)
     return None
 
 
@@ -99,27 +100,30 @@ def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput
     Returns (BodyState, ArmState, exited); raises StateBlowUpError if the
     state is not finite.
     """
-    n_in = -w.normal  # into-wall direction
+    n0, n1, n2 = w.normal.tolist()
+    m0, m1, m2 = -n0, -n1, -n2  # into-wall direction n_in
     l2, ld2, _saturated, exited = advance_arm(a.l, a.l_dot, sp, dt)
 
-    # attitude advances under full rigid-body dynamics (rotation is
-    # independent of translation, so reuse the free integrator and
-    # overwrite the translational part below)
+    # R and omega come from the one free step (rotation does not depend on translation)
     free = integrate_step(s, u, p, dt)
 
-    a_free = p.g * E3 - (u.f / p.m) * (s.R @ E3)
-    a_t = a_free - float(a_free @ n_in) * n_in
-    v_t = s.v - float(s.v @ n_in) * n_in
-    v_t2 = v_t + dt * a_t
-    x2 = s.x + dt * (v_t + 0.5 * dt * a_t)
-    # slave the normal coordinate to the arm deflection
-    coord = w.offset + (p.r_contact - l2)
-    x2 = x2 + (coord - float(w.normal @ x2)) * w.normal
-    v2 = v_t2 + ld2 * n_in
-    if not (np.isfinite(x2).all() and np.isfinite(v2).all()):
+    # tangential update from a_free = g e3 - (f/m) R e3 with R held at its start value,
+    # not the free step's RK4 translation; on floats, in the vector form's operation order
+    x0, x1, x2, v0, v1, v2 = s.y[:6]
+    f_m, z = u.f / p.m, p.g * 0.0  # g e3 = (z, z, g), signed zeros included
+    af0, af1, af2 = z - f_m * s.y[8], z - f_m * s.y[11], p.g - f_m * s.y[14]
+    an, vn = af0 * m0 + af1 * m1 + af2 * m2, v0 * m0 + v1 * m1 + v2 * m2
+    at0, at1, at2 = af0 - an * m0, af1 - an * m1, af2 - an * m2
+    vt0, vt1, vt2 = v0 - vn * m0, v1 - vn * m1, v2 - vn * m2
+    h = 0.5 * dt
+    x0, x1, x2 = x0 + dt * (vt0 + h * at0), x1 + dt * (vt1 + h * at1), x2 + dt * (vt2 + h * at2)
+    c = (w.offset + (p.r_contact - l2)) - (n0 * x0 + n1 * x1 + n2 * x2)
+    y = (x0 + c * n0, x1 + c * n1, x2 + c * n2, (vt0 + dt * at0) + ld2 * m0,
+         (vt1 + dt * at1) + ld2 * m1, (vt2 + dt * at2) + ld2 * m2, *free.y[6:])
+    if not all(map(math.isfinite, y[:6])):
         raise StateBlowUpError("non-finite state after contact step")
 
-    return BodyState._trusted(x2, v2, free.R, free.omega), ArmState(l=l2, l_dot=ld2), exited
+    return BodyState._trusted(y), ArmState(l=l2, l_dot=ld2), exited
 
 
 def impact_force_estimate(m, dv, dt_c):

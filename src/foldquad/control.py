@@ -107,7 +107,7 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     A vanishing specific force keeps the held R_d.
     """
     lim = cfg.integral_limit
-    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(sp.x_d.tolist(), s.x.tolist(), s.v.tolist())]
+    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(sp.x_d.tolist(), s.y[:3], s.y[3:6])]
     integral = tuple(min(max(i + e * dt, -lim), lim) for i, e in zip(cs.integral, e_v))
     d_e_v = (0.0, 0.0, 0.0) if cs.prev_e_v is None else [
         (e - q) / dt for e, q in zip(e_v, cs.prev_e_v)]
@@ -117,7 +117,7 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     norm = math.hypot(*f_vec)
     R_d = cs.held_R_d if norm < _THRUST_DIR_EPS else rotation_from_thrust_dir(
         [c / norm for c in f_vec], sp.yaw_d)
-    _, _, r02, _, _, r12, _, _, r22 = s.R.ravel().tolist()  # body-z is the third column
+    r02, r12, r22 = s.y[8:15:3]  # body-z is the third column of R
     f = min(max(p.m * (f_vec[0] * r02 + f_vec[1] * r12 + f_vec[2] * r22), 0.0), cfg.max_thrust)
     return f, AttitudeSetpoint(R_d=np.array(R_d).reshape(3, 3)), ControllerState(
         integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d, next_pos_t=cs.next_pos_t)
@@ -157,6 +157,6 @@ def step_controller(s: BodyState, sp: Setpoint, cs: ControllerState,
         next_t = t + pos_dt if cs.next_pos_t is None else cs.next_pos_t + pos_dt
         _, _, cs = position_loop(s, sp, cs, cfg, p, pos_dt)
         cs.next_pos_t = next_t  # cs is the new state position_loop built
-    omega = s.omega.tolist()
-    tau = attitude_moment(_rotation_error(s.R.ravel().tolist(), cs.held_R_d), omega, omega, p, cfg)
+    omega = s.y[15:]
+    tau = attitude_moment(_rotation_error(s.y[6:15], cs.held_R_d), omega, omega, p, cfg)
     return ControlInput._trusted(cs.held_f, np.array(tau)), cs

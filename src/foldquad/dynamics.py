@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-E3 = np.array([0.0, 0.0, 1.0])
-
 _ROT_ORTHO_TOL = 1e-6  # loose bound on max|R^T R - I| of any stored rotation
 
 
@@ -117,43 +115,45 @@ class ControlInput:
         return u
 
 
-@dataclass
 class BodyState:
     """Position, inertial velocity, body->inertial rotation, body rate.
 
-    Constructing one validates it: finite (3,) vectors and an R within
-    _ROT_ORTHO_TOL of orthonormal. The integrators (`integrate_step`,
-    `collision.contact_constrained_step`) build their results with
-    `_trusted` instead, after checking the same conditions in the step:
-    a finite state and a renormalized R, or StateBlowUpError.
+    The one home of the state is `y`, a tuple of 18 Python floats
+    (x, v, R row-major, omega), which every layer of the simulation loop reads.
+    `x`, `v`, `R` and `omega` are read-only and build a fresh array on each
+    access, so writing into one does not change the state. The constructor
+    and `hover` validate: finite vectors and an R within _ROT_ORTHO_TOL of
+    orthonormal. The integrators (`integrate_step`, `contact_constrained_step`)
+    build their results with `_trusted(y)`, unvalidated, after checking in the
+    step that the state is finite and R renormalized, or raising StateBlowUpError.
     """
 
-    x: np.ndarray
-    v: np.ndarray
-    R: np.ndarray
-    omega: np.ndarray
+    __slots__ = ("y",)
 
-    def __post_init__(self):
-        self.x = as_vec3(self.x, "x")
-        self.v = as_vec3(self.v, "v")
-        self.omega = as_vec3(self.omega, "omega")
-        self.R = np.asarray(self.R, dtype=float).reshape(3, 3)
-        if not np.all(np.isfinite(self.R)):
+    def __init__(self, x, v, R, omega):
+        x, v, omega = as_vec3(x, "x"), as_vec3(v, "v"), as_vec3(omega, "omega")
+        R = np.asarray(R, dtype=float).reshape(3, 3)
+        if not np.all(np.isfinite(R)):
             raise ValueError("R has non-finite entries")
-        if np.max(np.abs(self.R.T @ self.R - np.eye(3))) > _ROT_ORTHO_TOL:
+        if np.max(np.abs(R.T @ R - np.eye(3))) > _ROT_ORTHO_TOL:
             raise ValueError("R is not orthonormal")
+        self.y = (*x.tolist(), *v.tolist(), *R.ravel().tolist(), *omega.tolist())
+
+    x = property(lambda s: np.array(s.y[:3]))
+    v = property(lambda s: np.array(s.y[3:6]))
+    R = property(lambda s: np.array(s.y[6:15]).reshape(3, 3))
+    omega = property(lambda s: np.array(s.y[15:]))
 
     @classmethod
     def hover(cls, x, yaw=0.0):
-        c, s = np.cos(yaw), np.sin(yaw)
-        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return cls(x=np.asarray(x, dtype=float), v=np.zeros(3), R=R, omega=np.zeros(3))
+        c, s, zero = np.cos(yaw), np.sin(yaw), (0.0, 0.0, 0.0)
+        return cls(x=x, v=zero, R=[[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], omega=zero)
 
     @classmethod
-    def _trusted(cls, x, v, R, omega):
-        """Build without validation; the caller guarantees what __post_init__ checks."""
+    def _trusted(cls, y):
+        """Build from an 18-tuple of floats, unvalidated; the caller checked it."""
         s = object.__new__(cls)
-        s.x, s.v, s.R, s.omega = x, v, R, omega
+        s.y = y
         return s
 
 
@@ -181,8 +181,7 @@ def _deriv(y, a, tau, p):
 
 def dynamics_derivative(s: BodyState, u: ControlInput, p: VehicleParams):
     """Time derivative (xdot, vdot, Rdot, omegadot) of the body state."""
-    d = np.array(_deriv([*s.x.tolist(), *s.v.tolist(), *s.R.ravel().tolist(),
-                         *s.omega.tolist()], u.f / p.m, u.tau.tolist(), p))
+    d = np.array(_deriv(s.y, u.f / p.m, u.tau.tolist(), p))
     return d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:]
 
 
@@ -194,8 +193,7 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     """
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
-    y0 = [*s.x.tolist(), *s.v.tolist(), *s.R.ravel().tolist(), *s.omega.tolist()]
-    a, tau, h, c = u.f / p.m, u.tau.tolist(), 0.5 * dt, dt / 6.0
+    y0, a, tau, h, c = s.y, u.f / p.m, u.tau.tolist(), 0.5 * dt, dt / 6.0
     k1 = _deriv(y0, a, tau, p)
     k2 = _deriv([q + h * k for q, k in zip(y0, k1)], a, tau, p)
     k3 = _deriv([q + h * k for q, k in zip(y0, k2)], a, tau, p)
@@ -208,5 +206,4 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
         y[6:15] = _polar(y[6:15])
     except ValueError as exc:
         raise StateBlowUpError(f"renormalization after integration step: {exc}") from exc
-    y = np.array(y)
-    return BodyState._trusted(y[:3], y[3:6], y[6:15].reshape(3, 3), y[15:])
+    return BodyState._trusted(tuple(y))

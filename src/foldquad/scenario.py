@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -180,9 +181,8 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
 
     def log_row():
         rows.append([
-            t, *state.x.tolist(), *state.v.tolist(), *rotation_to_quaternion(state.R),
-            *state.omega.tolist(), arm.l, u.f, *u.tau.tolist(),
-            1.0 if (in_contact or contact_since_log) else 0.0, *sp.x_d.tolist(),
+            t, *state.y[:6], *rotation_to_quaternion(state.y[6:15]), *state.y[15:], arm.l, u.f,
+            *u.tau.tolist(), 1.0 if (in_contact or contact_since_log) else 0.0, *sp.x_d.tolist(),
         ])
 
     try:
@@ -279,6 +279,8 @@ class SweepRow:
     achieved_v_c: float | None
     metrics: Metrics | None
     unreachable: bool = False
+    aborted: bool = False  # the run ended early; metrics come from its partial log
+    diagnostic: str = ""
 
     def to_dict(self):
         return {
@@ -286,6 +288,8 @@ class SweepRow:
             "mode": self.mode,
             "achieved_v_c": self.achieved_v_c,
             "unreachable": self.unreachable,
+            "aborted": self.aborted,
+            "diagnostic": self.diagnostic,
             "metrics": self.metrics.to_dict() if self.metrics else None,
         }
 
@@ -372,20 +376,20 @@ def sweep_velocities(cfg: ScenarioConfig, speeds) -> list[SweepRow]:
     pre-contact approach is mode-independent, so the start search is shared
     between foldable and rigid runs of the same target speed.
     """
+    speeds = list(speeds)  # checked in full before the first run
+    if not all(0.0 < speed < math.inf for speed in speeds):
+        raise ValueError("sweep speeds must be positive and finite")
     rows = []
     for speed in speeds:
-        if speed <= 0:
-            raise ValueError("sweep speeds must be positive")
         gap, achieved = find_start_gap(cfg, speed)
         if gap is None:
             for mode in ("foldable", "rigid"):
                 rows.append(SweepRow(speed=speed, mode=mode, achieved_v_c=achieved,
                                      metrics=None, unreachable=True))
             continue
-        base = _cruise_cfg(cfg, speed, gap)
-        report = compare_modes(base)
-        rows.append(SweepRow(speed=speed, mode="foldable",
-                             achieved_v_c=achieved, metrics=report.foldable))
-        rows.append(SweepRow(speed=speed, mode="rigid",
-                             achieved_v_c=achieved, metrics=report.rigid))
+        report = compare_modes(_cruise_cfg(cfg, speed, gap))
+        for mode, log in (("foldable", report.foldable_log), ("rigid", report.rigid_log)):
+            rows.append(SweepRow(speed=speed, mode=mode, achieved_v_c=achieved,
+                                 metrics=getattr(report, mode), aborted=log.aborted,
+                                 diagnostic=log.diagnostic))
     return rows

@@ -1,7 +1,6 @@
 """Uniformly sampled run logs, CSV (de)serialization and derived metrics."""
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -22,21 +21,20 @@ _COL = {name: i for i, name in enumerate(COLUMNS)}
 SETTLE_RADIUS = 0.05  # m
 
 
-def rotation_to_quaternion(R):
-    """Unit quaternion (w, x, y, z) from a rotation matrix, w >= 0, as a tuple of floats."""
-    R = np.asarray(R, dtype=float).tolist()
-    tr = R[0][0] + R[1][1] + R[2][2]
+def rotation_to_quaternion(r):
+    """Unit quaternion (w, x, y, z), w >= 0, as floats, from a rotation's 9 row-major entries."""
+    tr = r[0] + r[4] + r[8]
     if tr > 0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = [0.25 * s, (R[2][1] - R[1][2]) / s, (R[0][2] - R[2][0]) / s, (R[1][0] - R[0][1]) / s]
+        q = [0.25 * s, (r[7] - r[5]) / s, (r[2] - r[6]) / s, (r[3] - r[1]) / s]
     else:
-        i = max(range(3), key=lambda k: R[k][k])  # the first largest, as np.argmax
+        i = max(range(3), key=lambda k: r[4 * k])  # the first largest, as np.argmax
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(1.0 + R[i][i] - R[j][j] - R[k][k]) * 2.0
-        q = [(R[k][j] - R[j][k]) / s, 0.0, 0.0, 0.0]
+        s = math.sqrt(1.0 + r[4 * i] - r[4 * j] - r[4 * k]) * 2.0
+        q = [(r[3 * k + j] - r[3 * j + k]) / s, 0.0, 0.0, 0.0]
         q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j][i] + R[i][j]) / s
-        q[1 + k] = (R[k][i] + R[i][k]) / s
+        q[1 + j] = (r[3 * j + i] + r[3 * i + j]) / s
+        q[1 + k] = (r[3 * k + i] + r[3 * i + k]) / s
     if q[0] < 0:
         q = [-c for c in q]
     n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
@@ -67,11 +65,8 @@ class SimLog:
         return self.data[:, [_COL[f"{prefix}{i}"] for i in (1, 2, 3)]]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(COLUMNS) + "\n")
-        for row in self.data:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
+        rows = (",".join(map(repr, row)) for row in self.data.tolist())
+        return "\n".join((",".join(COLUMNS), *rows)) + "\n"
 
     def write_csv(self, path):
         with open(path, "w") as fh:

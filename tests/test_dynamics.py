@@ -1,10 +1,14 @@
-"""Rigid-body model: algebra helpers, equations of motion, RK4 integrator."""
+"""Rigid-body model: algebra helpers, the float-tuple state, equations of motion, RK4."""
 import numpy as np
 import pytest
 
-from foldquad.dynamics import (E3, BodyState, ControlInput, StateBlowUpError,
+from foldquad.arm import ArmState, SpringParams
+from foldquad.collision import Wall, contact_constrained_step
+from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError,
                                VehicleParams, dynamics_derivative, hat,
                                integrate_step, renormalize_rotation)
+
+E3 = np.array([0.0, 0.0, 1.0])
 
 
 def random_rotation(rng):
@@ -92,6 +96,43 @@ def test_body_state_rejects_non_orthonormal_rotation():
 def test_body_state_rejects_non_finite():
     with pytest.raises(ValueError):
         BodyState(x=[np.nan, 0, 0], v=np.zeros(3), R=np.eye(3), omega=np.zeros(3))
+
+
+# -- the float-tuple state ---------------------------------------------------
+
+def stepped_states():
+    """A free step and a contact step from one random state."""
+    rng = np.random.default_rng(8)
+    p = VehicleParams()
+    s = BodyState(x=rng.normal(size=3), v=rng.normal(size=3), R=random_rotation(rng),
+                  omega=rng.normal(size=3))
+    u = ControlInput(f=12.0, tau=rng.normal(scale=0.01, size=3))
+    wall = Wall(normal=[-0.6, 0.48, 0.64], offset=-0.3)
+    contact, _, _ = contact_constrained_step(s, ArmState(l=0.01, l_dot=0.5), wall, u, p,
+                                             SpringParams(), 1e-3)
+    return integrate_step(s, u, p, 1e-3), contact
+
+
+def test_step_results_hold_18_plain_floats():
+    """numpy scalars in the state would slow every later step (and the arm step 2.3x)."""
+    for s in stepped_states():
+        assert type(s.y) is tuple and len(s.y) == 18
+        assert all(type(c) is float for c in s.y)
+
+
+def test_state_accessors_are_fresh_read_only_copies():
+    s, _ = stepped_states()
+    y = s.y
+    s.x[0] = 1e9
+    s.R[0, 0] = 1e9
+    assert s.y is y and s.x[0] == y[0] and s.R[0, 0] == y[6]
+    with pytest.raises(AttributeError):
+        s.x = np.zeros(3)
+
+
+def test_constructor_round_trip_is_bit_identical():
+    for s in stepped_states():
+        assert BodyState(x=s.x, v=s.v, R=s.R, omega=s.omega).y == s.y
 
 
 # -- dynamics_derivative -----------------------------------------------------

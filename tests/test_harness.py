@@ -337,7 +337,7 @@ def test_single_speed_sweep_matches_compare():
     rows = sweep_velocities(cfg, [1.5])
     assert len(rows) == 2
     assert {r.mode for r in rows} == {"foldable", "rigid"}
-    assert not any(r.unreachable for r in rows)
+    assert not any(r.unreachable or r.aborted for r in rows)
 
 
 def test_sweep_rejects_nonpositive_speed():
@@ -433,6 +433,28 @@ def test_cli_contact_timeout_aborts_with_partial_log(tmp_path, capsys):
     assert rc == 2
     assert (tmp_path / "wall_log.csv").exists()
     assert "did not release" in capsys.readouterr().err
+
+
+def test_cli_sweep_flags_aborted_point_and_exits_2(tmp_path):
+    """A sweep point whose contact never releases is not reported as complete."""
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=2.0).save(cfg_path)
+    rc = cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path), "--speeds", "1.5",
+                   "--set", "spring_damping=0", "--set", "spring_stiffness=1"])
+    assert rc == 2
+    rows = {r["mode"]: r for r in json.loads((tmp_path / "wall_sweep.json").read_text())}
+    assert rows["foldable"]["aborted"] and "did not release" in rows["foldable"]["diagnostic"]
+    assert not rows["rigid"]["aborted"] and rows["rigid"]["diagnostic"] == ""
+
+
+@pytest.mark.parametrize("speed", ["inf", "nan"])
+def test_cli_sweep_rejects_non_finite_speed(tmp_path, capsys, speed):
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=2.0).save(cfg_path)
+    rc = cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path), "--speeds", f"1,{speed}"])
+    assert rc == 1
+    assert "sweep speeds must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "wall_sweep.json").exists()
 
 
 @pytest.mark.parametrize("override", ["k_r=1e6", "k_omega=1e5", "inertia=[1e-7,1e-7,1e-7]"])

@@ -6,7 +6,8 @@ return a state that the validating constructor accepts. The scalar
 `integrate_step` matches an RK4 written with numpy matrices, and
 `renormalize_rotation` returns orthonormal, idempotent rotations or raises.
 The scalar controller tick matches the position loop and attitude moment
-written with numpy arrays.
+written with numpy arrays, and the scalar contact step matches its numpy
+vector form against walls that are not axis-aligned.
 A scenario config saved to YAML and loaded back must reproduce every field.
 """
 import dataclasses
@@ -19,14 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from foldquad.arm import ArmState, SpringParams
+from foldquad.arm import ArmState, SpringParams, advance_arm
 from foldquad.collision import Foldable, Rigid, Wall, contact_constrained_step
 from foldquad.control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                               step_controller)
-from foldquad.dynamics import (E3, BodyState, ControlInput, StateBlowUpError, VehicleParams,
+from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
                                hat, integrate_step, renormalize_rotation)
 from foldquad.scenario import ScenarioConfig
 
+E3 = np.array([0.0, 0.0, 1.0])
 P = VehicleParams()
 CFG = ControllerConfig()
 SPRING = SpringParams()
@@ -309,3 +311,38 @@ def test_controller_tick_matches_numpy(case_data, J):
     assert u.f == f and (cs3.integral, cs3.prev_e_v, cs3.held_R_d) == (
         cs2.integral, cs2.prev_e_v, cs2.held_R_d)
     assert cs3.next_pos_t == dt
+
+
+# -- the scalar contact step against numpy --------------------------------------------
+
+def reference_contact_translation(s, arm2, w, u, p, dt):
+    """Position and velocity after a contact step with numpy vectors, and the
+    magnitudes each is computed from (x and coord; v, dt a_free and l_dot)."""
+    n_in = -w.normal
+    a_free = p.g * E3 - (u.f / p.m) * (s.R @ E3)
+    a_t = a_free - float(a_free @ n_in) * n_in
+    v_t = s.v - float(s.v @ n_in) * n_in
+    x2 = s.x + dt * (v_t + 0.5 * dt * a_t)
+    coord = w.offset + (p.r_contact - arm2.l)
+    x2 = x2 + (coord - float(w.normal @ x2)) * w.normal
+    return x2, v_t + dt * a_t + arm2.l_dot * n_in, (s.x, coord), (s.v, dt * a_free, arm2.l_dot)
+
+
+# every component at least 0.1 in magnitude before normalization: no axis-aligned wall
+oblique_normals = st.lists(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1), min_size=3,
+                           max_size=3).map(lambda m: np.array(m) / np.linalg.norm(m))
+oblique_walls = st.builds(Wall, normal=oblique_normals, offset=st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(moderate_states, arms, oblique_walls,
+       st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
+def test_contact_step_matches_numpy(s, a, w, u, dt):
+    got, arm2, exited = contact_constrained_step(s, a, w, u, P, SPRING, dt)
+    l2, ld2, _, want_exited = advance_arm(a.l, a.l_dot, SPRING, dt)
+    assert (arm2.l, arm2.l_dot, exited) == (l2, ld2, want_exited)
+    want_x, want_v, x_terms, v_terms = reference_contact_translation(s, arm2, w, u, P, dt)
+    assert_close("x", got.x, want_x, *x_terms)
+    assert_close("v", got.v, want_v, *v_terms)
+    free = integrate_step(s, u, P, dt)
+    assert got.y[6:] == free.y[6:]  # R and omega come from the one free step
