@@ -6,7 +6,7 @@ from .arm import (ArmState, ContactResult, ContactTimeoutError, DisplacementTrac
 from .collision import (CollisionEvent, ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact,
                         impact_force_estimate, resolve_rigid)
-from .control import (AttitudeSetpoint, ControllerConfig, ControllerState, Setpoint,
+from .control import (ControllerConfig, ControllerState, Setpoint,
                       attitude_errors, attitude_moment, position_loop,
                       recovery_setpoint, step_controller)
 from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
@@ -17,7 +17,7 @@ from .scenario import (ComparisonReport, ScenarioConfig, SweepRow, compare_modes
 from .simlog import COLUMNS, Metrics, SimLog, compute_metrics
 
 __all__ = [
-    "ArmState", "AttitudeSetpoint", "BodyState", "COLUMNS", "CollisionEvent",
+    "ArmState", "BodyState", "COLUMNS", "CollisionEvent",
     "ComparisonReport", "ContactMode", "ContactResult", "ContactTimeoutError",
     "ControlInput", "ControllerConfig", "ControllerState", "DisplacementTrace",
     "FitResult", "Foldable", "Metrics", "Rigid", "ScenarioConfig", "Setpoint",

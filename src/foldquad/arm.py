@@ -182,28 +182,24 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
     if not (0.0 < dt <= 1e-3):
         raise ValueError("dt must be in (0, 1e-3] s")
     l, l_dot = 0.0, float(v_impact)
-    t = 0.0
-    ts, ls = [t], [l]
+    ls = [l]
     peak_l = 0.0
     saturated_any = False
-    while True:
+    for i in range(1, int(CONTACT_TIMEOUT_S / dt) + 2):  # step i ends at t = i*dt
         l, l_dot, saturated, exited = advance_arm(l, l_dot, p, dt)
-        t += dt
-        ts.append(t)
         ls.append(l)
         peak_l = max(peak_l, l)
         saturated_any = saturated_any or saturated
         if exited:
             return ContactResult(
                 v_rb=abs(l_dot),
-                duration=t,
+                duration=i * dt,
                 peak_l=peak_l,
                 saturated=saturated_any,
-                trace=DisplacementTrace(t=np.array(ts), l=np.array(ls)),
+                trace=DisplacementTrace(t=np.arange(i + 1) * dt, l=np.array(ls)),
             )
-        if t > CONTACT_TIMEOUT_S:
-            raise ContactTimeoutError(f"contact did not release within {CONTACT_TIMEOUT_S:g} s; "
-                                      "check spring parameters")
+    raise ContactTimeoutError(f"contact did not release within {CONTACT_TIMEOUT_S:g} s; "
+                              "check spring parameters")
 
 
 @dataclass

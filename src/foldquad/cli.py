@@ -58,9 +58,11 @@ def cmd_compare(args):
     text = json.dumps(report.to_dict(), indent=2)
     (out / f"{stem}_compare.json").write_text(text + "\n")
     print(text)
-    if report.foldable_log.aborted or report.rigid_log.aborted:
-        return 2
-    return 0
+    aborted = [(mode, log.diagnostic) for mode, log in (
+        ("foldable", report.foldable_log), ("rigid", report.rigid_log)) if log.aborted]
+    for mode, diagnostic in aborted:
+        print(f"{mode} run aborted: {diagnostic}", file=sys.stderr)
+    return 2 if aborted else 0
 
 
 def cmd_sweep(args):

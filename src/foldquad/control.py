@@ -3,7 +3,7 @@
 Outer loop: P on position feeding a PID on velocity, interpreted as a
 commanded specific force; inner loop: geometric attitude feedback on SO(3).
 The attitude loop runs faster than the position loop, whose outputs are held
-between its ticks.
+between its ticks; `scenario.run_scenario` schedules both.
 """
 from __future__ import annotations
 
@@ -53,11 +53,6 @@ class Setpoint:
 
 
 @dataclass
-class AttitudeSetpoint:
-    R_d: np.ndarray
-
-
-@dataclass
 class ControllerState:
     """Loop memory owned by a single simulation loop, in floats; R_d is row-major."""
 
@@ -65,7 +60,6 @@ class ControllerState:
     prev_e_v: tuple | None = None
     held_f: float = 0.0
     held_R_d: tuple = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # identity before a tick
-    next_pos_t: float | None = None
 
 
 def recovery_setpoint(x_tc, v_c_xy, cfg: ControllerConfig, yaw_d=0.0) -> Setpoint:
@@ -98,8 +92,8 @@ def rotation_from_thrust_dir(b3, yaw):
 
 
 def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
-                  cfg: ControllerConfig, p: VehicleParams, dt: float):
-    """One position-loop tick: thrust magnitude plus attitude setpoint.
+                  cfg: ControllerConfig, p: VehicleParams, dt: float) -> ControllerState:
+    """One position-loop tick: the new state, with thrust held_f and attitude setpoint held_R_d.
 
     v_d = k_p e_x; the velocity PID output is a commanded acceleration whose
     matching specific-force vector fixes the desired body-z axis; thrust is
@@ -119,8 +113,7 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
         [c / norm for c in f_vec], sp.yaw_d)
     r02, r12, r22 = s.y[8:15:3]  # body-z is the third column of R
     f = min(max(p.m * (f_vec[0] * r02 + f_vec[1] * r12 + f_vec[2] * r22), 0.0), cfg.max_thrust)
-    return f, AttitudeSetpoint(R_d=np.array(R_d).reshape(3, 3)), ControllerState(
-        integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d, next_pos_t=cs.next_pos_t)
+    return ControllerState(integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d)
 
 
 def _rotation_error(r, d):
@@ -132,10 +125,10 @@ def _rotation_error(r, d):
             0.5 * ((d01 * r00 + d11 * r10 + d21 * r20) - (d00 * r01 + d10 * r11 + d20 * r21)))
 
 
-def attitude_errors(R, omega, asp: AttitudeSetpoint):
+def attitude_errors(R, omega, R_d):
     """Rotation error e_R = 0.5 vee(R_d^T R - R^T R_d) as a (3,) array, and
     rate error e_Omega = Omega (the setpoint has no angular-rate feedforward)."""
-    return np.array(_rotation_error(np.ravel(R).tolist(), np.ravel(asp.R_d).tolist())), omega
+    return np.array(_rotation_error(np.ravel(R).tolist(), np.ravel(R_d).tolist())), omega
 
 
 def attitude_moment(e_R, e_omega, omega, p: VehicleParams, cfg: ControllerConfig):
@@ -145,18 +138,9 @@ def attitude_moment(e_R, e_omega, omega, p: VehicleParams, cfg: ControllerConfig
     return tuple(-cfg.k_r * e - cfg.k_omega * eo + g for e, eo, g in zip(e_R, e_omega, gyro))
 
 
-def step_controller(s: BodyState, sp: Setpoint, cs: ControllerState,
-                    cfg: ControllerConfig, p: VehicleParams, t: float):
-    """One attitude-rate controller tick at time t.
-
-    Re-evaluates the position loop only when its scheduled tick is due,
-    otherwise reuses the held thrust and attitude setpoint.
-    """
-    pos_dt = 1.0 / cfg.position_rate
-    if cs.next_pos_t is None or t >= cs.next_pos_t - 1e-12:
-        next_t = t + pos_dt if cs.next_pos_t is None else cs.next_pos_t + pos_dt
-        _, _, cs = position_loop(s, sp, cs, cfg, p, pos_dt)
-        cs.next_pos_t = next_t  # cs is the new state position_loop built
+def step_controller(s: BodyState, cs: ControllerState, cfg: ControllerConfig,
+                    p: VehicleParams) -> ControlInput:
+    """One attitude tick: the held thrust, and the moment that tracks the held R_d."""
     omega = s.y[15:]
     tau = attitude_moment(_rotation_error(s.y[6:15], cs.held_R_d), omega, omega, p, cfg)
-    return ControlInput._trusted(cs.held_f, np.array(tau)), cs
+    return ControlInput._trusted(cs.held_f, tau)

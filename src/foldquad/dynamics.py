@@ -96,14 +96,14 @@ class VehicleParams:
 
 @dataclass
 class ControlInput:
-    """Total thrust (N, along -R e3) and body moment (N m)."""
+    """Total thrust (N, along -R e3) and body moment (N m) as a 3-tuple of floats."""
 
     f: float = 0.0
-    tau: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    tau: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         self.f = float(self.f)
-        self.tau = as_vec3(self.tau, "tau")
+        self.tau = tuple(as_vec3(self.tau, "tau").tolist())
         if not 0.0 <= self.f < math.inf:
             raise ValueError(f"thrust must be finite and non-negative, not {self.f}")
 
@@ -181,7 +181,7 @@ def _deriv(y, a, tau, p):
 
 def dynamics_derivative(s: BodyState, u: ControlInput, p: VehicleParams):
     """Time derivative (xdot, vdot, Rdot, omegadot) of the body state."""
-    d = np.array(_deriv(s.y, u.f / p.m, u.tau.tolist(), p))
+    d = np.array(_deriv(s.y, u.f / p.m, u.tau, p))
     return d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:]
 
 
@@ -193,7 +193,7 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     """
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
-    y0, a, tau, h, c = s.y, u.f / p.m, u.tau.tolist(), 0.5 * dt, dt / 6.0
+    y0, a, tau, h, c = s.y, u.f / p.m, u.tau, 0.5 * dt, dt / 6.0
     k1 = _deriv(y0, a, tau, p)
     k2 = _deriv([q + h * k for q, k in zip(y0, k1)], a, tau, p)
     k3 = _deriv([q + h * k for q, k in zip(y0, k2)], a, tau, p)

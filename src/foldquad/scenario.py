@@ -12,11 +12,10 @@ from .arm import (CONTACT_TIMEOUT_S, ArmState, ContactTimeoutError, SpringParams
                   check_rk4_stable)
 from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
-from .control import ControllerConfig, ControllerState, Setpoint, recovery_setpoint, step_controller
+from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
+                      recovery_setpoint, step_controller)
 from .dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams, integrate_step
 from .simlog import Metrics, SimLog, compute_metrics, rotation_to_quaternion
-
-_EPS = 1e-12
 
 # flat YAML key -> the one field it sets: (part, field) on a part of the config,
 # or (None, field) on the config itself. inertia, contact_mode and wall_* are
@@ -81,12 +80,12 @@ class ScenarioConfig:
             raise ValueError("restitution must lie in [0, 1]")
         if not self.spring.l_max < self.vehicle.l_arm:
             raise ValueError("arm_travel_max must be below arm_length")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
         if not (0.0 < self.dt <= 0.01):
             raise ValueError("dt must be in (0, 0.01]")
-        if self.log_interval < self.dt:
-            raise ValueError("log_interval must be >= dt")
+        if not (self.duration >= self.dt and self.log_interval >= self.dt):
+            raise ValueError("duration and log_interval must be >= dt")
+        if self.controller.attitude_rate * self.dt > 1.0:  # position_rate is never faster
+            raise ValueError("attitude_rate * physics_dt must be <= 1: one tick per step at most")
         check_rk4_stable(self.spring, self.dt)  # the contact step runs arm RK4 at dt
 
     # -- flat key-value (YAML) persistence --------------------------------
@@ -150,11 +149,14 @@ class ScenarioConfig:
 def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     """Integrate the closed loop and return the sampled log.
 
-    The controller runs on its own schedule (attitude rate, position loop
-    sub-sampled). Each first touch of the wall generates the recovery
-    setpoint, held until the next one; a foldable touch then steps the
-    arm-constrained contact until the arm releases. A state blow-up or a
-    contact that never releases aborts with the partial log and a diagnostic.
+    Step i runs at t = i*dt. Attitude tick k fires at the first step at or
+    after k/attitude_rate, position tick k at the first attitude tick at or
+    after k/position_rate (its outputs held in between), and log row k at the
+    first step at or after k*log_interval. Each first touch of the wall
+    generates the recovery setpoint, held until the next one; a foldable
+    touch then steps the arm-constrained contact until the arm releases. A
+    state blow-up or a contact that never releases aborts with the partial
+    log and a diagnostic.
     """
     state = BodyState.hover(cfg.start_position, yaw=cfg.start_yaw)
     if np.any(cfg.start_velocity != 0.0):
@@ -163,15 +165,13 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
     u = ControlInput(f=cfg.vehicle.m * cfg.vehicle.g)
 
-    n_steps = int(round(cfg.duration / cfg.dt))
-    t = 0.0
-    next_att = 0.0
-    next_log = 0.0
-    att_dt = 1.0 / cfg.controller.attitude_rate
+    dt, ctl = cfg.dt, cfg.controller
+    n_steps = int(round(cfg.duration / dt))
+    n_att = n_pos = n_log = 0  # ticks fired so far, per loop
 
     in_contact = False
     arm = ArmState()  # after release its deflection stays in the log
-    contact_start = 0.0
+    contact_steps = 0
     contact_since_log = False
 
     rows = []
@@ -179,39 +179,43 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     aborted = False
     diagnostic = ""
 
-    def log_row():
+    def log_row(t):
         rows.append([
             t, *state.y[:6], *rotation_to_quaternion(state.y[6:15]), *state.y[15:], arm.l, u.f,
-            *u.tau.tolist(), 1.0 if (in_contact or contact_since_log) else 0.0, *sp.x_d.tolist(),
+            *u.tau, 1.0 if contact_since_log else 0.0, *sp.x_d.tolist(),
         ])
 
     try:
-        for _ in range(n_steps):
-            if t >= next_att - _EPS:
-                u, cs = step_controller(state, sp, cs, cfg.controller, cfg.vehicle, t)
-                next_att += att_dt
+        for i in range(n_steps):
+            t = i * dt
+            # a tick k is due at the first step with t >= k/rate
+            if t * ctl.attitude_rate > n_att - 1e-9:
+                if t * ctl.position_rate > n_pos - 1e-9:
+                    cs = position_loop(state, sp, cs, ctl, cfg.vehicle, 1.0 / ctl.position_rate)
+                    n_pos += 1
+                u = step_controller(state, cs, ctl, cfg.vehicle)
+                n_att += 1
 
-            if t >= next_log - _EPS:
-                log_row()
-                next_log += cfg.log_interval
+            if t / cfg.log_interval > n_log - 1e-9:
+                log_row(t)
+                n_log += 1
                 contact_since_log = False
 
             if not in_contact:
                 ev = detect_contact(state, cfg.wall, cfg.vehicle, t) if cfg.wall else None
                 if ev is None:
-                    state = integrate_step(state, u, cfg.vehicle, cfg.dt)
+                    state = integrate_step(state, u, cfg.vehicle, dt)
                 else:
                     events.append(ev)
                     contact_since_log = True
-                    sp = recovery_setpoint(state.x, ev.v_c[:2], cfg.controller,
-                                           yaw_d=sp.yaw_d)
+                    sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
                     if isinstance(cfg.mode, Rigid):  # rigid contact exits in one step
                         state = resolve_rigid(state, ev, cfg.restitution,
                                               cfg.wall, cfg.vehicle)
-                        state = integrate_step(state, u, cfg.vehicle, cfg.dt)
+                        state = integrate_step(state, u, cfg.vehicle, dt)
                     else:
                         in_contact = True
-                        contact_start = t
+                        contact_steps = 0
                         # snap to touching contact with the arm at rest length
                         state = BodyState(
                             x=state.x + (cfg.vehicle.r_contact
@@ -222,13 +226,13 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
             if in_contact:
                 contact_since_log = True
                 state, arm, exited = contact_constrained_step(
-                    state, arm, cfg.wall, u, cfg.vehicle, cfg.spring, cfg.dt)
+                    state, arm, cfg.wall, u, cfg.vehicle, cfg.spring, dt)
                 if exited:
                     in_contact = False
-                elif t - contact_start > CONTACT_TIMEOUT_S:
+                elif contact_steps * dt > CONTACT_TIMEOUT_S:
                     raise ContactTimeoutError(
                         f"foldable contact did not release within {CONTACT_TIMEOUT_S:g} s")
-            t += cfg.dt
+                contact_steps += 1
             if stop_at_first_contact and events:
                 break
     except StateBlowUpError as exc:
@@ -239,7 +243,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
         diagnostic = f"contact timeout at t={t:.4f} s: {exc}"
 
     if not aborted:
-        log_row()
+        log_row((i + 1) * dt)
 
     return SimLog(data=np.array(rows), events=events,
                   aborted=aborted, diagnostic=diagnostic)
@@ -279,7 +283,7 @@ class SweepRow:
     achieved_v_c: float | None
     metrics: Metrics | None
     unreachable: bool = False
-    aborted: bool = False  # the run ended early; metrics come from its partial log
+    aborted: bool = False  # a run ended early: metrics from its partial log, or None for a probe
     diagnostic: str = ""
 
     def to_dict(self):
@@ -318,10 +322,12 @@ def _cruise_cfg(cfg, speed, gap):
 
 
 def _probe_v_c(cfg, gap, speed):
-    """Approach speed at first contact of the level cruise at `speed` from `gap`."""
+    """Approach speed at first contact of the level cruise at `speed` from `gap`, or None."""
     probe = _cruise_cfg(cfg, speed, gap)
     probe.duration = min(cfg.duration, 10.0)
     log = run_scenario(probe, stop_at_first_contact=True)
+    if log.aborted:  # it stops at the touch, so only a blow-up can abort it
+        raise StateBlowUpError(f"start-gap probe: {log.diagnostic}")
     if not log.events:
         return None
     ev = log.events[0]
@@ -334,7 +340,7 @@ def find_start_gap(cfg: ScenarioConfig, target_speed, tol=0.04):
     Each probe is the level cruise setpoint for target_speed. Scans
     increasing gaps and bisects on the rising branch of v_c(gap); returns
     (gap, achieved_v_c) or (None, best_v_c) when unreachable.
-    """
+    Raises StateBlowUpError if a probe run aborts."""
     gaps = [0.02, 0.05, 0.1, 0.2, 0.35, 0.6, 1.0, 1.6, 2.5, 4.0, 6.0]
     best = (None, -np.inf)
     lo = hi = v_hi = None
@@ -381,11 +387,14 @@ def sweep_velocities(cfg: ScenarioConfig, speeds) -> list[SweepRow]:
         raise ValueError("sweep speeds must be positive and finite")
     rows = []
     for speed in speeds:
-        gap, achieved = find_start_gap(cfg, speed)
+        try:
+            gap, achieved = find_start_gap(cfg, speed)
+            no_run = {"unreachable": True}
+        except StateBlowUpError as exc:
+            gap, achieved, no_run = None, None, {"aborted": True, "diagnostic": str(exc)}
         if gap is None:
-            for mode in ("foldable", "rigid"):
-                rows.append(SweepRow(speed=speed, mode=mode, achieved_v_c=achieved,
-                                     metrics=None, unreachable=True))
+            rows += [SweepRow(speed=speed, mode=mode, achieved_v_c=achieved, metrics=None,
+                              **no_run) for mode in ("foldable", "rigid")]
             continue
         report = compare_modes(_cruise_cfg(cfg, speed, gap))
         for mode, log in (("foldable", report.foldable_log), ("rigid", report.rigid_log)):

@@ -121,8 +121,10 @@ def compute_metrics(log: SimLog, cfg=None) -> Metrics:
 
     cfg may be a ScenarioConfig (for wall normal and vehicle mass); without
     it the approach direction is inferred from the velocity at contact and
-    the default vehicle mass is used.
+    the default vehicle mass is used. A run aborted before its second row has none.
     """
+    if len(log.data) < 2 and log.aborted:
+        return Metrics()
     if len(log.data) < 2:
         raise ValueError("malformed log: need at least two rows")
     t = log.column("t")

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from foldquad.control import (AttitudeSetpoint, ControllerConfig, ControllerState,
-                              Setpoint, attitude_errors, attitude_moment,
-                              position_loop, recovery_setpoint, step_controller)
+from foldquad.control import (ControllerConfig, ControllerState, Setpoint, attitude_errors,
+                              attitude_moment, position_loop, recovery_setpoint,
+                              step_controller)
 from foldquad.dynamics import BodyState, ControlInput, VehicleParams, integrate_step
 
 P = VehicleParams()
@@ -14,6 +14,10 @@ CFG = ControllerConfig()
 def rot_x(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def held_R_d(cs):
+    return np.reshape(cs.held_R_d, (3, 3))
 
 
 def random_rotation(rng):
@@ -85,18 +89,18 @@ def test_recovery_setpoint_displacement_magnitude_and_sign():
 def test_position_loop_hover_command():
     s = BodyState.hover(np.array([1.0, 2.0, -3.0]))
     sp = Setpoint(x_d=s.x, yaw_d=0.0)
-    f, att, _ = position_loop(s, sp, ControllerState(), CFG, P, 0.01)
-    assert abs(f - P.m * P.g) < 1e-9
-    assert np.allclose(att.R_d, np.eye(3), atol=1e-12)
+    cs = position_loop(s, sp, ControllerState(), CFG, P, 0.01)
+    assert abs(cs.held_f - P.m * P.g) < 1e-9
+    assert np.allclose(held_R_d(cs), np.eye(3), atol=1e-12)
 
 
 def test_position_loop_tilts_toward_target():
     cfg = ControllerConfig(k_p=1.0, k_v=2.0, k_vi=1e-9, k_vd=1e-9)
     s = BodyState.hover(np.zeros(3))
     sp = Setpoint(x_d=np.array([1.0, 0.0, 0.0]))
-    f, att, _ = position_loop(s, sp, ControllerState(), cfg, P, 0.01)
+    cs = position_loop(s, sp, ControllerState(), cfg, P, 0.01)
     # a_cmd = [2, 0, 0]; thrust direction -b3d gains a +x component
-    b3 = att.R_d[:, 2]
+    b3 = held_R_d(cs)[:, 2]
     assert -b3[0] > 0.0
     expected = (9.81 * np.array([0, 0, 1.0]) - np.array([2.0, 0, 0]))
     assert np.allclose(b3, expected / np.linalg.norm(expected), atol=1e-6)
@@ -105,8 +109,7 @@ def test_position_loop_tilts_toward_target():
 def test_position_loop_thrust_clamped():
     s = BodyState.hover(np.zeros(3))
     sp = Setpoint(x_d=np.array([0.0, 0.0, -1e6]))
-    f, _, _ = position_loop(s, sp, ControllerState(), CFG, P, 0.01)
-    assert f == CFG.max_thrust
+    assert position_loop(s, sp, ControllerState(), CFG, P, 0.01).held_f == CFG.max_thrust
 
 
 def test_position_loop_integral_clamped():
@@ -115,7 +118,7 @@ def test_position_loop_integral_clamped():
     sp = Setpoint(x_d=np.array([100.0, 0.0, 0.0]))
     cs = ControllerState()
     for _ in range(1000):
-        _, _, cs = position_loop(s, sp, cs, cfg, P, 0.01)
+        cs = position_loop(s, sp, cs, cfg, P, 0.01)
         assert np.all(np.abs(cs.integral) <= 0.5 + 1e-15)
 
 
@@ -127,8 +130,8 @@ def test_position_loop_degenerate_direction_holds_previous():
     sp = Setpoint(x_d=np.array([0.0, 0.0, 9.81 + 9.81]))
     prev = rot_x(0.3)
     cs = ControllerState(held_R_d=tuple(prev.ravel().tolist()))
-    _, att, _ = position_loop(s, sp, cs, cfg, P, 0.01)
-    assert np.array_equal(att.R_d, prev)
+    cs = position_loop(s, sp, cs, cfg, P, 0.01)
+    assert np.array_equal(held_R_d(cs), prev)
 
 
 # -- attitude loop -------------------------------------------------------------------
@@ -137,15 +140,14 @@ def test_attitude_errors_zero_case():
     rng = np.random.default_rng(13)
     R = random_rotation(rng)
     om = rng.normal(size=3)
-    e_R, e_om = attitude_errors(R, om, AttitudeSetpoint(R_d=R))
+    e_R, e_om = attitude_errors(R, om, R)
     assert np.allclose(e_R, 0, atol=1e-12)
     assert np.array_equal(e_om, om)  # no rate feedforward: the rate error is the body rate
 
 
 def test_attitude_error_closed_form_single_axis():
     for theta in [0.1, 0.5, 1.2]:
-        e_R, _ = attitude_errors(rot_x(theta), np.zeros(3),
-                                 AttitudeSetpoint(R_d=np.eye(3)))
+        e_R, _ = attitude_errors(rot_x(theta), np.zeros(3), np.eye(3))
         assert np.allclose(e_R, [np.sin(theta), 0.0, 0.0], atol=1e-12)
 
 
@@ -153,8 +155,8 @@ def test_attitude_error_antisymmetric_under_swap():
     rng = np.random.default_rng(14)
     for _ in range(20):
         R1, R2 = random_rotation(rng), random_rotation(rng)
-        e12, _ = attitude_errors(R1, np.zeros(3), AttitudeSetpoint(R_d=R2))
-        e21, _ = attitude_errors(R2, np.zeros(3), AttitudeSetpoint(R_d=R1))
+        e12, _ = attitude_errors(R1, np.zeros(3), R2)
+        e21, _ = attitude_errors(R2, np.zeros(3), R1)
         assert np.allclose(e12, -e21, atol=1e-12)
 
 
@@ -162,7 +164,7 @@ def test_attitude_error_zero_iff_equal():
     rng = np.random.default_rng(15)
     for _ in range(20):
         R1, R2 = random_rotation(rng), random_rotation(rng)
-        e, _ = attitude_errors(R1, np.zeros(3), AttitudeSetpoint(R_d=R2))
+        e, _ = attitude_errors(R1, np.zeros(3), R2)
         same = np.max(np.abs(R1 - R2)) < 1e-9
         assert (np.linalg.norm(e) < 1e-9) == same
 
@@ -191,35 +193,11 @@ def test_step_controller_hover_equilibrium():
     sp = Setpoint(x_d=s.x)
     cs = ControllerState()
     for k in range(10):
-        u, cs = step_controller(s, sp, cs, CFG, P, k / CFG.attitude_rate)
+        if k % 3 != 1:  # position ticks on two of every three attitude ticks, as at 100/150 Hz
+            cs = position_loop(s, sp, cs, CFG, P, 1.0 / CFG.position_rate)
+        u = step_controller(s, cs, CFG, P)
         assert abs(u.f - P.m * P.g) < 1e-9
         assert np.allclose(u.tau, 0, atol=1e-12)
-
-
-def test_position_loop_output_held_between_ticks():
-    # attitude at 150 Hz, position at 100 Hz: thrust can only change on
-    # position ticks, so consecutive attitude ticks inside one position
-    # period must reuse the same held value
-    sp = Setpoint(x_d=np.array([1.0, 1.0, -1.0]))
-    s = BodyState.hover(np.zeros(3))
-    cs = ControllerState()
-    u = ControlInput(f=P.m * P.g)
-    held = []
-    t = 0.0
-    next_att = 0.0
-    for _ in range(300):
-        if t >= next_att - 1e-12:
-            u, cs = step_controller(s, sp, cs, CFG, P, t)
-            held.append((round(t, 6), u.f))
-            next_att += 1.0 / CFG.attitude_rate
-        s = integrate_step(s, u, P, 1e-3)
-        t += 1e-3
-    # group attitude ticks by the position tick preceding them
-    pos_dt = 1.0 / CFG.position_rate
-    by_period = {}
-    for tk, f in held:
-        by_period.setdefault(int(tk / pos_dt + 1e-9), set()).add(f)
-    assert all(len(v) == 1 for v in by_period.values())
 
 
 def test_closed_loop_position_convergence_from_offset():
@@ -228,16 +206,19 @@ def test_closed_loop_position_convergence_from_offset():
     sp = Setpoint(x_d=np.array([0.0, 0.0, -1.0]))
     cs = ControllerState()
     u = ControlInput(f=P.m * P.g)
-    t, next_att = 0.0, 0.0
+    n_att = n_pos = 0
     t_conv = None
-    while t < 5.0:
-        if t >= next_att - 1e-12:
-            u, cs = step_controller(s, sp, cs, CFG, P, t)
-            next_att += 1.0 / CFG.attitude_rate
+    for i in range(5000):  # ticks on the run loop's rule: tick k at the first t >= k/rate
+        t = i * 1e-3
+        if t * CFG.attitude_rate > n_att - 1e-9:
+            if t * CFG.position_rate > n_pos - 1e-9:
+                cs = position_loop(s, sp, cs, CFG, P, 1.0 / CFG.position_rate)
+                n_pos += 1
+            u = step_controller(s, cs, CFG, P)
+            n_att += 1
         s = integrate_step(s, u, P, 1e-3)
-        t += 1e-3
         if t_conv is None and np.linalg.norm(s.x - sp.x_d) < 0.05:
-            t_conv = t
+            t_conv = t + 1e-3
     assert t_conv is not None and t_conv < 5.0
     assert np.linalg.norm(s.x - sp.x_d) < 0.05
 
@@ -245,7 +226,7 @@ def test_closed_loop_position_convergence_from_offset():
 def test_closed_loop_attitude_convergence_from_30_deg():
     """30 deg initial attitude error: ||e_R|| < 1e-3 within 2 s, decaying
     monotonically after the initial transient."""
-    asp = AttitudeSetpoint(R_d=np.eye(3))
+    R_d = np.eye(3)
     s = BodyState(x=np.zeros(3), v=np.zeros(3), R=rot_x(np.deg2rad(30.0)),
                   omega=np.zeros(3))
     t, next_att = 0.0, 0.0
@@ -253,13 +234,13 @@ def test_closed_loop_attitude_convergence_from_30_deg():
     norms = []
     while t < 2.0:
         if t >= next_att - 1e-12:
-            e_R, e_om = attitude_errors(s.R, s.omega, asp)
+            e_R, e_om = attitude_errors(s.R, s.omega, R_d)
             tau = attitude_moment(e_R, e_om, s.omega, P, CFG)
             u = ControlInput(f=P.m * P.g, tau=tau)
             next_att += 1.0 / CFG.attitude_rate
         s = integrate_step(s, u, P, 1e-3)
         t += 1e-3
-        e_R, _ = attitude_errors(s.R, s.omega, asp)
+        e_R, _ = attitude_errors(s.R, s.omega, R_d)
         norms.append(np.linalg.norm(e_R))
     assert norms[-1] < 1e-3
     # monotone decay of the peak after the transient (windowed envelope)

@@ -54,6 +54,8 @@ def test_config_rejects_unknown_keys():
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(duration=0.0)
+    with pytest.raises(ValueError):  # under half a step rounds to a run of no steps
+        ScenarioConfig(dt=1e-3, duration=4e-4)
     with pytest.raises(ValueError):
         ScenarioConfig(dt=0.02)
     with pytest.raises(ValueError):
@@ -445,6 +447,45 @@ def test_cli_sweep_flags_aborted_point_and_exits_2(tmp_path):
     rows = {r["mode"]: r for r in json.loads((tmp_path / "wall_sweep.json").read_text())}
     assert rows["foldable"]["aborted"] and "did not release" in rows["foldable"]["diagnostic"]
     assert not rows["rigid"]["aborted"] and rows["rigid"]["diagnostic"] == ""
+
+
+def test_cli_sweep_flags_aborted_start_gap_probe_and_exits_2(tmp_path):
+    """A probe run that blows up marks its point aborted, not unreachable."""
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=2.0).save(cfg_path)
+    rc = cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path), "--speeds", "1.5",
+                   "--set", "inertia=[1e-12,1e-12,1e-12]"])
+    assert rc == 2
+    rows = json.loads((tmp_path / "wall_sweep.json").read_text())
+    assert [r["mode"] for r in rows] == ["foldable", "rigid"]
+    for r in rows:
+        assert r["aborted"] and not r["unreachable"] and r["metrics"] is None
+        assert r["diagnostic"].startswith("start-gap probe: state blow-up at t=0.0000 s")
+
+
+def test_cli_compare_aborted_on_first_step_writes_logs_and_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=2.0).save(cfg_path)
+    rc = cli_main(["compare", str(cfg_path), "--out-dir", str(tmp_path),
+                   "--set", "inertia=[1e-12,1e-12,1e-12]"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    for mode in ("foldable", "rigid"):
+        assert len(SimLog.from_csv(tmp_path / f"wall_{mode}_log.csv").data) == 1
+        assert f"{mode} run aborted: state blow-up" in err
+    report = json.loads((tmp_path / "wall_compare.json").read_text())
+    assert report["foldable"] == report["rigid"] == Metrics().to_dict()
+
+
+def test_cli_rejects_loop_faster_than_physics_step(tmp_path, capsys):
+    """A 300 Hz attitude loop on 5 ms physics steps would tick at 200 Hz."""
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=2.0).save(cfg_path)
+    rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", "physics_dt=0.005",
+                   "--set", "attitude_rate=300", "--set", "position_rate=250"])
+    assert rc == 1
+    assert not (tmp_path / "wall_log.csv").exists()
+    assert "attitude_rate * physics_dt must be <= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("speed", ["inf", "nan"])

@@ -9,9 +9,14 @@ The scalar controller tick matches the position loop and attitude moment
 written with numpy arrays, and the scalar contact step matches its numpy
 vector form against walls that are not axis-aligned.
 A scenario config saved to YAML and loaded back must reproduce every field.
+Over random loop rates, physics steps and log intervals, the run loop fires
+every tick and log row on the integer step clock, and a repeated run is
+byte-identical.
 """
 import dataclasses
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from foldquad import collision, scenario
 from foldquad.arm import ArmState, SpringParams, advance_arm
 from foldquad.collision import Foldable, Rigid, Wall, contact_constrained_step
 from foldquad.control import (ControllerConfig, ControllerState, Setpoint, position_loop,
@@ -88,7 +94,8 @@ def configs(draw):
     pos = st.floats(0.01, 100.0)
     l_max = draw(st.floats(0.002, 0.04))
     dt = draw(st.floats(1e-4, 2e-3))
-    rates = sorted(draw(st.lists(st.floats(10.0, 1000.0), min_size=2, max_size=2)))
+    # a loop ticks at most once per physics step
+    rates = sorted(draw(st.lists(st.floats(10.0, min(1000.0, 1.0 / dt)), min_size=2, max_size=2)))
     gains = {f.name: draw(pos) for f in dataclasses.fields(ControllerConfig)
              if not f.name.endswith("_rate")}
     return ScenarioConfig(
@@ -289,28 +296,26 @@ def test_controller_tick_matches_numpy(case_data, J):
     case, s, sp, cs, held = case_data
     p = VehicleParams(J=J)
     dt = 1.0 / CFG.position_rate
-    f, att, cs2 = position_loop(s, sp, cs, CFG, p, dt)
-    u, cs3 = step_controller(s, sp, cs, CFG, p, 0.0)  # the first tick runs the position loop
+    cs2 = position_loop(s, sp, cs, CFG, p, dt)
+    f, R_d = cs2.held_f, np.reshape(cs2.held_R_d, (3, 3))
+    u = step_controller(s, cs2, CFG, p)
     want_f, want_R_d, want_int, want_e_v, f_vec, a_cmd = reference_position_loop(
         s, sp, np.array(cs.integral), None if cs.prev_e_v is None else np.array(cs.prev_e_v),
         held, CFG, p, dt)
     norm = np.linalg.norm(f_vec)
     if case == "degenerate":
         assert norm < 1e-6
-        assert np.array_equal(att.R_d, np.eye(3) if held is None else held)
+        assert np.array_equal(R_d, np.eye(3) if held is None else held)
     elif case == "parallel":
-        assert att.R_d[2, 1] > 0.99  # b2 = b3 x (-sin yaw, cos yaw, 0) is about e3
+        assert R_d[2, 1] > 0.99  # b2 = b3 x (-sin yaw, cos yaw, 0) is about e3
     cond = 1.0 if norm < 1e-6 else max(1.0, np.max(np.abs(a_cmd)) / norm)
     assert_close("f", f, want_f, p.m * norm)
-    assert_close("R_d", att.R_d, want_R_d, cond)
+    assert_close("R_d", R_d, want_R_d, cond)
     assert_close("integral", cs2.integral, want_int, np.array(cs.integral), want_e_v * dt)
     assert_close("e_v", cs2.prev_e_v, want_e_v, CFG.k_p * (sp.x_d - s.x), s.v)
-    assert np.array_equal(att.R_d, np.reshape(cs2.held_R_d, (3, 3))) and cs2.held_f == f
     want_tau, terms = reference_moment(s.R, s.omega, want_R_d, p, CFG)
     assert_close("tau", u.tau, want_tau, *terms, CFG.k_r * cond)
-    assert u.f == f and (cs3.integral, cs3.prev_e_v, cs3.held_R_d) == (
-        cs2.integral, cs2.prev_e_v, cs2.held_R_d)
-    assert cs3.next_pos_t == dt
+    assert u.f == f
 
 
 # -- the scalar contact step against numpy --------------------------------------------
@@ -346,3 +351,102 @@ def test_contact_step_matches_numpy(s, a, w, u, dt):
     assert_close("v", got.v, want_v, *v_terms)
     free = integrate_step(s, u, P, dt)
     assert got.y[6:] == free.y[6:]  # R and omega come from the one free step
+
+
+# -- the run loop's schedule over whole configs -----------------------------------------
+
+def due(i, k, dt, rate):
+    """Whether step i, at t = i*dt, is at or after tick k's time k/rate (the 1e-9 tick rule)."""
+    return i * dt * rate > k - 1e-9
+
+
+def first_step(i, k, dt, rate):
+    return due(i, k, dt, rate) and (i == 0 or not due(i - 1, k, dt, rate))
+
+
+def traced_run(cfg):
+    """Run cfg; return the log, the steps run, the step of each attitude tick with
+    its thrust, and the step of each position tick. Every physics step makes
+    one integrate_step call, contact steps included, so the calls made so far
+    are the index of the current step."""
+    steps, att, pos = [0], [], []
+
+    def stepping(*args):
+        steps[0] += 1
+        return integrate_step(*args)
+
+    def attitude_tick(*args):
+        u = step_controller(*args)
+        att.append((steps[0], u.f))
+        return u
+
+    def position_tick(*args):
+        pos.append(steps[0])
+        return position_loop(*args)
+
+    with mock.patch.object(scenario, "integrate_step", stepping), \
+            mock.patch.object(collision, "integrate_step", stepping), \
+            mock.patch.object(scenario, "step_controller", attitude_tick), \
+            mock.patch.object(scenario, "position_loop", position_tick):
+        log = scenario.run_scenario(cfg)
+    return log, steps[0], att, pos
+
+
+@st.composite
+def scheduled_configs(draw):
+    """Short runs with random valid loop rates, physics step and log interval,
+    in either contact mode, with or without a wall the default start reaches."""
+    dt = draw(st.floats(2e-4, 5e-3))
+    rates = sorted(draw(st.lists(st.floats(10.0, 1.0 / dt), min_size=2, max_size=2)))
+    return ScenarioConfig(
+        mode=draw(st.sampled_from([Foldable, Rigid]))(),
+        controller=ControllerConfig(position_rate=rates[0], attitude_rate=rates[1]),
+        wall=draw(st.sampled_from([None, Wall(normal=[-1.0, 0.0, 0.0], offset=-0.16)])),
+        duration=draw(st.floats(0.02, 0.12)), dt=dt,
+        log_interval=dt * draw(st.floats(1.0, 20.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheduled_configs())
+def test_run_loop_schedules_every_tick_on_the_step_clock(cfg):
+    log, n, att, pos = traced_run(cfg)
+    dt, ctl = cfg.dt, cfg.controller
+    assert n == int(round(cfg.duration / dt)) or log.aborted
+
+    # attitude tick k at the first step at or after k/attitude_rate, none missed
+    att_steps = [i for i, _ in att]
+    assert all(first_step(i, k, dt, ctl.attitude_rate) for k, i in enumerate(att_steps))
+    # one tick per multiple of 1/rate up to the last step's time (n-1)*dt; the
+    # benchmark's count ceil(n*dt*rate - 1e-9) agrees unless a multiple falls
+    # inside the last step, a tick the first-step rule never fires
+    fired = math.ceil((n - 1) * dt * ctl.attitude_rate + 1e-9)
+    assert len(att) == fired
+    if not (n - 1) * dt * ctl.attitude_rate < fired < n * dt * ctl.attitude_rate:
+        assert fired == math.ceil(n * dt * ctl.attitude_rate - 1e-9)
+
+    # position tick k on the first attitude tick at or after k/position_rate
+    # that follows tick k-1, none missed; thrust changes only on position ticks
+    rate = ctl.position_rate
+    assert set(pos) <= set(att_steps)
+    for k, i in enumerate(pos):
+        earlier = pos[k - 1] if k else -1
+        assert due(i, k, dt, rate)
+        assert not any(earlier < a < i and due(a, k, dt, rate) for a in att_steps)
+    assert not any(a > (pos[-1] if pos else -1) and due(a, len(pos), dt, rate) for a in att_steps)
+    assert all(f == g for (i, f), (_, g) in zip(att[1:], att) if i not in pos)
+
+    # log row k at the first step at or after k*log_interval; t = step*dt exactly,
+    # and the final row is at the steps run
+    t = log.column("t")
+    rows = t if log.aborted else t[:-1]
+    row_steps = [int(round(x / dt)) for x in rows]
+    assert [i * dt for i in row_steps] == rows.tolist()
+    assert all(first_step(i, k, dt, 1.0 / cfg.log_interval) for k, i in enumerate(row_steps))
+    assert len(rows) == math.ceil((n - 1) * dt / cfg.log_interval + 1e-9)
+    if not log.aborted:
+        assert t[-1] == n * dt
+
+    again = scenario.run_scenario(cfg)
+    assert again.to_csv() == log.to_csv()
+    assert [(e.x_c.tolist(), e.v_c.tolist()) for e in again.events] == [
+        (e.x_c.tolist(), e.v_c.tolist()) for e in log.events]
