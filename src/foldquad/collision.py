@@ -101,25 +101,16 @@ def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput
     state is not finite.
     """
     n0, n1, n2 = w.normal.tolist()
-    m0, m1, m2 = -n0, -n1, -n2  # into-wall direction n_in
     l2, ld2, _saturated, exited = advance_arm(a.l, a.l_dot, sp, dt)
 
-    # R and omega come from the one free step (rotation does not depend on translation)
+    # the one free step gives R, omega and the tangential x and v: attitude does not
+    # depend on translation, and the free acceleration depends only on R(t)
     free = integrate_step(s, u, p, dt)
-
-    # tangential update from a_free = g e3 - (f/m) R e3 with R held at its start value,
-    # not the free step's RK4 translation; on floats, in the vector form's operation order
-    x0, x1, x2, v0, v1, v2 = s.y[:6]
-    f_m, z = u.f / p.m, p.g * 0.0  # g e3 = (z, z, g), signed zeros included
-    af0, af1, af2 = z - f_m * s.y[8], z - f_m * s.y[11], p.g - f_m * s.y[14]
-    an, vn = af0 * m0 + af1 * m1 + af2 * m2, v0 * m0 + v1 * m1 + v2 * m2
-    at0, at1, at2 = af0 - an * m0, af1 - an * m1, af2 - an * m2
-    vt0, vt1, vt2 = v0 - vn * m0, v1 - vn * m1, v2 - vn * m2
-    h = 0.5 * dt
-    x0, x1, x2 = x0 + dt * (vt0 + h * at0), x1 + dt * (vt1 + h * at1), x2 + dt * (vt2 + h * at2)
+    x0, x1, x2, v0, v1, v2 = free.y[:6]
     c = (w.offset + (p.r_contact - l2)) - (n0 * x0 + n1 * x1 + n2 * x2)
-    y = (x0 + c * n0, x1 + c * n1, x2 + c * n2, (vt0 + dt * at0) + ld2 * m0,
-         (vt1 + dt * at1) + ld2 * m1, (vt2 + dt * at2) + ld2 * m2, *free.y[6:])
+    vn = (v0 * n0 + v1 * n1 + v2 * n2) + ld2  # keep the tangential v, then l_dot into the wall
+    y = (x0 + c * n0, x1 + c * n1, x2 + c * n2, v0 - vn * n0, v1 - vn * n1, v2 - vn * n2,
+         *free.y[6:])
     if not all(map(math.isfinite, y[:6])):
         raise StateBlowUpError("non-finite state after contact step")
 

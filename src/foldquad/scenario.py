@@ -86,7 +86,7 @@ class ScenarioConfig:
             raise ValueError("duration and log_interval must be >= dt")
         if self.controller.attitude_rate * self.dt > 1.0:  # position_rate is never faster
             raise ValueError("attitude_rate * physics_dt must be <= 1: one tick per step at most")
-        check_rk4_stable(self.spring, self.dt)  # the contact step runs arm RK4 at dt
+        check_rk4_stable(self.spring, self.dt)  # the physics grid must resolve the spring
 
     # -- flat key-value (YAML) persistence --------------------------------
 

@@ -1,9 +1,16 @@
 """Folding-arm spring model: closed form, contact integration, identification."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from foldquad import arm as arm_module
+from foldquad import collision, scenario
 from foldquad.arm import (ArmState, ContactTimeoutError, DisplacementTrace,
-                          SpringParams, advance_arm, analytic_response,
+                          SpringParams, _transition, advance_arm, analytic_response,
                           fit_spring_params, simulate_contact, spring_derivative)
 
 NOMINAL = SpringParams(b_s=30.0, k_s=500.0)
@@ -129,6 +136,101 @@ def test_contact_timeout_guard():
     soft = SpringParams(b_s=0.0, k_s=1.0, l_max=1e6, delta_l=1e-3)
     with pytest.raises(ContactTimeoutError):
         simulate_contact(1.0, soft, dt=1e-3)
+
+
+# -- the exact step -----------------------------------------------------------
+
+@st.composite
+def springs_and_steps(draw):
+    """(b_s, k_s, dt) under-, critically, near-critically or over-damped, with
+    k_s up to 1e12 and b_s dt up to 1e4."""
+    k = 10.0 ** draw(st.floats(-2.0, 12.0))
+    branch = draw(st.sampled_from(["under", "critical", "near", "over"]))
+    if branch == "under":
+        zeta = draw(st.floats(0.0, 1.0, exclude_max=True))
+    elif branch == "near":
+        zeta = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -3.0))
+    else:
+        zeta = 1.0 if branch == "critical" else 10.0 ** draw(st.floats(0.0, 6.0))
+    b = 2.0 * zeta * math.sqrt(k)
+    if branch == "critical":
+        k = (0.5 * b) ** 2  # b^2 = 4k exactly in floats
+    dt = 10.0 ** draw(st.floats(-6.0, -1.0))
+    return b, k, (min(dt, 1e4 / b) if b > 0.0 else dt)
+
+
+@settings(max_examples=400, deadline=None)
+@given(springs_and_steps())
+@example((2e6, 500.0, 1e-3))  # b_s dt = 2000: exp(b_s dt/2) alone overflows
+def test_transition_matches_expm(case):
+    """Phi(dt) equals scipy's expm in the energy coordinates (sqrt(k_s) l, l_dot),
+    where |Phi| <= 1, to a bound that grows with |A dt| as expm's own rounding does."""
+    b, k, dt = case
+    got = np.reshape(_transition(b, k, dt), (2, 2))
+    want = expm(np.array([[0.0, 1.0], [-k, -b]]) * dt)
+    scale = np.array([[1.0, math.sqrt(k)], [1.0 / math.sqrt(k), 1.0]])
+    tol = 64 * np.finfo(float).eps * (1.0 + math.sqrt(k) * dt + b * dt)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs((got - want) * scale)) <= tol
+
+
+def test_composed_exact_steps_match_closed_form():
+    """100 steps of 1 ms from the impact equal analytic_response to 1e-14; with
+    l_max at 1e6 and delta_l at 1e-9 neither clamp nor release acts."""
+    rng = np.random.default_rng(11)
+    springs = [SpringParams(b_s=30.0, k_s=500.0, l_max=1e6, delta_l=1e-9)]
+    springs += [random_underdamped(rng) for _ in range(8)]
+    for p in springs:
+        l, l_dot = 0.0, 1.4
+        for i in range(1, 101):
+            l, l_dot, saturated, _ = advance_arm(l, l_dot, p, 1e-3)
+            want_l, want_l_dot = analytic_response(1.4, p, i * 1e-3)
+            assert not saturated
+            assert abs(l - want_l) <= 1e-14 and abs(l_dot - want_l_dot) <= 1e-14
+
+
+def counting_advance_arm(monkeypatch):
+    """Wrap advance_arm where simulate_contact and the contact step look it up;
+    the returned list collects what each call returned."""
+    calls = []
+
+    def counted(*args):
+        calls.append(advance_arm(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(arm_module, "advance_arm", counted)
+    monkeypatch.setattr(collision, "advance_arm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("v", [0.5, 3.0])  # below and above arm saturation
+def test_simulate_contact_makes_one_arm_step_per_step(monkeypatch, v):
+    """The benchmark's arm step count is the advance_arm call count; peak_l and
+    saturated equal the running max and `or` over those steps."""
+    calls = counting_advance_arm(monkeypatch)
+    res = simulate_contact(v, NOMINAL, dt=1e-4)
+    assert len(calls) == len(res.trace) - 1 == round(res.duration / 1e-4)
+    peak, sat = 0.0, False
+    for l, _, saturated, _ in calls:
+        peak, sat = max(peak, l), sat or saturated
+    assert (res.peak_l, res.saturated) == (peak, sat)
+    assert res.saturated == (v > 1.5)
+
+
+def test_foldable_run_makes_one_arm_step_per_contact_step(monkeypatch):
+    calls = counting_advance_arm(monkeypatch)
+    contact_steps = []
+
+    def counted_step(*args):
+        contact_steps.append(1)
+        return collision.contact_constrained_step(*args)
+
+    monkeypatch.setattr(scenario, "contact_constrained_step", counted_step)
+    cfg = scenario.ScenarioConfig(duration=1.0)
+    ev = scenario.run_scenario(cfg).events[0]
+    n_arm_steps = len(calls)
+    oracle = simulate_contact(float(ev.v_c @ ev.normal), cfg.spring, cfg.dt)
+    assert n_arm_steps == len(contact_steps) == round(oracle.duration / cfg.dt) > 0
 
 
 # -- invariants ---------------------------------------------------------------

@@ -176,14 +176,13 @@ def test_energy_monotone_inside_constrained_contact():
 
 
 def test_contact_step_blow_up_detected():
-    # an arm spring far outside RK4's stability region overflows within a few steps;
-    # the step must raise rather than return a non-finite state
+    # thrust near the float maximum overflows the free step's RK4 sum; the
+    # contact step must raise rather than return a non-finite state
     s, arm = _touching_state([1.4, 0.0, 0.0]), ArmState(l=0.0, l_dot=1.4)
-    spring = SpringParams(k_s=1e12)
+    u = ControlInput(f=1e308)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateBlowUpError):
         for _ in range(100):
-            s, arm, _ = contact_constrained_step(
-                s, arm, WALL, ControlInput(f=0.0), P, spring, 1e-3)
+            s, arm, _ = contact_constrained_step(s, arm, WALL, u, P, SpringParams(), 1e-3)
             assert np.isfinite(s.x).all() and np.isfinite(s.v).all()
 
 

@@ -305,13 +305,15 @@ def test_compare_modes_deterministic():
 
 
 
-# Metrics of compare_modes(ScenarioConfig()) recorded before the flat-array
-# RK4; later changes to the hot path may reorder arithmetic, not results.
+# Metrics of compare_modes(ScenarioConfig()). The rigid values were recorded
+# before the flat-array RK4, the foldable ones after the exact arm step and the
+# contact step built on the free step; later changes to the hot path may
+# reorder arithmetic, not results.
 GOLDEN_REFERENCE = {
-    "foldable": dict(v_c=1.4306753006078476, v_rb=0.1385906837341682,
-                     contact_duration=0.1750000000000001, peak_l=0.029970595989050587,
-                     overshoot=0.022114677310527964, settling_time=2.08499999999985,
-                     re_collision_count=0, mean_impact_force=9.971564426218976),
+    "foldable": dict(v_c=1.4306753006078476, v_rb=0.13859069557706757,
+                     contact_duration=0.17500000000000004, peak_l=0.029970595988383926,
+                     overshoot=0.02211468841527775, settling_time=2.085,
+                     re_collision_count=0, mean_impact_force=9.971564501472145),
     "rigid": dict(v_c=1.4306753006078476, v_rb=1.2845805651254352,
                   contact_duration=0.010000000000000009, peak_l=0.0,
                   overshoot=0.06809870663394468, settling_time=2.2549999999998493,

@@ -321,16 +321,15 @@ def test_controller_tick_matches_numpy(case_data, J):
 # -- the scalar contact step against numpy --------------------------------------------
 
 def reference_contact_translation(s, arm2, w, u, p, dt):
-    """Position and velocity after a contact step with numpy vectors, and the
-    magnitudes each is computed from (x and coord; v, dt a_free and l_dot)."""
+    """Position and velocity after a contact step with numpy vectors: the free
+    step's x and v with their wall-normal parts replaced by the arm's, and the
+    magnitudes each is computed from (free x and coord; free v and l_dot)."""
+    free = integrate_step(s, u, p, dt)
     n_in = -w.normal
-    a_free = p.g * E3 - (u.f / p.m) * (s.R @ E3)
-    a_t = a_free - float(a_free @ n_in) * n_in
-    v_t = s.v - float(s.v @ n_in) * n_in
-    x2 = s.x + dt * (v_t + 0.5 * dt * a_t)
     coord = w.offset + (p.r_contact - arm2.l)
-    x2 = x2 + (coord - float(w.normal @ x2)) * w.normal
-    return x2, v_t + dt * a_t + arm2.l_dot * n_in, (s.x, coord), (s.v, dt * a_free, arm2.l_dot)
+    x2 = free.x + (coord - float(w.normal @ free.x)) * w.normal
+    v2 = free.v - float(free.v @ n_in) * n_in + arm2.l_dot * n_in
+    return x2, v2, (free.x, coord), (free.v, arm2.l_dot)
 
 
 # every component at least 0.1 in magnitude before normalization: no axis-aligned wall
