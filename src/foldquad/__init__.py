@@ -2,16 +2,13 @@
 
 from .arm import (ArmState, ContactResult, ContactTimeoutError, DisplacementTrace,
                   FitResult, SpringParams, analytic_response, fit_spring_params,
-                  simulate_contact, spring_derivative)
+                  simulate_contact)
 from .collision import (CollisionEvent, ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact,
                         impact_force_estimate, resolve_rigid)
-from .control import (ControllerConfig, ControllerState, Setpoint,
-                      attitude_errors, attitude_moment, position_loop,
-                      recovery_setpoint, step_controller)
-from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
-                       dynamics_derivative, hat, integrate_step,
-                       renormalize_rotation)
+from .control import (ControllerConfig, ControllerState, Setpoint, attitude_moment,
+                      position_loop, recovery_setpoint, step_controller)
+from .dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams, integrate_step
 from .scenario import (ComparisonReport, ScenarioConfig, SweepRow, compare_modes,
                        find_start_gap, run_scenario, sweep_velocities)
 from .simlog import COLUMNS, Metrics, SimLog, compute_metrics
@@ -22,11 +19,9 @@ __all__ = [
     "ControlInput", "ControllerConfig", "ControllerState", "DisplacementTrace",
     "FitResult", "Foldable", "Metrics", "Rigid", "ScenarioConfig", "Setpoint",
     "SimLog", "SpringParams", "StateBlowUpError", "SweepRow", "VehicleParams",
-    "Wall", "analytic_response", "attitude_errors", "attitude_moment",
-    "compare_modes", "compute_metrics", "contact_constrained_step",
-    "detect_contact", "dynamics_derivative", "find_start_gap",
-    "fit_spring_params", "hat", "impact_force_estimate", "integrate_step",
-    "position_loop", "recovery_setpoint", "renormalize_rotation",
-    "resolve_rigid", "run_scenario", "simulate_contact", "spring_derivative",
-    "step_controller", "sweep_velocities",
+    "Wall", "analytic_response", "attitude_moment", "compare_modes",
+    "compute_metrics", "contact_constrained_step", "detect_contact",
+    "find_start_gap", "fit_spring_params", "impact_force_estimate",
+    "integrate_step", "position_loop", "recovery_setpoint", "resolve_rigid",
+    "run_scenario", "simulate_contact", "step_controller", "sweep_velocities",
 ]

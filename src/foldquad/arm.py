@@ -108,11 +108,6 @@ class ContactResult:
     trace: DisplacementTrace
 
 
-def spring_derivative(a: ArmState, p: SpringParams):
-    """(l_dot, l_ddot) with l_ddot = -b_s l_dot - k_s l."""
-    return a.l_dot, -p.b_s * a.l_dot - p.k_s * a.l
-
-
 def analytic_response(v0, p: SpringParams, t):
     """Closed-form underdamped response from l(0) = 0, l_dot(0) = v0.
 

@@ -84,7 +84,7 @@ def resolve_rigid(s: BodyState, ev: CollisionEvent, e: float,
     v_n = float(s.v @ n)
     v_new = s.v - (1.0 + e) * v_n * n
     x_new = s.x + (p.r_contact - w.distance(s.x)) * w.normal
-    return BodyState(x=x_new, v=v_new, R=s.R, omega=s.omega)
+    return s.with_translation(x_new, v_new)
 
 
 def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput,
@@ -103,8 +103,8 @@ def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput
     n0, n1, n2 = w.normal.tolist()
     l2, ld2, _saturated, exited = advance_arm(a.l, a.l_dot, sp, dt)
 
-    # the one free step gives R, omega and the tangential x and v: attitude does not
-    # depend on translation, and the free acceleration depends only on R(t)
+    # the one free step gives q, omega and the tangential x and v: attitude does not
+    # depend on translation, and the free acceleration depends only on q(t)
     free = integrate_step(s, u, p, dt)
     x0, x1, x2, v0, v1, v2 = free.y[:6]
     c = (w.offset + (p.r_contact - l2)) - (n0 * x0 + n1 * x1 + n2 * x2)

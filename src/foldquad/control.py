@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import BodyState, ControlInput, VehicleParams, as_vec3, cross3
+from .dynamics import (BodyState, ControlInput, VehicleParams, as_vec3, cross3,
+                       quaternion_to_rotation)
 
 _THRUST_DIR_EPS = 1e-6
 
@@ -111,7 +112,7 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     norm = math.hypot(*f_vec)
     R_d = cs.held_R_d if norm < _THRUST_DIR_EPS else rotation_from_thrust_dir(
         [c / norm for c in f_vec], sp.yaw_d)
-    r02, r12, r22 = s.y[8:15:3]  # body-z is the third column of R
+    r02, r12, r22 = quaternion_to_rotation(s.y[6:10])[2::3]  # body-z is the third column of R
     f = min(max(p.m * (f_vec[0] * r02 + f_vec[1] * r12 + f_vec[2] * r22), 0.0), cfg.max_thrust)
     return ControllerState(integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d)
 
@@ -125,12 +126,6 @@ def _rotation_error(r, d):
             0.5 * ((d01 * r00 + d11 * r10 + d21 * r20) - (d00 * r01 + d10 * r11 + d20 * r21)))
 
 
-def attitude_errors(R, omega, R_d):
-    """Rotation error e_R = 0.5 vee(R_d^T R - R^T R_d) as a (3,) array, and
-    rate error e_Omega = Omega (the setpoint has no angular-rate feedforward)."""
-    return np.array(_rotation_error(np.ravel(R).tolist(), np.ravel(R_d).tolist())), omega
-
-
 def attitude_moment(e_R, e_omega, omega, p: VehicleParams, cfg: ControllerConfig):
     """Body moment tau = -k_R e_R - k_Omega e_Omega + Omega x J Omega, as a 3-tuple."""
     J, (w0, w1, w2) = p.J_flat, omega
@@ -141,6 +136,7 @@ def attitude_moment(e_R, e_omega, omega, p: VehicleParams, cfg: ControllerConfig
 def step_controller(s: BodyState, cs: ControllerState, cfg: ControllerConfig,
                     p: VehicleParams) -> ControlInput:
     """One attitude tick: the held thrust, and the moment that tracks the held R_d."""
-    omega = s.y[15:]
-    tau = attitude_moment(_rotation_error(s.y[6:15], cs.held_R_d), omega, omega, p, cfg)
+    omega = s.y[10:]
+    R = quaternion_to_rotation(s.y[6:10])
+    tau = attitude_moment(_rotation_error(R, cs.held_R_d), omega, omega, p, cfg)
     return ControlInput._trusted(cs.held_f, tau)

@@ -1,4 +1,4 @@
-"""Rigid-body quadrotor model on SO(3) with a fixed-step RK4 integrator.
+"""Rigid-body quadrotor model with a unit-quaternion attitude and a fixed-step RK4 integrator.
 
 Frame convention: the inertial third axis points DOWN, so altitude is a
 negative third coordinate and gravity acts along +e3. Positive thrust f
@@ -11,11 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_ROT_ORTHO_TOL = 1e-6  # loose bound on max|R^T R - I| of any stored rotation
+_ROT_ORTHO_TOL = 1e-6  # loose bound on max|R^T R - I| of a given R, and on ||q| - 1| after RK4
 
 
 class StateBlowUpError(RuntimeError):
-    """Raised when a step yields a non-finite state or a rotation it cannot renormalize."""
+    """Raised when a step yields a non-finite state, or an attitude quaternion whose
+    norm is off 1 by more than _ROT_ORTHO_TOL: a body rate that turns the vehicle
+    too far in one step (about 0.46 rad, or 460 rad/s at dt = 1 ms)."""
 
 
 def as_vec3(v, name="vector"):
@@ -26,12 +28,6 @@ def as_vec3(v, name="vector"):
     return a
 
 
-def hat(v):
-    """Skew-symmetric cross-product matrix: hat(v) @ w == np.cross(v, w)."""
-    x, y, z = as_vec3(v)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def cross3(a, b):
     """a x b of two 3-sequences as a tuple; bit-equal to np.cross, minus its overhead."""
     a0, a1, a2 = a
@@ -39,36 +35,33 @@ def cross3(a, b):
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def _polar(r):
-    """renormalize_rotation on the row-major floats r of rows a, b, c; returns 9 floats."""
-    for i in range(21):  # at most 20 Newton steps
-        a0, a1, a2, b0, b1, b2, c0, c1, c2 = r
-        p0, p1, p2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0  # b x c
-        det = a0 * p0 + a1 * p1 + a2 * p2
-        if not 0.0 < det < math.inf:  # Newton iterates keep the sign of det(R)
-            raise ValueError(f"det(R) = {det}: rotation state is corrupted")
-        err = max(abs(a0 * a0 + b0 * b0 + c0 * c0 - 1.0), abs(a1 * a1 + b1 * b1 + c1 * c1 - 1.0),
-                  abs(a2 * a2 + b2 * b2 + c2 * c2 - 1.0), abs(a0 * a1 + b0 * b1 + c0 * c1),
-                  abs(a0 * a2 + b0 * b2 + c0 * c2), abs(a1 * a2 + b1 * b2 + c1 * c2))
-        if err < 1e-15 or i == 20 and err <= _ROT_ORTHO_TOL:  # err = max|X^T X - I|
-            return r
-        cof = (p0, p1, p2, c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0,
-               a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)  # c x a, a x b
-        r = [0.5 * (x + y / det) for x, y in zip(r, cof)]
-    raise ValueError("R did not converge to a rotation: input is ill-conditioned")
+def rotation_to_quaternion(r):
+    """Unit quaternion (w, x, y, z), w >= 0, as floats, from a rotation's 9 row-major entries."""
+    tr = r[0] + r[4] + r[8]
+    if tr > 0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (r[7] - r[5]) / s, (r[2] - r[6]) / s, (r[3] - r[1]) / s]
+    else:
+        i = max(range(3), key=lambda k: r[4 * k])  # the first largest, as np.argmax
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = math.sqrt(1.0 + r[4 * i] - r[4 * j] - r[4 * k]) * 2.0
+        q = [(r[3 * k + j] - r[3 * j + k]) / s, 0.0, 0.0, 0.0]
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (r[3 * j + i] + r[3 * i + j]) / s
+        q[1 + k] = (r[3 * k + i] + r[3 * i + k]) / s
+    if q[0] < 0:
+        q = [-c for c in q]
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return tuple(c / n for c in q)
 
 
-def renormalize_rotation(R):
-    """Project onto the nearest rotation matrix (orthogonal polar factor).
-
-    Uses the Newton iteration X <- (X + X^-T) / 2, which converges
-    quadratically to the polar factor and is idempotent on inputs that are
-    already orthonormal. For rows a, b, c of X, X^-T is the cofactor matrix
-    (rows b x c, c x a, a x b) over det = a . (b x c). Raises ValueError if
-    det(R) is not positive and finite (so NaN and inf are rejected), or if 20
-    iterations leave max|X^T X - I| above _ROT_ORTHO_TOL (an ill-conditioned R).
-    """
-    return np.array(_polar(np.asarray(R, dtype=float).reshape(9).tolist())).reshape(3, 3)
+def quaternion_to_rotation(q):
+    """The rotation's 9 row-major entries, as floats, from a unit quaternion (w, x, y, z)."""
+    w, x, y, z = q
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z  # a homogeneous diagonal: R nearer orthonormal
+    return ((ww + xx) - (yy + zz), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+            2.0 * (x * y + w * z), (ww + yy) - (xx + zz), 2.0 * (y * z - w * x),
+            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), (ww + zz) - (xx + yy))
 
 
 @dataclass
@@ -116,16 +109,18 @@ class ControlInput:
 
 
 class BodyState:
-    """Position, inertial velocity, body->inertial rotation, body rate.
+    """Position, inertial velocity, body->inertial attitude, body rate.
 
-    The one home of the state is `y`, a tuple of 18 Python floats
-    (x, v, R row-major, omega), which every layer of the simulation loop reads.
-    `x`, `v`, `R` and `omega` are read-only and build a fresh array on each
+    The one home of the state is `y`, a tuple of 13 Python floats
+    (x, v, q, omega) with the unit attitude quaternion q = (w, x, y, z),
+    w >= 0, which every layer of the simulation loop reads. `x`, `v`, `R`
+    (built from q) and `omega` are read-only and build a fresh array on each
     access, so writing into one does not change the state. The constructor
-    and `hover` validate: finite vectors and an R within _ROT_ORTHO_TOL of
-    orthonormal. The integrators (`integrate_step`, `contact_constrained_step`)
-    build their results with `_trusted(y)`, unvalidated, after checking in the
-    step that the state is finite and R renormalized, or raising StateBlowUpError.
+    and `hover` validate finite vectors and an R within _ROT_ORTHO_TOL of
+    orthonormal with det(R) > 0, and convert R to q once. The integrators
+    (`integrate_step`, `contact_constrained_step`) build their results with
+    `_trusted(y)`, unvalidated, after checking in the step that the state is
+    finite and q normalized, or raising StateBlowUpError.
     """
 
     __slots__ = ("y",)
@@ -135,34 +130,41 @@ class BodyState:
         R = np.asarray(R, dtype=float).reshape(3, 3)
         if not np.all(np.isfinite(R)):
             raise ValueError("R has non-finite entries")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > _ROT_ORTHO_TOL:
-            raise ValueError("R is not orthonormal")
-        self.y = (*x.tolist(), *v.tolist(), *R.ravel().tolist(), *omega.tolist())
+        if np.max(np.abs(R.T @ R - np.eye(3))) > _ROT_ORTHO_TOL or np.linalg.det(R) < 0.0:
+            raise ValueError("R is not a rotation (orthonormal with det +1)")
+        self.y = (*x.tolist(), *v.tolist(), *rotation_to_quaternion(R.ravel().tolist()),
+                  *omega.tolist())
 
     x = property(lambda s: np.array(s.y[:3]))
     v = property(lambda s: np.array(s.y[3:6]))
-    R = property(lambda s: np.array(s.y[6:15]).reshape(3, 3))
-    omega = property(lambda s: np.array(s.y[15:]))
+    R = property(lambda s: np.array(quaternion_to_rotation(s.y[6:10])).reshape(3, 3))
+    omega = property(lambda s: np.array(s.y[10:]))
 
     @classmethod
     def hover(cls, x, yaw=0.0):
         c, s, zero = np.cos(yaw), np.sin(yaw), (0.0, 0.0, 0.0)
         return cls(x=x, v=zero, R=[[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], omega=zero)
 
+    def with_translation(self, x, v):
+        """This state moved to position x and velocity v (validated as in the
+        constructor); the attitude and body rate are carried bit for bit."""
+        return BodyState._trusted((*as_vec3(x, "x").tolist(), *as_vec3(v, "v").tolist(),
+                                   *self.y[6:]))
+
     @classmethod
     def _trusted(cls, y):
-        """Build from an 18-tuple of floats, unvalidated; the caller checked it."""
+        """Build from a 13-tuple of floats, unvalidated; the caller checked it."""
         s = object.__new__(cls)
         s.y = y
         return s
 
 
 def _deriv(y, a, tau, p):
-    """Equations of motion on the flat state y = (x, v, R row-major, omega) as
-    floats, for thrust acceleration a = f/m and moment tau: vdot uses
-    R @ e3 = R[:, 2], and row i of Rdot = R hat(omega) is R[i] x omega.
-    RK stages may be non-orthonormal or non-finite; the step checks its result."""
-    _, _, _, v0, v1, v2, r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = y
+    """Equations of motion on the flat state y = (x, v, q, omega) as floats, for
+    thrust acceleration a = f/m and moment tau: vdot uses R(q) @ e3, the third
+    column of R, and qdot = q (x) (0, omega) / 2. RK stages may leave the unit
+    sphere or be non-finite; the step checks and normalizes its result."""
+    _, _, _, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = p.J_flat
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = p.J_inv_flat
     h0 = j00 * w0 + j01 * w1 + j02 * w2  # J omega
@@ -171,25 +173,20 @@ def _deriv(y, a, tau, p):
     t0 = tau[0] - (w1 * h2 - w2 * h1)  # tau - omega x J omega
     t1 = tau[1] - (w2 * h0 - w0 * h2)
     t2 = tau[2] - (w0 * h1 - w1 * h0)
-    return [v0, v1, v2, -a * r02, -a * r12, p.g - a * r22,
-            r01 * w2 - r02 * w1, r02 * w0 - r00 * w2, r00 * w1 - r01 * w0,
-            r11 * w2 - r12 * w1, r12 * w0 - r10 * w2, r10 * w1 - r11 * w0,
-            r21 * w2 - r22 * w1, r22 * w0 - r20 * w2, r20 * w1 - r21 * w0,
+    a2 = 2.0 * a
+    return [v0, v1, v2, -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
+            p.g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
+            -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1),
+            0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0),
             i00 * t0 + i01 * t1 + i02 * t2, i10 * t0 + i11 * t1 + i12 * t2,
             i20 * t0 + i21 * t1 + i22 * t2]
 
 
-def dynamics_derivative(s: BodyState, u: ControlInput, p: VehicleParams):
-    """Time derivative (xdot, vdot, Rdot, omegadot) of the body state."""
-    d = np.array(_deriv(s.y, u.f / p.m, u.tau, p))
-    return d[:3], d[3:6], d[6:15].reshape(3, 3), d[15:]
-
-
 def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -> BodyState:
-    """One classical RK4 step on the flat state, then rotation renormalization.
+    """One classical RK4 step on the flat state, then the quaternion rescaled to unit norm.
 
     Deterministic: identical inputs give bit-identical outputs. The result is
-    finite with an orthonormal R; otherwise StateBlowUpError is raised.
+    finite with a unit q, w >= 0; otherwise StateBlowUpError is raised.
     """
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
@@ -202,8 +199,11 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
          for q, d1, d2, d3, d4 in zip(y0, k1, k2, k3, k4)]
     if not all(map(math.isfinite, y)):
         raise StateBlowUpError("non-finite state after integration step")
-    try:
-        y[6:15] = _polar(y[6:15])
-    except ValueError as exc:
-        raise StateBlowUpError(f"renormalization after integration step: {exc}") from exc
+    qw, qx, qy, qz = y[6:10]
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    if not abs(n - 1.0) <= _ROT_ORTHO_TOL:
+        raise StateBlowUpError(f"attitude quaternion norm {n!r} after integration step: "
+                               "the body rate turns too far in one step")
+    n = math.copysign(n, qw)  # w >= 0; -q is the same rotation, with bit-identical derivatives
+    y[6:10] = qw / n, qx / n, qy / n, qz / n
     return BodyState._trusted(tuple(y))

@@ -15,7 +15,7 @@ from .collision import (ContactMode, Foldable, Rigid, Wall,
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                       recovery_setpoint, step_controller)
 from .dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams, integrate_step
-from .simlog import Metrics, SimLog, compute_metrics, rotation_to_quaternion
+from .simlog import Metrics, SimLog, compute_metrics
 
 # flat YAML key -> the one field it sets: (part, field) on a part of the config,
 # or (None, field) on the config itself. inertia, contact_mode and wall_* are
@@ -159,8 +159,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     log and a diagnostic.
     """
     state = BodyState.hover(cfg.start_position, yaw=cfg.start_yaw)
-    if np.any(cfg.start_velocity != 0.0):
-        state = BodyState(x=state.x, v=cfg.start_velocity, R=state.R, omega=state.omega)
+    state = state.with_translation(state.y[:3], cfg.start_velocity)
     cs = ControllerState()
     sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
     u = ControlInput(f=cfg.vehicle.m * cfg.vehicle.g)
@@ -180,10 +179,8 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     diagnostic = ""
 
     def log_row(t):
-        rows.append([
-            t, *state.y[:6], *rotation_to_quaternion(state.y[6:15]), *state.y[15:], arm.l, u.f,
-            *u.tau, 1.0 if contact_since_log else 0.0, *sp.x_d.tolist(),
-        ])
+        rows.append([t, *state.y, arm.l, u.f, *u.tau, 1.0 if contact_since_log else 0.0,
+                     *sp.x_d.tolist()])
 
     try:
         for i in range(n_steps):
@@ -217,11 +214,10 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                         in_contact = True
                         contact_steps = 0
                         # snap to touching contact with the arm at rest length
-                        state = BodyState(
-                            x=state.x + (cfg.vehicle.r_contact
-                                         - cfg.wall.distance(state.x)) * cfg.wall.normal,
-                            v=state.v, R=state.R, omega=state.omega,
-                        )
+                        state = state.with_translation(
+                            state.x + (cfg.vehicle.r_contact
+                                       - cfg.wall.distance(state.x)) * cfg.wall.normal,
+                            state.y[3:6])
                         arm = ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
             if in_contact:
                 contact_since_log = True

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .collision import CollisionEvent, Wall, impact_force_estimate
 from .dynamics import VehicleParams
+from .dynamics import rotation_to_quaternion  # noqa: F401  (perfbench traces it here)
 
 COLUMNS = (
     "t", "x1", "x2", "x3", "v1", "v2", "v3",
@@ -19,26 +19,6 @@ COLUMNS = (
 _COL = {name: i for i, name in enumerate(COLUMNS)}
 
 SETTLE_RADIUS = 0.05  # m
-
-
-def rotation_to_quaternion(r):
-    """Unit quaternion (w, x, y, z), w >= 0, as floats, from a rotation's 9 row-major entries."""
-    tr = r[0] + r[4] + r[8]
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = [0.25 * s, (r[7] - r[5]) / s, (r[2] - r[6]) / s, (r[3] - r[1]) / s]
-    else:
-        i = max(range(3), key=lambda k: r[4 * k])  # the first largest, as np.argmax
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(1.0 + r[4 * i] - r[4 * j] - r[4 * k]) * 2.0
-        q = [(r[3 * k + j] - r[3 * j + k]) / s, 0.0, 0.0, 0.0]
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[3 * j + i] + r[3 * i + j]) / s
-        q[1 + k] = (r[3 * k + i] + r[3 * i + k]) / s
-    if q[0] < 0:
-        q = [-c for c in q]
-    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    return tuple(c / n for c in q)
 
 
 @dataclass

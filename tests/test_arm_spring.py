@@ -3,15 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from foldquad import arm as arm_module
 from foldquad import collision, scenario
-from foldquad.arm import (ArmState, ContactTimeoutError, DisplacementTrace,
+from foldquad.arm import (ContactTimeoutError, DisplacementTrace,
                           SpringParams, _transition, advance_arm, analytic_response,
-                          fit_spring_params, simulate_contact, spring_derivative)
+                          check_rk4_stable, fit_spring_params, simulate_contact)
 
 NOMINAL = SpringParams(b_s=30.0, k_s=500.0)
 
@@ -42,9 +42,18 @@ def test_param_validation():
 
 
 def test_spring_derivative():
-    ldot, lddot = spring_derivative(ArmState(l=0.01, l_dot=0.5), NOMINAL)
-    assert ldot == 0.5
-    assert abs(lddot - (-30.0 * 0.5 - 500.0 * 0.01)) < 1e-15
+    """The exact arm step's slope at dt -> 0 (forward differences at dt and dt/2,
+    Richardson-extrapolated) is (l_dot, l_ddot), l_ddot = -b_s l_dot - k_s l."""
+    l, l_dot, h = 0.01, 0.5, 1e-6
+
+    def slope(dt):
+        l2, d2, _, _ = advance_arm(l, l_dot, NOMINAL, dt)
+        return (l2 - l) / dt, (d2 - l_dot) / dt
+
+    (a0, a1), (b0, b1) = slope(h / 2), slope(h)
+    ldot, lddot = 2.0 * a0 - b0, 2.0 * a1 - b1
+    assert abs(ldot - 0.5) < 1e-9
+    assert abs(lddot - (-30.0 * 0.5 - 500.0 * 0.01)) < 1e-9
 
 
 
@@ -246,6 +255,50 @@ def test_energy_monotone_along_contact():
         energy = e_new
         if exited:
             break
+
+
+@st.composite
+def arm_impacts(draw):
+    """A spring that check_rk4_stable accepts at dt, and an impact speed whose
+    unclamped peak on the grid lies above l_max (saturated) or below it."""
+    dt = draw(st.floats(1e-4, 2e-3))
+    b, k = draw(st.floats(0.0, 400.0)), draw(st.floats(1.0, 2e4))
+    try:
+        check_rk4_stable(SpringParams(b_s=b, k_s=k), dt)
+    except ValueError:
+        assume(False)
+    v = draw(st.floats(0.05, 5.0))
+    free = SpringParams(b_s=b, k_s=k, l_max=1e6, delta_l=1e-9)
+    l, l_dot, peak = 0.0, v, 0.0
+    for _ in range(int(1.0 / dt)):
+        l, l_dot, _, _ = advance_arm(l, l_dot, free, dt)
+        peak = max(peak, l)
+        if l_dot < 0.0:
+            break
+    saturate = draw(st.booleans())
+    l_max = peak * (draw(st.floats(0.2, 0.95)) if saturate else draw(st.floats(1.05, 3.0)))
+    p = SpringParams(b_s=b, k_s=k, l_max=l_max, delta_l=l_max * draw(st.floats(0.01, 0.9)))
+    return p, v, dt, saturate
+
+
+@settings(max_examples=200, deadline=None)
+@given(arm_impacts())
+def test_energy_never_rises_over_random_springs(case):
+    """The exact step dissipates b_s l_dot^2 and the clamp only removes energy, so
+    0.5 l_dot^2 + 0.5 k_s l^2 never rises across advance_arm steps beyond rounding
+    (4 eps relative), on both sides of saturation, until release."""
+    p, v, dt, saturate = case
+    l, l_dot = 0.0, v
+    energy, hit = 0.5 * v * v, False
+    for _ in range(int(1.0 / dt)):
+        l, l_dot, saturated, exited = advance_arm(l, l_dot, p, dt)
+        hit = hit or saturated
+        e_new = 0.5 * l_dot**2 + 0.5 * p.k_s * l**2
+        assert e_new <= energy * (1.0 + 4 * np.finfo(float).eps)
+        energy = e_new
+        if exited:
+            break
+    assert hit == saturate
 
 
 def test_rebound_strictly_below_impact():

@@ -1,12 +1,15 @@
 """Wall model, contact detection and both contact-resolution modes."""
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
+from foldquad import scenario
 from foldquad.arm import ArmState, SpringParams, simulate_contact
 from foldquad.collision import (CollisionEvent, Foldable, Wall,
                                 contact_constrained_step, detect_contact,
                                 impact_force_estimate, resolve_rigid)
-from foldquad.dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams
+from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
+                               integrate_step)
 from foldquad.scenario import ScenarioConfig
 
 P = VehicleParams()
@@ -105,6 +108,43 @@ def test_rigid_elastic_oblique_preserves_speed():
     out = resolve_rigid(s, ev, 1.0, WALL, P)
     assert np.allclose(out.v, [-1.0, 0.5, 0.0], atol=1e-12)
     assert abs(np.linalg.norm(out.v) - np.linalg.norm(s.v)) < 1e-12
+
+
+def test_rigid_bounce_carries_attitude_and_rate_bit_for_bit():
+    """q and omega pass through the bounce unchanged; a rebuild through R(q) and
+    back moves q's last bits for about half of all attitudes."""
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        s = BodyState(x=[0.3 - P.r_contact, 0.0, 0.0], v=[1.4, 0.3, -0.2],
+                      R=Rotation.random(random_state=rng.integers(2**31)).as_matrix(),
+                      omega=rng.normal(size=3))
+        s = integrate_step(s, ControlInput(f=10.0), P, 1e-3)  # a q as the run loop holds it
+        out = resolve_rigid(s, detect_contact(s, WALL, P), 0.9, WALL, P)
+        assert out.y[6:] == s.y[6:]
+
+
+def test_foldable_contact_snap_carries_attitude_and_rate_bit_for_bit(monkeypatch):
+    """Each first contact step starts from the touching state with q and omega
+    exactly as detect_contact saw them, over twelve start headings."""
+    touched, first_input = [], []
+
+    def detecting(s, *args):
+        ev = detect_contact(s, *args)
+        if ev is not None:
+            touched.append(s)
+        return ev
+
+    def stepping(s, *args):
+        if len(first_input) < len(touched):
+            first_input.append(s)
+        return contact_constrained_step(s, *args)
+
+    monkeypatch.setattr(scenario, "detect_contact", detecting)
+    monkeypatch.setattr(scenario, "contact_constrained_step", stepping)
+    for yaw in np.linspace(-3.0, 3.0, 12):
+        scenario.run_scenario(ScenarioConfig(duration=0.2, start_yaw=yaw, setpoint_yaw=yaw))
+    assert len(touched) == len(first_input) == 12
+    assert all(a.y[6:] == b.y[6:] for a, b in zip(first_input, touched))
 
 
 # -- contact_constrained_step ------------------------------------------------------

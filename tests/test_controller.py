@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from foldquad.control import (ControllerConfig, ControllerState, Setpoint, attitude_errors,
+from foldquad.control import (ControllerConfig, ControllerState, Setpoint, _rotation_error,
                               attitude_moment, position_loop, recovery_setpoint,
                               step_controller)
 from foldquad.dynamics import BodyState, ControlInput, VehicleParams, integrate_step
@@ -18,6 +18,11 @@ def rot_x(theta):
 
 def held_R_d(cs):
     return np.reshape(cs.held_R_d, (3, 3))
+
+
+def rotation_error(R, R_d):
+    """e_R = 0.5 vee(R_d^T R - R^T R_d) as a (3,) array."""
+    return np.array(_rotation_error(np.ravel(R).tolist(), np.ravel(R_d).tolist()))
 
 
 def random_rotation(rng):
@@ -140,14 +145,17 @@ def test_attitude_errors_zero_case():
     rng = np.random.default_rng(13)
     R = random_rotation(rng)
     om = rng.normal(size=3)
-    e_R, e_om = attitude_errors(R, om, R)
-    assert np.allclose(e_R, 0, atol=1e-12)
-    assert np.array_equal(e_om, om)  # no rate feedforward: the rate error is the body rate
+    assert np.allclose(rotation_error(R, R), 0, atol=1e-12)
+    # no rate feedforward: at R = R_d the moment is -k_Omega e_Omega + Omega x J Omega
+    # with the rate error e_Omega equal to the body rate
+    s = BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=om)
+    u = step_controller(s, ControllerState(held_R_d=tuple(s.R.ravel().tolist())), CFG, P)
+    assert np.allclose(u.tau, -CFG.k_omega * om + np.cross(om, P.J @ om), atol=1e-12)
 
 
 def test_attitude_error_closed_form_single_axis():
     for theta in [0.1, 0.5, 1.2]:
-        e_R, _ = attitude_errors(rot_x(theta), np.zeros(3), np.eye(3))
+        e_R = rotation_error(rot_x(theta), np.eye(3))
         assert np.allclose(e_R, [np.sin(theta), 0.0, 0.0], atol=1e-12)
 
 
@@ -155,8 +163,7 @@ def test_attitude_error_antisymmetric_under_swap():
     rng = np.random.default_rng(14)
     for _ in range(20):
         R1, R2 = random_rotation(rng), random_rotation(rng)
-        e12, _ = attitude_errors(R1, np.zeros(3), R2)
-        e21, _ = attitude_errors(R2, np.zeros(3), R1)
+        e12, e21 = rotation_error(R1, R2), rotation_error(R2, R1)
         assert np.allclose(e12, -e21, atol=1e-12)
 
 
@@ -164,7 +171,7 @@ def test_attitude_error_zero_iff_equal():
     rng = np.random.default_rng(15)
     for _ in range(20):
         R1, R2 = random_rotation(rng), random_rotation(rng)
-        e, _ = attitude_errors(R1, np.zeros(3), R2)
+        e = rotation_error(R1, R2)
         same = np.max(np.abs(R1 - R2)) < 1e-9
         assert (np.linalg.norm(e) < 1e-9) == same
 
@@ -234,14 +241,12 @@ def test_closed_loop_attitude_convergence_from_30_deg():
     norms = []
     while t < 2.0:
         if t >= next_att - 1e-12:
-            e_R, e_om = attitude_errors(s.R, s.omega, R_d)
-            tau = attitude_moment(e_R, e_om, s.omega, P, CFG)
+            tau = attitude_moment(rotation_error(s.R, R_d), s.omega, s.omega, P, CFG)
             u = ControlInput(f=P.m * P.g, tau=tau)
             next_att += 1.0 / CFG.attitude_rate
         s = integrate_step(s, u, P, 1e-3)
         t += 1e-3
-        e_R, _ = attitude_errors(s.R, s.omega, R_d)
-        norms.append(np.linalg.norm(e_R))
+        norms.append(np.linalg.norm(rotation_error(s.R, R_d)))
     assert norms[-1] < 1e-3
     # monotone decay of the peak after the transient (windowed envelope)
     window = 100

@@ -1,14 +1,24 @@
-"""Rigid-body model: algebra helpers, the float-tuple state, equations of motion, RK4."""
+"""Rigid-body model: quaternion conversions, the float-tuple state, equations of motion, RK4."""
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from foldquad.arm import ArmState, SpringParams
 from foldquad.collision import Wall, contact_constrained_step
-from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError,
-                               VehicleParams, dynamics_derivative, hat,
-                               integrate_step, renormalize_rotation)
+from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
+                               _deriv, integrate_step, quaternion_to_rotation,
+                               rotation_to_quaternion)
 
 E3 = np.array([0.0, 0.0, 1.0])
+EPS = np.finfo(float).eps
+
+
+def hat(v):
+    """Skew-symmetric cross-product matrix: hat(v) @ w == np.cross(v, w)."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def random_rotation(rng):
@@ -28,17 +38,47 @@ def test_hat_matches_cross_product():
         assert np.allclose(hat(v) @ w, np.cross(v, w), atol=1e-14)
 
 
-# -- renormalize_rotation ----------------------------------------------------
+# -- quaternion conversions ------------------------------------------------------
+
+def test_quaternion_conversions_match_scipy():
+    """Both conversions agree with scipy's Rotation (scalar-last, sign-free) to 4 eps,
+    on both branches of rotation_to_quaternion: trace > 0, and half-turns about
+    each axis with a trace of -1."""
+    rng = np.random.default_rng(3)
+    rots = [Rotation.random(random_state=rng.integers(2**31)) for _ in range(200)]
+    rots += [Rotation.from_rotvec(np.pi * axis) for axis in np.eye(3)]
+    for rot in rots:
+        x, y, z, w = rot.as_quat()
+        want = np.array([w, x, y, z]) * (1.0 if w >= 0 else -1.0)
+        q = rotation_to_quaternion(rot.as_matrix().ravel().tolist())
+        assert q[0] >= 0.0
+        assert np.max(np.abs(np.array(q) - want)) <= 4 * EPS or (
+            want[0] == 0.0 and np.max(np.abs(np.array(q) + want)) <= 4 * EPS)
+        assert np.max(np.abs(np.reshape(quaternion_to_rotation(q), (3, 3))
+                             - rot.as_matrix())) <= 4 * EPS
+
+
+# -- renormalization: the constructor's projection and the step's rescale ----------
 
 def test_renormalize_identity():
-    assert np.allclose(renormalize_rotation(np.eye(3)), np.eye(3), atol=1e-15)
+    """The identity maps to (1, 0, 0, 0) and back exactly, and a zero-rate step
+    from it rescales q by exactly 1."""
+    assert rotation_to_quaternion(np.eye(3).ravel().tolist()) == (1.0, 0.0, 0.0, 0.0)
+    assert quaternion_to_rotation((1.0, 0.0, 0.0, 0.0)) == tuple(np.eye(3).ravel().tolist())
+    out = integrate_step(BodyState.hover(np.zeros(3)), ControlInput(f=12.0), VehicleParams(),
+                         1e-3)
+    assert out.y[6:10] == (1.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(out.R, np.eye(3))
 
 
 def test_renormalize_small_skew_perturbation_vs_svd_oracle():
+    """A rotation drifted along the tangent space, R (I + hat(n)), is projected by
+    the constructor onto the rotation group: the error against the polar factor
+    is second order in the drift (measured 6.4e-14 at 1e-7, 6.4e-12 at 1e-6)."""
     rng = np.random.default_rng(3)
     for _ in range(20):
-        R = random_rotation(rng) + 1e-6 * hat(rng.normal(size=3))
-        out = renormalize_rotation(R)
+        R = random_rotation(rng) @ (np.eye(3) + 1e-7 * hat(rng.normal(size=3)))
+        out = BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3)).R
         assert np.max(np.abs(out.T @ out - np.eye(3))) < 1e-12
         # independent oracle: orthogonal polar factor via SVD
         U, _, Vt = np.linalg.svd(R)
@@ -46,21 +86,64 @@ def test_renormalize_small_skew_perturbation_vs_svd_oracle():
 
 
 def test_renormalize_idempotent_on_rotations():
+    """A zero-rate step leaves q unchanged up to the rescale of an already unit q."""
     rng = np.random.default_rng(4)
+    p = VehicleParams()
     for _ in range(10):
         R = random_rotation(rng)
-        assert np.max(np.abs(renormalize_rotation(R) - R)) < 1e-12
+        s = BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3))
+        out = integrate_step(s, ControlInput(f=0.0), p, 1e-3)
+        assert max(abs(a - b) for a, b in zip(out.y[6:10], s.y[6:10])) <= 2 * EPS
+        assert np.max(np.abs(out.R - R)) < 1e-12
 
 
 def test_renormalize_rejects_nonpositive_det():
-    with pytest.raises(ValueError):
-        renormalize_rotation(np.diag([1.0, 1.0, -1.0]))
+    """A reflection is orthonormal but has no quaternion: the constructor rejects it."""
+    with pytest.raises(ValueError, match="not a rotation"):
+        BodyState(x=np.zeros(3), v=np.zeros(3), R=np.diag([1.0, 1.0, -1.0]), omega=np.zeros(3))
 
 
-def test_renormalize_rejects_ill_conditioned_input():
-    # singular values 1e8 and 1e-8 need more than 20 Newton halvings
-    with pytest.raises(ValueError, match="did not converge"):
-        renormalize_rotation(np.diag([1e8, 1.0, 1e-8]))
+def test_negated_quaternion_gives_bit_identical_step():
+    """q and -q are one rotation: the derivatives are equal (qdot negated) bit for
+    bit, so the step's w >= 0 sign choice cannot change a trajectory."""
+    rng = np.random.default_rng(9)
+    p = VehicleParams()
+    for _ in range(20):
+        s = BodyState(x=rng.normal(size=3), v=rng.normal(size=3),
+                      R=Rotation.random(random_state=rng.integers(2**31)).as_matrix(),
+                      omega=rng.normal(size=3))
+        neg = BodyState._trusted((*s.y[:6], *(-c for c in s.y[6:10]), *s.y[10:]))
+        u = ControlInput(f=12.0, tau=rng.normal(scale=0.01, size=3))
+        d, d_neg = _deriv(s.y, u.f / p.m, u.tau, p), _deriv(neg.y, u.f / p.m, u.tau, p)
+        assert d_neg[:6] == d[:6] and d_neg[10:] == d[10:]
+        assert d_neg[6:10] == [-c for c in d[6:10]]
+        assert integrate_step(neg, u, p, 1e-3).y == integrate_step(s, u, p, 1e-3).y
+
+
+def test_norm_guard_fires_where_rk4_drift_exceeds_tolerance():
+    """At a constant rate |omega| about a principal axis, RK4 scales |q| by
+    sqrt(1 - phi^6/72 + phi^8/576), phi = |omega| dt / 2. The step raises once
+    that is 1e-6 below 1: a turn of about 0.46 rad in one step."""
+    def drift(phi):
+        return 1.0 - math.sqrt(1.0 - phi**6 / 72.0 + phi**8 / 576.0)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if drift(mid) < 1e-6 else (lo, mid)
+    turn = 2.0 * lo  # |omega| dt at the threshold
+    assert 0.45 < turn < 0.47
+    p, dt = VehicleParams(), 1e-3
+    for axis in np.eye(3):
+        for factor, raises in ((0.98, False), (1.02, True)):
+            s = BodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
+                          omega=factor * turn / dt * axis)
+            if raises:
+                with pytest.raises(StateBlowUpError, match="quaternion norm"):
+                    integrate_step(s, ControlInput(f=0.0), p, dt)
+            else:
+                out = integrate_step(s, ControlInput(f=0.0), p, dt)
+                assert np.array_equal(out.omega, s.omega)  # no gyroscopic torque
 
 
 # -- parameters and state validation -----------------------------------------
@@ -113,10 +196,10 @@ def stepped_states():
     return integrate_step(s, u, p, 1e-3), contact
 
 
-def test_step_results_hold_18_plain_floats():
+def test_step_results_hold_13_plain_floats():
     """numpy scalars in the state would slow every later step (and the arm step 2.3x)."""
     for s in stepped_states():
-        assert type(s.y) is tuple and len(s.y) == 18
+        assert type(s.y) is tuple and len(s.y) == 13
         assert all(type(c) is float for c in s.y)
 
 
@@ -125,33 +208,46 @@ def test_state_accessors_are_fresh_read_only_copies():
     y = s.y
     s.x[0] = 1e9
     s.R[0, 0] = 1e9
-    assert s.y is y and s.x[0] == y[0] and s.R[0, 0] == y[6]
+    assert s.y is y and s.x[0] == y[0] and s.R[0, 0] == quaternion_to_rotation(y[6:10])[0]
     with pytest.raises(AttributeError):
         s.x = np.zeros(3)
 
 
 def test_constructor_round_trip_is_bit_identical():
+    """Rebuilding a state from its accessors with `with_translation` is bit-identical.
+    The full constructor keeps x, v and omega bit for bit; its attitude goes
+    through R(q) and back, so q and R move by a few eps."""
     for s in stepped_states():
-        assert BodyState(x=s.x, v=s.v, R=s.R, omega=s.omega).y == s.y
+        assert s.with_translation(s.x, s.v).y == s.y
+        back = BodyState(x=s.x, v=s.v, R=s.R, omega=s.omega)
+        assert back.y[:6] == s.y[:6] and back.y[10:] == s.y[10:]
+        assert max(abs(a - b) for a, b in zip(back.y[6:10], s.y[6:10])) <= 2 * EPS
+        assert np.max(np.abs(back.R - s.R)) <= 4 * EPS
 
 
-# -- dynamics_derivative -----------------------------------------------------
+# -- equations of motion -----------------------------------------------------
+
+def derivative(s, u, p):
+    """(xdot, vdot, qdot, omegadot) of the state, as arrays."""
+    d = np.array(_deriv(s.y, u.f / p.m, u.tau, p))
+    return d[:3], d[3:6], d[6:10], d[10:]
+
 
 def test_hover_equilibrium_derivative():
     p = VehicleParams()
     s = BodyState.hover(np.zeros(3))
     u = ControlInput(f=p.m * p.g)
-    xdot, vdot, Rdot, omegadot = dynamics_derivative(s, u, p)
+    xdot, vdot, qdot, omegadot = derivative(s, u, p)
     assert np.allclose(xdot, 0, atol=1e-15)
     assert np.allclose(vdot, 0, atol=1e-12)
-    assert np.allclose(Rdot, 0, atol=1e-15)
+    assert np.allclose(qdot, 0, atol=1e-15)
     assert np.allclose(omegadot, 0, atol=1e-15)
 
 
 def test_free_fall_derivative():
     p = VehicleParams()
     s = BodyState.hover(np.zeros(3))
-    _, vdot, _, _ = dynamics_derivative(s, ControlInput(f=0.0), p)
+    _, vdot, _, _ = derivative(s, ControlInput(f=0.0), p)
     assert np.allclose(vdot, [0.0, 0.0, 9.81], atol=1e-12)
 
 
@@ -159,7 +255,7 @@ def test_pure_yaw_moment_derivative():
     p = VehicleParams()
     s = BodyState.hover(np.zeros(3))
     u = ControlInput(f=p.m * p.g, tau=[0.0, 0.0, 0.01])
-    _, _, _, omegadot = dynamics_derivative(s, u, p)
+    _, _, _, omegadot = derivative(s, u, p)
     assert np.allclose(omegadot, [0.0, 0.0, 0.01 / 0.0053], atol=1e-12)
 
 

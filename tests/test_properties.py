@@ -3,8 +3,9 @@
 `integrate_step` and `contact_constrained_step` build their results without
 `BodyState.__post_init__`, so each must either raise StateBlowUpError or
 return a state that the validating constructor accepts. The scalar
-`integrate_step` matches an RK4 written with numpy matrices, and
-`renormalize_rotation` returns orthonormal, idempotent rotations or raises.
+`integrate_step` matches a quaternion RK4 written with numpy arrays, leaves a
+unit quaternion with w >= 0 whose rotation is orthonormal, and raises on a body
+rate that turns too far in one step; the constructor rejects a reflection.
 The scalar controller tick matches the position loop and attitude moment
 written with numpy arrays, and the scalar contact step matches its numpy
 vector form against walls that are not axis-aligned.
@@ -31,7 +32,7 @@ from foldquad.collision import Foldable, Rigid, Wall, contact_constrained_step
 from foldquad.control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                               step_controller)
 from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
-                               hat, integrate_step, renormalize_rotation)
+                               integrate_step)
 from foldquad.scenario import ScenarioConfig
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -40,6 +41,7 @@ CFG = ControllerConfig()
 SPRING = SpringParams()
 WALL = Wall(normal=[-1.0, 0.0, 0.0], offset=-0.3)
 EXAMPLES = settings(max_examples=50, deadline=None)
+EPS = np.finfo(float).eps
 
 
 def vec3(bound):
@@ -137,23 +139,33 @@ def test_config_yaml_round_trip_reproduces_every_field(cfg):
     assert_same_fields(loaded, cfg)
 
 
-# -- the scalar step against numpy, and renormalization ---------------------------------
+# -- the scalar step against numpy, and the unit quaternion ---------------------------
+
+def rotation(q):
+    """R(q) = (w^2 - u.u) I + 2 u u^T + 2 w hat(u) for q = (w, u); a quadratic form,
+    so a stage q off the unit sphere scales it by |q|^2."""
+    w, u = q[0], q[1:]
+    return (w * w - u @ u) * np.eye(3) + 2.0 * np.outer(u, u) + 2.0 * w * np.array(
+        [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+
 
 def reference_rk4(s, u, p, dt):
-    """Classical RK4 on (x, v, R, omega) with numpy matrices, then the SVD polar factor."""
-    def f(x, v, R, w):
-        return (v, p.g * E3 - (u.f / p.m) * (R @ E3), R @ hat(w),
+    """Classical RK4 on (x, v, q, omega) with numpy arrays, then q / |q| with w >= 0;
+    also |q| before that rescale."""
+    def f(x, v, q, w):
+        qdot = 0.5 * np.concatenate(([-(q[1:] @ w)], q[0] * w + np.cross(q[1:], w)))
+        return (v, p.g * E3 - (u.f / p.m) * (rotation(q) @ E3), qdot,
                 np.linalg.solve(p.J, u.tau - np.cross(w, p.J @ w)))
 
-    y0 = (s.x, s.v, s.R, s.omega)
+    y0 = (s.x, s.v, np.array(s.y[6:10]), s.omega)
     k1 = f(*y0)
     k2 = f(*(y + 0.5 * dt * k for y, k in zip(y0, k1)))
     k3 = f(*(y + 0.5 * dt * k for y, k in zip(y0, k2)))
     k4 = f(*(y + dt * k for y, k in zip(y0, k3)))
-    x, v, R, w = (y + dt / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    x, v, q, w = (y + dt / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
                   for y, d1, d2, d3, d4 in zip(y0, k1, k2, k3, k4))
-    U, _, Vt = np.linalg.svd(R)
-    return x, v, U @ Vt, w
+    n = np.linalg.norm(q)
+    return (x, v, q / np.copysign(n, q[0]), w), n
 
 
 inertias = st.builds(spd_inertia, st.lists(st.floats(1e-3, 1e-1), min_size=3, max_size=3),
@@ -168,18 +180,23 @@ moderate_states = st.builds(
        inertias, dts)
 def test_integrate_step_matches_numpy_rk4(s, u, J, dt):
     p = VehicleParams(J=J)
-    got = integrate_step(s, u, p, dt)
-    want = reference_rk4(s, u, p, dt)
-    for name, g, w, start in zip("x v R omega".split(), (got.x, got.v, got.R, got.omega),
-                                 want, (s.x, s.v, s.R, s.omega)):
+    want, norm = reference_rk4(s, u, p, dt)
+    try:
+        got = integrate_step(s, u, p, dt)
+    except StateBlowUpError:  # a rate that changes fast within the step moves |q| too
+        assert abs(norm - 1.0) > 0.99e-6
+        return
+    for name, g, w, start in zip("x v q omega".split(),
+                                 (got.x, got.v, np.array(got.y[6:10]), got.omega),
+                                 want, (s.x, s.v, np.array(s.y[6:10]), s.omega)):
         scale = max(np.max(np.abs(w)), np.max(np.abs(start)))
         assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
 
 
 def ortho_errors(R):
-    """max|R^T R - I| in float dot products (the order renormalize_rotation
-    checks) and in exact rational arithmetic. numpy's R.T @ R can read about
-    1e-15 for the same R: BLAS rounds its sums differently."""
+    """max|R^T R - I| in float dot products and in exact rational arithmetic.
+    numpy's R.T @ R can read about 1e-15 for the same R: BLAS rounds its sums
+    differently."""
     rows = R.tolist()
     as_float = max(abs(sum(r[i] * r[j] for r in rows) - (i == j))
                    for i in range(3) for j in range(3))
@@ -188,42 +205,52 @@ def ortho_errors(R):
     return as_float, float(exact)
 
 
-drifted = st.builds(lambda q, k, M: Rotation.from_quat(q).as_matrix() + 10.0 ** k * M,
-                    quaternions, st.floats(-16.0, -2.0),
-                    st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(
-                        lambda m: np.reshape(m, (3, 3))))
-
-
 @settings(max_examples=200, deadline=None)
-@given(drifted)
-def test_renormalize_is_orthonormal_and_bit_idempotent(R):
-    out = renormalize_rotation(R)
-    as_float, exact = ortho_errors(out)
-    assert as_float < 1e-15 and exact < 2e-15
-    assert np.array_equal(renormalize_rotation(out), out)
+@given(states, inputs, dts)
+def test_step_keeps_a_unit_quaternion_and_an_orthonormal_rotation(s, u, dt):
+    """After every step |q| is 1 within 2 eps, w >= 0, and R(q) is orthonormal
+    within 2e-15 (9 eps), in float and in exact arithmetic."""
+    try:
+        out = integrate_step(s, u, P, dt)
+    except StateBlowUpError:
+        return
+    q = [Fraction(c) for c in out.y[6:10]]
+    assert abs(sum(c * c for c in q) - 1) <= 4 * EPS  # |q|^2 - 1 is 2 (|q| - 1)
+    assert out.y[6] >= 0.0
+    as_float, exact = ortho_errors(out.R)
+    assert as_float <= 2e-15 and exact <= 2e-15
 
 
 @EXAMPLES
-@given(quaternions, st.integers(0, 8), st.sampled_from([np.nan, np.inf, -np.inf]))
-def test_renormalize_rejects_non_finite(q, i, bad):
+@given(quaternions, vec3(1.0).filter(lambda a: np.linalg.norm(a) > 0.1),
+       st.floats(1e-4, 0.01))
+def test_step_rejects_a_rate_that_turns_too_far(q, axis, dt):
+    """A body rate that turns the vehicle 1 rad in one step raises; 0.3 rad does
+    not. The norm guard fires near 0.46 rad, where RK4 moves |q| by 1e-6."""
+    p = VehicleParams(J=np.diag([0.0034, 0.0034, 0.0053]))
     R = Rotation.from_quat(q).as_matrix()
-    R.flat[i] = bad
-    with pytest.raises(ValueError):
-        renormalize_rotation(R)
+    for turn, raises in ((1.0, True), (0.3, False)):
+        omega = turn / dt * axis / np.linalg.norm(axis)
+        s = BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=omega)
+        if raises:
+            with pytest.raises(StateBlowUpError):
+                integrate_step(s, ControlInput(f=0.0), p, dt)
+        else:
+            integrate_step(s, ControlInput(f=0.0), p, dt)
 
 
 @EXAMPLES
 @given(quaternions, st.integers(0, 2))
 def test_renormalize_rejects_nonpositive_det(q, i):
-    """A reflection (one row negated, det -1) and a singular matrix (one row
-    zero, det 0) are not rotations."""
+    """A reflection (one row negated, det -1) is orthonormal but no rotation, and
+    has no quaternion; a singular matrix (one row zero) is neither."""
     R = Rotation.from_quat(q).as_matrix()
     R[i] = -R[i]
-    with pytest.raises(ValueError):
-        renormalize_rotation(R)
+    with pytest.raises(ValueError, match="not a rotation"):
+        BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3))
     R[i] = 0.0
-    with pytest.raises(ValueError):
-        renormalize_rotation(R)
+    with pytest.raises(ValueError, match="not a rotation"):
+        BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3))
 
 
 # -- the scalar controller tick against numpy ---------------------------------------
@@ -349,7 +376,7 @@ def test_contact_step_matches_numpy(s, a, w, u, dt):
     assert_close("x", got.x, want_x, *x_terms)
     assert_close("v", got.v, want_v, *v_terms)
     free = integrate_step(s, u, P, dt)
-    assert got.y[6:] == free.y[6:]  # R and omega come from the one free step
+    assert got.y[6:] == free.y[6:]  # q and omega come from the one free step
 
 
 # -- the run loop's schedule over whole configs -----------------------------------------
