@@ -159,14 +159,12 @@ class BodyState:
         return s
 
 
-def _deriv(y, a, tau, p):
-    """Equations of motion on the flat state y = (x, v, q, omega) as floats, for
-    thrust acceleration a = f/m and moment tau: vdot uses R(q) @ e3, the third
-    column of R, and qdot = q (x) (0, omega) / 2. RK stages may leave the unit
-    sphere or be non-finite; the step checks and normalizes its result."""
-    _, _, _, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y
-    j00, j01, j02, j10, j11, j12, j20, j21, j22 = p.J_flat
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = p.J_inv_flat
+def _deriv(qw, qx, qy, qz, w0, w1, w2, a, g, tau, J, J_inv):
+    """The equations of motion on scalars: (vdot, qdot, omegadot) as 10 floats at attitude q,
+    rate omega, thrust acceleration a = f/m, gravity g, moment tau, row-major J and J^-1.
+    vdot = g e3 - a R(q) e3 and qdot = q (x) (0, omega) / 2; a stage off the sphere is fine."""
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = J
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = J_inv
     h0 = j00 * w0 + j01 * w1 + j02 * w2  # J omega
     h1 = j10 * w0 + j11 * w1 + j12 * w2
     h2 = j20 * w0 + j21 * w1 + j22 * w2
@@ -174,29 +172,42 @@ def _deriv(y, a, tau, p):
     t1 = tau[1] - (w2 * h0 - w0 * h2)
     t2 = tau[2] - (w0 * h1 - w1 * h0)
     a2 = 2.0 * a
-    return [v0, v1, v2, -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
-            p.g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
+    return (-a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
+            g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
             -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1),
             0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0),
             i00 * t0 + i01 * t1 + i02 * t2, i10 * t0 + i11 * t1 + i12 * t2,
-            i20 * t0 + i21 * t1 + i22 * t2]
+            i20 * t0 + i21 * t1 + i22 * t2)
 
 
 def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -> BodyState:
-    """One classical RK4 step on the flat state, then the quaternion rescaled to unit norm.
-
-    Deterministic: identical inputs give bit-identical outputs. The result is
-    finite with a unit q, w >= 0; otherwise StateBlowUpError is raised.
-    """
+    """One classical RK4 step on named scalars, then the quaternion rescaled to unit norm.
+    Stages a, b, c, d hold (vdot, qdot, omegadot); a stage's xdot is its v. Identical inputs
+    give bit-identical outputs: finite, with a unit q, w >= 0, or StateBlowUpError."""
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
-    y0, a, tau, h, c = s.y, u.f / p.m, u.tau, 0.5 * dt, dt / 6.0
-    k1 = _deriv(y0, a, tau, p)
-    k2 = _deriv([q + h * k for q, k in zip(y0, k1)], a, tau, p)
-    k3 = _deriv([q + h * k for q, k in zip(y0, k2)], a, tau, p)
-    k4 = _deriv([q + dt * k for q, k in zip(y0, k3)], a, tau, p)
-    y = [q + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-         for q, d1, d2, d3, d4 in zip(y0, k1, k2, k3, k4)]
+    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s.y
+    acc, g, tau, J, Ji, h, k = u.f / p.m, p.g, u.tau, p.J_flat, p.J_inv_flat, 0.5 * dt, dt / 6.0
+    av0, av1, av2, aqw, aqx, aqy, aqz, aw0, aw1, aw2 = _deriv(
+        qw, qx, qy, qz, w0, w1, w2, acc, g, tau, J, Ji)
+    bv0, bv1, bv2, bqw, bqx, bqy, bqz, bw0, bw1, bw2 = _deriv(
+        qw + h * aqw, qx + h * aqx, qy + h * aqy, qz + h * aqz,
+        w0 + h * aw0, w1 + h * aw1, w2 + h * aw2, acc, g, tau, J, Ji)
+    cv0, cv1, cv2, cqw, cqx, cqy, cqz, cw0, cw1, cw2 = _deriv(
+        qw + h * bqw, qx + h * bqx, qy + h * bqy, qz + h * bqz,
+        w0 + h * bw0, w1 + h * bw1, w2 + h * bw2, acc, g, tau, J, Ji)
+    dv0, dv1, dv2, dqw, dqx, dqy, dqz, dw0, dw1, dw2 = _deriv(
+        qw + dt * cqw, qx + dt * cqx, qy + dt * cqy, qz + dt * cqz,
+        w0 + dt * cw0, w1 + dt * cw1, w2 + dt * cw2, acc, g, tau, J, Ji)
+    y = (
+        x0 + k * (v0 + 2.0 * (v0 + h * av0) + 2.0 * (v0 + h * bv0) + (v0 + dt * cv0)),
+        x1 + k * (v1 + 2.0 * (v1 + h * av1) + 2.0 * (v1 + h * bv1) + (v1 + dt * cv1)),
+        x2 + k * (v2 + 2.0 * (v2 + h * av2) + 2.0 * (v2 + h * bv2) + (v2 + dt * cv2)),
+        v0 + k * (av0 + 2.0 * bv0 + 2.0 * cv0 + dv0), v1 + k * (av1 + 2.0 * bv1 + 2.0 * cv1 + dv1),
+        v2 + k * (av2 + 2.0 * bv2 + 2.0 * cv2 + dv2), qw + k * (aqw + 2.0 * bqw + 2.0 * cqw + dqw),
+        qx + k * (aqx + 2.0 * bqx + 2.0 * cqx + dqx), qy + k * (aqy + 2.0 * bqy + 2.0 * cqy + dqy),
+        qz + k * (aqz + 2.0 * bqz + 2.0 * cqz + dqz), w0 + k * (aw0 + 2.0 * bw0 + 2.0 * cw0 + dw0),
+        w1 + k * (aw1 + 2.0 * bw1 + 2.0 * cw1 + dw1), w2 + k * (aw2 + 2.0 * bw2 + 2.0 * cw2 + dw2))
     if not all(map(math.isfinite, y)):
         raise StateBlowUpError("non-finite state after integration step")
     qw, qx, qy, qz = y[6:10]
@@ -205,5 +216,4 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
         raise StateBlowUpError(f"attitude quaternion norm {n!r} after integration step: "
                                "the body rate turns too far in one step")
     n = math.copysign(n, qw)  # w >= 0; -q is the same rotation, with bit-identical derivatives
-    y[6:10] = qw / n, qx / n, qy / n, qz / n
-    return BodyState._trusted(tuple(y))
+    return BodyState._trusted((*y[:6], qw / n, qx / n, qy / n, qz / n, *y[10:]))

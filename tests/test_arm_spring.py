@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from foldquad import arm as arm_module
 from foldquad import collision, scenario
@@ -171,12 +170,19 @@ def springs_and_steps(draw):
 @settings(max_examples=400, deadline=None)
 @given(springs_and_steps())
 @example((2e6, 500.0, 1e-3))  # b_s dt = 2000: exp(b_s dt/2) alone overflows
+@example((0.0, 6978305.848598664, 0.1))  # scipy's expm is off by 1.09x the bound here
 def test_transition_matches_expm(case):
-    """Phi(dt) equals scipy's expm in the energy coordinates (sqrt(k_s) l, l_dot),
-    where |Phi| <= 1, to a bound that grows with |A dt| as expm's own rounding does."""
+    """Phi(dt) equals exp(A dt) of the float inputs taken exactly, in 50-digit mpmath,
+    in the energy coordinates (sqrt(k_s) l, l_dot), where |Phi| <= 1, to a bound that
+    grows with |A dt| as the rounding of any float evaluation does. scipy's expm is
+    no oracle here: its own error passes that bound at large sqrt(k_s) dt."""
+    mpmath = pytest.importorskip("mpmath")
     b, k, dt = case
     got = np.reshape(_transition(b, k, dt), (2, 2))
-    want = expm(np.array([[0.0, 1.0], [-k, -b]]) * dt)
+    with mpmath.workdps(50):
+        b_, k_, dt_ = (mpmath.mpf(c) for c in case)
+        exact = mpmath.expm(mpmath.matrix([[0, dt_], [-k_ * dt_, -b_ * dt_]]))
+        want = np.array(exact.tolist(), dtype=float)
     scale = np.array([[1.0, math.sqrt(k)], [1.0 / math.sqrt(k), 1.0]])
     tol = 64 * np.finfo(float).eps * (1.0 + math.sqrt(k) * dt + b * dt)
     assert np.all(np.isfinite(got))

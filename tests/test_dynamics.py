@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from foldquad.arm import ArmState, SpringParams
 from foldquad.collision import Wall, contact_constrained_step
-from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
-                               _deriv, integrate_step, quaternion_to_rotation,
+from foldquad.dynamics import (_ROT_ORTHO_TOL, BodyState, ControlInput, StateBlowUpError,
+                               VehicleParams, _deriv, integrate_step, quaternion_to_rotation,
                                rotation_to_quaternion)
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -19,6 +21,12 @@ def hat(v):
     """Skew-symmetric cross-product matrix: hat(v) @ w == np.cross(v, w)."""
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def full_deriv(y, a, tau, p):
+    """(xdot, vdot, qdot, omegadot) of the 13 state floats as a list: xdot = v, then
+    the 10 floats of _deriv."""
+    return [*y[3:6], *_deriv(*y[6:], a, p.g, tau, p.J_flat, p.J_inv_flat)]
 
 
 def random_rotation(rng):
@@ -114,7 +122,7 @@ def test_negated_quaternion_gives_bit_identical_step():
                       omega=rng.normal(size=3))
         neg = BodyState._trusted((*s.y[:6], *(-c for c in s.y[6:10]), *s.y[10:]))
         u = ControlInput(f=12.0, tau=rng.normal(scale=0.01, size=3))
-        d, d_neg = _deriv(s.y, u.f / p.m, u.tau, p), _deriv(neg.y, u.f / p.m, u.tau, p)
+        d, d_neg = full_deriv(s.y, u.f / p.m, u.tau, p), full_deriv(neg.y, u.f / p.m, u.tau, p)
         assert d_neg[:6] == d[:6] and d_neg[10:] == d[10:]
         assert d_neg[6:10] == [-c for c in d[6:10]]
         assert integrate_step(neg, u, p, 1e-3).y == integrate_step(s, u, p, 1e-3).y
@@ -229,7 +237,7 @@ def test_constructor_round_trip_is_bit_identical():
 
 def derivative(s, u, p):
     """(xdot, vdot, qdot, omegadot) of the state, as arrays."""
-    d = np.array(_deriv(s.y, u.f / p.m, u.tau, p))
+    d = np.array(full_deriv(s.y, u.f / p.m, u.tau, p))
     return d[:3], d[3:6], d[6:10], d[10:]
 
 
@@ -397,3 +405,102 @@ def test_blow_up_detected():
                   omega=np.array([1e200, 1e200, 0.0]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateBlowUpError):
         integrate_step(s, ControlInput(f=0.0), p, 1e-3)
+
+
+# -- the scalar stages against the list-based step, bit for bit -----------------------
+
+def reference_deriv(y, a, tau, p):
+    """Equations of motion on the flat state y = (x, v, q, omega) as floats, for
+    thrust acceleration a = f/m and moment tau: vdot uses R(q) @ e3, the third
+    column of R, and qdot = q (x) (0, omega) / 2. RK stages may leave the unit
+    sphere or be non-finite; the step checks and normalizes its result."""
+    _, _, _, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = p.J_flat
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = p.J_inv_flat
+    h0 = j00 * w0 + j01 * w1 + j02 * w2  # J omega
+    h1 = j10 * w0 + j11 * w1 + j12 * w2
+    h2 = j20 * w0 + j21 * w1 + j22 * w2
+    t0 = tau[0] - (w1 * h2 - w2 * h1)  # tau - omega x J omega
+    t1 = tau[1] - (w2 * h0 - w0 * h2)
+    t2 = tau[2] - (w0 * h1 - w1 * h0)
+    a2 = 2.0 * a
+    return [v0, v1, v2, -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
+            p.g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
+            -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1),
+            0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0),
+            i00 * t0 + i01 * t1 + i02 * t2, i10 * t0 + i11 * t1 + i12 * t2,
+            i20 * t0 + i21 * t1 + i22 * t2]
+
+
+def reference_step(s, u, p, dt):
+    """The staged RK4 over one list of 13 floats that the scalar step replaced,
+    returning the new state's 13-tuple."""
+    if not (0.0 < dt <= 0.01):
+        raise ValueError("dt must be in (0, 0.01] s")
+    y0, a, tau, h, c = s.y, u.f / p.m, u.tau, 0.5 * dt, dt / 6.0
+    k1 = reference_deriv(y0, a, tau, p)
+    k2 = reference_deriv([q + h * k for q, k in zip(y0, k1)], a, tau, p)
+    k3 = reference_deriv([q + h * k for q, k in zip(y0, k2)], a, tau, p)
+    k4 = reference_deriv([q + dt * k for q, k in zip(y0, k3)], a, tau, p)
+    y = [q + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+         for q, d1, d2, d3, d4 in zip(y0, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y)):
+        raise StateBlowUpError("non-finite state after integration step")
+    qw, qx, qy, qz = y[6:10]
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    if not abs(n - 1.0) <= _ROT_ORTHO_TOL:
+        raise StateBlowUpError(f"attitude quaternion norm {n!r} after integration step: "
+                               "the body rate turns too far in one step")
+    n = math.copysign(n, qw)  # w >= 0; -q is the same rotation, with bit-identical derivatives
+    y[6:10] = qw / n, qx / n, qy / n, qz / n
+    return tuple(y)
+
+
+def signed(bound):
+    """Floats in [-bound, bound], with both zeros drawn often."""
+    return st.sampled_from([0.0, -0.0]) | st.floats(-bound, bound)
+
+
+@st.composite
+def bit_cases(draw):
+    """A state with a unit q (w of either sign), a control, a symmetric positive-definite
+    J with products of inertia, and dt in (0, 0.01]. The body rate is free, huge
+    enough to overflow, or turns 0.40 to 0.52 rad in one step about a random axis,
+    across the 0.46 rad norm guard."""
+    dt = draw(st.floats(0.0, 0.01, exclude_min=True))
+    q = draw(st.lists(signed(1.0), min_size=4, max_size=4).filter(
+        lambda c: math.fsum(x * x for x in c) > 0.01))
+    n = math.sqrt(math.fsum(x * x for x in q))
+    kind = draw(st.sampled_from(["free", "huge", "guard"]))
+    if kind == "guard":
+        axis = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda c: math.fsum(x * x for x in c) > 0.01))
+        rate = draw(st.floats(0.40, 0.52)) / dt / math.sqrt(math.fsum(x * x for x in axis))
+        w = [rate * x for x in axis]
+    else:
+        w = draw(st.lists(signed(1e3 if kind == "free" else 1e200), min_size=3, max_size=3))
+    y = (*draw(st.lists(signed(100.0), min_size=6, max_size=6)), *(x / n for x in q), *w)
+    moments = draw(st.lists(st.floats(1e-4, 1e-1), min_size=3, max_size=3))
+    J = np.diag(moments)
+    for (i, j), f in zip(((0, 1), (0, 2), (1, 2)), draw(st.lists(st.floats(-0.3, 0.3),
+                                                                  min_size=3, max_size=3))):
+        J[i, j] = J[j, i] = f * min(moments[i], moments[j])  # diagonally dominant, so SPD
+    u = ControlInput._trusted(draw(st.floats(0.0, 1e3)),
+                              tuple(draw(st.lists(signed(10.0), min_size=3, max_size=3))))
+    return BodyState._trusted(y), u, VehicleParams(m=draw(st.floats(0.1, 10.0)), J=J), dt
+
+
+def outcome(step, case):
+    """The bit patterns of the stepped state, or the blow-up's message."""
+    try:
+        return tuple(float.hex(c) for c in step(*case))
+    except StateBlowUpError as exc:
+        return "StateBlowUpError", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit_cases())
+def test_scalar_step_is_bit_identical_to_list_step(case):
+    """The scalar stages change no float operation: the same bits, -0.0 kept apart
+    from 0.0, or the same StateBlowUpError with the same message."""
+    assert outcome(lambda *c: integrate_step(*c).y, case) == outcome(reference_step, case)

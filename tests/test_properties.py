@@ -9,7 +9,8 @@ rate that turns too far in one step; the constructor rejects a reflection.
 The scalar controller tick matches the position loop and attitude moment
 written with numpy arrays, and the scalar contact step matches its numpy
 vector form against walls that are not axis-aligned.
-A scenario config saved to YAML and loaded back must reproduce every field.
+A scenario config saved to YAML and loaded back must reproduce every field,
+and its run, cut short, ends at its last step or aborts with a diagnostic.
 Over random loop rates, physics steps and log intervals, the run loop fires
 every tick and log row on the integer step clock, and a repeated run is
 byte-identical.
@@ -137,6 +138,20 @@ def assert_same_fields(a, b, where="cfg"):
 def test_config_yaml_round_trip_reproduces_every_field(cfg):
     loaded = ScenarioConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict())))
     assert_same_fields(loaded, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs())
+def test_any_config_runs_to_the_end_or_aborts_with_a_diagnostic(cfg):
+    """A valid config, cut to at most 0.2 s, either runs all n steps, its last log
+    row at n*dt, or aborts with one of the two documented diagnostics. Any other
+    exception fails the test."""
+    cfg = dataclasses.replace(cfg, duration=min(cfg.duration, 0.2))
+    log = scenario.run_scenario(cfg)
+    if log.aborted:
+        assert log.diagnostic.startswith(("state blow-up at t=", "contact timeout at t="))
+    else:
+        assert log.column("t")[-1] == int(round(cfg.duration / cfg.dt)) * cfg.dt
 
 
 # -- the scalar step against numpy, and the unit quaternion ---------------------------
