@@ -92,7 +92,7 @@ def cmd_fit(args):
 
 def cmd_metrics(args):
     log = SimLog.from_csv(args.log)
-    cfg = ScenarioConfig.load(args.config) if args.config else None
+    cfg = ScenarioConfig.load(args.config) if args.config else ScenarioConfig()
     print(compute_metrics(log, cfg).to_json())
     return 0
 
@@ -132,7 +132,7 @@ def build_parser():
 
     p = sub.add_parser("metrics", help="recompute metrics from a log CSV")
     p.add_argument("log")
-    p.add_argument("--config", default=None, help="scenario config for wall/mass context")
+    p.add_argument("--config", default=None, help="scenario config of the run (default: the defaults)")
     p.set_defaults(func=cmd_metrics)
 
     return parser

@@ -15,7 +15,7 @@ from .collision import (ContactMode, Foldable, Rigid, Wall,
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                       recovery_setpoint, step_controller)
 from .dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams, integrate_step
-from .simlog import Metrics, SimLog, compute_metrics
+from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics
 
 # flat YAML key -> the one field it sets: (part, field) on a part of the config,
 # or (None, field) on the config itself. inertia, contact_mode and wall_* are
@@ -146,89 +146,118 @@ class ScenarioConfig:
         return cfg
 
 
+def _row(t, state, u, x_d, l, contact):
+    return [t, *state.y, l, u.f, *u.tau, 1.0 if contact else 0.0, *x_d]
+
+
 def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
-    """Integrate the closed loop and return the sampled log.
+    """Integrate the closed loop and return its log.
 
     Step i runs at t = i*dt. Attitude tick k fires at the first step at or
     after k/attitude_rate, position tick k at the first attitude tick at or
-    after k/position_rate (its outputs held in between), and log row k at the
+    after k/position_rate (its outputs held in between), and grid row k at the
     first step at or after k*log_interval. Each first touch of the wall
     generates the recovery setpoint, held until the next one; a foldable
     touch then steps the arm-constrained contact until the arm releases. A
     state blow-up or a contact that never releases aborts with the partial
     log and a diagnostic.
+
+    The log also holds every step that decides a metric (README, "One clock"),
+    so no metric depends on log_interval. `contact` is 1 on contact steps, and
+    on the final row if the run ends in contact.
     """
     state = BodyState.hover(cfg.start_position, yaw=cfg.start_yaw)
     state = state.with_translation(state.y[:3], cfg.start_velocity)
     cs = ControllerState()
     sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
+    x_d = sp.x_d.tolist()
     u = ControlInput(f=cfg.vehicle.m * cfg.vehicle.g)
 
     dt, ctl = cfg.dt, cfg.controller
+    wall, vehicle, log_interval = cfg.wall, cfg.vehicle, cfg.log_interval
+    att_rate, pos_rate = ctl.attitude_rate, ctl.position_rate
+    rigid = isinstance(cfg.mode, Rigid)
     n_steps = int(round(cfg.duration / dt))
     n_att = n_pos = n_log = 0  # ticks fired so far, per loop
 
     in_contact = False
+    released = False  # the last step ended a contact
     arm = ArmState()  # after release its deflection stays in the log
-    contact_steps = 0
-    contact_since_log = False
 
-    rows = []
+    # steps tracked as (t, state, u, x_d, l) until the first touch, then again from the
+    # first step after that contact; a probe stops at the touch and tracks none
+    watching = not stop_at_first_contact
+    far = after_far = nearest = None
+    s_min = math.inf
+    if wall:
+        n0, n1, n2 = (-wall.normal).tolist()
+    r2 = SETTLE_RADIUS ** 2
+
+    rows = {}  # t -> row
     events = []
     aborted = False
     diagnostic = ""
-
-    def log_row(t):
-        rows.append([t, *state.y, arm.l, u.f, *u.tau, 1.0 if contact_since_log else 0.0,
-                     *sp.x_d.tolist()])
 
     try:
         for i in range(n_steps):
             t = i * dt
             # a tick k is due at the first step with t >= k/rate
-            if t * ctl.attitude_rate > n_att - 1e-9:
-                if t * ctl.position_rate > n_pos - 1e-9:
-                    cs = position_loop(state, sp, cs, ctl, cfg.vehicle, 1.0 / ctl.position_rate)
+            if t * att_rate > n_att - 1e-9:
+                if t * pos_rate > n_pos - 1e-9:
+                    cs = position_loop(state, sp, cs, ctl, vehicle, 1.0 / pos_rate)
                     n_pos += 1
-                u = step_controller(state, cs, ctl, cfg.vehicle)
+                u = step_controller(state, cs, ctl, vehicle)
                 n_att += 1
 
-            if t / cfg.log_interval > n_log - 1e-9:
-                log_row(t)
-                n_log += 1
-                contact_since_log = False
+            ev = detect_contact(state, wall, vehicle, t) if wall and not in_contact else None
+            contact = in_contact or ev is not None
+            grid = t / log_interval > n_log - 1e-9
+            if grid or contact or released:
+                rows[t] = _row(t, state, u, x_d, arm.l, contact)
+                if grid:
+                    n_log += 1
+            if released and not contact:
+                watching = True
 
-            if not in_contact:
-                ev = detect_contact(state, cfg.wall, cfg.vehicle, t) if cfg.wall else None
-                if ev is None:
-                    state = integrate_step(state, u, cfg.vehicle, dt)
+            # the same float expressions as compute_metrics, so a tie picks the same row
+            if watching:
+                x0, x1, x2 = state.y[:3]
+                e0, e1, e2 = x0 - x_d[0], x1 - x_d[1], x2 - x_d[2]
+                if e0 * e0 + e1 * e1 + e2 * e2 > r2:
+                    far, after_far = (t, state, u, x_d, arm.l), None
+                elif far and not after_far:
+                    after_far = (t, state, u, x_d, arm.l)
+                if events and x0 * n0 + x1 * n1 + x2 * n2 < s_min:
+                    s_min = x0 * n0 + x1 * n1 + x2 * n2
+                    nearest = (t, state, u, x_d, arm.l)
+
+            released = rigid and ev is not None  # rigid contact exits in one step
+            if ev is not None:
+                if not events:  # settling is measured again from after this contact
+                    watching, far, after_far = False, None, None
+                events.append(ev)
+                sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
+                x_d = sp.x_d.tolist()
+                if rigid:
+                    state = resolve_rigid(state, ev, cfg.restitution, wall, vehicle)
+                    state = integrate_step(state, u, vehicle, dt)
                 else:
-                    events.append(ev)
-                    contact_since_log = True
-                    sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
-                    if isinstance(cfg.mode, Rigid):  # rigid contact exits in one step
-                        state = resolve_rigid(state, ev, cfg.restitution,
-                                              cfg.wall, cfg.vehicle)
-                        state = integrate_step(state, u, cfg.vehicle, dt)
-                    else:
-                        in_contact = True
-                        contact_steps = 0
-                        # snap to touching contact with the arm at rest length
-                        state = state.with_translation(
-                            state.x + (cfg.vehicle.r_contact
-                                       - cfg.wall.distance(state.x)) * cfg.wall.normal,
-                            state.y[3:6])
-                        arm = ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
+                    in_contact = True
+                    touch = i  # the step of this contact's touch
+                    # snap to touching contact with the arm at rest length
+                    state = state.with_translation(
+                        state.x + (vehicle.r_contact - wall.distance(state.x)) * wall.normal,
+                        state.y[3:6])
+                    arm = ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
+            elif not in_contact:
+                state = integrate_step(state, u, vehicle, dt)
             if in_contact:
-                contact_since_log = True
-                state, arm, exited = contact_constrained_step(
-                    state, arm, cfg.wall, u, cfg.vehicle, cfg.spring, dt)
-                if exited:
-                    in_contact = False
-                elif contact_steps * dt > CONTACT_TIMEOUT_S:
+                state, arm, released = contact_constrained_step(
+                    state, arm, wall, u, vehicle, cfg.spring, dt)
+                in_contact = not released
+                if in_contact and (i - touch) * dt > CONTACT_TIMEOUT_S:
                     raise ContactTimeoutError(
                         f"foldable contact did not release within {CONTACT_TIMEOUT_S:g} s")
-                contact_steps += 1
             if stop_at_first_contact and events:
                 break
     except StateBlowUpError as exc:
@@ -238,10 +267,15 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
         aborted = True
         diagnostic = f"contact timeout at t={t:.4f} s: {exc}"
 
+    # an aborted run ends at the step that aborted; were it a contact step, it is logged
+    last = (t, state, u, x_d, arm.l) if aborted else None
+    for ref in (nearest, far, after_far, last):
+        if ref and ref[0] not in rows:
+            rows[ref[0]] = _row(*ref, False)
     if not aborted:
-        log_row((i + 1) * dt)
+        rows[(i + 1) * dt] = _row((i + 1) * dt, state, u, x_d, arm.l, in_contact)
 
-    return SimLog(data=np.array(rows), events=events,
+    return SimLog(data=np.array([rows[t] for t in sorted(rows)]), events=events,
                   aborted=aborted, diagnostic=diagnostic)
 
 

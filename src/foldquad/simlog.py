@@ -1,4 +1,4 @@
-"""Uniformly sampled run logs, CSV (de)serialization and derived metrics."""
+"""Run logs, CSV (de)serialization and derived metrics."""
 from __future__ import annotations
 
 import json
@@ -6,8 +6,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .collision import CollisionEvent, Wall, impact_force_estimate
-from .dynamics import VehicleParams
+from .collision import CollisionEvent, impact_force_estimate
 from .dynamics import rotation_to_quaternion  # noqa: F401  (perfbench traces it here)
 
 COLUMNS = (
@@ -85,23 +84,20 @@ def _contact_episodes(flags):
     return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def _settling_time(t, x, xd, start_idx):
-    """Time from t[start_idx] until ||x - xd|| last exceeds SETTLE_RADIUS."""
-    dev = np.linalg.norm(x[start_idx:] - xd[start_idx:], axis=1)
-    if len(dev) == 0 or dev[-1] > SETTLE_RADIUS:
+def _settling_time(t, far, start):
+    """Time from t[start] until the row after the last row from `start` on that
+    is `far` from the setpoint; None if the last row still is."""
+    if far[-1]:
         return None
-    over = np.nonzero(dev > SETTLE_RADIUS)[0]
-    if len(over) == 0:
-        return 0.0
-    return float(t[start_idx + over[-1] + 1] - t[start_idx])
+    over = np.flatnonzero(far[start:])
+    return float(t[start + over[-1] + 1] - t[start]) if len(over) else 0.0
 
 
-def compute_metrics(log: SimLog, cfg=None) -> Metrics:
-    """Extract scalar metrics from a run log.
-
-    cfg may be a ScenarioConfig (for wall normal and vehicle mass); without
-    it the approach direction is inferred from the velocity at contact and
-    the default vehicle mass is used. A run aborted before its second row has none.
+def compute_metrics(log: SimLog, cfg) -> Metrics:
+    """Extract scalar metrics from a log of `run_scenario(cfg)`, each at the row
+    that decides it: v_c at the touch, the first contact row; v_rb at the first
+    step after release, the row after the first contact episode. A run aborted
+    before its second row has none; a log that ends in contact has only v_c and peak_l.
     """
     if len(log.data) < 2 and log.aborted:
         return Metrics()
@@ -111,30 +107,29 @@ def compute_metrics(log: SimLog, cfg=None) -> Metrics:
     x = log.vec("x")
     v = log.vec("v")
     xd = log.vec("xd")
+    # the run loop's float expressions, so that it logged the rows these pick
+    e = x - xd
+    far = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2] > SETTLE_RADIUS ** 2
     episodes = _contact_episodes(log.column("contact"))
 
-    wall = getattr(cfg, "wall", None)
-    mass = cfg.vehicle.m if cfg is not None else VehicleParams().m
-
     if not episodes:
-        return Metrics(settling_time=_settling_time(t, x, xd, 0))
+        return Metrics(settling_time=_settling_time(t, far, 0))
+    if cfg.wall is None:
+        raise ValueError("the log has contact rows but the config has no wall")
 
+    n = -cfg.wall.normal
     i0, i1 = episodes[0]
-    pre = max(i0 - 1, 0)
-    post = min(i1 + 1, len(t) - 1)
-    if isinstance(wall, Wall):
-        n = -wall.normal
-    else:
-        vn = np.linalg.norm(v[pre])
-        n = v[pre] / vn if vn > 0 else np.array([1.0, 0.0, 0.0])
-    v_c = float(v[pre] @ n)
-    v_rb = max(0.0, float(-(v[post] @ n)))
-    duration = float(t[post] - t[pre])
+    post = i1 + 1
+    v_c = float(v[i0] @ n)
     peak_l = float(np.max(log.column("l")))
+    if post == len(t):
+        return Metrics(v_c=v_c, peak_l=peak_l)
+    v_rb = max(0.0, float(-(v[post] @ n)))
+    duration = float(t[post] - t[i0])
 
     # overshoot past the recovery setpoint along the collision normal
     s_d = float(xd[post] @ n)
-    s_min = float(np.min(x[post:] @ n))
+    s_min = float(np.min(x[post:, 0] * n[0] + x[post:, 1] * n[1] + x[post:, 2] * n[2]))
     overshoot = max(0.0, s_d - s_min)
 
     return Metrics(
@@ -143,7 +138,7 @@ def compute_metrics(log: SimLog, cfg=None) -> Metrics:
         contact_duration=duration,
         peak_l=peak_l,
         overshoot=overshoot,
-        settling_time=_settling_time(t, x, xd, post),
+        settling_time=_settling_time(t, far, post),
         re_collision_count=len(episodes) - 1,
-        mean_impact_force=float(impact_force_estimate(mass, v_c + v_rb, duration)),
+        mean_impact_force=float(impact_force_estimate(cfg.vehicle.m, v_c + v_rb, duration)),
     )

@@ -1,4 +1,5 @@
 """Scenario orchestration, logging, metrics, comparisons and the CLI."""
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from foldquad.collision import Rigid, Wall
 from foldquad.control import ControllerConfig, recovery_setpoint
 from foldquad.scenario import (ScenarioConfig, _cruise_cfg, compare_modes,
                                find_start_gap, run_scenario, sweep_velocities)
-from foldquad.simlog import COLUMNS, Metrics, SimLog, _contact_episodes, compute_metrics
+from foldquad.simlog import (COLUMNS, SETTLE_RADIUS, Metrics, SimLog, _contact_episodes,
+                             compute_metrics)
 
 
 def quiet_config(**kw):
@@ -134,7 +136,7 @@ def test_compare_rigid_side_uses_config_restitution():
     rigid_cfg = ScenarioConfig.from_dict({"contact_mode": "rigid", "restitution": 0.5})
     rigid = compute_metrics(run_scenario(rigid_cfg), rigid_cfg)
     assert report.rigid.v_rb == rigid.v_rb
-    assert report.rigid.v_rb == pytest.approx(0.7124, abs=1e-4)
+    assert report.rigid.v_rb == pytest.approx(0.7148, abs=1e-4)
 
 
 # -- run_scenario ----------------------------------------------------------------
@@ -149,12 +151,33 @@ def test_no_wall_run_converges_without_contact():
 
 
 def test_log_shape_and_timestamps():
+    """Without a wall the log is the grid rows, the final row, and the last step
+    farther than SETTLE_RADIUS from the setpoint with the step after it."""
     cfg = quiet_config(duration=2.0)
     log = run_scenario(cfg)
-    n_expected = round(cfg.duration / cfg.log_interval)
-    assert abs(len(log.data) - n_expected) <= 1
+    n = round(cfg.duration / cfg.dt)
+    grid = {k * 5 for k in range(n // 5)}  # log_interval is 5 steps
+    dense = run_scenario(dataclasses.replace(cfg, log_interval=cfg.dt))
+    dev = np.linalg.norm(dense.vec("x") - dense.vec("xd"), axis=1)
+    last_far = int(np.flatnonzero(dev > SETTLE_RADIUS)[-1])
+    steps = [round(t / cfg.dt) for t in log.column("t")]
+    assert steps == sorted(grid | {last_far, last_far + 1, n})
+    assert last_far % 5 != 0  # the tracked steps are rows the grid would miss
     assert np.all(np.diff(log.column("t")) > 0)
     assert log.data.shape[1] == len(COLUMNS)
+
+
+def test_aborted_run_ends_at_the_step_that_aborted():
+    """A run within SETTLE_RADIUS of its setpoint that blows up at step 7, before
+    its second 20 ms grid row, logs that step: it reads as settled, as logged
+    at every step."""
+    cfg = quiet_config(setpoint=[0.02, 0.0, -1.0], controller=ControllerConfig(k_omega=1e5),
+                       log_interval=0.02)
+    log = run_scenario(cfg)
+    assert log.aborted and log.column("t").tolist() == [0.0, 7 * cfg.dt]
+    dense = dataclasses.replace(cfg, log_interval=cfg.dt)
+    assert compute_metrics(log, cfg) == compute_metrics(run_scenario(dense), dense)
+    assert compute_metrics(log, cfg) == Metrics(settling_time=0.0)
 
 
 def test_run_deterministic_byte_identical():
@@ -198,9 +221,38 @@ def test_contact_uses_scenario_spring():
     cfg = ScenarioConfig(spring=SpringParams(k_s=900.0), log_interval=1e-3)
     m = compare_modes(cfg).foldable
     oracle = simulate_contact(m.v_c, cfg.spring, cfg.dt)
-    assert abs(m.contact_duration - oracle.duration) <= 2 * cfg.dt
+    assert abs(m.contact_duration - oracle.duration) <= 1e-12
     default = simulate_contact(m.v_c, SpringParams(), cfg.dt)
     assert abs(m.contact_duration - default.duration) > 10 * cfg.dt
+
+
+@pytest.mark.parametrize("angle", [0.0, 30.0])
+@pytest.mark.parametrize("speed, saturated", [(1.0, False), (2.6, True)])
+def test_closed_loop_contact_matches_arm_oracle(angle, speed, saturated):
+    """The closed-loop foldable contact is the arm-only contact from the run's own
+    v_c: bit for bit on the default wall, within 1e-12 relative on a wall turned
+    30 degrees about the vertical, on both sides of the arm's saturation."""
+    a = np.radians(angle)
+    base = ScenarioConfig(wall=Wall(normal=[-np.cos(a), np.sin(a), 0.0], offset=-0.3))
+    cfg = _cruise_cfg(base, speed, 0.3)
+    m = compute_metrics(run_scenario(cfg), cfg)
+    oracle = simulate_contact(m.v_c, cfg.spring, cfg.dt)
+    assert oracle.saturated == saturated
+    assert abs(m.contact_duration - oracle.duration) <= 1e-12
+    if angle == 0.0:
+        assert (m.v_rb, m.peak_l) == (oracle.v_rb, oracle.peak_l)
+    else:
+        assert m.v_rb == pytest.approx(oracle.v_rb, rel=1e-12, abs=0.0)
+        assert m.peak_l == pytest.approx(oracle.peak_l, rel=1e-12, abs=0.0)
+
+
+def test_saturated_arm_rebounds_at_one_speed():
+    """Above saturation the arm stops at l_max with no inward rate, so every
+    faster impact rebounds at one and the same speed, below the rigid one."""
+    rows = sweep_velocities(ScenarioConfig(), [1.8, 2.2, 2.6, 3.0])
+    fold = {r.metrics.v_rb for r in rows if r.mode == "foldable"}
+    assert len(fold) == 1
+    assert all(r.metrics.v_rb > max(fold) for r in rows if r.mode == "rigid")
 
 
 def test_rigid_mode_oscillates_more_than_foldable():
@@ -229,13 +281,13 @@ def test_simlog_rejects_malformed():
 
 
 def _hand_built_log():
-    """Five rows with one contact episode in rows 2-3."""
+    """Eight rows with one contact episode in rows 2-3: the touch, then a folded step."""
     n = 8
     data = np.zeros((n, len(COLUMNS)))
     col = {name: i for i, name in enumerate(COLUMNS)}
     data[:, col["t"]] = np.arange(n) * 0.01
     data[:, col["qw"]] = 1.0
-    data[:, col["v1"]] = [1.25, 1.25, 0.5, -0.1, -0.25, -0.2, -0.1, 0.0]
+    data[:, col["v1"]] = [1.25, 1.25, 1.25, 0.5, -0.25, -0.2, -0.1, 0.0]
     data[:, col["x1"]] = [0.10, 0.12, 0.14, 0.14, 0.13, 0.12, 0.11, 0.11]
     data[:, col["l"]] = [0.0, 0.0, 0.02, 0.01, 0.0, 0.0, 0.0, 0.0]
     data[:, col["contact"]] = [0, 0, 1, 1, 0, 0, 0, 0]
@@ -263,10 +315,10 @@ def test_contact_episodes_match_loop_reference():
 
 
 def test_metrics_hand_built_contact_window():
-    m = compute_metrics(_hand_built_log())
-    assert m.v_c == 1.25          # row before the flag rises
-    assert m.v_rb == 0.25         # row after the flag falls
-    assert abs(m.contact_duration - 0.03) < 1e-12
+    m = compute_metrics(_hand_built_log(), ScenarioConfig())  # wall normal -e1
+    assert m.v_c == 1.25          # first flagged row, the touch
+    assert m.v_rb == 0.25         # row after the flag falls, the first step after release
+    assert abs(m.contact_duration - 0.02) < 1e-12
     assert m.peak_l == 0.02
     assert m.re_collision_count == 0
     assert abs(m.overshoot - 0.0) < 1e-12  # never passes xd1 = 0.11 going down
@@ -276,7 +328,7 @@ def test_metrics_hand_built_contact_window():
 
 def test_metrics_no_contact():
     log = run_scenario(quiet_config(duration=2.0))
-    m = compute_metrics(log)
+    m = compute_metrics(log, quiet_config(duration=2.0))
     assert m.v_c is None and m.v_rb is None
     assert m.re_collision_count == 0
     assert m.settling_time is not None
@@ -284,7 +336,7 @@ def test_metrics_no_contact():
 
 def test_metrics_rejects_malformed_log():
     with pytest.raises(ValueError):
-        compute_metrics(SimLog(data=np.zeros((1, len(COLUMNS)))))
+        compute_metrics(SimLog(data=np.zeros((1, len(COLUMNS)))), ScenarioConfig())
 
 
 def test_metrics_json_fields():
@@ -305,19 +357,18 @@ def test_compare_modes_deterministic():
 
 
 
-# Metrics of compare_modes(ScenarioConfig()). The rigid values were recorded
-# before the flat-array RK4, the foldable ones after the exact arm step and the
-# contact step built on the free step; later changes to the hot path may
-# reorder arithmetic, not results.
+# Metrics of compare_modes(ScenarioConfig()), each read at the step that decides
+# it, so at any log_interval; later changes to the hot path may reorder
+# arithmetic, not results.
 GOLDEN_REFERENCE = {
-    "foldable": dict(v_c=1.4306753006078476, v_rb=0.13859069557706757,
-                     contact_duration=0.17500000000000004, peak_l=0.029970595988383926,
-                     overshoot=0.02211468841527775, settling_time=2.085,
-                     re_collision_count=0, mean_impact_force=9.971564501472145),
-    "rigid": dict(v_c=1.4306753006078476, v_rb=1.2845805651254352,
-                  contact_duration=0.010000000000000009, peak_l=0.0,
-                  overshoot=0.06809870663394468, settling_time=2.2549999999998493,
-                  re_collision_count=0, mean_impact_force=301.93645226954084),
+    "foldable": dict(v_c=1.4306753006078459, v_rb=0.13352777622224268,
+                     contact_duration=0.16900000000000004, peak_l=0.03,
+                     overshoot=0.022114840030167615, settling_time=2.0900000000000003,
+                     re_collision_count=0, mean_impact_force=10.292271132751823),
+    "rigid": dict(v_c=1.4306753006078459, v_rb=1.2870913326045081,
+                  contact_duration=0.0010000000000000009, peak_l=0.0,
+                  overshoot=0.06809870663397921, settling_time=2.2609999999999997,
+                  re_collision_count=0, mean_impact_force=3022.156496132135),
 }
 
 
@@ -506,8 +557,8 @@ def test_cli_state_blow_up_aborts_with_partial_log(tmp_path, capsys, override):
     ScenarioConfig(duration=2.0).save(cfg_path)
     rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
     assert rc == 2
-    assert (tmp_path / "wall_log.csv").exists()
-    assert "state blow-up" in capsys.readouterr().err
+    t_last = SimLog.from_csv(tmp_path / "wall_log.csv").column("t")[-1]
+    assert f"state blow-up at t={t_last:.4f} s" in capsys.readouterr().err  # the step that aborted
 
 
 @pytest.mark.parametrize("k_s", [1e9, 1e12])

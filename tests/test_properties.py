@@ -12,10 +12,12 @@ vector form against walls that are not axis-aligned.
 A scenario config saved to YAML and loaded back must reproduce every field,
 and its run, cut short, ends at its last step or aborts with a diagnostic.
 Over random loop rates, physics steps and log intervals, the run loop fires
-every tick and log row on the integer step clock, and a repeated run is
-byte-identical.
+every tick and grid row on the integer step clock, logs every step that decides
+a metric, and a repeated run is byte-identical. Runs into tilted walls give the
+same metrics at every log interval and after the CSV round trip.
 """
 import dataclasses
+import io
 import math
 from fractions import Fraction
 from unittest import mock
@@ -35,6 +37,7 @@ from foldquad.control import (ControllerConfig, ControllerState, Setpoint, posit
 from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
                                integrate_step)
 from foldquad.scenario import ScenarioConfig
+from foldquad.simlog import COLUMNS, SETTLE_RADIUS, SimLog, compute_metrics
 
 E3 = np.array([0.0, 0.0, 1.0])
 P = VehicleParams()
@@ -144,14 +147,18 @@ def test_config_yaml_round_trip_reproduces_every_field(cfg):
 @given(configs())
 def test_any_config_runs_to_the_end_or_aborts_with_a_diagnostic(cfg):
     """A valid config, cut to at most 0.2 s, either runs all n steps, its last log
-    row at n*dt, or aborts with one of the two documented diagnostics. Any other
-    exception fails the test."""
+    row at n*dt, or aborts with one of the two documented diagnostics at the time
+    of its last row. Any other exception fails the test. Its metrics are those
+    of the same run logged at every step."""
     cfg = dataclasses.replace(cfg, duration=min(cfg.duration, 0.2))
     log = scenario.run_scenario(cfg)
     if log.aborted:
         assert log.diagnostic.startswith(("state blow-up at t=", "contact timeout at t="))
+        assert log.diagnostic.split(" s: ")[0].endswith(f"t={log.column('t')[-1]:.4f}")
     else:
         assert log.column("t")[-1] == int(round(cfg.duration / cfg.dt)) * cfg.dt
+    dense = dataclasses.replace(cfg, log_interval=cfg.dt)
+    assert compute_metrics(log, cfg) == compute_metrics(scenario.run_scenario(dense), dense)
 
 
 # -- the scalar step against numpy, and the unit quaternion ---------------------------
@@ -407,10 +414,10 @@ def first_step(i, k, dt, rate):
 
 def traced_run(cfg):
     """Run cfg; return the log, the steps run, the step of each attitude tick with
-    its thrust, and the step of each position tick. Every physics step makes
-    one integrate_step call, contact steps included, so the calls made so far
-    are the index of the current step."""
-    steps, att, pos = [0], [], []
+    its thrust, the step of each position tick, and the contact steps. Every
+    physics step makes one integrate_step call, contact steps included, so the
+    calls made so far are the index of the current step."""
+    steps, att, pos, contact = [0], [], [], set()
 
     def stepping(*args):
         steps[0] += 1
@@ -425,12 +432,46 @@ def traced_run(cfg):
         pos.append(steps[0])
         return position_loop(*args)
 
+    def in_contact(step):
+        def wrapped(*args):
+            contact.add(steps[0])
+            return step(*args)
+        return wrapped
+
     with mock.patch.object(scenario, "integrate_step", stepping), \
             mock.patch.object(collision, "integrate_step", stepping), \
             mock.patch.object(scenario, "step_controller", attitude_tick), \
-            mock.patch.object(scenario, "position_loop", position_tick):
+            mock.patch.object(scenario, "position_loop", position_tick), \
+            mock.patch.object(scenario, "resolve_rigid", in_contact(collision.resolve_rigid)), \
+            mock.patch.object(scenario, "contact_constrained_step",
+                              in_contact(collision.contact_constrained_step)):
         log = scenario.run_scenario(cfg)
-    return log, steps[0], att, pos
+    return log, steps[0], att, pos, contact
+
+
+def tracked_steps(cfg, n):
+    """The steps the run loop tracks, read off the same run logged at every step:
+    from the first step after the first contact (from step 0 without a contact)
+    the last step farther than SETTLE_RADIUS from the setpoint and the step after
+    it, and the step nearest the wall (only after a contact)."""
+    dense = scenario.run_scenario(dataclasses.replace(cfg, log_interval=cfg.dt)).data[:n]
+    col = {name: i for i, name in enumerate(COLUMNS)}
+    x, xd = dense[:, col["x1"]:col["x3"] + 1], dense[:, col["xd1"]:col["xd3"] + 1]
+    touched = np.flatnonzero(dense[:, col["contact"]])
+    start = 0
+    if len(touched):
+        after = [i for i in range(touched[0], n) if not dense[i, col["contact"]]]
+        if not after:
+            return set()
+        start = after[0]
+    e = x - xd
+    far = np.flatnonzero(e[start:, 0] ** 2 + e[start:, 1] ** 2 + e[start:, 2] ** 2
+                         > SETTLE_RADIUS ** 2)
+    out = {start + far[-1], start + far[-1] + 1} if len(far) else set()
+    if len(touched):
+        n0, n1, n2 = -cfg.wall.normal
+        out.add(start + int(np.argmin(x[start:, 0] * n0 + x[start:, 1] * n1 + x[start:, 2] * n2)))
+    return out
 
 
 @st.composite
@@ -450,7 +491,7 @@ def scheduled_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(scheduled_configs())
 def test_run_loop_schedules_every_tick_on_the_step_clock(cfg):
-    log, n, att, pos = traced_run(cfg)
+    log, n, att, pos, contact = traced_run(cfg)
     dt, ctl = cfg.dt, cfg.controller
     assert n == int(round(cfg.duration / dt)) or log.aborted
 
@@ -476,18 +517,64 @@ def test_run_loop_schedules_every_tick_on_the_step_clock(cfg):
     assert not any(a > (pos[-1] if pos else -1) and due(a, len(pos), dt, rate) for a in att_steps)
     assert all(f == g for (i, f), (_, g) in zip(att[1:], att) if i not in pos)
 
-    # log row k at the first step at or after k*log_interval; t = step*dt exactly,
+    # grid row k at the first step at or after k*log_interval; t = step*dt exactly,
     # and the final row is at the steps run
     t = log.column("t")
     rows = t if log.aborted else t[:-1]
     row_steps = [int(round(x / dt)) for x in rows]
     assert [i * dt for i in row_steps] == rows.tolist()
-    assert all(first_step(i, k, dt, 1.0 / cfg.log_interval) for k, i in enumerate(row_steps))
-    assert len(rows) == math.ceil((n - 1) * dt / cfg.log_interval + 1e-9)
+    grid = []
+    for i in range(n):
+        if due(i, len(grid), dt, 1.0 / cfg.log_interval):
+            grid.append(i)
+    assert all(first_step(i, k, dt, 1.0 / cfg.log_interval) for k, i in enumerate(grid))
+    assert len(grid) == math.ceil((n - 1) * dt / cfg.log_interval + 1e-9)
+    assert set(grid) <= set(row_steps)
     if not log.aborted:
         assert t[-1] == n * dt
+    # every contact step is a row flagged 1, every other row is flagged 0; a row off
+    # the grid is a contact step, the step after one, a tracked step, or the abort
+    flagged = [i for i, c in zip(row_steps, log.column("contact")) if c]
+    assert flagged == sorted(contact)
+    extra = set(row_steps) - set(grid) - contact - {i + 1 for i in contact}
+    assert extra <= tracked_steps(cfg, n) | ({n - 1} if log.aborted else set())
 
     again = scenario.run_scenario(cfg)
     assert again.to_csv() == log.to_csv()
     assert [(e.x_c.tolist(), e.v_c.tolist()) for e in again.events] == [
         (e.x_c.tolist(), e.v_c.tolist()) for e in log.events]
+
+
+# -- metrics read at the steps that decide them --------------------------------------
+
+@st.composite
+def wall_runs(draw):
+    """The default vehicle and gains flying level at 0.5-3 m/s toward a setpoint
+    past a wall whose normal is up to 40 degrees off the approach, 0.02-0.3 m
+    ahead, with a random spring that the physics step resolves, in either mode."""
+    speed = draw(st.floats(0.5, 3.0))
+    tilt, turn = np.radians(draw(st.floats(0.0, 40.0))), draw(st.floats(-np.pi, np.pi))
+    into = np.array([np.cos(tilt), np.sin(tilt) * np.cos(turn), np.sin(tilt) * np.sin(turn)])
+    start = np.array([0.0, 0.0, -1.0])
+    gap = draw(st.floats(0.02, 0.3))
+    return ScenarioConfig(
+        spring=SpringParams(b_s=draw(st.floats(0.0, 100.0)), k_s=draw(st.floats(100.0, 5000.0))),
+        mode=draw(st.sampled_from([Foldable, Rigid]))(),
+        wall=Wall(normal=-into, offset=float(-into @ start) - P.r_contact - gap),
+        start_position=start, start_velocity=[speed, 0.0, 0.0], setpoint=start + [3.0, 0.0, 0.0],
+        duration=draw(st.floats(0.5, 3.0)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(wall_runs())
+def test_metrics_do_not_depend_on_log_interval(cfg):
+    """Every Metrics field, None-ness included, is the same at log intervals of
+    1, 5, 7.3 and 20 physics steps, and after the CSV round trip."""
+    metrics = []
+    for steps in (1.0, 5.0, 7.3, 20.0):
+        run_cfg = dataclasses.replace(cfg, log_interval=steps * cfg.dt)
+        log = scenario.run_scenario(run_cfg)
+        assert log.events
+        metrics.append(compute_metrics(log, run_cfg))
+        assert compute_metrics(SimLog.from_csv(io.StringIO(log.to_csv())), run_cfg) == metrics[-1]
+    assert all(m == metrics[0] for m in metrics)
