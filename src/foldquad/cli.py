@@ -19,7 +19,11 @@ def _parse_overrides(pairs):
         if "=" not in pair:
             raise SystemExit(f"bad override {pair!r}; expected key=value")
         key, value = pair.split("=", 1)
-        out[key.strip()] = json.loads(value) if value.lstrip()[:1] in "[{0123456789-.NI" else value
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:  # a bare word such as contact_mode=rigid
+            pass
+        out[key.strip()] = value
     return out
 
 

@@ -71,7 +71,6 @@ class VehicleParams:
     m: float = 1.112
     J: np.ndarray = field(default_factory=lambda: np.diag([0.0034, 0.0034, 0.0053]))
     g: float = 9.81
-    l_arm: float = 0.11      # nominal arm length (m); its travel limit is SpringParams.l_max
     r_contact: float = 0.145  # contact envelope radius (m)
 
     def __post_init__(self):
@@ -80,8 +79,8 @@ class VehicleParams:
             raise ValueError("mass must be positive")
         if np.max(np.abs(self.J - self.J.T)) > 1e-12 or np.any(np.linalg.eigvalsh(self.J) <= 0):
             raise ValueError("inertia must be symmetric positive-definite")
-        if not (0.0 < self.l_arm < self.r_contact):
-            raise ValueError("geometry must satisfy 0 < l_arm < r_contact")
+        if not self.r_contact > 0:
+            raise ValueError("contact radius must be positive")
         self.J_inv = np.linalg.inv(self.J)
         # plain floats for the scalar equations of motion
         self.J_flat, self.J_inv_flat = (tuple(M.ravel().tolist()) for M in (self.J, self.J_inv))

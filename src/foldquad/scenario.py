@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 
-from .arm import (CONTACT_TIMEOUT_S, ArmState, ContactTimeoutError, SpringParams,
-                  check_rk4_stable)
+from .arm import CONTACT_TIMEOUT_S, ArmState, SpringParams, check_rk4_stable
 from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
@@ -23,7 +22,6 @@ from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics
 _KEYS = {
     "mass": ("vehicle", "m"),
     "gravity": ("vehicle", "g"),
-    "arm_length": ("vehicle", "l_arm"),
     "contact_radius": ("vehicle", "r_contact"),
     "spring_damping": ("spring", "b_s"),
     "spring_stiffness": ("spring", "k_s"),
@@ -78,8 +76,8 @@ class ScenarioConfig:
         self.setpoint = np.asarray(self.setpoint, dtype=float).reshape(3)
         if not (0.0 <= self.restitution <= 1.0):
             raise ValueError("restitution must lie in [0, 1]")
-        if not self.spring.l_max < self.vehicle.l_arm:
-            raise ValueError("arm_travel_max must be below arm_length")
+        if not self.spring.l_max < self.vehicle.r_contact:  # the centroid stays off the wall
+            raise ValueError("arm_travel_max must be below contact_radius")
         if not (0.0 < self.dt <= 0.01):
             raise ValueError("dt must be in (0, 0.01]")
         if not (self.duration >= self.dt and self.log_interval >= self.dt):
@@ -157,10 +155,10 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     after k/attitude_rate, position tick k at the first attitude tick at or
     after k/position_rate (its outputs held in between), and grid row k at the
     first step at or after k*log_interval. Each first touch of the wall
-    generates the recovery setpoint, held until the next one; a foldable
-    touch then steps the arm-constrained contact until the arm releases. A
-    state blow-up or a contact that never releases aborts with the partial
-    log and a diagnostic.
+    generates the recovery setpoint, held until the next one. Each step is free
+    (integrate_step, also after a rigid bounce) or folded (contact_constrained_step,
+    from a foldable touch until the arm releases). A state blow-up or a contact
+    that never releases aborts with the partial log and a diagnostic.
 
     The log also holds every step that decides a metric (README, "One clock"),
     so no metric depends on log_interval. `contact` is 1 on contact steps, and
@@ -180,8 +178,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     n_steps = int(round(cfg.duration / dt))
     n_att = n_pos = n_log = 0  # ticks fired so far, per loop
 
-    in_contact = False
-    released = False  # the last step ended a contact
+    touch, was_contact = None, False  # touch: the foldable contact's first step, None if free
     arm = ArmState()  # after release its deflection stays in the log
 
     # steps tracked as (t, state, u, x_d, l) until the first touch, then again from the
@@ -195,7 +192,6 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
 
     rows = {}  # t -> row
     events = []
-    aborted = False
     diagnostic = ""
 
     try:
@@ -209,15 +205,15 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                 u = step_controller(state, cs, ctl, vehicle)
                 n_att += 1
 
-            ev = detect_contact(state, wall, vehicle, t) if wall and not in_contact else None
-            contact = in_contact or ev is not None
+            ev = detect_contact(state, wall, vehicle, t) if wall and touch is None else None
+            contact = touch is not None or ev is not None
             grid = t / log_interval > n_log - 1e-9
-            if grid or contact or released:
+            if grid or contact or was_contact:
                 rows[t] = _row(t, state, u, x_d, arm.l, contact)
                 if grid:
                     n_log += 1
-            if released and not contact:
-                watching = True
+            watching |= was_contact and not contact  # the first step after a contact
+            was_contact = contact
 
             # the same float expressions as compute_metrics, so a tie picks the same row
             if watching:
@@ -231,52 +227,42 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                     s_min = x0 * n0 + x1 * n1 + x2 * n2
                     nearest = (t, state, u, x_d, arm.l)
 
-            released = rigid and ev is not None  # rigid contact exits in one step
             if ev is not None:
                 if not events:  # settling is measured again from after this contact
                     watching, far, after_far = False, None, None
                 events.append(ev)
                 sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
                 x_d = sp.x_d.tolist()
-                if rigid:
+                if rigid:  # the bounce, then a free step: rigid contact exits in one step
                     state = resolve_rigid(state, ev, cfg.restitution, wall, vehicle)
-                    state = integrate_step(state, u, vehicle, dt)
                 else:
-                    in_contact = True
-                    touch = i  # the step of this contact's touch
-                    # snap to touching contact with the arm at rest length
-                    state = state.with_translation(
-                        state.x + (vehicle.r_contact - wall.distance(state.x)) * wall.normal,
-                        state.y[3:6])
-                    arm = ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
-            elif not in_contact:
+                    touch, arm = i, ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
+            if touch is None:
                 state = integrate_step(state, u, vehicle, dt)
-            if in_contact:
-                state, arm, released = contact_constrained_step(
+            else:
+                state, arm, exited = contact_constrained_step(
                     state, arm, wall, u, vehicle, cfg.spring, dt)
-                in_contact = not released
-                if in_contact and (i - touch) * dt > CONTACT_TIMEOUT_S:
-                    raise ContactTimeoutError(
-                        f"foldable contact did not release within {CONTACT_TIMEOUT_S:g} s")
+                if exited:
+                    touch = None
+                elif (i - touch) * dt > CONTACT_TIMEOUT_S:
+                    diagnostic = (f"contact timeout at t={t:.4f} s: foldable contact "
+                                  f"did not release within {CONTACT_TIMEOUT_S:g} s")
+                    break
             if stop_at_first_contact and events:
                 break
     except StateBlowUpError as exc:
-        aborted = True
         diagnostic = f"state blow-up at t={t:.4f} s: {exc}"
-    except ContactTimeoutError as exc:
-        aborted = True
-        diagnostic = f"contact timeout at t={t:.4f} s: {exc}"
 
     # an aborted run ends at the step that aborted; were it a contact step, it is logged
-    last = (t, state, u, x_d, arm.l) if aborted else None
+    last = (t, state, u, x_d, arm.l) if diagnostic else None
     for ref in (nearest, far, after_far, last):
         if ref and ref[0] not in rows:
             rows[ref[0]] = _row(*ref, False)
-    if not aborted:
-        rows[(i + 1) * dt] = _row((i + 1) * dt, state, u, x_d, arm.l, in_contact)
+    if not diagnostic:
+        rows[(i + 1) * dt] = _row((i + 1) * dt, state, u, x_d, arm.l, touch is not None)
 
     return SimLog(data=np.array([rows[t] for t in sorted(rows)]), events=events,
-                  aborted=aborted, diagnostic=diagnostic)
+                  aborted=bool(diagnostic), diagnostic=diagnostic)
 
 
 @dataclass
@@ -311,21 +297,13 @@ class SweepRow:
     speed: float
     mode: str
     achieved_v_c: float | None
-    metrics: Metrics | None
     unreachable: bool = False
     aborted: bool = False  # a run ended early: metrics from its partial log, or None for a probe
     diagnostic: str = ""
+    metrics: Metrics | None = None
 
     def to_dict(self):
-        return {
-            "speed": self.speed,
-            "mode": self.mode,
-            "achieved_v_c": self.achieved_v_c,
-            "unreachable": self.unreachable,
-            "aborted": self.aborted,
-            "diagnostic": self.diagnostic,
-            "metrics": self.metrics.to_dict() if self.metrics else None,
-        }
+        return asdict(self)
 
 
 _CRUISE_MARGIN = 1.15
@@ -372,15 +350,14 @@ def find_start_gap(cfg: ScenarioConfig, target_speed, tol=0.04):
     (gap, achieved_v_c) or (None, best_v_c) when unreachable.
     Raises StateBlowUpError if a probe run aborts."""
     gaps = [0.02, 0.05, 0.1, 0.2, 0.35, 0.6, 1.0, 1.6, 2.5, 4.0, 6.0]
-    best = (None, -np.inf)
+    best = -math.inf  # the fastest first contact seen
     lo = hi = v_hi = None
     prev_gap, prev_v = None, None
     for gap in gaps:
         v = _probe_v_c(cfg, gap, target_speed)
         if v is None:
             continue
-        if v > best[1]:
-            best = (gap, v)
+        best = max(best, v)
         if abs(v - target_speed) <= tol:
             return gap, v
         if prev_v is not None and prev_v < target_speed <= v:
@@ -388,12 +365,12 @@ def find_start_gap(cfg: ScenarioConfig, target_speed, tol=0.04):
             break
         prev_gap, prev_v = gap, v
     if lo is None:
-        return None, best[1] if np.isfinite(best[1]) else None
+        return None, best if best > -math.inf else None
     for _ in range(20):
         mid = 0.5 * (lo + hi)
         v = _probe_v_c(cfg, mid, target_speed)
         if v is None:
-            return None, best[1]
+            return None, best
         if abs(v - target_speed) <= tol:
             return mid, v
         if v < target_speed:
@@ -423,8 +400,8 @@ def sweep_velocities(cfg: ScenarioConfig, speeds) -> list[SweepRow]:
         except StateBlowUpError as exc:
             gap, achieved, no_run = None, None, {"aborted": True, "diagnostic": str(exc)}
         if gap is None:
-            rows += [SweepRow(speed=speed, mode=mode, achieved_v_c=achieved, metrics=None,
-                              **no_run) for mode in ("foldable", "rigid")]
+            rows += [SweepRow(speed=speed, mode=mode, achieved_v_c=achieved, **no_run)
+                     for mode in ("foldable", "rigid")]
             continue
         report = compare_modes(_cruise_cfg(cfg, speed, gap))
         for mode, log in (("foldable", report.foldable_log), ("rigid", report.rigid_log)):

@@ -160,7 +160,7 @@ def test_vehicle_params_defaults():
     p = VehicleParams()
     assert p.m == 1.112
     assert np.allclose(np.diag(p.J), [0.0034, 0.0034, 0.0053])
-    assert 0 < p.l_arm < p.r_contact
+    assert p.r_contact == 0.145
 
 
 def test_vehicle_params_rejects_bad_inertia():

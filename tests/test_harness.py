@@ -10,6 +10,7 @@ import pytest
 
 import foldquad
 from foldquad.arm import SpringParams, simulate_contact
+from foldquad.cli import _parse_overrides
 from foldquad.cli import main as cli_main
 from foldquad.collision import Rigid, Wall
 from foldquad.control import ControllerConfig, recovery_setpoint
@@ -64,11 +65,17 @@ def test_config_validation():
         ScenarioConfig(dt=1e-3, log_interval=1e-4)
 
 
-def test_config_rejects_arm_travel_beyond_arm_length():
-    with pytest.raises(ValueError, match="arm_travel_max"):
+def test_config_rejects_arm_travel_beyond_contact_radius():
+    """A fully folded arm leaves the centroid off the wall; a radius must be positive."""
+    with pytest.raises(ValueError, match="arm_travel_max must be below contact_radius"):
         ScenarioConfig(spring=SpringParams(l_max=0.5))
-    with pytest.raises(ValueError, match="arm_travel_max"):
-        ScenarioConfig.from_dict({"arm_travel_max": 0.11})
+    with pytest.raises(ValueError, match="arm_travel_max must be below contact_radius"):
+        ScenarioConfig.from_dict({"arm_travel_max": 0.145})
+    ScenarioConfig.from_dict({"arm_travel_max": 0.14})
+    with pytest.raises(ValueError, match="contact radius must be positive"):
+        ScenarioConfig.from_dict({"contact_radius": 0.0})
+    with pytest.raises(ValueError, match="unknown config keys: \\['arm_length'\\]"):
+        ScenarioConfig.from_dict({"arm_length": 0.11})
 
 
 @pytest.mark.parametrize("override", ["k_p=abc", "mass=abc", "restitution=abc",
@@ -81,6 +88,24 @@ def test_cli_rejects_non_numeric_value(tmp_path, capsys, override):
     rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
     assert rc == 1
     assert "must be a number" in capsys.readouterr().err
+
+
+def test_cli_null_wall_override_runs_without_a_wall(tmp_path):
+    """null decodes to None, so a wall config runs as free flight; a bare word
+    stays a string."""
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=0.5).save(cfg_path)
+    overrides = ["wall_normal=null", "wall_offset=null", "contact_mode=rigid"]
+    assert _parse_overrides(overrides) == {"wall_normal": None, "wall_offset": None,
+                                           "contact_mode": "rigid"}
+    cfg = ScenarioConfig.load(cfg_path, overrides=_parse_overrides(overrides))
+    assert cfg.wall is None and isinstance(cfg.mode, Rigid)
+    args = ["run", str(cfg_path), "--out-dir", str(tmp_path)]
+    assert cli_main([*args, *(a for o in overrides for a in ("--set", o))]) == 0
+    assert not SimLog.from_csv(tmp_path / "wall_log.csv").column("contact").any()
+    # the same start with its wall touches it within the half second
+    assert cli_main(args) == 0
+    assert SimLog.from_csv(tmp_path / "wall_log.csv").column("contact").any()
 
 
 @pytest.mark.parametrize("override", ["log_interval=NaN", "duration=Infinity", "mass=NaN",
@@ -486,8 +511,10 @@ def test_cli_contact_timeout_aborts_with_partial_log(tmp_path, capsys):
     rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path),
                    "--set", "spring_damping=0", "--set", "spring_stiffness=1"])
     assert rc == 2
-    assert (tmp_path / "wall_log.csv").exists()
-    assert "did not release" in capsys.readouterr().err
+    t_last = SimLog.from_csv(tmp_path / "wall_log.csv").column("t")[-1]
+    err = capsys.readouterr().err
+    assert f"contact timeout at t={t_last:.4f} s" in err  # the step that aborted
+    assert "did not release" in err
 
 
 def test_cli_sweep_flags_aborted_point_and_exits_2(tmp_path):

@@ -8,7 +8,8 @@ unit quaternion with w >= 0 whose rotation is orthonormal, and raises on a body
 rate that turns too far in one step; the constructor rejects a reflection.
 The scalar controller tick matches the position loop and attitude moment
 written with numpy arrays, and the scalar contact step matches its numpy
-vector form against walls that are not axis-aligned.
+vector form against walls that are not axis-aligned and does not depend on how
+far along the normal its start state sits from touching contact.
 A scenario config saved to YAML and loaded back must reproduce every field,
 and its run, cut short, ends at its last step or aborts with a diagnostic.
 Over random loop rates, physics steps and log intervals, the run loop fires
@@ -106,7 +107,7 @@ def configs(draw):
              if not f.name.endswith("_rate")}
     return ScenarioConfig(
         vehicle=VehicleParams(
-            m=draw(pos), g=draw(pos), l_arm=draw(st.floats(0.05, 0.14)),
+            m=draw(pos), g=draw(pos), r_contact=draw(st.floats(0.05, 0.3)),
             J=spd_inertia(draw(st.lists(st.floats(1e-4, 1e-1), min_size=3, max_size=3)),
                           draw(st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3)))),
         # |root| * dt stays below 0.4, inside RK4's stability region
@@ -195,6 +196,9 @@ inertias = st.builds(spd_inertia, st.lists(st.floats(1e-3, 1e-1), min_size=3, ma
 moderate_states = st.builds(
     lambda x, v, q, w: BodyState(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
     vec3(100.0), vec3(100.0), quaternions, vec3(20.0))
+states_near_origin = st.builds(
+    lambda x, v, q, w: BodyState(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
+    vec3(1.0), vec3(5.0), quaternions, vec3(20.0))
 
 
 @EXAMPLES
@@ -399,6 +403,26 @@ def test_contact_step_matches_numpy(s, a, w, u, dt):
     assert_close("v", got.v, want_v, *v_terms)
     free = integrate_step(s, u, P, dt)
     assert got.y[6:] == free.y[6:]  # q and omega come from the one free step
+
+
+@settings(max_examples=200, deadline=None)
+@given(states_near_origin, arms,
+       st.builds(Wall, normal=vec3(1.0).filter(lambda n: np.linalg.norm(n) > 1e-3),
+                 offset=st.floats(-1.0, 1.0)),
+       st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts,
+       st.floats(-0.02, 0.02))
+def test_contact_step_does_not_depend_on_the_start_normal_position(s, a, w, u, dt, d):
+    """The step replaces x and v along the normal from the arm, so a start d off
+    touching contact gives the same step to rounding: the run loop needs no snap."""
+    def step_from(gap):
+        start = s.with_translation(s.x + (gap - w.distance(s.x)) * w.normal, s.v)
+        return contact_constrained_step(start, a, w, u, P, SPRING, dt)
+
+    touching, shifted = step_from(P.r_contact), step_from(P.r_contact + d)
+    assert np.allclose(shifted[0].x, touching[0].x, rtol=0.0, atol=1e-14)
+    assert np.allclose(shifted[0].v, touching[0].v, rtol=0.0, atol=1e-14)
+    assert shifted[0].y[6:] == touching[0].y[6:]  # q and omega
+    assert shifted[1:] == touching[1:]  # the arm state and exited
 
 
 # -- the run loop's schedule over whole configs -----------------------------------------
