@@ -3,7 +3,6 @@ rebound extraction and parameter identification from displacement traces."""
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,10 +32,10 @@ class SpringParams:
         # plain floats: numpy scalars make every advance_arm step slower
         self.b_s, self.k_s = float(self.b_s), float(self.k_s)
         self.l_max, self.delta_l = float(self.l_max), float(self.delta_l)
-        if self.b_s < 0:
-            raise ValueError("b_s must be non-negative")
-        if self.k_s <= 0:
-            raise ValueError("k_s must be positive")
+        if not 0.0 <= self.b_s < math.inf:
+            raise ValueError("b_s must be non-negative and finite")
+        if not 0.0 < self.k_s < math.inf:
+            raise ValueError("k_s must be positive and finite")
         if not (0.0 < self.delta_l < self.l_max):
             raise ValueError("delta_l must satisfy 0 < delta_l < l_max")
 
@@ -124,7 +123,6 @@ def analytic_response(v0, p: SpringParams, t):
     return l, l_dot
 
 
-@functools.lru_cache(maxsize=64)
 def _transition(b_s, k_s, dt):
     """Entries (p11, p12, p21, p22) of Phi(dt) = exp(A dt), A = [[0, 1], [-k_s, -b_s]].
 
@@ -157,21 +155,21 @@ def check_rk4_stable(p: SpringParams, dt):
                              f"under RK4 at physics_dt={dt:g}")
 
 
-def advance_arm(l, l_dot, p: SpringParams, dt):
+def advance_arm(l, l_dot, phi, p: SpringParams):
     """One exact step of the arm ODE with travel clamp and release test.
 
-    The clamp is an inelastic stop: hitting l_max zeroes any inward rate.
-    Release (exited) is declared when l <= delta_l with the arm extending
-    (l_dot < 0), which can only occur after the first compression peak.
-    Returns (l, l_dot, saturated, exited).
+    phi is Phi(dt) = _transition(p.b_s, p.k_s, dt), which the caller computes
+    once per contact. The clamp is an inelastic stop: hitting l_max zeroes any
+    inward rate and leaves l at exactly l_max. Release (exited) is declared when
+    l <= delta_l with the arm extending (l_dot < 0), which can only occur after
+    the first compression peak. Returns (l, l_dot, exited).
     """
-    p11, p12, p21, p22 = _transition(p.b_s, p.k_s, dt)
+    p11, p12, p21, p22 = phi
     l2, d2 = p11 * l + p12 * l_dot, p21 * l + p22 * l_dot
-    saturated = l2 >= p.l_max
-    if saturated:
+    if l2 >= p.l_max:
         l2, d2 = p.l_max, min(d2, 0.0)
     exited = (l2 <= p.delta_l) and (d2 < 0.0)
-    return l2, d2, saturated, exited
+    return l2, d2, exited
 
 
 def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
@@ -181,14 +179,15 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
     after the compression peak. Guards against non-termination at
     CONTACT_TIMEOUT_S.
     """
-    if v_impact <= 0:
-        raise ValueError("v_impact must be positive")
+    if not (0.0 < v_impact < math.inf):
+        raise ValueError("v_impact must be positive and finite")
     if not (0.0 < dt <= 1e-3):
         raise ValueError("dt must be in (0, 1e-3] s")
+    phi = _transition(p.b_s, p.k_s, dt)
     l, l_dot = 0.0, float(v_impact)
     ls = [l]
     for i in range(1, int(CONTACT_TIMEOUT_S / dt) + 2):  # step i ends at t = i*dt
-        l, l_dot, _saturated, exited = advance_arm(l, l_dot, p, dt)
+        l, l_dot, exited = advance_arm(l, l_dot, phi, p)
         ls.append(l)
         if exited:
             peak_l = max(ls)

@@ -88,20 +88,20 @@ def resolve_rigid(s: BodyState, ev: CollisionEvent, e: float,
 
 
 def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput,
-                             p: VehicleParams, sp: SpringParams, dt: float):
+                             p: VehicleParams, sp: SpringParams, phi, dt: float):
     """One physics step while the arm is pinned against the wall.
 
     The centroid's wall-normal coordinate is kinematically slaved to the arm
-    deflection (distance to plane = r_contact - l); the arm evolves by the
-    pure spring ODE from the impact rate; thrust and gravity keep acting on
-    the tangential axes and attitude dynamics continue under tau. On release
-    the normal velocity equals l_dot, i.e. the rebound velocity.
+    deflection (distance to plane = r_contact - l); the arm takes one exact
+    step by phi (arm._transition over dt) from the impact rate; thrust and
+    gravity keep acting on the tangential axes and attitude dynamics continue
+    under tau. On release the normal velocity equals l_dot, the rebound velocity.
 
     Returns (BodyState, ArmState, exited); raises StateBlowUpError if the
     state is not finite.
     """
     n0, n1, n2 = w.normal.tolist()
-    l2, ld2, _saturated, exited = advance_arm(a.l, a.l_dot, sp, dt)
+    l2, ld2, exited = advance_arm(a.l, a.l_dot, phi, sp)
 
     # the one free step gives q, omega and the tangential x and v: attitude does not
     # depend on translation, and the free acceleration depends only on q(t)

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import yaml
 
-from .arm import CONTACT_TIMEOUT_S, ArmState, SpringParams, check_rk4_stable
+from .arm import CONTACT_TIMEOUT_S, ArmState, SpringParams, _transition, check_rk4_stable
 from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
@@ -172,6 +172,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     u = ControlInput(f=cfg.vehicle.m * cfg.vehicle.g)
 
     dt, ctl = cfg.dt, cfg.controller
+    phi = _transition(cfg.spring.b_s, cfg.spring.k_s, dt)  # the arm's step, for every contact
     wall, vehicle, log_interval = cfg.wall, cfg.vehicle, cfg.log_interval
     att_rate, pos_rate = ctl.attitude_rate, ctl.position_rate
     rigid = isinstance(cfg.mode, Rigid)
@@ -241,7 +242,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                 state = integrate_step(state, u, vehicle, dt)
             else:
                 state, arm, exited = contact_constrained_step(
-                    state, arm, wall, u, vehicle, cfg.spring, dt)
+                    state, arm, wall, u, vehicle, cfg.spring, phi, dt)
                 if exited:
                     touch = None
                 elif (i - touch) * dt > CONTACT_TIMEOUT_S:

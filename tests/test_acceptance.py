@@ -142,12 +142,12 @@ def test_acceptance_7_invariant_suites():
     ok = ok and np.linalg.norm(h.x - x0) < 1e-9 and np.linalg.norm(h.v) < 1e-9
 
     # spring energy monotonicity
-    from foldquad.arm import advance_arm
+    from foldquad.arm import _transition, advance_arm
     sp = SpringParams()
     l, ld = 0.0, 1.4
     energy = 0.5 * ld**2
     for _ in range(400):
-        l, ld, _, exited = advance_arm(l, ld, sp, 1e-3)
+        l, ld, exited = advance_arm(l, ld, _transition(sp.b_s, sp.k_s, 1e-3), sp)
         e_new = 0.5 * ld**2 + 0.5 * sp.k_s * l**2
         ok = ok and e_new <= energy * (1.0 + 1e-9)
         energy = e_new

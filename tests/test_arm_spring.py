@@ -38,6 +38,11 @@ def test_param_validation():
         SpringParams(k_s=0.0)
     with pytest.raises(ValueError):
         SpringParams(delta_l=0.05, l_max=0.03)
+    for bad in (math.nan, math.inf, -math.inf):  # nan < 0 is False: the checks must say so
+        with pytest.raises(ValueError, match="b_s"):
+            SpringParams(b_s=bad)
+        with pytest.raises(ValueError, match="k_s"):
+            SpringParams(k_s=bad)
 
 
 def test_spring_derivative():
@@ -46,7 +51,7 @@ def test_spring_derivative():
     l, l_dot, h = 0.01, 0.5, 1e-6
 
     def slope(dt):
-        l2, d2, _, _ = advance_arm(l, l_dot, NOMINAL, dt)
+        l2, d2, _ = advance_arm(l, l_dot, _transition(NOMINAL.b_s, NOMINAL.k_s, dt), NOMINAL)
         return (l2 - l) / dt, (d2 - l_dot) / dt
 
     (a0, a1), (b0, b1) = slope(h / 2), slope(h)
@@ -137,6 +142,9 @@ def test_contact_input_validation():
         simulate_contact(0.0, NOMINAL)
     with pytest.raises(ValueError):
         simulate_contact(1.0, NOMINAL, dt=2e-3)
+    for v in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="v_impact must be positive and finite"):
+            simulate_contact(v, NOMINAL)
 
 
 def test_contact_timeout_guard():
@@ -197,10 +205,11 @@ def test_composed_exact_steps_match_closed_form():
     springs += [random_underdamped(rng) for _ in range(8)]
     for p in springs:
         l, l_dot = 0.0, 1.4
+        phi = _transition(p.b_s, p.k_s, 1e-3)
         for i in range(1, 101):
-            l, l_dot, saturated, _ = advance_arm(l, l_dot, p, 1e-3)
+            l, l_dot, _ = advance_arm(l, l_dot, phi, p)
             want_l, want_l_dot = analytic_response(1.4, p, i * 1e-3)
-            assert not saturated
+            assert l != p.l_max  # a clamped step leaves l at exactly l_max
             assert abs(l - want_l) <= 1e-14 and abs(l_dot - want_l_dot) <= 1e-14
 
 
@@ -226,8 +235,8 @@ def test_simulate_contact_makes_one_arm_step_per_step(monkeypatch, v):
     res = simulate_contact(v, NOMINAL, dt=1e-4)
     assert len(calls) == len(res.trace) - 1 == round(res.duration / 1e-4)
     peak, sat = 0.0, False
-    for l, _, saturated, _ in calls:
-        peak, sat = max(peak, l), sat or saturated
+    for l, _, _ in calls:
+        peak, sat = max(peak, l), sat or l == NOMINAL.l_max
     assert (res.peak_l, res.saturated) == (peak, sat)
     assert res.saturated == (v > 1.5)
 
@@ -248,14 +257,114 @@ def test_foldable_run_makes_one_arm_step_per_contact_step(monkeypatch):
     assert n_arm_steps == len(contact_steps) == round(oracle.duration / cfg.dt) > 0
 
 
+def test_transition_is_computed_once_per_contact(monkeypatch):
+    """Phi(dt) depends only on (b_s, k_s, dt): simulate_contact and run_scenario
+    each compute it once, and every arm step reuses it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _transition(*args)
+
+    monkeypatch.setattr(arm_module, "_transition", counted)
+    monkeypatch.setattr(scenario, "_transition", counted)
+    res = simulate_contact(1.4, NOMINAL, dt=1e-4)
+    assert len(res.trace) > 2 and calls == [(NOMINAL.b_s, NOMINAL.k_s, 1e-4)]
+    calls.clear()
+    cfg = scenario.ScenarioConfig(duration=1.0)
+    log = scenario.run_scenario(cfg)
+    assert log.events and log.column("contact").sum() > 2  # a foldable contact of many steps
+    assert calls == [(cfg.spring.b_s, cfg.spring.k_s, cfg.dt)]
+
+
+def reference_advance_arm(l, l_dot, p, dt):
+    """Reference arm step: looks Phi(dt) up on every call and returns
+    (l, l_dot, saturated, exited)."""
+    p11, p12, p21, p22 = _transition(p.b_s, p.k_s, dt)
+    l2, d2 = p11 * l + p12 * l_dot, p21 * l + p22 * l_dot
+    saturated = l2 >= p.l_max
+    if saturated:
+        l2, d2 = p.l_max, min(d2, 0.0)
+    exited = (l2 <= p.delta_l) and (d2 < 0.0)
+    return l2, d2, saturated, exited
+
+
+def reference_contact(v, p, dt):
+    """simulate_contact on reference_advance_arm: (v_rb, duration, peak_l,
+    saturated as the `or` of the steps' flags, trace l)."""
+    l, l_dot, ls, sat = 0.0, float(v), [0.0], False
+    for i in range(1, int(arm_module.CONTACT_TIMEOUT_S / dt) + 2):
+        l, l_dot, saturated, exited = reference_advance_arm(l, l_dot, p, dt)
+        ls.append(l)
+        sat = sat or saturated
+        if exited:
+            return abs(l_dot), i * dt, max(ls), sat, ls
+    raise ContactTimeoutError("reference contact did not release")
+
+
+def clamp_either_side(draw, b, k, v, dt):
+    """(p, saturate): a spring (b, k) that check_rk4_stable accepts at dt, with l_max
+    below (saturate) or above the unclamped peak on the grid from l_dot = v, and
+    delta_l below l_max."""
+    try:
+        check_rk4_stable(SpringParams(b_s=b, k_s=k), dt)
+    except ValueError:
+        assume(False)
+    free = SpringParams(b_s=b, k_s=k, l_max=1e6, delta_l=1e-9)
+    l, l_dot, peak = 0.0, v, 0.0
+    phi = _transition(b, k, dt)
+    for _ in range(int(1.0 / dt)):
+        l, l_dot, _ = advance_arm(l, l_dot, phi, free)
+        peak = max(peak, l)
+        if l_dot < 0.0:
+            break
+    saturate = draw(st.booleans())
+    l_max = peak * (draw(st.floats(0.2, 0.95)) if saturate else draw(st.floats(1.05, 3.0)))
+    p = SpringParams(b_s=b, k_s=k, l_max=l_max, delta_l=l_max * draw(st.floats(0.01, 0.9)))
+    return p, saturate
+
+
+@st.composite
+def contact_cases(draw):
+    """An under- or overdamped spring, an impact speed and a dt for
+    clamp_either_side."""
+    dt = 10.0 ** draw(st.floats(-5.0, -3.0))
+    k = 10.0 ** draw(st.floats(1.0, 4.5))
+    zeta = draw(st.floats(0.0, 0.95) | st.floats(1.05, 3.0))
+    v = draw(st.floats(0.01, 5.0))
+    return (*clamp_either_side(draw, 2.0 * zeta * math.sqrt(k), k, v, dt), v, dt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contact_cases())
+def test_simulate_contact_is_bit_identical_to_per_step_transition(case):
+    """Phi computed once per contact gives the same floats as Phi looked up on
+    every step: v_rb, duration, peak_l, saturated and the whole l trace, bit for
+    bit, or a timeout on both sides."""
+    p, saturate, v, dt = case
+    try:
+        want = reference_contact(v, p, dt)
+    except ContactTimeoutError:
+        with pytest.raises(ContactTimeoutError):
+            simulate_contact(v, p, dt)
+        return
+    got = simulate_contact(v, p, dt)
+    v_rb, duration, peak_l, saturated, ls = want
+    assert [float.hex(x) for x in (got.v_rb, got.duration, got.peak_l)] == \
+        [float.hex(x) for x in (v_rb, duration, peak_l)]
+    assert got.saturated == saturated == saturate
+    assert [float.hex(x) for x in got.trace.l] == [float.hex(x) for x in ls]
+
+
 # -- invariants ---------------------------------------------------------------
 
 def test_energy_monotone_along_contact():
     p = NOMINAL
     l, l_dot = 0.0, 1.4
     energy = 0.5 * l_dot**2
+    phi = _transition(p.b_s, p.k_s, 1e-3)
     for _ in range(400):
-        l, l_dot, _, exited = advance_arm(l, l_dot, p, 1e-3)
+        l, l_dot, exited = advance_arm(l, l_dot, phi, p)
         e_new = 0.5 * l_dot**2 + 0.5 * p.k_s * l**2
         assert e_new <= energy * (1.0 + 1e-9)
         energy = e_new
@@ -269,22 +378,8 @@ def arm_impacts(draw):
     unclamped peak on the grid lies above l_max (saturated) or below it."""
     dt = draw(st.floats(1e-4, 2e-3))
     b, k = draw(st.floats(0.0, 400.0)), draw(st.floats(1.0, 2e4))
-    try:
-        check_rk4_stable(SpringParams(b_s=b, k_s=k), dt)
-    except ValueError:
-        assume(False)
     v = draw(st.floats(0.05, 5.0))
-    free = SpringParams(b_s=b, k_s=k, l_max=1e6, delta_l=1e-9)
-    l, l_dot, peak = 0.0, v, 0.0
-    for _ in range(int(1.0 / dt)):
-        l, l_dot, _, _ = advance_arm(l, l_dot, free, dt)
-        peak = max(peak, l)
-        if l_dot < 0.0:
-            break
-    saturate = draw(st.booleans())
-    l_max = peak * (draw(st.floats(0.2, 0.95)) if saturate else draw(st.floats(1.05, 3.0)))
-    p = SpringParams(b_s=b, k_s=k, l_max=l_max, delta_l=l_max * draw(st.floats(0.01, 0.9)))
-    return p, v, dt, saturate
+    return (*clamp_either_side(draw, b, k, v, dt), v, dt)
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,12 +388,13 @@ def test_energy_never_rises_over_random_springs(case):
     """The exact step dissipates b_s l_dot^2 and the clamp only removes energy, so
     0.5 l_dot^2 + 0.5 k_s l^2 never rises across advance_arm steps beyond rounding
     (4 eps relative), on both sides of saturation, until release."""
-    p, v, dt, saturate = case
+    p, saturate, v, dt = case
     l, l_dot = 0.0, v
     energy, hit = 0.5 * v * v, False
+    phi = _transition(p.b_s, p.k_s, dt)
     for _ in range(int(1.0 / dt)):
-        l, l_dot, saturated, exited = advance_arm(l, l_dot, p, dt)
-        hit = hit or saturated
+        l, l_dot, exited = advance_arm(l, l_dot, phi, p)
+        hit = hit or l == p.l_max
         e_new = 0.5 * l_dot**2 + 0.5 * p.k_s * l**2
         assert e_new <= energy * (1.0 + 4 * np.finfo(float).eps)
         energy = e_new

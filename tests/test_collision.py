@@ -4,7 +4,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from foldquad import scenario
-from foldquad.arm import ArmState, SpringParams, simulate_contact
+from foldquad.arm import ArmState, SpringParams, _transition, simulate_contact
 from foldquad.collision import (CollisionEvent, Foldable, Wall,
                                 contact_constrained_step, detect_contact,
                                 impact_force_estimate, resolve_rigid)
@@ -158,8 +158,9 @@ def _run_constrained(v_c, u, spring, dt=1e-3):
     s = _touching_state([v_c, 0.0, 0.0])
     arm = ArmState(l=0.0, l_dot=v_c)
     states, arms = [s], [arm]
+    phi = _transition(spring.b_s, spring.k_s, dt)
     for _ in range(2000):
-        s, arm, exited = contact_constrained_step(s, arm, WALL, u, P, spring, dt)
+        s, arm, exited = contact_constrained_step(s, arm, WALL, u, P, spring, phi, dt)
         states.append(s)
         arms.append(arm)
         if exited:
@@ -171,8 +172,9 @@ def test_centroid_advances_with_compression():
     spring = SpringParams()
     s = _touching_state([1.4, 0.0, 0.0])
     arm = ArmState(l=0.0, l_dot=1.4)
+    phi = _transition(spring.b_s, spring.k_s, 1e-3)
     s2, arm2, exited = contact_constrained_step(
-        s, arm, WALL, ControlInput(f=0.0), P, spring, 1e-3)
+        s, arm, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
     assert not exited
     assert arm2.l > 0.0
     assert s2.x[0] > s.x[0]  # centroid keeps moving toward the wall as l grows
@@ -197,9 +199,10 @@ def test_tangential_velocity_decoupled():
     spring = SpringParams()
     s = _touching_state([1.4, 0.25, 0.0])
     arm = ArmState(l=0.0, l_dot=1.4)
+    phi = _transition(spring.b_s, spring.k_s, 1e-3)
     for _ in range(2000):
         s, arm, exited = contact_constrained_step(
-            s, arm, WALL, ControlInput(f=0.0), P, spring, 1e-3)
+            s, arm, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
         if exited:
             break
     assert abs(s.v[1] - 0.25) < 1e-12
@@ -219,10 +222,11 @@ def test_contact_step_blow_up_detected():
     # thrust near the float maximum overflows the free step's RK4 sum; the
     # contact step must raise rather than return a non-finite state
     s, arm = _touching_state([1.4, 0.0, 0.0]), ArmState(l=0.0, l_dot=1.4)
-    u = ControlInput(f=1e308)
+    u, sp = ControlInput(f=1e308), SpringParams()
+    phi = _transition(sp.b_s, sp.k_s, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateBlowUpError):
         for _ in range(100):
-            s, arm, _ = contact_constrained_step(s, arm, WALL, u, P, SpringParams(), 1e-3)
+            s, arm, _ = contact_constrained_step(s, arm, WALL, u, P, sp, phi, 1e-3)
             assert np.isfinite(s.x).all() and np.isfinite(s.v).all()
 
 

@@ -481,6 +481,25 @@ def test_cli_fit(tmp_path, capsys):
     assert abs(out["k_s"] - 500.0) / 500.0 < 0.01
 
 
+@pytest.mark.parametrize("flag, field", [("--guess-bs", "b_s"), ("--guess-ks", "k_s")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_fit_rejects_non_finite_guess(tmp_path, flag, field, value):
+    """A non-finite initial guess is a config error that names the field, raised
+    before scipy sees it: exit 1, no traceback, no RuntimeWarning."""
+    from foldquad.arm import analytic_response
+    t = np.arange(0, 0.35, 1e-3)
+    l, _ = analytic_response(1.4, SpringParams(), t)
+    trace_path = tmp_path / "trace.csv"
+    np.savetxt(trace_path, np.column_stack([t, l]), delimiter=",")
+    code = "import sys; from foldquad.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {"PYTHONPATH": str(Path(foldquad.__file__).parents[1]), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code, "fit", str(trace_path), flag, value],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {field} must be")
+    assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
+
+
 def test_cli_metrics_from_log(tmp_path, capsys):
     cfg_path = tmp_path / "wall.yaml"
     ScenarioConfig(duration=2.0).save(cfg_path)

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from foldquad import collision, scenario
-from foldquad.arm import ArmState, SpringParams, advance_arm
+from foldquad.arm import ArmState, SpringParams, _transition, advance_arm
 from foldquad.collision import Foldable, Rigid, Wall, contact_constrained_step
 from foldquad.control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                               step_controller)
@@ -47,6 +47,11 @@ SPRING = SpringParams()
 WALL = Wall(normal=[-1.0, 0.0, 0.0], offset=-0.3)
 EXAMPLES = settings(max_examples=50, deadline=None)
 EPS = np.finfo(float).eps
+
+
+def phi(dt):
+    """The arm's transition over dt, as run_scenario computes it once per run."""
+    return _transition(SPRING.b_s, SPRING.k_s, dt)
 
 
 def vec3(bound):
@@ -81,7 +86,7 @@ def test_integrate_step_result_passes_full_validation(s, u, dt):
 @given(states, arms, inputs, dts)
 def test_contact_step_result_passes_full_validation(s, a, u, dt):
     try:
-        out, _, _ = contact_constrained_step(s, a, WALL, u, P, SPRING, dt)
+        out, _, _ = contact_constrained_step(s, a, WALL, u, P, SPRING, phi(dt), dt)
     except StateBlowUpError:
         return
     assert_fully_valid(out)
@@ -395,8 +400,8 @@ oblique_walls = st.builds(Wall, normal=oblique_normals, offset=st.floats(-10.0, 
 @given(moderate_states, arms, oblique_walls,
        st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
 def test_contact_step_matches_numpy(s, a, w, u, dt):
-    got, arm2, exited = contact_constrained_step(s, a, w, u, P, SPRING, dt)
-    l2, ld2, _, want_exited = advance_arm(a.l, a.l_dot, SPRING, dt)
+    got, arm2, exited = contact_constrained_step(s, a, w, u, P, SPRING, phi(dt), dt)
+    l2, ld2, want_exited = advance_arm(a.l, a.l_dot, phi(dt), SPRING)
     assert (arm2.l, arm2.l_dot, exited) == (l2, ld2, want_exited)
     want_x, want_v, x_terms, v_terms = reference_contact_translation(s, arm2, w, u, P, dt)
     assert_close("x", got.x, want_x, *x_terms)
@@ -416,7 +421,7 @@ def test_contact_step_does_not_depend_on_the_start_normal_position(s, a, w, u, d
     touching contact gives the same step to rounding: the run loop needs no snap."""
     def step_from(gap):
         start = s.with_translation(s.x + (gap - w.distance(s.x)) * w.normal, s.v)
-        return contact_constrained_step(start, a, w, u, P, SPRING, dt)
+        return contact_constrained_step(start, a, w, u, P, SPRING, phi(dt), dt)
 
     touching, shifted = step_from(P.r_contact), step_from(P.r_contact + d)
     assert np.allclose(shifted[0].x, touching[0].x, rtol=0.0, atol=1e-14)
