@@ -104,7 +104,6 @@ class ContactResult:
     duration: float
     peak_l: float
     saturated: bool
-    trace: DisplacementTrace
 
 
 def analytic_response(v0, p: SpringParams, t):
@@ -160,16 +159,16 @@ def advance_arm(l, l_dot, phi, p: SpringParams):
 
     phi is Phi(dt) = _transition(p.b_s, p.k_s, dt), which the caller computes
     once per contact. The clamp is an inelastic stop: hitting l_max zeroes any
-    inward rate and leaves l at exactly l_max. Release (exited) is declared when
-    l <= delta_l with the arm extending (l_dot < 0), which can only occur after
-    the first compression peak. Returns (l, l_dot, exited).
+    inward rate and leaves l at exactly l_max; since delta_l < l_max, a clamped
+    step never releases. Release (exited) is declared when l <= delta_l with the
+    arm extending (l_dot < 0), which can only occur after the first compression
+    peak. Returns (l, l_dot, exited).
     """
     p11, p12, p21, p22 = phi
     l2, d2 = p11 * l + p12 * l_dot, p21 * l + p22 * l_dot
     if l2 >= p.l_max:
-        l2, d2 = p.l_max, min(d2, 0.0)
-    exited = (l2 <= p.delta_l) and (d2 < 0.0)
-    return l2, d2, exited
+        return p.l_max, min(d2, 0.0), False
+    return l2, d2, (l2 <= p.delta_l) and (d2 < 0.0)
 
 
 def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
@@ -184,19 +183,17 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
     if not (0.0 < dt <= 1e-3):
         raise ValueError("dt must be in (0, 1e-3] s")
     phi = _transition(p.b_s, p.k_s, dt)
-    l, l_dot = 0.0, float(v_impact)
-    ls = [l]
+    l, l_dot, peak_l = 0.0, float(v_impact), 0.0
     for i in range(1, int(CONTACT_TIMEOUT_S / dt) + 2):  # step i ends at t = i*dt
         l, l_dot, exited = advance_arm(l, l_dot, phi, p)
-        ls.append(l)
+        if l > peak_l:
+            peak_l = l
         if exited:
-            peak_l = max(ls)
             return ContactResult(
                 v_rb=abs(l_dot),
                 duration=i * dt,
                 peak_l=peak_l,
                 saturated=peak_l >= p.l_max,  # a saturated step leaves l at exactly l_max
-                trace=DisplacementTrace(t=np.arange(i + 1) * dt, l=np.array(ls)),
             )
     raise ContactTimeoutError(f"contact did not release within {CONTACT_TIMEOUT_S:g} s; "
                               "check spring parameters")
