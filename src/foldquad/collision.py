@@ -1,9 +1,6 @@
-"""Wall environment, contact detection and contact resolution.
-
-Two contact modes: Foldable couples the wall-normal translation to the
-spring-damper arm while the wall is touched; Rigid applies an impulsive
-restitution bounce within a single physics step.
-"""
+"""Wall environment, contact detection and contact resolution: while the wall is
+touched, the wall-normal translation follows an arm spring, the scenario's in Foldable
+mode and in Rigid mode the stiff arm that `resolve_rigid` builds from the restitution."""
 from __future__ import annotations
 
 import math
@@ -14,6 +11,8 @@ import numpy as np
 from .arm import ArmState, SpringParams, advance_arm
 from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams, as_vec3,
                        integrate_step)
+
+RIGID_CONTACT_TIME = 10e-3  # s; whole steps at dt 0.25, 0.5, 1, 2, 2.5, 5 ms, 1/600, 1/300 s
 
 
 @dataclass
@@ -49,7 +48,7 @@ class Foldable:
 
 @dataclass
 class Rigid:
-    """Restitution bounce; the coefficient is the scenario's `restitution`."""
+    """Stiff-arm contact; the spring is `resolve_rigid` of the scenario's `restitution`."""
 
 
 ContactMode = Foldable | Rigid
@@ -75,16 +74,15 @@ def detect_contact(s: BodyState, w: Wall, p: VehicleParams, t=0.0):
     return None
 
 
-def resolve_rigid(s: BodyState, ev: CollisionEvent, e: float,
-                  w: Wall, p: VehicleParams) -> BodyState:
-    """Impulsive restitution bounce: reflect and scale the normal velocity
-    component by e, keep tangential velocity and attitude, and project the
-    position back to touching contact."""
-    n = ev.normal
-    v_n = float(s.v @ n)
-    v_new = s.v - (1.0 + e) * v_n * n
-    x_new = s.x + (p.r_contact - w.distance(s.x)) * w.normal
-    return s.with_translation(x_new, v_new)
+def resolve_rigid(e: float, r_contact: float) -> SpringParams:
+    """The rigid mode's contact spring for restitution e in (0, 1]: a stiff Kelvin-Voigt
+    arm (Hunt & Crossley 1975), b_s = -2 ln(e)/T and k_s = (pi^2 + ln^2 e)/T^2 with
+    T = RIGID_CONTACT_TIME. From (0, v) it is back at l = 0 after exactly T, one damped
+    half period, with l_dot = -e v (released there by delta_l); its peak, about v T/pi,
+    stays below l_max. The arm step is exact and T >= any accepted dt: no RK4 check."""
+    T, ln_e = RIGID_CONTACT_TIME, math.log(e)
+    return SpringParams(b_s=-2.0 * ln_e / T, k_s=(math.pi ** 2 + ln_e ** 2) / T ** 2,
+                        l_max=0.9 * r_contact, delta_l=1e-9)
 
 
 def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput,

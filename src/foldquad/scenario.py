@@ -51,7 +51,7 @@ def _plain(value):
 class ScenarioConfig:
     """Full description of one reproducible run.
 
-    `restitution` is the rigid-mode bounce coefficient; `compare_modes` and
+    `restitution` sets the rigid mode's stiff arm; `compare_modes` and
     `sweep_velocities` use it for their rigid runs whatever `mode` is.
     """
 
@@ -74,8 +74,8 @@ class ScenarioConfig:
         self.start_position = np.asarray(self.start_position, dtype=float).reshape(3)
         self.start_velocity = np.asarray(self.start_velocity, dtype=float).reshape(3)
         self.setpoint = np.asarray(self.setpoint, dtype=float).reshape(3)
-        if not (0.0 <= self.restitution <= 1.0):
-            raise ValueError("restitution must lie in [0, 1]")
+        if not (0.0 < self.restitution <= 1.0):  # e = 0 has no finite contact time
+            raise ValueError("restitution must lie in (0, 1]")
         if not self.spring.l_max < self.vehicle.r_contact:  # the centroid stays off the wall
             raise ValueError("arm_travel_max must be below contact_radius")
         if not (0.0 < self.dt <= 0.01):
@@ -156,9 +156,9 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     after k/position_rate (its outputs held in between), and grid row k at the
     first step at or after k*log_interval. Each first touch of the wall
     generates the recovery setpoint, held until the next one. Each step is free
-    (integrate_step, also after a rigid bounce) or folded (contact_constrained_step,
-    from a foldable touch until the arm releases). A state blow-up or a contact
-    that never releases aborts with the partial log and a diagnostic.
+    (integrate_step) or in contact (contact_constrained_step from the touch until the
+    arm releases; the arm is cfg.spring, or resolve_rigid's in Rigid mode). A state
+    blow-up or a contact that never releases aborts with the partial log and a diagnostic.
 
     The log also holds every step that decides a metric (README, "One clock"),
     so no metric depends on log_interval. `contact` is 1 on contact steps, and
@@ -172,14 +172,15 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     u = ControlInput(f=cfg.vehicle.m * cfg.vehicle.g)
 
     dt, ctl = cfg.dt, cfg.controller
-    phi = _transition(cfg.spring.b_s, cfg.spring.k_s, dt)  # the arm's step, for every contact
     wall, vehicle, log_interval = cfg.wall, cfg.vehicle, cfg.log_interval
+    spring = (resolve_rigid(cfg.restitution, vehicle.r_contact) if isinstance(cfg.mode, Rigid)
+              else cfg.spring)
+    phi = _transition(spring.b_s, spring.k_s, dt)  # the arm's step, for every contact
     att_rate, pos_rate = ctl.attitude_rate, ctl.position_rate
-    rigid = isinstance(cfg.mode, Rigid)
     n_steps = int(round(cfg.duration / dt))
     n_att = n_pos = n_log = 0  # ticks fired so far, per loop
 
-    touch, was_contact = None, False  # touch: the foldable contact's first step, None if free
+    touch, was_contact = None, False  # touch: the contact's first step, None if free
     arm = ArmState()  # after release its deflection stays in the log
 
     # steps tracked as (t, state, u, x_d, l) until the first touch, then again from the
@@ -234,20 +235,17 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                 events.append(ev)
                 sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
                 x_d = sp.x_d.tolist()
-                if rigid:  # the bounce, then a free step: rigid contact exits in one step
-                    state = resolve_rigid(state, ev, cfg.restitution, wall, vehicle)
-                else:
-                    touch, arm = i, ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
+                touch, arm = i, ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
             if touch is None:
                 state = integrate_step(state, u, vehicle, dt)
             else:
                 state, arm, exited = contact_constrained_step(
-                    state, arm, wall, u, vehicle, cfg.spring, phi, dt)
+                    state, arm, wall, u, vehicle, spring, phi, dt)
                 if exited:
                     touch = None
                 elif (i - touch) * dt > CONTACT_TIMEOUT_S:
-                    diagnostic = (f"contact timeout at t={t:.4f} s: foldable contact "
-                                  f"did not release within {CONTACT_TIMEOUT_S:g} s")
+                    diagnostic = (f"contact timeout at t={t:.4f} s: contact did not "
+                                  f"release within {CONTACT_TIMEOUT_S:g} s")
                     break
             if stop_at_first_contact and events:
                 break

@@ -137,6 +137,27 @@ def test_contact_clamp_saturates():
     assert res.peak_l == NOMINAL.l_max
 
 
+def test_clamp_keeps_an_extending_rate():
+    """A step that crosses l_max with the arm already extending keeps its
+    outward rate: lossless, 1 rad per 1 ms step, l(2 ms) = sin(2)/1000 is past
+    l_max = 8.8e-4 while l_dot = cos(2) < 0. The release that follows is the
+    closed form from (l_max, cos 2), not the one from (l_max, 0)."""
+    p, dt = SpringParams(b_s=0.0, k_s=1e6, l_max=8.8e-4, delta_l=1e-5), 1e-3
+    phi = _transition(p.b_s, p.k_s, dt)
+    p11, p12, p21, p22 = phi
+    l1, d1, _ = advance_arm(0.0, 1.0, phi, p)
+    assert p11 * l1 + p12 * d1 > p.l_max
+    assert advance_arm(l1, d1, phi, p) == (p.l_max, p21 * l1 + p22 * d1, False)
+    assert p21 * l1 + p22 * d1 == pytest.approx(math.cos(2.0), rel=1e-14, abs=0.0)
+    # from (l_max, cos 2) the arm turns 1 rad per step and releases on step 4
+    l3 = p.l_max * math.cos(2.0) + math.cos(2.0) * math.sin(2.0) / 1e3
+    rate = -1e3 * p.l_max * math.sin(2.0) + math.cos(2.0) ** 2
+    assert l3 <= p.delta_l
+    res = simulate_contact(1.0, p, dt)
+    assert res.duration == pytest.approx(4e-3, abs=1e-15) and res.saturated
+    assert res.v_rb == pytest.approx(-rate, rel=1e-12, abs=0.0)
+
+
 def test_contact_input_validation():
     with pytest.raises(ValueError):
         simulate_contact(0.0, NOMINAL)

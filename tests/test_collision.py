@@ -1,15 +1,14 @@
-"""Wall model, contact detection and both contact-resolution modes."""
+"""Wall model, contact detection and the contact step in both modes."""
+import math
+
 import numpy as np
 import pytest
-from scipy.spatial.transform import Rotation
 
 from foldquad import scenario
 from foldquad.arm import ArmState, SpringParams, _transition, simulate_contact
-from foldquad.collision import (CollisionEvent, Foldable, Wall,
-                                contact_constrained_step, detect_contact,
-                                impact_force_estimate, resolve_rigid)
-from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
-                               integrate_step)
+from foldquad.collision import (RIGID_CONTACT_TIME, Foldable, Rigid, Wall, contact_constrained_step,
+                                detect_contact, impact_force_estimate, resolve_rigid)
+from foldquad.dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams
 from foldquad.scenario import ScenarioConfig
 
 P = VehicleParams()
@@ -45,10 +44,10 @@ def test_wall_rejects_zero_normal():
 
 
 def test_rigid_restitution_bounds():
-    with pytest.raises(ValueError):
-        ScenarioConfig(restitution=1.5)
-    with pytest.raises(ValueError):
-        ScenarioConfig(restitution=-0.1)
+    """Restitution lies in (0, 1]: e = 0, a stop dead, has no finite contact time."""
+    for e in (1.5, -0.1, 0.0):
+        with pytest.raises(ValueError, match="restitution"):
+            ScenarioConfig(restitution=e)
 
 
 # -- detect_contact -------------------------------------------------------------
@@ -74,58 +73,81 @@ def test_detect_at_boundary_separating():
 
 
 def test_no_tunneling_at_step_speed():
-    # dt = 1 ms, |v| <= 5 m/s: penetration at detection is at most |v| dt
+    # dt = 1 ms, |v| <= 5 m/s: penetration at detection is at most |v| dt, and the
+    # first contact step puts the centroid r_contact - l off the wall
     dt, v = 1e-3, 5.0
     s = moving_state([0.3 - P.r_contact + v * dt * 0.999, 0.0, 0.0], [v, 0.0, 0.0])
     ev = detect_contact(s, WALL, P)
     assert ev is not None
     penetration = P.r_contact - WALL.distance(s.x)
     assert penetration <= v * dt + 1e-12
-    resolved = resolve_rigid(s, ev, 0.9, WALL, P)
-    assert WALL.distance(resolved.x) >= P.r_contact - 1e-12
+    sp = resolve_rigid(0.9, P.r_contact)
+    out, arm, _ = contact_constrained_step(s, ArmState(l=0.0, l_dot=v), WALL, ControlInput(f=0.0),
+                                           P, sp, _transition(sp.b_s, sp.k_s, dt), dt)
+    assert abs(WALL.distance(out.x) - (P.r_contact - arm.l)) < 1e-12
+    assert 0.0 < arm.l < sp.l_max
 
 
-# -- resolve_rigid ---------------------------------------------------------------
+# -- resolve_rigid: the stiff arm ---------------------------------------------------
+
+@pytest.mark.parametrize("e", [0.05, 0.3, 0.5, 0.7, 0.9, 1.0])
+def test_rigid_arm_returns_restitution_after_contact_time(e):
+    """From any impact speed the stiff arm releases at e times it after exactly
+    RIGID_CONTACT_TIME, at every dt up to 1 ms that divides that time."""
+    sp = resolve_rigid(e, P.r_contact)
+    for dt in (1e-3, 5e-4, 2.5e-4, 2e-4, 1e-4):
+        for v in (0.3, 1.4, 20.0):
+            res = simulate_contact(v, sp, dt)
+            assert res.v_rb == pytest.approx(e * v, rel=1e-12, abs=0.0), (dt, v)
+            assert abs(res.duration - RIGID_CONTACT_TIME) <= 1e-12, (dt, v)
+
+
+def test_rigid_arm_peak_stays_below_travel_limit():
+    """The stiff arm peaks near v T/pi and never reaches l_max, up to 20 m/s."""
+    for e in (0.05, 0.5, 1.0):
+        sp = resolve_rigid(e, P.r_contact)
+        for v in (0.1, 1.0, 5.0, 10.0, 20.0):
+            res = simulate_contact(v, sp, 1e-4)
+            assert not res.saturated and res.peak_l < sp.l_max
+            assert res.peak_l <= v * RIGID_CONTACT_TIME / math.pi * (1.0 + 1e-9)
+
 
 def test_rigid_reflection_default_restitution():
-    s = moving_state([0.3 - P.r_contact, 0.0, 0.0], [1.4, 0.0, 0.0])
-    ev = detect_contact(s, WALL, P)
-    out = resolve_rigid(s, ev, 0.9, WALL, P)
-    assert np.allclose(out.v, [-1.26, 0.0, 0.0], atol=1e-12)
-    assert np.array_equal(out.R, s.R)
-
-
-def test_rigid_perfectly_plastic():
-    s = moving_state([0.3 - P.r_contact, 0.0, 0.0], [1.4, 0.0, 0.0])
-    ev = detect_contact(s, WALL, P)
-    out = resolve_rigid(s, ev, 0.0, WALL, P)
-    assert abs(out.v[0]) < 1e-15
+    """The default restitution returns 1.4 m/s at 1.26 m/s after ten 1 ms contact
+    steps; attitude without torque or rate stays as it was."""
+    states, _ = _run_constrained(1.4, ControlInput(f=0.0), resolve_rigid(0.9, P.r_contact))
+    assert len(states) - 1 == 10
+    assert states[-1].v[0] == pytest.approx(-1.26, rel=1e-12, abs=0.0)
+    assert states[-1].v[1] == 0.0
+    assert np.array_equal(states[-1].R, states[0].R)
 
 
 def test_rigid_elastic_oblique_preserves_speed():
-    s = moving_state([0.3 - P.r_contact, 0.0, 0.0], [1.0, 0.5, 0.0])
-    ev = detect_contact(s, WALL, P)
-    out = resolve_rigid(s, ev, 1.0, WALL, P)
-    assert np.allclose(out.v, [-1.0, 0.5, 0.0], atol=1e-12)
-    assert abs(np.linalg.norm(out.v) - np.linalg.norm(s.v)) < 1e-12
+    """On a wall turned 0.5 rad about the vertical, each contact step keeps the
+    horizontal tangential velocity, and an elastic contact returns the normal
+    speed, so the horizontal speed is kept; gravity alone acts on the vertical."""
+    a = 0.5
+    wall = Wall(normal=[-np.cos(a), np.sin(a), 0.0], offset=-0.3)
+    n, tan = -wall.normal, np.array([np.sin(a), np.cos(a), 0.0])
+    v0 = 1.0 * n + 0.5 * tan
+    s = moving_state((P.r_contact + wall.offset) * wall.normal, v0)
+    assert detect_contact(s, wall, P) is not None
+    sp = resolve_rigid(1.0, P.r_contact)
+    phi = _transition(sp.b_s, sp.k_s, 1e-3)
+    arm = ArmState(l=0.0, l_dot=1.0)
+    for _ in range(10):  # releases on the step at RIGID_CONTACT_TIME
+        s, arm, exited = contact_constrained_step(s, arm, wall, ControlInput(f=0.0), P,
+                                                  sp, phi, 1e-3)
+        assert abs(float(s.v @ tan) - 0.5) < 1e-12
+    assert exited
+    assert float(s.v @ n) == pytest.approx(-1.0, rel=1e-12, abs=0.0)
+    assert np.hypot(*s.v[:2]) == pytest.approx(np.hypot(*v0[:2]), rel=1e-12, abs=0.0)
+    assert s.v[2] == pytest.approx(P.g * RIGID_CONTACT_TIME, rel=1e-9)
 
 
-def test_rigid_bounce_carries_attitude_and_rate_bit_for_bit():
-    """q and omega pass through the bounce unchanged; a rebuild through R(q) and
-    back moves q's last bits for about half of all attitudes."""
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        s = BodyState(x=[0.3 - P.r_contact, 0.0, 0.0], v=[1.4, 0.3, -0.2],
-                      R=Rotation.random(random_state=rng.integers(2**31)).as_matrix(),
-                      omega=rng.normal(size=3))
-        s = integrate_step(s, ControlInput(f=10.0), P, 1e-3)  # a q as the run loop holds it
-        out = resolve_rigid(s, detect_contact(s, WALL, P), 0.9, WALL, P)
-        assert out.y[6:] == s.y[6:]
-
-
-def test_foldable_contact_snap_carries_attitude_and_rate_bit_for_bit(monkeypatch):
-    """Each first contact step starts from the touching state with q and omega
-    exactly as detect_contact saw them, over twelve start headings."""
+def _first_contact_steps(monkeypatch, mode):
+    """Over twelve start headings, the states detect_contact saw at each touch
+    and the states the first contact steps started from."""
     touched, first_input = [], []
 
     def detecting(s, *args):
@@ -142,9 +164,25 @@ def test_foldable_contact_snap_carries_attitude_and_rate_bit_for_bit(monkeypatch
     monkeypatch.setattr(scenario, "detect_contact", detecting)
     monkeypatch.setattr(scenario, "contact_constrained_step", stepping)
     for yaw in np.linspace(-3.0, 3.0, 12):
-        scenario.run_scenario(ScenarioConfig(duration=0.2, start_yaw=yaw, setpoint_yaw=yaw))
+        scenario.run_scenario(ScenarioConfig(mode=mode, duration=0.2, start_yaw=yaw,
+                                             setpoint_yaw=yaw))
+    return touched, first_input
+
+
+def test_foldable_contact_snap_carries_attitude_and_rate_bit_for_bit(monkeypatch):
+    """Each first contact step starts from the touching state with q and omega
+    exactly as detect_contact saw them, over twelve start headings."""
+    touched, first_input = _first_contact_steps(monkeypatch, Foldable())
     assert len(touched) == len(first_input) == 12
     assert all(a.y[6:] == b.y[6:] for a, b in zip(first_input, touched))
+
+
+def test_rigid_contact_snap_carries_attitude_and_rate_bit_for_bit(monkeypatch):
+    """The rigid contact starts the same way: from the touching state, q and
+    omega bit for bit."""
+    touched, first_input = _first_contact_steps(monkeypatch, Rigid())
+    assert len(touched) == len(first_input) == 12
+    assert all(a.y == b.y for a, b in zip(first_input, touched))
 
 
 # -- contact_constrained_step ------------------------------------------------------
@@ -236,16 +274,19 @@ def test_foldable_rebound_below_rigid_for_all_restitutions():
     states, _ = _run_constrained(v_c, ControlInput(f=0.0), spring)
     v_fold = -float(states[-1].v[0])
     for e in [0.3, 0.5, 0.7, 0.9, 1.0]:
-        s = _touching_state([v_c, 0.0, 0.0])
-        ev = detect_contact(s, WALL, P)
-        v_rigid = -float(resolve_rigid(s, ev, e, WALL, P).v[0])
+        rigid, _ = _run_constrained(v_c, ControlInput(f=0.0), resolve_rigid(e, P.r_contact))
+        v_rigid = -float(rigid[-1].v[0])
+        assert v_rigid == pytest.approx(e * v_c, rel=1e-12, abs=0.0)
         assert v_fold < v_rigid
 
 
 def test_contact_duration_ordering():
-    spring = SpringParams()
-    oracle = simulate_contact(1.4, spring, dt=1e-3)
-    assert oracle.duration >= 10 * 1e-3  # rigid contact is one physics step
+    """The foldable contact lasts at least ten rigid ones, up to 20 m/s."""
+    spring, rigid = SpringParams(), resolve_rigid(0.9, P.r_contact)
+    for v in (0.5, 1.4, 5.0, 20.0):
+        fold = simulate_contact(v, spring, dt=1e-3)
+        assert abs(simulate_contact(v, rigid, dt=1e-3).duration - RIGID_CONTACT_TIME) <= 1e-12
+        assert fold.duration >= 10 * RIGID_CONTACT_TIME
 
 
 # -- impact_force_estimate ----------------------------------------------------------

@@ -12,7 +12,7 @@ import foldquad
 from foldquad.arm import SpringParams, simulate_contact
 from foldquad.cli import _parse_overrides
 from foldquad.cli import main as cli_main
-from foldquad.collision import Rigid, Wall
+from foldquad.collision import RIGID_CONTACT_TIME, Rigid, Wall
 from foldquad.control import ControllerConfig, recovery_setpoint
 from foldquad.scenario import (ScenarioConfig, _cruise_cfg, compare_modes,
                                find_start_gap, run_scenario, sweep_velocities)
@@ -90,6 +90,15 @@ def test_cli_rejects_non_numeric_value(tmp_path, capsys, override):
     assert "must be a number" in capsys.readouterr().err
 
 
+def test_cli_rejects_zero_restitution(tmp_path, capsys):
+    """A stop dead has no finite rigid contact time: exit 1, naming the key."""
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=0.1).save(cfg_path)
+    rc = cli_main(["compare", str(cfg_path), "--out-dir", str(tmp_path), "--set", "restitution=0"])
+    assert rc == 1
+    assert "restitution must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_cli_null_wall_override_runs_without_a_wall(tmp_path):
     """null decodes to None, so a wall config runs as free flight; a bare word
     stays a string."""
@@ -156,12 +165,14 @@ def test_config_inertia_as_moments_or_rows():
 
 
 def test_compare_rigid_side_uses_config_restitution():
-    """A foldable config's restitution reaches the rigid run of compare_modes."""
+    """A foldable config's restitution reaches the rigid run of compare_modes,
+    whose stiff arm returns half the impact speed."""
     report = compare_modes(ScenarioConfig.from_dict({"restitution": 0.5}))
     rigid_cfg = ScenarioConfig.from_dict({"contact_mode": "rigid", "restitution": 0.5})
     rigid = compute_metrics(run_scenario(rigid_cfg), rigid_cfg)
     assert report.rigid.v_rb == rigid.v_rb
-    assert report.rigid.v_rb == pytest.approx(0.7148, abs=1e-4)
+    assert report.rigid.v_rb == pytest.approx(0.7153, abs=1e-4)
+    assert report.rigid.v_rb == pytest.approx(0.5 * report.rigid.v_c, rel=1e-12, abs=0.0)
 
 
 # -- run_scenario ----------------------------------------------------------------
@@ -222,7 +233,7 @@ def test_default_scenario_contact_and_recovery():
     assert log.vec("xd")[-1][2] == log.events[0].x_c[2]
 
 
-@pytest.mark.parametrize("mode, t_c2", [("foldable", 2.317), ("rigid", 2.447)])
+@pytest.mark.parametrize("mode, t_c2", [("foldable", 2.317), ("rigid", 2.449)])
 def test_recollision_regenerates_recovery_setpoint(mode, t_c2):
     """A second touch of the wall generates a fresh recovery setpoint."""
     cfg = ScenarioConfig(controller=ControllerConfig(gamma1=1e-6, gamma2=1e-6),
@@ -278,6 +289,19 @@ def test_saturated_arm_rebounds_at_one_speed():
     fold = {r.metrics.v_rb for r in rows if r.mode == "foldable"}
     assert len(fold) == 1
     assert all(r.metrics.v_rb > max(fold) for r in rows if r.mode == "rigid")
+
+
+@pytest.mark.parametrize("dt", [2.5e-4, 5e-4, 1e-3, 2e-3, 5e-3])
+def test_rigid_contact_does_not_depend_on_physics_dt(dt):
+    """On every grid that divides RIGID_CONTACT_TIME the closed-loop rigid contact
+    lasts exactly that long and returns restitution x v_c, so its mean impact
+    force is m (1 + e) v_c / T whatever the step."""
+    cfg = ScenarioConfig(mode=Rigid(), dt=dt, duration=0.3)
+    m = compute_metrics(run_scenario(cfg), cfg)
+    assert abs(m.contact_duration - RIGID_CONTACT_TIME) <= 1e-12
+    assert m.v_rb / m.v_c == pytest.approx(cfg.restitution, rel=1e-12, abs=0.0)
+    force = cfg.vehicle.m * (1.0 + cfg.restitution) * m.v_c / RIGID_CONTACT_TIME
+    assert m.mean_impact_force == pytest.approx(force, rel=1e-9, abs=0.0)
 
 
 def test_rigid_mode_oscillates_more_than_foldable():
@@ -390,10 +414,10 @@ GOLDEN_REFERENCE = {
                      contact_duration=0.16900000000000004, peak_l=0.03,
                      overshoot=0.022114840030167615, settling_time=2.0900000000000003,
                      re_collision_count=0, mean_impact_force=10.292271132751823),
-    "rigid": dict(v_c=1.4306753006078459, v_rb=1.2870913326045081,
-                  contact_duration=0.0010000000000000009, peak_l=0.0,
-                  overshoot=0.06809870663397921, settling_time=2.2609999999999997,
-                  re_collision_count=0, mean_impact_force=3022.156496132135),
+    "rigid": dict(v_c=1.4306753006078459, v_rb=1.2876077705470617,
+                  contact_duration=0.009999999999999995, peak_l=0.004320285639416583,
+                  overshoot=0.07175028214135659, settling_time=2.256,
+                  re_collision_count=0, mean_impact_force=302.2730775124259),
 }
 
 

@@ -119,7 +119,7 @@ def configs(draw):
         spring=SpringParams(b_s=draw(st.floats(0.0, 200.0)), k_s=draw(st.floats(1.0, 5000.0)),
                             l_max=l_max, delta_l=l_max * draw(st.floats(0.01, 0.9))),
         mode=draw(st.sampled_from([Foldable, Rigid]))(),
-        restitution=draw(st.floats(0.0, 1.0)),
+        restitution=draw(st.floats(0.0, 1.0, exclude_min=True)),
         controller=ControllerConfig(**gains, position_rate=rates[0], attitude_rate=rates[1]),
         wall=draw(st.none() | st.builds(
             Wall, normal=vec3(1.0).filter(lambda n: np.linalg.norm(n) > 1e-3),
@@ -461,19 +461,15 @@ def traced_run(cfg):
         pos.append(steps[0])
         return position_loop(*args)
 
-    def in_contact(step):
-        def wrapped(*args):
-            contact.add(steps[0])
-            return step(*args)
-        return wrapped
+    def contact_step(*args):
+        contact.add(steps[0])
+        return collision.contact_constrained_step(*args)
 
     with mock.patch.object(scenario, "integrate_step", stepping), \
             mock.patch.object(collision, "integrate_step", stepping), \
             mock.patch.object(scenario, "step_controller", attitude_tick), \
             mock.patch.object(scenario, "position_loop", position_tick), \
-            mock.patch.object(scenario, "resolve_rigid", in_contact(collision.resolve_rigid)), \
-            mock.patch.object(scenario, "contact_constrained_step",
-                              in_contact(collision.contact_constrained_step)):
+            mock.patch.object(scenario, "contact_constrained_step", contact_step):
         log = scenario.run_scenario(cfg)
     return log, steps[0], att, pos, contact
 
