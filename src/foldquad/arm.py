@@ -229,6 +229,11 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
     from the first samples; the linear ODE makes the closed form exact, so no
     re-integration per iteration is needed.
     """
+    def off_branch(b, k):  # the search keeps to the underdamped branch, with a margin
+        return b * b >= 3.999 * k
+    if off_branch(guess.b_s, guess.k_s):  # from there the penalty would be flat: no search
+        raise ValueError(f"guess b_s={guess.b_s!r}, k_s={guess.k_s!r} is not underdamped "
+                         "with margin: b_s^2 >= 3.999 k_s")
     from scipy.optimize import least_squares  # imported here: it dominates `import foldquad`
 
     if len(trace) < 10:
@@ -244,7 +249,7 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
 
     def residuals(theta):
         b, k, v0 = theta
-        if b * b >= 3.999 * k:  # keep the search on the underdamped branch
+        if off_branch(b, k):
             return np.full(len(t), 1e3)
         l_model, _ = analytic_response(v0, SpringParams(b, k, guess.l_max, guess.delta_l), t)
         return l_model - trace.l

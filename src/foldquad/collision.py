@@ -33,11 +33,11 @@ class Wall:
             raise ValueError("wall normal must be non-zero")
         # a normal that is already unit stays as it is, so a reloaded wall is bit-identical
         self.normal = n / nn if abs(nn - 1.0) > 1e-12 else n.copy()
+        self.normal_flat = tuple(self.normal.tolist())  # plain floats for the per-step readers
         self.offset = float(self.offset)
 
     def distance(self, x):
-        n0, n1, n2 = self.normal.tolist()
-        x0, x1, x2 = x
+        (n0, n1, n2), (x0, x1, x2) = self.normal_flat, x
         return (n0 * x0 + n1 * x1 + n2 * x2) - self.offset
 
 
@@ -67,8 +67,7 @@ class CollisionEvent:
 def detect_contact(s: BodyState, w: Wall, p: VehicleParams, t=0.0):
     """Return a CollisionEvent if the contact sphere touches the wall while
     approaching it, else None. Separating or out-of-reach states give None."""
-    n0, n1, n2 = w.normal.tolist()
-    v0, v1, v2 = s.y[3:6]
+    (n0, n1, n2), (v0, v1, v2) = w.normal_flat, s.y[3:6]
     if w.distance(s.y[:3]) <= p.r_contact and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
         return CollisionEvent(t_c=float(t), x_c=s.x, v_c=s.v, normal=-w.normal)
     return None
@@ -98,7 +97,7 @@ def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput
     Returns (BodyState, ArmState, exited); raises StateBlowUpError if the
     state is not finite.
     """
-    n0, n1, n2 = w.normal.tolist()
+    n0, n1, n2 = w.normal_flat
     l2, ld2, exited = advance_arm(a.l, a.l_dot, phi, sp)
 
     # the one free step gives q, omega and the tangential x and v: attitude does not

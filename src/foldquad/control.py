@@ -50,6 +50,7 @@ class Setpoint:
 
     def __post_init__(self):
         self.x_d = as_vec3(self.x_d, "x_d")
+        self.x_d_flat = tuple(self.x_d.tolist())  # plain floats for the tick and the log row
         self.yaw_d = float(self.yaw_d)
 
 
@@ -80,6 +81,11 @@ def recovery_setpoint(x_tc, v_c_xy, cfg: ControllerConfig, yaw_d=0.0) -> Setpoin
     return Setpoint(x_d=x_d, yaw_d=yaw_d)
 
 
+def _clamp(x, lo, hi):
+    """min(max(x, lo), hi) for lo <= hi, bit for bit (NaN and -0.0 too), but cheaper."""
+    return lo if lo > x else (hi if hi < x else x)
+
+
 def rotation_from_thrust_dir(b3, yaw):
     """R_d, as a row-major 9-tuple, with unit third body axis b3 and decoupled heading yaw."""
     b2 = cross3(b3, (math.cos(yaw), math.sin(yaw), 0.0))
@@ -87,9 +93,9 @@ def rotation_from_thrust_dir(b3, yaw):
     if n2 < 1e-8:  # thrust direction parallel to heading; use the other axis
         b2 = cross3(b3, (-math.sin(yaw), math.cos(yaw), 0.0))
         n2 = math.hypot(*b2)
-    b2 = [c / n2 for c in b2]
-    b1 = cross3(b2, b3)
-    return (b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2])
+    y0, y1, y2 = b2[0] / n2, b2[1] / n2, b2[2] / n2
+    (x0, x1, x2), (z0, z1, z2) = cross3((y0, y1, y2), b3), b3
+    return (x0, y0, z0, x1, y1, z1, x2, y2, z2)
 
 
 def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
@@ -101,20 +107,23 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     that vector projected on the current body-z, clamped to [0, max_thrust].
     A vanishing specific force keeps the held R_d.
     """
-    lim = cfg.integral_limit
-    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(sp.x_d.tolist(), s.y[:3], s.y[3:6])]
-    integral = tuple(min(max(i + e * dt, -lim), lim) for i, e in zip(cs.integral, e_v))
-    d_e_v = (0.0, 0.0, 0.0) if cs.prev_e_v is None else [
-        (e - q) / dt for e, q in zip(e_v, cs.prev_e_v)]
-    a0, a1, a2 = (cfg.k_v * e + cfg.k_vi * i + cfg.k_vd * d
-                  for e, i, d in zip(e_v, integral, d_e_v))
-    f_vec = (-a0, -a1, p.g - a2)  # desired specific force g e3 - a_cmd along body-z
-    norm = math.hypot(*f_vec)
+    lim, k_p, k_v, k_vi, k_vd = cfg.integral_limit, cfg.k_p, cfg.k_v, cfg.k_vi, cfg.k_vd
+    (x0, x1, x2, v0, v1, v2), (xd0, xd1, xd2), (i0, i1, i2) = s.y[:6], sp.x_d_flat, cs.integral
+    e0, e1, e2 = k_p * (xd0 - x0) - v0, k_p * (xd1 - x1) - v1, k_p * (xd2 - x2) - v2
+    i0, i1, i2 = (_clamp(i0 + e0 * dt, -lim, lim), _clamp(i1 + e1 * dt, -lim, lim),
+                  _clamp(i2 + e2 * dt, -lim, lim))
+    prev = cs.prev_e_v  # None before the first tick: no derivative term
+    d0, d1, d2 = (0.0, 0.0, 0.0) if prev is None else (
+        (e0 - prev[0]) / dt, (e1 - prev[1]) / dt, (e2 - prev[2]) / dt)
+    f0 = -(k_v * e0 + k_vi * i0 + k_vd * d0)  # desired specific force g e3 - a_cmd along body-z
+    f1 = -(k_v * e1 + k_vi * i1 + k_vd * d1)
+    f2 = p.g - (k_v * e2 + k_vi * i2 + k_vd * d2)
+    norm = math.hypot(f0, f1, f2)
     R_d = cs.held_R_d if norm < _THRUST_DIR_EPS else rotation_from_thrust_dir(
-        [c / norm for c in f_vec], sp.yaw_d)
+        (f0 / norm, f1 / norm, f2 / norm), sp.yaw_d)
     r02, r12, r22 = quaternion_to_rotation(s.y[6:10])[2::3]  # body-z is the third column of R
-    f = min(max(p.m * (f_vec[0] * r02 + f_vec[1] * r12 + f_vec[2] * r22), 0.0), cfg.max_thrust)
-    return ControllerState(integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d)
+    f = _clamp(p.m * (f0 * r02 + f1 * r12 + f2 * r22), 0.0, cfg.max_thrust)
+    return ControllerState(integral=(i0, i1, i2), prev_e_v=(e0, e1, e2), held_f=f, held_R_d=R_d)
 
 
 def _rotation_error(r, d):
@@ -128,15 +137,17 @@ def _rotation_error(r, d):
 
 def attitude_moment(e_R, e_omega, omega, p: VehicleParams, cfg: ControllerConfig):
     """Body moment tau = -k_R e_R - k_Omega e_Omega + Omega x J Omega, as a 3-tuple."""
-    J, (w0, w1, w2) = p.J_flat, omega
-    gyro = cross3(omega, [J[i] * w0 + J[i + 1] * w1 + J[i + 2] * w2 for i in (0, 3, 6)])
-    return tuple(-cfg.k_r * e - cfg.k_omega * eo + g for e, eo, g in zip(e_R, e_omega, gyro))
+    (j00, j01, j02, j10, j11, j12, j20, j21, j22), (w0, w1, w2) = p.J_flat, omega
+    g0, g1, g2 = cross3(omega, (j00 * w0 + j01 * w1 + j02 * w2, j10 * w0 + j11 * w1 + j12 * w2,
+                                j20 * w0 + j21 * w1 + j22 * w2))
+    (e0, e1, e2), (o0, o1, o2), k_r, k_omega = e_R, e_omega, cfg.k_r, cfg.k_omega
+    return (-k_r * e0 - k_omega * o0 + g0, -k_r * e1 - k_omega * o1 + g1,
+            -k_r * e2 - k_omega * o2 + g2)
 
 
 def step_controller(s: BodyState, cs: ControllerState, cfg: ControllerConfig,
                     p: VehicleParams) -> ControlInput:
     """One attitude tick: the held thrust, and the moment that tracks the held R_d."""
-    omega = s.y[10:]
-    R = quaternion_to_rotation(s.y[6:10])
+    omega, R = s.y[10:], quaternion_to_rotation(s.y[6:10])
     tau = attitude_moment(_rotation_error(R, cs.held_R_d), omega, omega, p, cfg)
     return ControlInput._trusted(cs.held_f, tau)

@@ -168,7 +168,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     state = state.with_translation(state.y[:3], cfg.start_velocity)
     cs = ControllerState()
     sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
-    x_d = sp.x_d.tolist()
+    x_d = sp.x_d_flat
     u = ControlInput(f=cfg.vehicle.m * cfg.vehicle.g)
 
     dt, ctl = cfg.dt, cfg.controller
@@ -188,8 +188,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     watching = not stop_at_first_contact
     far = after_far = nearest = None
     s_min = math.inf
-    if wall:
-        n0, n1, n2 = (-wall.normal).tolist()
+    n0, n1, n2 = (-c for c in wall.normal_flat) if wall else (0.0, 0.0, 0.0)
     r2 = SETTLE_RADIUS ** 2
 
     rows = {}  # t -> row
@@ -234,7 +233,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                     watching, far, after_far = False, None, None
                 events.append(ev)
                 sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
-                x_d = sp.x_d.tolist()
+                x_d = sp.x_d_flat
                 touch, arm = i, ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
             if touch is None:
                 state = integrate_step(state, u, vehicle, dt)

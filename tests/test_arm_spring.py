@@ -485,6 +485,17 @@ def test_fit_rejects_constant_trace():
                           SpringParams(b_s=20.0, k_s=300.0))
 
 
+@pytest.mark.parametrize("b_s, k_s", [(100.0, 300.0), (40.0, 400.0),
+                                      (math.sqrt(3.999 * 500.0), 500.0)])
+def test_fit_rejects_a_guess_that_is_not_underdamped(b_s, k_s):
+    """From such a guess the off-branch penalty is flat, so least_squares would stop at
+    once and report the guess as a converged fit; the guess is rejected by name."""
+    t = np.arange(0.0, 0.6, 1e-3)
+    l, _ = analytic_response(1.0, SpringParams(b_s=30.0, k_s=500.0), t)
+    with pytest.raises(ValueError, match=f"b_s={b_s!r}, k_s={k_s!r} is not underdamped"):
+        fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=b_s, k_s=k_s))
+
+
 def test_fit_rejects_monotone_trace():
     t = np.arange(50) * 1e-3
     with pytest.raises(ValueError):

@@ -52,6 +52,29 @@ def test_rigid_restitution_bounds():
 
 # -- detect_contact -------------------------------------------------------------
 
+@pytest.mark.parametrize("normal", [
+    [-1.0, 0.0, 0.0],  # unit
+    [-2.0, 0.0, 0.0],  # non-unit
+    [-math.cos(0.5), -math.sin(0.5), 0.0],  # turned 0.5 rad about the vertical
+    [0.3, -1.7, 2.9],  # non-unit and oblique
+])
+def test_wall_floats_are_the_normal_bit_for_bit(normal):
+    """The per-step readers take the normal from the float triple the wall keeps; it is
+    normal.tolist(), also after a config round trip, and distance is n . x - offset."""
+    w = Wall(normal=normal, offset=-0.3)
+    reloaded = ScenarioConfig.from_dict(ScenarioConfig(wall=w).to_dict()).wall
+    for wall in (w, reloaded):
+        assert type(wall.normal_flat) is tuple
+        assert [c.hex() for c in wall.normal_flat] == [c.hex() for c in w.normal.tolist()]
+    rng = np.random.default_rng(18)
+    for x in rng.normal(scale=5.0, size=(200, 3)):
+        n0, n1, n2 = w.normal.tolist()
+        d = w.distance(x.tolist())
+        assert d == (n0 * x[0] + n1 * x[1] + n2 * x[2]) - w.offset  # the float expression
+        scale = float(np.abs(w.normal) @ np.abs(x)) + abs(w.offset)
+        assert abs(d - (float(w.normal @ x) - w.offset)) <= 4 * np.finfo(float).eps * scale
+
+
 def test_detect_far_from_wall():
     s = moving_state([-0.7, 0.0, 0.0], [1.0, 0.0, 0.0])  # 1 m from the plane
     assert detect_contact(s, WALL, P) is None

@@ -7,7 +7,8 @@ return a state that the validating constructor accepts. The scalar
 unit quaternion with w >= 0 whose rotation is orthonormal, and raises on a body
 rate that turns too far in one step; the constructor rejects a reflection.
 The scalar controller tick matches the position loop and attitude moment
-written with numpy arrays, and the scalar contact step matches its numpy
+written with numpy arrays, and is bit-identical to the generator-based tick it
+replaced, contact check included. The scalar contact step matches its numpy
 vector form against walls that are not axis-aligned and does not depend on how
 far along the normal its start state sits from touching contact.
 A scenario config saved to YAML and loaded back must reproduce every field,
@@ -32,11 +33,12 @@ from scipy.spatial.transform import Rotation
 
 from foldquad import collision, scenario
 from foldquad.arm import ArmState, SpringParams, _transition, advance_arm
-from foldquad.collision import Foldable, Rigid, Wall, contact_constrained_step
-from foldquad.control import (ControllerConfig, ControllerState, Setpoint, position_loop,
-                              step_controller)
-from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
-                               integrate_step)
+from foldquad.collision import (CollisionEvent, Foldable, Rigid, Wall, contact_constrained_step,
+                                detect_contact)
+from foldquad.control import (ControllerConfig, ControllerState, Setpoint, _rotation_error,
+                              position_loop, step_controller)
+from foldquad.dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams, cross3,
+                               integrate_step, quaternion_to_rotation)
 from foldquad.scenario import ScenarioConfig
 from foldquad.simlog import COLUMNS, SETTLE_RADIUS, SimLog, compute_metrics
 
@@ -374,6 +376,97 @@ def test_controller_tick_matches_numpy(case_data, J):
     want_tau, terms = reference_moment(s.R, s.omega, want_R_d, p, CFG)
     assert_close("tau", u.tau, want_tau, *terms, CFG.k_r * cond)
     assert u.f == f
+
+
+# -- the named-float tick against the generator tick, bit for bit ----------------------
+# Verbatim copies of the tick as it was written with generators, zip and numpy tolist()
+# calls: the named-float rewrite must change no float operation.
+
+def oracle_rotation_from_thrust_dir(b3, yaw):
+    b2 = cross3(b3, (math.cos(yaw), math.sin(yaw), 0.0))
+    n2 = math.hypot(*b2)
+    if n2 < 1e-8:  # thrust direction parallel to heading; use the other axis
+        b2 = cross3(b3, (-math.sin(yaw), math.cos(yaw), 0.0))
+        n2 = math.hypot(*b2)
+    b2 = [c / n2 for c in b2]
+    b1 = cross3(b2, b3)
+    return (b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2])
+
+
+def oracle_position_loop(s, sp, cs, cfg, p, dt):
+    lim = cfg.integral_limit
+    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(sp.x_d.tolist(), s.y[:3], s.y[3:6])]
+    integral = tuple(min(max(i + e * dt, -lim), lim) for i, e in zip(cs.integral, e_v))
+    d_e_v = (0.0, 0.0, 0.0) if cs.prev_e_v is None else [
+        (e - q) / dt for e, q in zip(e_v, cs.prev_e_v)]
+    a0, a1, a2 = (cfg.k_v * e + cfg.k_vi * i + cfg.k_vd * d
+                  for e, i, d in zip(e_v, integral, d_e_v))
+    f_vec = (-a0, -a1, p.g - a2)  # desired specific force g e3 - a_cmd along body-z
+    norm = math.hypot(*f_vec)
+    R_d = cs.held_R_d if norm < 1e-6 else oracle_rotation_from_thrust_dir(
+        [c / norm for c in f_vec], sp.yaw_d)
+    r02, r12, r22 = quaternion_to_rotation(s.y[6:10])[2::3]  # body-z is the third column of R
+    f = min(max(p.m * (f_vec[0] * r02 + f_vec[1] * r12 + f_vec[2] * r22), 0.0), cfg.max_thrust)
+    return ControllerState(integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d)
+
+
+def oracle_attitude_moment(e_R, e_omega, omega, p, cfg):
+    J, (w0, w1, w2) = p.J_flat, omega
+    gyro = cross3(omega, [J[i] * w0 + J[i + 1] * w1 + J[i + 2] * w2 for i in (0, 3, 6)])
+    return tuple(-cfg.k_r * e - cfg.k_omega * eo + g for e, eo, g in zip(e_R, e_omega, gyro))
+
+
+def oracle_step_controller(s, cs, cfg, p):
+    omega = s.y[10:]
+    R = quaternion_to_rotation(s.y[6:10])
+    tau = oracle_attitude_moment(_rotation_error(R, cs.held_R_d), omega, omega, p, cfg)
+    return ControlInput._trusted(cs.held_f, tau)
+
+
+def oracle_distance(w, x):
+    n0, n1, n2 = w.normal.tolist()
+    x0, x1, x2 = x
+    return (n0 * x0 + n1 * x1 + n2 * x2) - w.offset
+
+
+def oracle_detect_contact(s, w, p, t=0.0):
+    n0, n1, n2 = w.normal.tolist()
+    v0, v1, v2 = s.y[3:6]
+    if oracle_distance(w, s.y[:3]) <= p.r_contact and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
+        return CollisionEvent(t_c=float(t), x_c=s.x, v_c=s.v, normal=-w.normal)
+    return None
+
+
+def hexes(*values):
+    """The bit patterns of floats and of float sequences, -0.0 kept apart from 0.0."""
+    return [float.hex(v) if isinstance(v, float) else [float.hex(c) for c in v] for v in values]
+
+
+def tick_bits(cs, u, ev):
+    event = None if ev is None else hexes(ev.t_c, ev.x_c.tolist(), ev.v_c.tolist(),
+                                          ev.normal.tolist())
+    return (hexes(cs.integral, cs.prev_e_v or (), cs.held_f, cs.held_R_d),
+            hexes(u.f, u.tau), event)
+
+
+@settings(max_examples=300, deadline=None)
+@given(controller_cases(), inertias, vec3(1.0).filter(lambda n: np.linalg.norm(n) > 1e-3),
+       st.sampled_from([0.0, -0.0]) | st.floats(-0.01, 0.01), st.floats(0.0, 10.0))
+def test_named_float_tick_is_bit_identical_to_generator_tick(case_data, J, normal, gap, t):
+    """position_loop, step_controller (on the drawn held R_d or identity, and on the new
+    one) and detect_contact (on a wall gap off touching contact) give the generator
+    tick's bits: every ControllerState field, f and tau, and the event or None."""
+    _, s, sp, cs, _ = case_data
+    p, dt = VehicleParams(J=J), 1.0 / CFG.position_rate
+    unit = np.asarray(normal) / np.linalg.norm(normal)
+    w = Wall(normal=normal, offset=float(unit @ s.x) - p.r_contact - gap)
+    for held in (cs, position_loop(s, sp, cs, CFG, p, dt)):
+        assert tick_bits(held, step_controller(s, held, CFG, p), None) == tick_bits(
+            held, oracle_step_controller(s, held, CFG, p), None)
+    new = position_loop(s, sp, cs, CFG, p, dt)
+    old = oracle_position_loop(s, sp, cs, CFG, p, dt)
+    assert tick_bits(new, step_controller(s, new, CFG, p), detect_contact(s, w, p, t)) == \
+        tick_bits(old, oracle_step_controller(s, old, CFG, p), oracle_detect_contact(s, w, p, t))
 
 
 # -- the scalar contact step against numpy --------------------------------------------
