@@ -133,10 +133,10 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path, overrides=None):
         with open(path) as fh:
-            d = yaml.safe_load(fh) or {}
-        if overrides:
-            d.update(overrides)
-        return cls.from_dict(d)
+            d = yaml.safe_load(fh)
+        if not isinstance(d, dict | None):  # an empty file is all defaults
+            raise ValueError(f"config top level must be a mapping of keys, not {type(d).__name__}")
+        return cls.from_dict({**(d or {}), **(overrides or {})})
 
     def with_mode(self, mode: ContactMode):
         cfg = copy.deepcopy(self)
@@ -184,8 +184,8 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     arm = ArmState()  # after release its deflection stays in the log
 
     # steps tracked as (t, state, u, x_d, l) until the first touch, then again from the
-    # first step after that contact; a probe stops at the touch and tracks none
-    watching = not stop_at_first_contact
+    # first step after that contact; a probe stops at the touch, so it logs none of them
+    watching = True
     far = after_far = nearest = None
     s_min = math.inf
     n0, n1, n2 = (-c for c in wall.normal_flat) if wall else (0.0, 0.0, 0.0)
@@ -317,6 +317,8 @@ def _cruise_cfg(cfg, speed, gap):
     at the start values, so the vehicle arrives level rather than still
     accelerating toward a distant goal.
     """
+    if cfg.wall is None:
+        raise ValueError("sweep needs a wall: wall_normal and wall_offset are null")
     out = copy.deepcopy(cfg)
     n = cfg.wall.normal
     touch = cfg.wall.offset + cfg.vehicle.r_contact
@@ -327,65 +329,38 @@ def _cruise_cfg(cfg, speed, gap):
     return out
 
 
-def _probe_v_c(cfg, gap, speed):
-    """Approach speed at first contact of the level cruise at `speed` from `gap`, or None."""
-    probe = _cruise_cfg(cfg, speed, gap)
+_START_GAP = 0.02  # m of run-up before the touch
+_V_C_TOL = 0.04  # m/s: how far the probe's first-contact speed may miss its target
+
+
+def find_start_gap(cfg: ScenarioConfig, target_speed):
+    """One probe run: the level cruise at target_speed from _START_GAP before the touch.
+
+    Returns (_START_GAP, v_c) when its first-contact speed v_c is within _V_C_TOL
+    of target_speed, else (None, v_c), or (None, None) if it never touches the wall.
+    The cruise starts at target_speed and is commanded faster still, so a longer
+    run-up would only arrive faster. Raises StateBlowUpError if the probe aborts."""
+    probe = _cruise_cfg(cfg, target_speed, _START_GAP)
     probe.duration = min(cfg.duration, 10.0)
     log = run_scenario(probe, stop_at_first_contact=True)
     if log.aborted:  # it stops at the touch, so only a blow-up can abort it
         raise StateBlowUpError(f"start-gap probe: {log.diagnostic}")
     if not log.events:
-        return None
+        return None, None
     ev = log.events[0]
-    return float(ev.v_c @ ev.normal)
-
-
-def find_start_gap(cfg: ScenarioConfig, target_speed, tol=0.04):
-    """Start distance whose first-contact speed matches target_speed.
-
-    Each probe is the level cruise setpoint for target_speed. Scans
-    increasing gaps and bisects on the rising branch of v_c(gap); returns
-    (gap, achieved_v_c) or (None, best_v_c) when unreachable.
-    Raises StateBlowUpError if a probe run aborts."""
-    gaps = [0.02, 0.05, 0.1, 0.2, 0.35, 0.6, 1.0, 1.6, 2.5, 4.0, 6.0]
-    best = -math.inf  # the fastest first contact seen
-    lo = hi = v_hi = None
-    prev_gap, prev_v = None, None
-    for gap in gaps:
-        v = _probe_v_c(cfg, gap, target_speed)
-        if v is None:
-            continue
-        best = max(best, v)
-        if abs(v - target_speed) <= tol:
-            return gap, v
-        if prev_v is not None and prev_v < target_speed <= v:
-            lo, hi, v_hi = prev_gap, gap, v
-            break
-        prev_gap, prev_v = gap, v
-    if lo is None:
-        return None, best if best > -math.inf else None
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        v = _probe_v_c(cfg, mid, target_speed)
-        if v is None:
-            return None, best
-        if abs(v - target_speed) <= tol:
-            return mid, v
-        if v < target_speed:
-            lo = mid
-        else:
-            hi, v_hi = mid, v
-    return hi, v_hi
+    v_c = float(ev.v_c @ ev.normal)
+    return (_START_GAP if abs(v_c - target_speed) <= _V_C_TOL else None), v_c
 
 
 def sweep_velocities(cfg: ScenarioConfig, speeds) -> list[SweepRow]:
-    """Metrics per (speed, mode); start distance auto-matched per speed.
+    """Metrics per (speed, mode), each speed a level cruise into the wall.
 
-    Each sweep point is a level cruise toward the wall: the setpoint sits
-    just past the touch point so the vehicle arrives near-level at the
-    target speed instead of still accelerating toward a distant goal. The
-    pre-contact approach is mode-independent, so the start search is shared
-    between foldable and rigid runs of the same target speed.
+    The setpoint sits just past the touch point, so the vehicle arrives
+    near-level at the target speed instead of still accelerating toward a
+    distant goal. One find_start_gap probe per speed checks that the cruise
+    touches at that speed, and the foldable and rigid runs share it: the
+    approach does not depend on the mode. A point the probe misses is
+    `unreachable`, with the probe's speed as its `achieved_v_c`.
     """
     speeds = list(speeds)  # checked in full before the first run
     if not all(0.0 < speed < math.inf for speed in speeds):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import foldquad
+from foldquad import scenario
 from foldquad.arm import SpringParams, simulate_contact
 from foldquad.cli import _parse_overrides
 from foldquad.cli import main as cli_main
@@ -429,11 +430,32 @@ def test_reference_compare_matches_golden_metrics():
         for name, want in GOLDEN_REFERENCE[mode].items():
             assert got[name] == pytest.approx(want, rel=1e-9, abs=0.0), (mode, name)
 
-def test_find_start_gap_hits_target_speed():
-    cfg = ScenarioConfig()
-    gap, achieved = find_start_gap(cfg, 1.5)
-    assert gap is not None
-    assert abs(achieved - 1.5) <= 0.05
+
+@pytest.mark.parametrize("k_p, speed, reachable", [(1.0, 1.5, True), (10.0, 0.02, False)],
+                         ids=["default", "overshoot"])
+def test_find_start_gap_makes_one_probe(monkeypatch, k_p, speed, reachable):
+    """One probe run per point. A cruise that reaches the wall within 0.04 m/s of
+    its target gets the fixed 2 cm run-up; one that misses it (k_p 10 at 0.02 m/s
+    touches at about 0.09 m/s) is unreachable at the probe's own speed."""
+    runs = []
+    real_run = scenario.run_scenario
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "run_scenario", counted_run)
+    cfg = ScenarioConfig(controller=ControllerConfig(k_p=k_p))
+    gap, achieved = find_start_gap(cfg, speed)
+    assert len(runs) == 1
+    if reachable:
+        assert gap == 0.02 and abs(achieved - speed) <= 0.04
+        return
+    assert gap is None and speed < achieved < 0.2
+    rows = sweep_velocities(cfg, [speed])
+    assert len(runs) == 2  # the sweep's own probe, and no run after it
+    assert [(r.mode, r.unreachable, r.achieved_v_c) for r in rows] == [
+        ("foldable", True, achieved), ("rigid", True, achieved)]
 
 
 def test_single_speed_sweep_matches_compare():
@@ -548,6 +570,19 @@ def test_cli_malformed_yaml_exit_code(tmp_path):
     assert cli_main(["run", str(bad), "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("overrides", [[], ["--set", "mass=2.0"]], ids=["plain", "set"])
+@pytest.mark.parametrize("text, kind", [("- mass: 1.0\n", "list"), ("5\n", "int")],
+                         ids=["list", "scalar"])
+def test_cli_rejects_config_whose_top_level_is_not_a_mapping(tmp_path, capsys, text, kind,
+                                                             overrides):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "out"), *overrides]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config top level must be a mapping of keys, not {kind}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_contact_timeout_aborts_with_partial_log(tmp_path, capsys):
     cfg_path = tmp_path / "wall.yaml"
     ScenarioConfig(duration=2.0).save(cfg_path)
@@ -619,6 +654,14 @@ def test_cli_sweep_rejects_non_finite_speed(tmp_path, capsys, speed):
     assert rc == 1
     assert "sweep speeds must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "wall_sweep.json").exists()
+
+
+def test_cli_sweep_rejects_config_without_a_wall(tmp_path, capsys):
+    cfg_path = Path(__file__).parents[1] / "configs" / "free_flight.yaml"
+    rc = cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path), "--speeds", "1,2"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: sweep needs a wall")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("override", ["k_r=1e6", "k_omega=1e5", "inertia=[1e-7,1e-7,1e-7]"])

@@ -13,6 +13,7 @@ vector form against walls that are not axis-aligned and does not depend on how
 far along the normal its start state sits from touching contact.
 A scenario config saved to YAML and loaded back must reproduce every field,
 and its run, cut short, ends at its last step or aborts with a diagnostic.
+The sweep's one start-gap probe reaches its target speed on plausible cruises.
 Over random loop rates, physics steps and log intervals, the run loop fires
 every tick and grid row on the integer step clock, logs every step that decides
 a metric, and a repeated run is byte-identical. Runs into tilted walls give the
@@ -167,6 +168,23 @@ def test_any_config_runs_to_the_end_or_aborts_with_a_diagnostic(cfg):
         assert log.column("t")[-1] == int(round(cfg.duration / cfg.dt)) * cfg.dt
     dense = dataclasses.replace(cfg, log_interval=cfg.dt)
     assert compute_metrics(log, cfg) == compute_metrics(scenario.run_scenario(dense), dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.5, 1.5), min_size=4, max_size=4), st.floats(-np.pi, np.pi),
+       st.floats(-np.pi / 4, np.pi / 4), st.floats(0.3, 8.0))
+def test_one_start_gap_probe_reaches_a_plausible_cruise(scales, yaw, wall_angle, speed):
+    """The sweep's single probe from 2 cm touches within 0.04 m/s of its target for
+    the default vehicle with k_p, k_v, k_r and k_omega at 0.5-1.5x their defaults,
+    any start yaw and a wall turned up to 45 degrees about the vertical. The cruise
+    starts at the target speed, so no longer run-up is needed to reach it."""
+    gains = {name: f * getattr(CFG, name) for name, f in zip(("k_p", "k_v", "k_r", "k_omega"),
+                                                             scales)}
+    normal = [-math.cos(wall_angle), -math.sin(wall_angle), 0.0]
+    cfg = ScenarioConfig(controller=dataclasses.replace(CFG, **gains), start_yaw=yaw,
+                         wall=Wall(normal=normal, offset=-0.3))
+    gap, v_c = scenario.find_start_gap(cfg, speed)
+    assert gap == 0.02, (speed, v_c)
 
 
 # -- the scalar step against numpy, and the unit quaternion ---------------------------
