@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CONTACT_TIMEOUT_S = 1.0  # a contact that has not released after this long is aborted
+FIT_MARGIN = 3.999  # the fit keeps to b_s^2 < 3.999 k_s: the underdamped branch, with a margin
 
 
 class ContactTimeoutError(RuntimeError):
@@ -78,6 +79,9 @@ class DisplacementTrace:
         self.l = np.asarray(self.l, dtype=float).ravel()
         if self.t.shape != self.l.shape:
             raise ValueError("t and l must have the same length")
+        for name, col in (("t", self.t), ("l", self.l)):
+            if not np.isfinite(col).all():
+                raise ValueError(f"trace {name}[{np.argmin(np.isfinite(col))}] is not finite")
         if len(self.t) >= 2 and np.any(np.diff(self.t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
 
@@ -120,6 +124,18 @@ def analytic_response(v0, p: SpringParams, t):
     l = (v0 / wd) * env * np.sin(wd * t)
     l_dot = v0 * env * (np.cos(wd * t) - (zeta * wn / wd) * np.sin(wd * t))
     return l, l_dot
+
+
+def _response_jacobian(v0, p: SpringParams, t):
+    """(len(t), 3) derivatives of analytic_response's l in (b_s, k_s, v0), zero off the fit's
+    branch. With s = b_s/2, w = omega_d: dl/dw = (t (l_dot + s l) - l)/w, dl/dk_s = dl/dw/(2w),
+    dl/db_s = -t l/2 - s dl/dw/(2w) and dl/dv0 = l/v0."""
+    if p.b_s * p.b_s >= FIT_MARGIN * p.k_s:
+        return np.zeros((len(t), 3))
+    l, l_dot = analytic_response(v0, p, t)
+    s, w = 0.5 * p.b_s, p.omega_d
+    dl_dw = (t * (l_dot + s * l) - l) / w
+    return np.column_stack([-0.5 * t * l - s / (2.0 * w) * dl_dw, dl_dw / (2.0 * w), l / v0])
 
 
 def _transition(b_s, k_s, dt):
@@ -225,15 +241,13 @@ def _has_oscillation(l):
 def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResult:
     """Least-squares identification of (b_s, k_s) from a displacement trace.
 
-    Fits the closed-form underdamped response with the initial rate estimated
-    from the first samples; the linear ODE makes the closed form exact, so no
-    re-integration per iteration is needed.
+    Fits the closed-form underdamped response, exact for the linear ODE, from an
+    initial rate estimated on the first samples. Each residual and each Jacobian
+    (_response_jacobian) costs one analytic_response call; nothing is differenced.
     """
-    def off_branch(b, k):  # the search keeps to the underdamped branch, with a margin
-        return b * b >= 3.999 * k
-    if off_branch(guess.b_s, guess.k_s):  # from there the penalty would be flat: no search
+    if guess.b_s * guess.b_s >= FIT_MARGIN * guess.k_s:  # the penalty is flat there: no search
         raise ValueError(f"guess b_s={guess.b_s!r}, k_s={guess.k_s!r} is not underdamped "
-                         "with margin: b_s^2 >= 3.999 k_s")
+                         f"with margin: b_s^2 >= {FIT_MARGIN} k_s")
     from scipy.optimize import least_squares  # imported here: it dominates `import foldquad`
 
     if len(trace) < 10:
@@ -249,15 +263,16 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
 
     def residuals(theta):
         b, k, v0 = theta
-        if off_branch(b, k):
+        if b * b >= FIT_MARGIN * k:
             return np.full(len(t), 1e3)
-        l_model, _ = analytic_response(v0, SpringParams(b, k, guess.l_max, guess.delta_l), t)
+        l_model, _ = analytic_response(v0, SpringParams(b, k), t)
         return l_model - trace.l
 
     # v0 is refined jointly with (b_s, k_s): the finite-difference estimate from
     # the first samples is curvature-biased and noise-sensitive on its own.
     sol = least_squares(
         residuals,
+        jac=lambda theta: _response_jacobian(theta[2], SpringParams(*theta[:2]), t),
         x0=[guess.b_s, guess.k_s, v0_init],
         bounds=([0.0, 1e-9, 1e-9], [np.inf, np.inf, np.inf]),
         max_nfev=2000,

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from foldquad import arm as arm_module
 from foldquad import collision, scenario
 from foldquad.arm import (ContactTimeoutError, DisplacementTrace,
-                          SpringParams, _transition, advance_arm, analytic_response,
-                          check_rk4_stable, fit_spring_params, simulate_contact)
+                          SpringParams, _response_jacobian, _transition, advance_arm,
+                          analytic_response, check_rk4_stable, fit_spring_params,
+                          simulate_contact)
 
 NOMINAL = SpringParams(b_s=30.0, k_s=500.0)
 
@@ -478,6 +479,54 @@ def test_fit_noise_free_round_trip():
     assert abs(res.params.k_s - 500.0) / 500.0 < 0.01
 
 
+def test_fit_makes_no_finite_difference_evaluations(monkeypatch):
+    """One analytic_response call per residual and one per Jacobian: 12 on this fit,
+    where a 2-point finite-difference Jacobian would make 24."""
+    calls = []
+    real = arm_module.analytic_response
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(arm_module, "analytic_response", counted)
+    t, l = _synthetic_trace()
+    res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
+    assert len(calls) <= 14
+    assert res.converged
+    for got, want in [(res.params.b_s, 30.0), (res.params.k_s, 500.0), (res.v0, 1.4)]:
+        assert abs(got - want) <= 1e-8 * want
+
+
+@settings(deadline=None)
+@given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.95), v0=st.floats(0.2, 2.0))
+def test_response_jacobian_is_the_model_derivative(wn, zeta, v0):
+    """Each column matches central differences of analytic_response in (b_s, k_s, v0),
+    over 1.2 damped periods sampled at 1 ms, to 1e-6 of the column's largest entry."""
+    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
+    t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
+    jac = _response_jacobian(v0, p, t)
+    assert jac.shape == (len(t), 3)
+    theta = np.array([p.b_s, p.k_s, v0])
+    for i in range(3):
+        up, down = theta.copy(), theta.copy()
+        up[i] *= 1.0 + 1e-6
+        down[i] *= 1.0 - 1e-6
+        l_up, _ = analytic_response(up[2], SpringParams(up[0], up[1]), t)
+        l_down, _ = analytic_response(down[2], SpringParams(down[0], down[1]), t)
+        central = (l_up - l_down) / (up[i] - down[i])
+        assert np.max(np.abs(jac[:, i] - central)) <= 1e-6 * np.max(np.abs(jac[:, i]))
+
+
+@pytest.mark.parametrize("b_s, k_s", [(100.0, 300.0), (40.0, 400.0),
+                                      (math.sqrt(3.999 * 500.0), 500.0)])
+def test_response_jacobian_is_zero_off_the_branch(b_s, k_s):
+    """Where b_s^2 >= 3.999 k_s the fit's residual is a constant penalty."""
+    t = np.arange(0.0, 0.6, 1e-3)
+    jac = _response_jacobian(1.0, SpringParams(b_s=b_s, k_s=k_s), t)
+    assert jac.shape == (len(t), 3) and not jac.any()
+
+
 def test_fit_rejects_constant_trace():
     t = np.arange(50) * 1e-3
     with pytest.raises(ValueError):
@@ -522,6 +571,18 @@ def test_trace_csv_round_trip(tmp_path):
     path2.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(t, l)))
     trace2 = DisplacementTrace.from_csv(path2)
     assert np.array_equal(trace2.l, l)
+
+
+@pytest.mark.parametrize("column, index, value", [("l", 300, np.nan), ("l", 300, np.inf),
+                                                  ("t", 300, np.nan), ("t", 0, np.nan)])
+def test_trace_rejects_a_non_finite_value(column, index, value):
+    """Rejected before scipy sees it. NaN comparisons are false, so the
+    strictly-increasing check alone lets a NaN in t through."""
+    t, l = _synthetic_trace(n=600)
+    columns = {"t": t, "l": l}
+    columns[column][index] = value
+    with pytest.raises(ValueError, match=rf"^trace {column}\[{index}\] is not finite$"):
+        DisplacementTrace(**columns)
 
 
 def test_trace_validation():
