@@ -9,14 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 CONTACT_TIMEOUT_S = 1.0  # a contact that has not released after this long is aborted
-FIT_MARGIN = 3.999  # the fit keeps to b_s^2 < 3.999 k_s: the underdamped branch, with a margin
 
 
 class ContactTimeoutError(RuntimeError):
     """Contact integration did not terminate within CONTACT_TIMEOUT_S."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpringParams:
     """Mass-normalized spring-damper coefficients of the folding arm.
 
@@ -30,9 +29,8 @@ class SpringParams:
     delta_l: float = 0.002
 
     def __post_init__(self):
-        # plain floats: numpy scalars make every advance_arm step slower
-        self.b_s, self.k_s = float(self.b_s), float(self.k_s)
-        self.l_max, self.delta_l = float(self.l_max), float(self.delta_l)
+        for name in ("b_s", "k_s", "l_max", "delta_l"):  # plain floats: numpy ones slow advance_arm
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 <= self.b_s < math.inf:
             raise ValueError("b_s must be non-negative and finite")
         if not 0.0 < self.k_s < math.inf:
@@ -67,6 +65,14 @@ class ArmState:
     l_dot: float = 0.0
 
 
+def _is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass
 class DisplacementTrace:
     """Sampled arm deflection (t, l); timestamps strictly increasing."""
@@ -90,11 +96,10 @@ class DisplacementTrace:
 
     @classmethod
     def from_csv(cls, path):
-        """Load a two-column `t,l` CSV (header row optional, SI units)."""
-        try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        """Load a two-column `t,l` CSV (SI units); a first line without a number is a header."""
+        with open(path) as fh:
+            header = not any(map(_is_number, fh.readline().split(",")))
+        data = np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2)
         if data.shape[1] < 2:
             raise ValueError("trace CSV must have columns t,l")
         return cls(t=data[:, 0], l=data[:, 1])
@@ -126,16 +131,22 @@ def analytic_response(v0, p: SpringParams, t):
     return l, l_dot
 
 
-def _response_jacobian(v0, p: SpringParams, t):
-    """(len(t), 3) derivatives of analytic_response's l in (b_s, k_s, v0), zero off the fit's
-    branch. With s = b_s/2, w = omega_d: dl/dw = (t (l_dot + s l) - l)/w, dl/dk_s = dl/dw/(2w),
-    dl/db_s = -t l/2 - s dl/dw/(2w) and dl/dv0 = l/v0."""
-    if p.b_s * p.b_s >= FIT_MARGIN * p.k_s:
-        return np.zeros((len(t), 3))
-    l, l_dot = analytic_response(v0, p, t)
-    s, w = 0.5 * p.b_s, p.omega_d
-    dl_dw = (t * (l_dot + s * l) - l) / w
-    return np.column_stack([-0.5 * t * l - s / (2.0 * w) * dl_dw, dl_dw / (2.0 * w), l / v0])
+def _modal_spring(sigma, omega_d):
+    """The spring at the fit's modal coordinates: b_s = 2 sigma, k_s = sigma^2 + omega_d^2,
+    underdamped for every omega_d > 0 until rounding makes k_s = sigma^2."""
+    p = SpringParams(2.0 * sigma, sigma * sigma + omega_d * omega_d)
+    if not p.is_underdamped:
+        raise ValueError(f"the fit reached critical damping (b_s={p.b_s:g}, k_s={p.k_s:g}): "
+                         "the trace is not an underdamped response")
+    return p
+
+
+def _response_jacobian(theta, t):
+    """(len(t), 3) derivatives of analytic_response's l in theta = (sigma, omega_d, v0), from
+    the one call's (l, l_dot): -t l, (t (l_dot + sigma l) - l)/omega_d and l/v0."""
+    sigma, omega_d, v0 = theta
+    l, l_dot = analytic_response(v0, _modal_spring(sigma, omega_d), t)
+    return np.column_stack([-t * l, (t * (l_dot + sigma * l) - l) / omega_d, l / v0])
 
 
 def _transition(b_s, k_s, dt):
@@ -241,13 +252,14 @@ def _has_oscillation(l):
 def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResult:
     """Least-squares identification of (b_s, k_s) from a displacement trace.
 
-    Fits the closed-form underdamped response, exact for the linear ODE, from an
-    initial rate estimated on the first samples. Each residual and each Jacobian
+    Fits the closed-form response, exact for the linear ODE, in the modal coordinates
+    (sigma, omega_d, v0), sigma >= 0 and omega_d > 0, where every point is underdamped; a
+    search that reaches critical damping raises ValueError. Each residual and each Jacobian
     (_response_jacobian) costs one analytic_response call; nothing is differenced.
     """
-    if guess.b_s * guess.b_s >= FIT_MARGIN * guess.k_s:  # the penalty is flat there: no search
-        raise ValueError(f"guess b_s={guess.b_s!r}, k_s={guess.k_s!r} is not underdamped "
-                         f"with margin: b_s^2 >= {FIT_MARGIN} k_s")
+    if not guess.is_underdamped:
+        raise ValueError(f"guess b_s={guess.b_s!r}, k_s={guess.k_s!r} is not underdamped: "
+                         "b_s^2 >= 4 k_s")
     from scipy.optimize import least_squares  # imported here: it dominates `import foldquad`
 
     if len(trace) < 10:
@@ -255,34 +267,20 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
     if not _has_oscillation(trace.l):
         raise ValueError("degenerate trace: no oscillation (local max + subsequent min)")
     t = trace.t - trace.t[0]
+    amp = float(np.max(np.abs(trace.l)))  # residuals / amp: gtol does not depend on l's unit
     n_lead = max(3, len(t) // 20)
     v0_init = float(np.polyfit(t[:n_lead], trace.l[:n_lead], 1)[0])
     if v0_init <= 0:
         # noisy leading samples; start from the amplitude and guess frequency
-        v0_init = float(np.max(np.abs(trace.l)) * guess.omega_n)
+        v0_init = amp * float(guess.omega_n)
 
-    def residuals(theta):
-        b, k, v0 = theta
-        if b * b >= FIT_MARGIN * k:
-            return np.full(len(t), 1e3)
-        l_model, _ = analytic_response(v0, SpringParams(b, k), t)
-        return l_model - trace.l
-
-    # v0 is refined jointly with (b_s, k_s): the finite-difference estimate from
+    # v0 is refined jointly with the spring: the finite-difference estimate from
     # the first samples is curvature-biased and noise-sensitive on its own.
     sol = least_squares(
-        residuals,
-        jac=lambda theta: _response_jacobian(theta[2], SpringParams(*theta[:2]), t),
-        x0=[guess.b_s, guess.k_s, v0_init],
-        bounds=([0.0, 1e-9, 1e-9], [np.inf, np.inf, np.inf]),
-        max_nfev=2000,
-    )
-    b_fit, k_fit, v0 = sol.x
-    params = SpringParams(b_s=float(b_fit), k_s=float(k_fit),
-                          l_max=guess.l_max, delta_l=guess.delta_l)
-    return FitResult(
-        params=params,
-        residual_norm=float(np.linalg.norm(sol.fun)),
-        converged=bool(sol.status > 0 and np.isfinite(sol.cost)),
-        v0=float(v0),
-    )
+        lambda x: (analytic_response(x[2], _modal_spring(*x[:2]), t)[0] - trace.l) / amp,
+        jac=lambda x: _response_jacobian(x, t) / amp, max_nfev=2000, gtol=1e-5,
+        x0=[0.5 * guess.b_s, float(guess.omega_d), v0_init], bounds=([0.0, 1e-9, 1e-9], np.inf))
+    fit = _modal_spring(*sol.x[:2])
+    return FitResult(params=SpringParams(fit.b_s, fit.k_s, guess.l_max, guess.delta_l),
+                     residual_norm=amp * float(np.linalg.norm(sol.fun)),
+                     converged=bool(sol.status > 0 and np.isfinite(sol.cost)), v0=float(sol.x[2]))

@@ -15,12 +15,13 @@ from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
 RIGID_CONTACT_TIME = 10e-3  # s; whole steps at dt 0.25, 0.5, 1, 2, 2.5, 5 ms, 1/600, 1/300 s
 
 
-@dataclass
+@dataclass(frozen=True)
 class Wall:
     """Infinite plane; `normal` points away from the wall into free space.
 
     The plane is {x : normal . x = offset}; signed distance of a point is
-    normal . x - offset (positive in free space).
+    normal . x - offset (positive in free space). Frozen, and `normal` read-only,
+    so `normal_flat`, its plain floats for the per-step readers, holds.
     """
 
     normal: np.ndarray
@@ -32,9 +33,11 @@ class Wall:
         if nn == 0:
             raise ValueError("wall normal must be non-zero")
         # a normal that is already unit stays as it is, so a reloaded wall is bit-identical
-        self.normal = n / nn if abs(nn - 1.0) > 1e-12 else n.copy()
-        self.normal_flat = tuple(self.normal.tolist())  # plain floats for the per-step readers
-        self.offset = float(self.offset)
+        normal = n / nn if abs(nn - 1.0) > 1e-12 else n.copy()
+        normal.flags.writeable = False
+        for name, value in (("normal", normal), ("normal_flat", tuple(normal.tolist())),
+                            ("offset", float(self.offset))):
+            object.__setattr__(self, name, value)  # not vars(self).update: it slows every read
 
     def distance(self, x):
         (n0, n1, n2), (x0, x1, x2) = self.normal_flat, x

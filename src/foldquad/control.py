@@ -18,7 +18,7 @@ from .dynamics import (BodyState, ControlInput, VehicleParams, as_vec3, cross3,
 _THRUST_DIR_EPS = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     """Gains, recovery tuning parameters and loop rates."""
 

@@ -64,9 +64,9 @@ def quaternion_to_rotation(q):
             2.0 * (x * z - w * y), 2.0 * (y * z + w * x), (ww + zz) - (xx + yy))
 
 
-@dataclass
+@dataclass(frozen=True)
 class VehicleParams:
-    """Mass, inertia and geometry of the vehicle."""
+    """Mass, inertia and geometry of the vehicle; frozen, and J read-only, so J_inv holds."""
 
     m: float = 1.112
     J: np.ndarray = field(default_factory=lambda: np.diag([0.0034, 0.0034, 0.0053]))
@@ -74,16 +74,18 @@ class VehicleParams:
     r_contact: float = 0.145  # contact envelope radius (m)
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float).reshape(3, 3)
+        J = np.array(self.J, dtype=float).reshape(3, 3)
         if self.m <= 0:
             raise ValueError("mass must be positive")
-        if np.max(np.abs(self.J - self.J.T)) > 1e-12 or np.any(np.linalg.eigvalsh(self.J) <= 0):
+        if np.max(np.abs(J - J.T)) > 1e-12 or np.any(np.linalg.eigvalsh(J) <= 0):
             raise ValueError("inertia must be symmetric positive-definite")
         if not self.r_contact > 0:
             raise ValueError("contact radius must be positive")
-        self.J_inv = np.linalg.inv(self.J)
-        # plain floats for the scalar equations of motion
-        self.J_flat, self.J_inv_flat = (tuple(M.ravel().tolist()) for M in (self.J, self.J_inv))
+        J_inv = np.linalg.inv(J)
+        J.flags.writeable = J_inv.flags.writeable = False
+        for name, M in (("J", J), ("J_inv", J_inv)):  # *_flat: plain floats for the EOM
+            object.__setattr__(self, name, M)  # not vars(self).update: it slows every read
+            object.__setattr__(self, f"{name}_flat", tuple(M.ravel().tolist()))
 
 
 @dataclass

@@ -1,9 +1,8 @@
 """Scenario configuration and closed-loop simulation orchestration."""
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -71,9 +70,10 @@ class ScenarioConfig:
     log_interval: float = 5e-3
 
     def __post_init__(self):
-        self.start_position = np.asarray(self.start_position, dtype=float).reshape(3)
-        self.start_velocity = np.asarray(self.start_velocity, dtype=float).reshape(3)
-        self.setpoint = np.asarray(self.setpoint, dtype=float).reshape(3)
+        # copies, so configs derived by `replace` share no array
+        self.start_position = np.array(self.start_position, dtype=float).reshape(3)
+        self.start_velocity = np.array(self.start_velocity, dtype=float).reshape(3)
+        self.setpoint = np.array(self.setpoint, dtype=float).reshape(3)
         if not (0.0 < self.restitution <= 1.0):  # e = 0 has no finite contact time
             raise ValueError("restitution must lie in (0, 1]")
         if not self.spring.l_max < self.vehicle.r_contact:  # the centroid stays off the wall
@@ -139,9 +139,7 @@ class ScenarioConfig:
         return cls.from_dict({**(d or {}), **(overrides or {})})
 
     def with_mode(self, mode: ContactMode):
-        cfg = copy.deepcopy(self)
-        cfg.mode = mode
-        return cfg
+        return replace(self, mode=mode)
 
 
 def _row(t, state, u, x_d, l, contact):
@@ -319,14 +317,12 @@ def _cruise_cfg(cfg, speed, gap):
     """
     if cfg.wall is None:
         raise ValueError("sweep needs a wall: wall_normal and wall_offset are null")
-    out = copy.deepcopy(cfg)
     n = cfg.wall.normal
     touch = cfg.wall.offset + cfg.vehicle.r_contact
-    out.start_position = cfg.start_position + (touch + gap - float(n @ cfg.start_position)) * n
+    start = cfg.start_position + (touch + gap - float(n @ cfg.start_position)) * n
     coord = touch - _CRUISE_MARGIN * speed / cfg.controller.k_p
-    out.setpoint = out.start_position + (coord - float(n @ out.start_position)) * n
-    out.start_velocity = -speed * n
-    return out
+    return replace(cfg, start_position=start, start_velocity=-speed * n,
+                   setpoint=start + (coord - float(n @ start)) * n)
 
 
 _START_GAP = 0.02  # m of run-up before the touch
@@ -340,8 +336,7 @@ def find_start_gap(cfg: ScenarioConfig, target_speed):
     of target_speed, else (None, v_c), or (None, None) if it never touches the wall.
     The cruise starts at target_speed and is commanded faster still, so a longer
     run-up would only arrive faster. Raises StateBlowUpError if the probe aborts."""
-    probe = _cruise_cfg(cfg, target_speed, _START_GAP)
-    probe.duration = min(cfg.duration, 10.0)
+    probe = replace(_cruise_cfg(cfg, target_speed, _START_GAP), duration=min(cfg.duration, 10.0))
     log = run_scenario(probe, stop_at_first_contact=True)
     if log.aborted:  # it stops at the touch, so only a blow-up can abort it
         raise StateBlowUpError(f"start-gap probe: {log.diagnostic}")

@@ -498,33 +498,54 @@ def test_fit_makes_no_finite_difference_evaluations(monkeypatch):
         assert abs(got - want) <= 1e-8 * want
 
 
+def test_fit_from_the_cli_default_guess_recovers_a_well_damped_spring():
+    """b_s 15, k_s 100 (zeta 0.75) from the CLI's default guess (20, 300). A search in
+    (b_s, k_s) that keeps off b_s^2 >= 3.999 k_s by a penalty stops on that wall, at
+    b_s 25.87 and k_s 167.38, and reports it converged."""
+    t = np.arange(0.0, 0.6, 1e-3)
+    l, _ = analytic_response(1.0, SpringParams(b_s=15.0, k_s=100.0), t)
+    res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
+    assert res.converged
+    for got, want in [(res.params.b_s, 15.0), (res.params.k_s, 100.0), (res.v0, 1.0)]:
+        assert abs(got - want) <= 1e-6 * want
+
+
+@settings(deadline=None)
+@given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.9), v0=st.floats(0.2, 2.0),
+       b_factor=st.floats(0.3, 3.0), k_factor=st.floats(0.3, 3.0))
+@example(wn=10.0, zeta=0.75, v0=1.0, b_factor=20.0 / 15.0, k_factor=3.0)
+def test_fit_recovers_a_clean_trace_from_any_underdamped_guess(wn, zeta, v0, b_factor, k_factor):
+    """Over 1.2 damped periods at 1 ms, from a guess 0.3-3x each coefficient that is
+    underdamped, the fit recovers b_s, k_s and v0 to 1e-4 relative."""
+    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
+    guess = SpringParams(b_s=b_factor * p.b_s, k_s=k_factor * p.k_s)
+    assume(guess.is_underdamped)
+    t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
+    l, _ = analytic_response(v0, p, t)
+    res = fit_spring_params(DisplacementTrace(t=t, l=l), guess)
+    assert res.converged
+    for got, want in [(res.params.b_s, p.b_s), (res.params.k_s, p.k_s), (res.v0, v0)]:
+        assert abs(got - want) <= 1e-4 * want
+
+
 @settings(deadline=None)
 @given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.95), v0=st.floats(0.2, 2.0))
 def test_response_jacobian_is_the_model_derivative(wn, zeta, v0):
-    """Each column matches central differences of analytic_response in (b_s, k_s, v0),
-    over 1.2 damped periods sampled at 1 ms, to 1e-6 of the column's largest entry."""
-    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
-    t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
-    jac = _response_jacobian(v0, p, t)
+    """Each column matches central differences of the model in the fit's coordinates
+    (sigma, omega_d, v0), over 1.2 damped periods sampled at 1 ms, to 1e-6 of the
+    column's largest entry."""
+    theta = np.array([zeta * wn, wn * math.sqrt(1.0 - zeta * zeta), v0])
+    t = np.arange(0.0, 1.2 * 2.0 * np.pi / theta[1], 1e-3)
+    jac = _response_jacobian(theta, t)
     assert jac.shape == (len(t), 3)
-    theta = np.array([p.b_s, p.k_s, v0])
     for i in range(3):
         up, down = theta.copy(), theta.copy()
         up[i] *= 1.0 + 1e-6
         down[i] *= 1.0 - 1e-6
-        l_up, _ = analytic_response(up[2], SpringParams(up[0], up[1]), t)
-        l_down, _ = analytic_response(down[2], SpringParams(down[0], down[1]), t)
+        l_up, l_down = (analytic_response(v, SpringParams(2.0 * s, s * s + w * w), t)[0]
+                        for s, w, v in (up, down))
         central = (l_up - l_down) / (up[i] - down[i])
         assert np.max(np.abs(jac[:, i] - central)) <= 1e-6 * np.max(np.abs(jac[:, i]))
-
-
-@pytest.mark.parametrize("b_s, k_s", [(100.0, 300.0), (40.0, 400.0),
-                                      (math.sqrt(3.999 * 500.0), 500.0)])
-def test_response_jacobian_is_zero_off_the_branch(b_s, k_s):
-    """Where b_s^2 >= 3.999 k_s the fit's residual is a constant penalty."""
-    t = np.arange(0.0, 0.6, 1e-3)
-    jac = _response_jacobian(1.0, SpringParams(b_s=b_s, k_s=k_s), t)
-    assert jac.shape == (len(t), 3) and not jac.any()
 
 
 def test_fit_rejects_constant_trace():
@@ -534,15 +555,38 @@ def test_fit_rejects_constant_trace():
                           SpringParams(b_s=20.0, k_s=300.0))
 
 
-@pytest.mark.parametrize("b_s, k_s", [(100.0, 300.0), (40.0, 400.0),
-                                      (math.sqrt(3.999 * 500.0), 500.0)])
+@pytest.mark.parametrize("b_s, k_s", [(100.0, 300.0), (40.0, 400.0)])
 def test_fit_rejects_a_guess_that_is_not_underdamped(b_s, k_s):
-    """From such a guess the off-branch penalty is flat, so least_squares would stop at
-    once and report the guess as a converged fit; the guess is rejected by name."""
+    """Such a guess has no damped frequency to start the search from; it is rejected
+    by name. (40, 400) is critically damped."""
     t = np.arange(0.0, 0.6, 1e-3)
     l, _ = analytic_response(1.0, SpringParams(b_s=30.0, k_s=500.0), t)
     with pytest.raises(ValueError, match=f"b_s={b_s!r}, k_s={k_s!r} is not underdamped"):
         fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=b_s, k_s=k_s))
+
+
+def test_fit_starts_from_a_guess_near_critical_damping():
+    """A guess with b_s^2 = 3.999 k_s is underdamped, so the fit starts there and
+    recovers the spring."""
+    t = np.arange(0.0, 0.6, 1e-3)
+    l, _ = analytic_response(1.0, SpringParams(b_s=30.0, k_s=500.0), t)
+    res = fit_spring_params(DisplacementTrace(t=t, l=l),
+                            SpringParams(b_s=math.sqrt(3.999 * 500.0), k_s=500.0))
+    assert res.converged
+    for got, want in [(res.params.b_s, 30.0), (res.params.k_s, 500.0), (res.v0, 1.0)]:
+        assert abs(got - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("noise", [0.01, 0.05])
+def test_fit_of_an_overdamped_trace_reaches_critical_damping_and_raises(noise):
+    """b_s 60, k_s 400 (zeta 1.5) with noise: the best underdamped fit lies at
+    critical damping, which is an error, not a converged fit on the boundary."""
+    t = np.arange(0.0, 0.6, 1e-3)
+    slow, fast = -30.0 + math.sqrt(500.0), -30.0 - math.sqrt(500.0)  # s^2 + 60 s + 400 = 0
+    l = (np.exp(slow * t) - np.exp(fast * t)) / (slow - fast)  # from l(0) = 0, l_dot(0) = 1
+    l += noise * np.max(np.abs(l)) * np.random.default_rng(0).standard_normal(len(t))
+    with pytest.raises(ValueError, match="the fit reached critical damping"):
+        fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
 
 
 def test_fit_rejects_monotone_trace():

@@ -155,6 +155,28 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("make", [ScenarioConfig, lambda: ScenarioConfig.from_dict({}),
+                                  lambda: ScenarioConfig().with_mode(Rigid())],
+                         ids=["constructed", "from_dict", "with_mode"])
+def test_config_vehicle_and_wall_are_frozen(make):
+    """The run reads J and the wall normal through copies made at construction (J_flat,
+    J_inv, normal_flat), so neither may change afterwards, by reassignment or in place.
+    The spring and the controller, checked against the rest at construction, are frozen too."""
+    cfg = make()
+    for part, name in [(cfg.spring, "k_s"), (cfg.controller, "k_p"), (cfg.vehicle, "m")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, name, 1e9)
+    for part, name, value in [(cfg.vehicle, "J", np.diag([0.01, 0.01, 0.02])),
+                              (cfg.wall, "normal", np.array([-0.8, 0.6, 0.0]))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(part, name)[...] = value
+    derived = cfg.with_mode(Rigid())  # shares the frozen parts, but no array of its own
+    for name in ("start_position", "start_velocity", "setpoint"):
+        assert not np.shares_memory(getattr(derived, name), getattr(cfg, name))
+
+
 def test_config_inertia_as_moments_or_rows():
     rows = [[0.0034, 1e-4, 0.0], [1e-4, 0.0034, 2e-5], [0.0, 2e-5, 0.0053]]
     cfg = ScenarioConfig.from_dict({"inertia": rows})
@@ -544,6 +566,21 @@ def test_cli_fit_rejects_non_finite_guess(tmp_path, flag, field, value):
     assert out.returncode == 1
     assert out.stderr.startswith(f"error: {field} must be")
     assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
+
+
+def test_cli_fit_rejects_a_malformed_first_row(tmp_path, capsys):
+    """A header-less trace whose first row holds a bad value is an error. Read as a
+    header, the row was dropped and the fit ran on the other 599 rows."""
+    from foldquad.arm import analytic_response
+    t = np.arange(0.0, 0.6, 1e-3)
+    l, _ = analytic_response(1.4, SpringParams(), t)
+    rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(t, l)]
+    rows[0] = "0.0,0.0x"
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("\n".join(rows))
+    assert cli_main(["fit", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
 
 
 def test_cli_metrics_from_log(tmp_path, capsys):
