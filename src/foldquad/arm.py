@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +75,18 @@ def _is_number(field):
     return True
 
 
+def read_csv(source):
+    """A numeric CSV, from a path or an open text stream, as an (n, columns) array; a first
+    line without a number is a header. No data row is a ValueError, where np.loadtxt warns."""
+    with nullcontext(source) if hasattr(source, "readline") else open(source) as fh:
+        first = fh.readline()
+        lines = fh if not any(map(_is_number, first.split(","))) else chain([first], fh)
+        for line in lines:  # up to the first data row: blank and comment lines hold none
+            if line.partition("#")[0].strip():
+                return np.loadtxt(chain([line], lines), delimiter=",", ndmin=2)
+    raise ValueError(f"{getattr(fh, 'name', source)} has no data rows")
+
+
 @dataclass
 class DisplacementTrace:
     """Sampled arm deflection (t, l); timestamps strictly increasing."""
@@ -97,9 +111,7 @@ class DisplacementTrace:
     @classmethod
     def from_csv(cls, path):
         """Load a two-column `t,l` CSV (SI units); a first line without a number is a header."""
-        with open(path) as fh:
-            header = not any(map(_is_number, fh.readline().split(",")))
-        data = np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2)
+        data = read_csv(path)
         if data.shape[1] < 2:
             raise ValueError("trace CSV must have columns t,l")
         return cls(t=data[:, 0], l=data[:, 1])
@@ -215,13 +227,9 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
         l, l_dot, exited = advance_arm(l, l_dot, phi, p)
         if l > peak_l:
             peak_l = l
-        if exited:
-            return ContactResult(
-                v_rb=abs(l_dot),
-                duration=i * dt,
-                peak_l=peak_l,
-                saturated=peak_l >= p.l_max,  # a saturated step leaves l at exactly l_max
-            )
+        if exited:  # a saturated step leaves l at exactly l_max
+            return ContactResult(v_rb=abs(l_dot), duration=i * dt, peak_l=peak_l,
+                                 saturated=peak_l >= p.l_max)
     raise ContactTimeoutError(f"contact did not release within {CONTACT_TIMEOUT_S:g} s; "
                               "check spring parameters")
 
@@ -239,14 +247,9 @@ class FitResult:
 def _has_oscillation(l):
     """True if the trace shows a local max followed by a local min."""
     d = np.diff(l)
-    signs = np.sign(d[d != 0.0])
-    saw_max = False
-    for a, b in zip(signs[:-1], signs[1:]):
-        if not saw_max and a > 0 and b < 0:
-            saw_max = True
-        elif saw_max and a < 0 and b > 0:
-            return True
-    return False
+    turns = np.diff(np.sign(d[d != 0.0]))  # -2 at a local max, +2 at a local min
+    peaks = np.flatnonzero(turns < 0)
+    return len(peaks) > 0 and bool(np.any(turns[peaks[0]:] > 0))
 
 
 def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResult:

@@ -84,13 +84,9 @@ def cmd_fit(args):
     trace = DisplacementTrace.from_csv(args.trace)
     guess = SpringParams(b_s=args.guess_bs, k_s=args.guess_ks)
     result = fit_spring_params(trace, guess)
-    print(json.dumps({
-        "b_s": result.params.b_s,
-        "k_s": result.params.k_s,
-        "residual_norm": result.residual_norm,
-        "converged": result.converged,
-        "v0": result.v0,
-    }, indent=2))
+    print(json.dumps({"b_s": result.params.b_s, "k_s": result.params.k_s,
+                      "residual_norm": result.residual_norm, "converged": result.converged,
+                      "v0": result.v0}, indent=2))
     return 0 if result.converged else 3
 
 

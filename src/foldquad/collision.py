@@ -39,7 +39,7 @@ class Wall:
                             ("offset", float(self.offset))):
             object.__setattr__(self, name, value)  # not vars(self).update: it slows every read
 
-    def distance(self, x):
+    def distance(self, x):  # detect_contact evaluates this expression in place
         (n0, n1, n2), (x0, x1, x2) = self.normal_flat, x
         return (n0 * x0 + n1 * x1 + n2 * x2) - self.offset
 
@@ -70,8 +70,8 @@ class CollisionEvent:
 def detect_contact(s: BodyState, w: Wall, p: VehicleParams, t=0.0):
     """Return a CollisionEvent if the contact sphere touches the wall while
     approaching it, else None. Separating or out-of-reach states give None."""
-    (n0, n1, n2), (v0, v1, v2) = w.normal_flat, s.y[3:6]
-    if w.distance(s.y[:3]) <= p.r_contact and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
+    (n0, n1, n2), (x0, x1, x2, v0, v1, v2), r = w.normal_flat, s.y[:6], p.r_contact
+    if (n0 * x0 + n1 * x1 + n2 * x2) - w.offset <= r and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
         return CollisionEvent(t_c=float(t), x_c=s.x, v_c=s.v, normal=-w.normal)
     return None
 
@@ -106,15 +106,15 @@ def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput
     # the one free step gives q, omega and the tangential x and v: attitude does not
     # depend on translation, and the free acceleration depends only on q(t)
     free = integrate_step(s, u, p, dt)
-    x0, x1, x2, v0, v1, v2 = free.y[:6]
+    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = free.y
     c = (w.offset + (p.r_contact - l2)) - (n0 * x0 + n1 * x1 + n2 * x2)
     vn = (v0 * n0 + v1 * n1 + v2 * n2) + ld2  # keep the tangential v, then l_dot into the wall
-    y = (x0 + c * n0, x1 + c * n1, x2 + c * n2, v0 - vn * n0, v1 - vn * n1, v2 - vn * n2,
-         *free.y[6:])
-    if not all(map(math.isfinite, y[:6])):
+    x0, x1, x2 = x0 + c * n0, x1 + c * n1, x2 + c * n2
+    v0, v1, v2 = v0 - vn * n0, v1 - vn * n1, v2 - vn * n2
+    if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2))):
         raise StateBlowUpError("non-finite state after contact step")
-
-    return BodyState._trusted(y), ArmState(l=l2, l_dot=ld2), exited
+    free.y = (x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2)  # free is new, unshared
+    return free, ArmState(l=l2, l_dot=ld2), exited
 
 
 def impact_force_estimate(m, dv, dt_c):

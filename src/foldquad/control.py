@@ -73,11 +73,7 @@ def recovery_setpoint(x_tc, v_c_xy, cfg: ControllerConfig, yaw_d=0.0) -> Setpoin
     """
     x_tc = as_vec3(x_tc, "x_tc")
     v1, v2 = float(v_c_xy[0]), float(v_c_xy[1])
-    x_d = np.array([
-        x_tc[0] - cfg.gamma1 * v1,
-        x_tc[1] - cfg.gamma2 * v2,
-        x_tc[2],
-    ])
+    x_d = np.array([x_tc[0] - cfg.gamma1 * v1, x_tc[1] - cfg.gamma2 * v2, x_tc[2]])
     return Setpoint(x_d=x_d, yaw_d=yaw_d)
 
 

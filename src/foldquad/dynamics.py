@@ -118,10 +118,10 @@ class BodyState:
     (built from q) and `omega` are read-only and build a fresh array on each
     access, so writing into one does not change the state. The constructor
     and `hover` validate finite vectors and an R within _ROT_ORTHO_TOL of
-    orthonormal with det(R) > 0, and convert R to q once. The integrators
-    (`integrate_step`, `contact_constrained_step`) build their results with
-    `_trusted(y)`, unvalidated, after checking in the step that the state is
-    finite and q normalized, or raising StateBlowUpError.
+    orthonormal with det(R) > 0, and convert R to q once. `integrate_step`
+    builds its result unvalidated, setting `y` on a bare instance, after checking
+    that the state is finite and q normalized, or raising StateBlowUpError;
+    `contact_constrained_step` replaces the translation of that fresh result.
     """
 
     __slots__ = ("y",)
@@ -200,7 +200,7 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     dv0, dv1, dv2, dqw, dqx, dqy, dqz, dw0, dw1, dw2 = _deriv(
         qw + dt * cqw, qx + dt * cqx, qy + dt * cqy, qz + dt * cqz,
         w0 + dt * cw0, w1 + dt * cw1, w2 + dt * cw2, acc, g, tau, J, Ji)
-    y = (
+    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y = (
         x0 + k * (v0 + 2.0 * (v0 + h * av0) + 2.0 * (v0 + h * bv0) + (v0 + dt * cv0)),
         x1 + k * (v1 + 2.0 * (v1 + h * av1) + 2.0 * (v1 + h * bv1) + (v1 + dt * cv1)),
         x2 + k * (v2 + 2.0 * (v2 + h * av2) + 2.0 * (v2 + h * bv2) + (v2 + dt * cv2)),
@@ -211,10 +211,11 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
         w1 + k * (aw1 + 2.0 * bw1 + 2.0 * cw1 + dw1), w2 + k * (aw2 + 2.0 * bw2 + 2.0 * cw2 + dw2))
     if not all(map(math.isfinite, y)):
         raise StateBlowUpError("non-finite state after integration step")
-    qw, qx, qy, qz = y[6:10]
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     if not abs(n - 1.0) <= _ROT_ORTHO_TOL:
         raise StateBlowUpError(f"attitude quaternion norm {n!r} after integration step: "
                                "the body rate turns too far in one step")
     n = math.copysign(n, qw)  # w >= 0; -q is the same rotation, with bit-identical derivatives
-    return BodyState._trusted((*y[:6], qw / n, qx / n, qy / n, qz / n, *y[10:]))
+    s = object.__new__(BodyState)  # as _trusted does, without a call per step
+    s.y = (x0, x1, x2, v0, v1, v2, qw / n, qx / n, qy / n, qz / n, w0, w1, w2)
+    return s

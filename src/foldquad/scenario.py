@@ -5,7 +5,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-import yaml
 
 from .arm import CONTACT_TIMEOUT_S, ArmState, SpringParams, _transition, check_rk4_stable
 from .collision import (ContactMode, Foldable, Rigid, Wall,
@@ -127,11 +126,13 @@ class ScenarioConfig:
                    mode=mode(), wall=wall, **kwargs[None])
 
     def save(self, path):
+        import yaml  # here, as scipy in fit_spring_params: `import foldquad` skips it
         with open(path, "w") as fh:
             yaml.safe_dump(self.to_dict(), fh, sort_keys=True)
 
     @classmethod
     def load(cls, path, overrides=None):
+        import yaml
         with open(path) as fh:
             d = yaml.safe_load(fh)
         if not isinstance(d, dict | None):  # an empty file is all defaults

@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .arm import read_csv
 from .collision import CollisionEvent, impact_force_estimate
 from .dynamics import rotation_to_quaternion  # noqa: F401  (perfbench traces it here)
 
@@ -53,8 +54,8 @@ class SimLog:
 
     @classmethod
     def from_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data=data)
+        """Load a log CSV; a first line without a number is a header (`to_csv` writes one)."""
+        return cls(data=read_csv(path))
 
 
 @dataclass

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,9 +147,11 @@ def test_config_wall_normal_null_alone_means_no_wall():
     assert ScenarioConfig.from_dict({"wall_normal": None, "wall_offset": None}).wall is None
 
 
-def test_import_does_not_load_scipy():
-    """Only fit_spring_params needs scipy; run, compare and sweep start without it."""
-    code = "import sys, foldquad; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def test_import_does_not_load_scipy_or_yaml():
+    """Only fit_spring_params needs scipy, and only ScenarioConfig.load and save need
+    PyYAML; `import foldquad`, inside every run's start-up, loads neither."""
+    code = ("import sys, foldquad; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))")
     env = {"PYTHONPATH": str(Path(foldquad.__file__).parents[1]), "PATH": ""}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -341,6 +344,15 @@ def test_simlog_csv_round_trip(tmp_path):
     log.write_csv(path)
     loaded = SimLog.from_csv(path)
     assert np.array_equal(loaded.data, log.data)
+
+
+def test_simlog_from_csv_keeps_the_first_row_of_a_headerless_log(tmp_path):
+    """A log without a header keeps its first row: a first line with a number is data,
+    as for a trace."""
+    log = run_scenario(quiet_config(duration=0.1))
+    path = tmp_path / "log.csv"
+    path.write_text(log.to_csv().split("\n", 1)[1])
+    assert np.array_equal(SimLog.from_csv(path).data, log.data)
 
 
 def test_simlog_rejects_malformed():
@@ -581,6 +593,22 @@ def test_cli_fit_rejects_a_malformed_first_row(tmp_path, capsys):
     assert cli_main(["fit", str(trace_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.mark.parametrize("text", ["", "t,l\n", "t,l\n\n# no rows\n"],
+                         ids=["empty", "header_only", "header_blank_comment"])
+@pytest.mark.parametrize("command", ["fit", "metrics"])
+def test_cli_rejects_a_csv_without_data_rows(tmp_path, capsys, command, text):
+    """An input with no data row ends in exit 1 and one "error:" line, raised before
+    np.loadtxt, which warns of an empty input and then fails on its shape."""
+    path = tmp_path / "empty.csv"
+    path.write_text(text.replace("t,l", "t,l" if command == "fit" else ",".join(COLUMNS)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning fails the test instead of printing
+        assert cli_main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "has no data rows" in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
 
 
 def test_cli_metrics_from_log(tmp_path, capsys):

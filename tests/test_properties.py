@@ -9,8 +9,9 @@ rate that turns too far in one step; the constructor rejects a reflection.
 The scalar controller tick matches the position loop and attitude moment
 written with numpy arrays, and is bit-identical to the generator-based tick it
 replaced, contact check included. The scalar contact step matches its numpy
-vector form against walls that are not axis-aligned and does not depend on how
-far along the normal its start state sits from touching contact.
+vector form against walls that are not axis-aligned, does not depend on how
+far along the normal its start state sits from touching contact, and is
+bit-identical to the step that rebuilt its state from slices.
 A scenario config saved to YAML and loaded back must reproduce every field,
 and its run, cut short, ends at its last step or aborts with a diagnostic.
 The sweep's one start-gap probe reaches its target speed on plausible cruises.
@@ -28,7 +29,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -539,6 +540,56 @@ def test_contact_step_does_not_depend_on_the_start_normal_position(s, a, w, u, d
     assert np.allclose(shifted[0].v, touching[0].v, rtol=0.0, atol=1e-14)
     assert shifted[0].y[6:] == touching[0].y[6:]  # q and omega
     assert shifted[1:] == touching[1:]  # the arm state and exited
+
+
+def oracle_contact_constrained_step(s, a, w, u, p, sp, phi, dt):
+    """Verbatim copy of the contact step as it was written with slices of the free
+    state's y, a star-unpacked rebuild and BodyState._trusted."""
+    n0, n1, n2 = w.normal_flat
+    l2, ld2, exited = advance_arm(a.l, a.l_dot, phi, sp)
+
+    # the one free step gives q, omega and the tangential x and v: attitude does not
+    # depend on translation, and the free acceleration depends only on q(t)
+    free = integrate_step(s, u, p, dt)
+    x0, x1, x2, v0, v1, v2 = free.y[:6]
+    c = (w.offset + (p.r_contact - l2)) - (n0 * x0 + n1 * x1 + n2 * x2)
+    vn = (v0 * n0 + v1 * n1 + v2 * n2) + ld2  # keep the tangential v, then l_dot into the wall
+    y = (x0 + c * n0, x1 + c * n1, x2 + c * n2, v0 - vn * n0, v1 - vn * n1, v2 - vn * n2,
+         *free.y[6:])
+    if not all(map(math.isfinite, y[:6])):
+        raise StateBlowUpError("non-finite state after contact step")
+
+    return BodyState._trusted(y), ArmState(l=l2, l_dot=ld2), exited
+
+
+def contact_bits(step, *args):
+    """The bits of a contact step's new y and arm state, and exited; or its exception."""
+    try:
+        s, a, exited = step(*args)
+    except StateBlowUpError as exc:
+        return "StateBlowUpError", str(exc)
+    return hexes(s.y, a.l, a.l_dot), exited
+
+
+# non-finite offsets and arm states, and finite ones whose sums overflow, end in the
+# contact step's own StateBlowUpError: the free step before it sees none of them
+blowups = st.sampled_from([math.inf, -math.inf, math.nan, 1.797e308, -1.797e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(moderate_states,
+       arms | st.builds(ArmState, l=st.floats(0.0, SPRING.l_max) | blowups,
+                        l_dot=st.floats(-5.0, 5.0) | blowups),
+       oblique_walls | st.builds(Wall, normal=oblique_normals, offset=blowups),
+       st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
+@example(BodyState.hover([0.0, 0.0, 0.0]), ArmState(l=0.0, l_dot=math.nan), WALL,
+         ControlInput(f=10.0), 1e-3)
+def test_named_float_contact_step_is_bit_identical_to_sliced_step(s, a, w, u, dt):
+    """contact_constrained_step, which unpacks the free state once and builds one tuple,
+    gives the old step's bits: y, the arm state and exited, or the same StateBlowUpError."""
+    args = (s, a, w, u, P, SPRING, phi(dt), dt)
+    assert contact_bits(contact_constrained_step, *args) == \
+        contact_bits(oracle_contact_constrained_step, *args)
 
 
 # -- the run loop's schedule over whole configs -----------------------------------------
