@@ -1,8 +1,7 @@
 """Simulator and control library for a collision-resilient foldable quadrotor."""
 
-from .arm import (ArmState, ContactResult, ContactTimeoutError, DisplacementTrace,
-                  FitResult, SpringParams, analytic_response, fit_spring_params,
-                  simulate_contact)
+from .arm import (ContactResult, ContactTimeoutError, DisplacementTrace, FitResult,
+                  SpringParams, analytic_response, fit_spring_params, simulate_contact)
 from .collision import (CollisionEvent, ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact,
                         impact_force_estimate, resolve_rigid)
@@ -14,7 +13,7 @@ from .scenario import (ComparisonReport, ScenarioConfig, SweepRow, compare_modes
 from .simlog import COLUMNS, Metrics, SimLog, compute_metrics
 
 __all__ = [
-    "ArmState", "BodyState", "COLUMNS", "CollisionEvent",
+    "BodyState", "COLUMNS", "CollisionEvent",
     "ComparisonReport", "ContactMode", "ContactResult", "ContactTimeoutError",
     "ControlInput", "ControllerConfig", "ControllerState", "DisplacementTrace",
     "FitResult", "Foldable", "Metrics", "Rigid", "ScenarioConfig", "Setpoint",

@@ -59,14 +59,6 @@ class SpringParams:
         return self.omega_n * np.sqrt(1.0 - self.zeta ** 2)
 
 
-@dataclass
-class ArmState:
-    """Inward arm deflection (0 = rest, positive = compressed) and its rate."""
-
-    l: float = 0.0
-    l_dot: float = 0.0
-
-
 def _is_number(field):
     try:
         float(field)

@@ -6,8 +6,6 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from .arm import DisplacementTrace, SpringParams, fit_spring_params
 from .scenario import ScenarioConfig, compare_modes, run_scenario, sweep_velocities
 from .simlog import SimLog, compute_metrics
@@ -17,7 +15,7 @@ def _parse_overrides(pairs):
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise SystemExit(f"bad override {pair!r}; expected key=value")
+            raise ValueError(f"bad override {pair!r}; expected key=value")
         key, value = pair.split("=", 1)
         try:
             value = json.loads(value)
@@ -142,7 +140,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, yaml.YAMLError) as exc:
+    except (ValueError, OSError) as exc:  # a missing file, a directory, an out-dir that is a file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

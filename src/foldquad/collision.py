@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmState, SpringParams, advance_arm
+from .arm import SpringParams, advance_arm
 from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams, as_vec3,
                        integrate_step)
 
@@ -87,21 +87,22 @@ def resolve_rigid(e: float, r_contact: float) -> SpringParams:
                         l_max=0.9 * r_contact, delta_l=1e-9)
 
 
-def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput,
+def contact_constrained_step(s: BodyState, l: float, l_dot: float, w: Wall, u: ControlInput,
                              p: VehicleParams, sp: SpringParams, phi, dt: float):
     """One physics step while the arm is pinned against the wall.
 
-    The centroid's wall-normal coordinate is kinematically slaved to the arm
-    deflection (distance to plane = r_contact - l); the arm takes one exact
-    step by phi (arm._transition over dt) from the impact rate; thrust and
-    gravity keep acting on the tangential axes and attitude dynamics continue
-    under tau. On release the normal velocity equals l_dot, the rebound velocity.
+    The centroid's wall-normal coordinate is kinematically slaved to the arm's
+    inward deflection l (0 at rest, positive compressed; distance to plane =
+    r_contact - l); the arm takes one exact step by phi (arm._transition over
+    dt) from (l, l_dot); thrust and gravity keep acting on the tangential axes
+    and attitude dynamics continue under tau. On release the normal velocity
+    equals l_dot, the rebound velocity.
 
-    Returns (BodyState, ArmState, exited); raises StateBlowUpError if the
-    state is not finite.
+    Returns (BodyState, l, l_dot, exited), as advance_arm returns the arm;
+    raises StateBlowUpError if the state is not finite.
     """
     n0, n1, n2 = w.normal_flat
-    l2, ld2, exited = advance_arm(a.l, a.l_dot, phi, sp)
+    l2, ld2, exited = advance_arm(l, l_dot, phi, sp)
 
     # the one free step gives q, omega and the tangential x and v: attitude does not
     # depend on translation, and the free acceleration depends only on q(t)
@@ -114,7 +115,7 @@ def contact_constrained_step(s: BodyState, a: ArmState, w: Wall, u: ControlInput
     if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2))):
         raise StateBlowUpError("non-finite state after contact step")
     free.y = (x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2)  # free is new, unshared
-    return free, ArmState(l=l2, l_dot=ld2), exited
+    return free, l2, ld2, exited
 
 
 def impact_force_estimate(m, dv, dt_c):

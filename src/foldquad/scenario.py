@@ -6,13 +6,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .arm import CONTACT_TIMEOUT_S, ArmState, SpringParams, _transition, check_rk4_stable
+from .arm import CONTACT_TIMEOUT_S, SpringParams, _transition, check_rk4_stable
 from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                       recovery_setpoint, step_controller)
 from .dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams, integrate_step
-from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics
+from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics, log_row
 
 # flat YAML key -> the one field it sets: (part, field) on a part of the config,
 # or (None, field) on the config itself. inertia, contact_mode and wall_* are
@@ -134,17 +134,16 @@ class ScenarioConfig:
     def load(cls, path, overrides=None):
         import yaml
         with open(path) as fh:
-            d = yaml.safe_load(fh)
+            try:
+                d = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:  # one line, so that the CLI prints one error line
+                raise ValueError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from exc
         if not isinstance(d, dict | None):  # an empty file is all defaults
             raise ValueError(f"config top level must be a mapping of keys, not {type(d).__name__}")
         return cls.from_dict({**(d or {}), **(overrides or {})})
 
     def with_mode(self, mode: ContactMode):
         return replace(self, mode=mode)
-
-
-def _row(t, state, u, x_d, l, contact):
-    return [t, *state.y, l, u.f, *u.tau, 1.0 if contact else 0.0, *x_d]
 
 
 def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
@@ -180,7 +179,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     n_att = n_pos = n_log = 0  # ticks fired so far, per loop
 
     touch, was_contact = None, False  # touch: the contact's first step, None if free
-    arm = ArmState()  # after release its deflection stays in the log
+    l = l_dot = 0.0  # the arm's deflection and rate; after release l stays in the log
 
     # steps tracked as (t, state, u, x_d, l) until the first touch, then again from the
     # first step after that contact; a probe stops at the touch, so it logs none of them
@@ -209,7 +208,7 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
             contact = touch is not None or ev is not None
             grid = t / log_interval > n_log - 1e-9
             if grid or contact or was_contact:
-                rows[t] = _row(t, state, u, x_d, arm.l, contact)
+                rows[t] = log_row(t, state, u, x_d, l, contact)
                 if grid:
                     n_log += 1
             watching |= was_contact and not contact  # the first step after a contact
@@ -220,12 +219,12 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                 x0, x1, x2 = state.y[:3]
                 e0, e1, e2 = x0 - x_d[0], x1 - x_d[1], x2 - x_d[2]
                 if e0 * e0 + e1 * e1 + e2 * e2 > r2:
-                    far, after_far = (t, state, u, x_d, arm.l), None
+                    far, after_far = (t, state, u, x_d, l), None
                 elif far and not after_far:
-                    after_far = (t, state, u, x_d, arm.l)
+                    after_far = (t, state, u, x_d, l)
                 if events and x0 * n0 + x1 * n1 + x2 * n2 < s_min:
                     s_min = x0 * n0 + x1 * n1 + x2 * n2
-                    nearest = (t, state, u, x_d, arm.l)
+                    nearest = (t, state, u, x_d, l)
 
             if ev is not None:
                 if not events:  # settling is measured again from after this contact
@@ -233,12 +232,12 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                 events.append(ev)
                 sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
                 x_d = sp.x_d_flat
-                touch, arm = i, ArmState(l=0.0, l_dot=float(ev.v_c @ ev.normal))
+                touch, l, l_dot = i, 0.0, float(ev.v_c @ ev.normal)
             if touch is None:
                 state = integrate_step(state, u, vehicle, dt)
             else:
-                state, arm, exited = contact_constrained_step(
-                    state, arm, wall, u, vehicle, spring, phi, dt)
+                state, l, l_dot, exited = contact_constrained_step(
+                    state, l, l_dot, wall, u, vehicle, spring, phi, dt)
                 if exited:
                     touch = None
                 elif (i - touch) * dt > CONTACT_TIMEOUT_S:
@@ -251,12 +250,12 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
         diagnostic = f"state blow-up at t={t:.4f} s: {exc}"
 
     # an aborted run ends at the step that aborted; were it a contact step, it is logged
-    last = (t, state, u, x_d, arm.l) if diagnostic else None
+    last = (t, state, u, x_d, l) if diagnostic else None
     for ref in (nearest, far, after_far, last):
         if ref and ref[0] not in rows:
-            rows[ref[0]] = _row(*ref, False)
+            rows[ref[0]] = log_row(*ref, False)
     if not diagnostic:
-        rows[(i + 1) * dt] = _row((i + 1) * dt, state, u, x_d, arm.l, touch is not None)
+        rows[(i + 1) * dt] = log_row((i + 1) * dt, state, u, x_d, l, touch is not None)
 
     return SimLog(data=np.array([rows[t] for t in sorted(rows)]), events=events,
                   aborted=bool(diagnostic), diagnostic=diagnostic)

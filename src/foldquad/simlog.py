@@ -18,6 +18,11 @@ COLUMNS = (
 )
 _COL = {name: i for i, name in enumerate(COLUMNS)}
 
+
+def log_row(t, state, u, x_d, l, contact):
+    """One log row in COLUMNS order: the body state, arm deflection l, input and setpoint at t."""
+    return [t, *state.y, l, u.f, *u.tau, 1.0 if contact else 0.0, *x_d]
+
 SETTLE_RADIUS = 0.05  # m
 
 
@@ -74,8 +79,8 @@ class Metrics:
     def to_dict(self):
         return asdict(self)
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _contact_episodes(flags):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from foldquad import scenario
-from foldquad.arm import ArmState, SpringParams, _transition, simulate_contact
+from foldquad.arm import SpringParams, _transition, simulate_contact
 from foldquad.collision import (RIGID_CONTACT_TIME, Foldable, Rigid, Wall, contact_constrained_step,
                                 detect_contact, impact_force_estimate, resolve_rigid)
 from foldquad.dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams
@@ -105,10 +105,10 @@ def test_no_tunneling_at_step_speed():
     penetration = P.r_contact - WALL.distance(s.x)
     assert penetration <= v * dt + 1e-12
     sp = resolve_rigid(0.9, P.r_contact)
-    out, arm, _ = contact_constrained_step(s, ArmState(l=0.0, l_dot=v), WALL, ControlInput(f=0.0),
-                                           P, sp, _transition(sp.b_s, sp.k_s, dt), dt)
-    assert abs(WALL.distance(out.x) - (P.r_contact - arm.l)) < 1e-12
-    assert 0.0 < arm.l < sp.l_max
+    out, l, _, _ = contact_constrained_step(s, 0.0, v, WALL, ControlInput(f=0.0),
+                                            P, sp, _transition(sp.b_s, sp.k_s, dt), dt)
+    assert abs(WALL.distance(out.x) - (P.r_contact - l)) < 1e-12
+    assert 0.0 < l < sp.l_max
 
 
 # -- resolve_rigid: the stiff arm ---------------------------------------------------
@@ -157,10 +157,10 @@ def test_rigid_elastic_oblique_preserves_speed():
     assert detect_contact(s, wall, P) is not None
     sp = resolve_rigid(1.0, P.r_contact)
     phi = _transition(sp.b_s, sp.k_s, 1e-3)
-    arm = ArmState(l=0.0, l_dot=1.0)
+    l, l_dot = 0.0, 1.0
     for _ in range(10):  # releases on the step at RIGID_CONTACT_TIME
-        s, arm, exited = contact_constrained_step(s, arm, wall, ControlInput(f=0.0), P,
-                                                  sp, phi, 1e-3)
+        s, l, l_dot, exited = contact_constrained_step(s, l, l_dot, wall, ControlInput(f=0.0),
+                                                       P, sp, phi, 1e-3)
         assert abs(float(s.v @ tan) - 0.5) < 1e-12
     assert exited
     assert float(s.v @ n) == pytest.approx(-1.0, rel=1e-12, abs=0.0)
@@ -215,15 +215,15 @@ def _touching_state(v):
 
 
 def _run_constrained(v_c, u, spring, dt=1e-3):
-    """Drive the constrained stepper until release; return (states, arms)."""
+    """Drive the constrained stepper until release; return (states, arms), each arm (l, l_dot)."""
     s = _touching_state([v_c, 0.0, 0.0])
-    arm = ArmState(l=0.0, l_dot=v_c)
-    states, arms = [s], [arm]
+    l, l_dot = 0.0, v_c
+    states, arms = [s], [(l, l_dot)]
     phi = _transition(spring.b_s, spring.k_s, dt)
     for _ in range(2000):
-        s, arm, exited = contact_constrained_step(s, arm, WALL, u, P, spring, phi, dt)
+        s, l, l_dot, exited = contact_constrained_step(s, l, l_dot, WALL, u, P, spring, phi, dt)
         states.append(s)
-        arms.append(arm)
+        arms.append((l, l_dot))
         if exited:
             return states, arms
     raise AssertionError("contact did not release")
@@ -232,14 +232,13 @@ def _run_constrained(v_c, u, spring, dt=1e-3):
 def test_centroid_advances_with_compression():
     spring = SpringParams()
     s = _touching_state([1.4, 0.0, 0.0])
-    arm = ArmState(l=0.0, l_dot=1.4)
     phi = _transition(spring.b_s, spring.k_s, 1e-3)
-    s2, arm2, exited = contact_constrained_step(
-        s, arm, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
+    s2, l2, _, exited = contact_constrained_step(
+        s, 0.0, 1.4, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
     assert not exited
-    assert arm2.l > 0.0
+    assert l2 > 0.0
     assert s2.x[0] > s.x[0]  # centroid keeps moving toward the wall as l grows
-    assert abs((0.3 - s2.x[0]) - (P.r_contact - arm2.l)) < 1e-12
+    assert abs((0.3 - s2.x[0]) - (P.r_contact - l2)) < 1e-12
 
 
 def test_release_speed_matches_pure_arm_integration():
@@ -250,7 +249,7 @@ def test_release_speed_matches_pure_arm_integration():
         oracle = simulate_contact(v_c, spring, dt=1e-3)
         v_exit = -float(states[-1].v @ np.array([1.0, 0.0, 0.0]))
         assert abs(v_exit - oracle.v_rb) < 1e-6
-        assert abs(max(a.l for a in arms) - oracle.peak_l) < 1e-6
+        assert abs(max(l for l, _ in arms) - oracle.peak_l) < 1e-6
         assert len(states) - 1 == round(oracle.duration / 1e-3)
 
 
@@ -259,11 +258,11 @@ def test_tangential_velocity_decoupled():
     # second-axis velocity is unchanged across the whole contact
     spring = SpringParams()
     s = _touching_state([1.4, 0.25, 0.0])
-    arm = ArmState(l=0.0, l_dot=1.4)
+    l, l_dot = 0.0, 1.4
     phi = _transition(spring.b_s, spring.k_s, 1e-3)
     for _ in range(2000):
-        s, arm, exited = contact_constrained_step(
-            s, arm, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
+        s, l, l_dot, exited = contact_constrained_step(
+            s, l, l_dot, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
         if exited:
             break
     assert abs(s.v[1] - 0.25) < 1e-12
@@ -273,8 +272,8 @@ def test_energy_monotone_inside_constrained_contact():
     spring = SpringParams()
     _, arms = _run_constrained(1.4, ControlInput(f=0.0), spring)
     e_prev = np.inf
-    for a in arms:
-        e = 0.5 * a.l_dot**2 + 0.5 * spring.k_s * a.l**2
+    for l, l_dot in arms:
+        e = 0.5 * l_dot**2 + 0.5 * spring.k_s * l**2
         assert e <= e_prev * (1.0 + 1e-9)
         e_prev = e
 
@@ -282,12 +281,12 @@ def test_energy_monotone_inside_constrained_contact():
 def test_contact_step_blow_up_detected():
     # thrust near the float maximum overflows the free step's RK4 sum; the
     # contact step must raise rather than return a non-finite state
-    s, arm = _touching_state([1.4, 0.0, 0.0]), ArmState(l=0.0, l_dot=1.4)
+    s, l, l_dot = _touching_state([1.4, 0.0, 0.0]), 0.0, 1.4
     u, sp = ControlInput(f=1e308), SpringParams()
     phi = _transition(sp.b_s, sp.k_s, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateBlowUpError):
         for _ in range(100):
-            s, arm, _ = contact_constrained_step(s, arm, WALL, u, P, sp, phi, 1e-3)
+            s, l, l_dot, _ = contact_constrained_step(s, l, l_dot, WALL, u, P, sp, phi, 1e-3)
             assert np.isfinite(s.x).all() and np.isfinite(s.v).all()
 
 

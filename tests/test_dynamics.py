@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from foldquad.arm import ArmState, SpringParams, _transition
+from foldquad.arm import SpringParams, _transition
 from foldquad.collision import Wall, contact_constrained_step
 from foldquad.dynamics import (_ROT_ORTHO_TOL, BodyState, ControlInput, StateBlowUpError,
                                VehicleParams, _deriv, integrate_step, quaternion_to_rotation,
@@ -200,8 +200,8 @@ def stepped_states():
     u = ControlInput(f=12.0, tau=rng.normal(scale=0.01, size=3))
     wall = Wall(normal=[-0.6, 0.48, 0.64], offset=-0.3)
     sp = SpringParams()
-    contact, _, _ = contact_constrained_step(s, ArmState(l=0.01, l_dot=0.5), wall, u, p,
-                                             sp, _transition(sp.b_s, sp.k_s, 1e-3), 1e-3)
+    contact, _, _, _ = contact_constrained_step(s, 0.01, 0.5, wall, u, p,
+                                                sp, _transition(sp.b_s, sp.k_s, 1e-3), 1e-3)
     return integrate_step(s, u, p, 1e-3), contact
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import foldquad
 from foldquad import scenario
-from foldquad.arm import SpringParams, simulate_contact
+from foldquad.arm import SpringParams, analytic_response, simulate_contact
 from foldquad.cli import _parse_overrides
 from foldquad.cli import main as cli_main
 from foldquad.collision import RIGID_CONTACT_TIME, Rigid, Wall
@@ -149,13 +149,15 @@ def test_config_wall_normal_null_alone_means_no_wall():
 
 def test_import_does_not_load_scipy_or_yaml():
     """Only fit_spring_params needs scipy, and only ScenarioConfig.load and save need
-    PyYAML; `import foldquad`, inside every run's start-up, loads neither."""
-    code = ("import sys, foldquad; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))")
+    PyYAML; `import foldquad` and `import foldquad.cli`, inside every run's start-up
+    (and `foldquad fit` or `metrics` without a config), load neither."""
     env = {"PYTHONPATH": str(Path(foldquad.__file__).parents[1]), "PATH": ""}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for module in ("foldquad", "foldquad.cli"):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]", module
 
 
 @pytest.mark.parametrize("make", [ScenarioConfig, lambda: ScenarioConfig.from_dict({}),
@@ -545,6 +547,16 @@ def test_cli_compare(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "wall_compare.json").read_text())
     assert report["foldable"]["v_rb"] < report["rigid"]["v_rb"]
+    for mode in ("foldable", "rigid"):
+        assert (tmp_path / f"wall_{mode}_log.csv").stat().st_size > 0
+    # the rigid side is the stiff arm: a 10 ms contact returning restitution (0.9) x v_c,
+    # at the default step and at 2 ms
+    assert cli_main(["compare", str(cfg_path), "--out-dir", str(tmp_path / "dt2"),
+                     "--set", "physics_dt=0.002"]) == 0
+    for out in (tmp_path, tmp_path / "dt2"):
+        rigid = json.loads((out / "wall_compare.json").read_text())["rigid"]
+        assert abs(rigid["contact_duration"] - 0.01) <= 1e-9, out
+        assert abs(rigid["v_rb"] / rigid["v_c"] - 0.9) <= 1e-9, out
 
 
 def test_cli_fit(tmp_path, capsys):
@@ -559,6 +571,12 @@ def test_cli_fit(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["b_s"] - 30.0) / 30.0 < 0.01
     assert abs(out["k_s"] - 500.0) / 500.0 < 0.01
+    # b_s 15, k_s 100 from the CLI's default guess (20, 300)
+    t = np.arange(0.0, 0.6, 1e-3)
+    l15, _ = analytic_response(1.0, SpringParams(b_s=15.0, k_s=100.0), t)
+    np.savetxt(trace_path, np.column_stack([t, l15]), delimiter=",")
+    assert cli_main(["fit", str(trace_path)]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["b_s"] - 15.0) <= 0.15
 
 
 @pytest.mark.parametrize("flag, field", [("--guess-bs", "b_s"), ("--guess-ks", "k_s")])
@@ -621,6 +639,14 @@ def test_cli_metrics_from_log(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["v_c"] is not None
+    # on each shipped config, the metrics recomputed from the CSV are the ones the run
+    # wrote, byte for byte
+    for cfg_path in sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")):
+        assert cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        stem = tmp_path / cfg_path.stem
+        assert cli_main(["metrics", f"{stem}_log.csv", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == Path(f"{stem}_metrics.json").read_text(), cfg_path
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -629,10 +655,53 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["run", str(bad), "--out-dir", str(tmp_path)]) == 1
 
 
-def test_cli_malformed_yaml_exit_code(tmp_path):
+def test_cli_malformed_yaml_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("mass: [1,\n")
     assert cli_main(["run", str(bad), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err  # ScenarioConfig.load names the file, on one line
+    assert err.startswith(f"error: {bad} is not valid YAML: ") and err.count("\n") == 1
+
+
+def _trace_csv(path, nan_first_row=False, zero=False):
+    t = np.arange(0.0, 0.6, 1e-3)
+    rows = np.column_stack([t, 0.0 * t if zero else analytic_response(1.0, SpringParams(), t)[0]])
+    if nan_first_row:
+        rows[0] = np.nan  # t[0] too: a nan passes the strictly-increasing check
+    np.savetxt(path, rows, delimiter=",", header="t,l", comments="")
+    return str(path)
+
+
+def _a_file(path):
+    path.write_text("")
+    return str(path)
+
+
+WALL_CONFIG = str(Path(__file__).parents[1] / "configs" / "wall_collision.yaml")
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["run", str(d), "--out-dir", str(d / "out")],
+    lambda d: ["metrics", str(d)],
+    lambda d: ["fit", str(d)],
+    lambda d: ["run", WALL_CONFIG, "--out-dir", _a_file(d / "out")],
+    lambda d: ["run", WALL_CONFIG, "--out-dir", str(d / "out"), "--set", "foo"],
+    lambda d: ["fit", str(d / "missing.csv")],
+    lambda d: ["fit", _trace_csv(d / "zero.csv", zero=True)],
+    lambda d: ["fit", _trace_csv(d / "nan.csv", nan_first_row=True)],
+    lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "100", "--guess-ks", "300"],
+    lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "40", "--guess-ks", "400"],
+], ids=["config_is_a_directory", "log_is_a_directory", "trace_is_a_directory",
+        "out_dir_is_a_file", "override_without_equals", "missing_trace", "zero_trace",
+        "nan_trace", "overdamped_guess", "critically_damped_guess"])
+def test_cli_failure_is_one_error_line(tmp_path, capfd, argv):
+    """Exit 1 with one "error:" line and nothing on stdout: no traceback, no SystemExit
+    out of main(), and for the nan trace no LAPACK lines (it is rejected before scipy)."""
+    assert cli_main(argv(tmp_path)) == 1
+    out, err = capfd.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out").is_dir()
 
 
 @pytest.mark.parametrize("overrides", [[], ["--set", "mass=2.0"]], ids=["plain", "set"])
@@ -670,6 +739,11 @@ def test_cli_sweep_flags_aborted_point_and_exits_2(tmp_path):
     rows = {r["mode"]: r for r in json.loads((tmp_path / "wall_sweep.json").read_text())}
     assert rows["foldable"]["aborted"] and "did not release" in rows["foldable"]["diagnostic"]
     assert not rows["rigid"]["aborted"] and rows["rigid"]["diagnostic"] == ""
+    # with the default spring the same sweep completes: exit 0, no row aborted
+    rc = cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path), "--speeds", "1,2"])
+    assert rc == 0
+    rows = json.loads((tmp_path / "wall_sweep.json").read_text())
+    assert len(rows) == 4 and not any(r["aborted"] or r["unreachable"] for r in rows)
 
 
 def test_cli_sweep_flags_aborted_start_gap_probe_and_exits_2(tmp_path):

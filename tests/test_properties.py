@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from foldquad import collision, scenario
-from foldquad.arm import ArmState, SpringParams, _transition, advance_arm
+from foldquad.arm import SpringParams, _transition, advance_arm
 from foldquad.collision import (CollisionEvent, Foldable, Rigid, Wall, contact_constrained_step,
                                 detect_contact)
 from foldquad.control import (ControllerConfig, ControllerState, Setpoint, _rotation_error,
@@ -69,7 +69,7 @@ states = st.builds(
     vec3(100.0), vec3(100.0), quaternions, vec3(1e3))
 inputs = st.builds(ControlInput, f=st.floats(0.0, 1e3), tau=vec3(1e3))
 dts = st.floats(0.0, 0.01, exclude_min=True)
-arms = st.builds(ArmState, l=st.floats(0.0, SPRING.l_max), l_dot=st.floats(-5.0, 5.0))
+arms = st.tuples(st.floats(0.0, SPRING.l_max), st.floats(-5.0, 5.0))  # (l, l_dot)
 
 
 def assert_fully_valid(s):
@@ -90,7 +90,7 @@ def test_integrate_step_result_passes_full_validation(s, u, dt):
 @given(states, arms, inputs, dts)
 def test_contact_step_result_passes_full_validation(s, a, u, dt):
     try:
-        out, _, _ = contact_constrained_step(s, a, WALL, u, P, SPRING, phi(dt), dt)
+        out, _, _, _ = contact_constrained_step(s, *a, WALL, u, P, SPRING, phi(dt), dt)
     except StateBlowUpError:
         return
     assert_fully_valid(out)
@@ -490,16 +490,16 @@ def test_named_float_tick_is_bit_identical_to_generator_tick(case_data, J, norma
 
 # -- the scalar contact step against numpy --------------------------------------------
 
-def reference_contact_translation(s, arm2, w, u, p, dt):
+def reference_contact_translation(s, l2, ld2, w, u, p, dt):
     """Position and velocity after a contact step with numpy vectors: the free
     step's x and v with their wall-normal parts replaced by the arm's, and the
     magnitudes each is computed from (free x and coord; free v and l_dot)."""
     free = integrate_step(s, u, p, dt)
     n_in = -w.normal
-    coord = w.offset + (p.r_contact - arm2.l)
+    coord = w.offset + (p.r_contact - l2)
     x2 = free.x + (coord - float(w.normal @ free.x)) * w.normal
-    v2 = free.v - float(free.v @ n_in) * n_in + arm2.l_dot * n_in
-    return x2, v2, (free.x, coord), (free.v, arm2.l_dot)
+    v2 = free.v - float(free.v @ n_in) * n_in + ld2 * n_in
+    return x2, v2, (free.x, coord), (free.v, ld2)
 
 
 # every component at least 0.1 in magnitude before normalization: no axis-aligned wall
@@ -512,10 +512,10 @@ oblique_walls = st.builds(Wall, normal=oblique_normals, offset=st.floats(-10.0, 
 @given(moderate_states, arms, oblique_walls,
        st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
 def test_contact_step_matches_numpy(s, a, w, u, dt):
-    got, arm2, exited = contact_constrained_step(s, a, w, u, P, SPRING, phi(dt), dt)
-    l2, ld2, want_exited = advance_arm(a.l, a.l_dot, phi(dt), SPRING)
-    assert (arm2.l, arm2.l_dot, exited) == (l2, ld2, want_exited)
-    want_x, want_v, x_terms, v_terms = reference_contact_translation(s, arm2, w, u, P, dt)
+    got, got_l, got_l_dot, exited = contact_constrained_step(s, *a, w, u, P, SPRING, phi(dt), dt)
+    l2, ld2, want_exited = advance_arm(*a, phi(dt), SPRING)
+    assert (got_l, got_l_dot, exited) == (l2, ld2, want_exited)
+    want_x, want_v, x_terms, v_terms = reference_contact_translation(s, l2, ld2, w, u, P, dt)
     assert_close("x", got.x, want_x, *x_terms)
     assert_close("v", got.v, want_v, *v_terms)
     free = integrate_step(s, u, P, dt)
@@ -533,7 +533,7 @@ def test_contact_step_does_not_depend_on_the_start_normal_position(s, a, w, u, d
     touching contact gives the same step to rounding: the run loop needs no snap."""
     def step_from(gap):
         start = s.with_translation(s.x + (gap - w.distance(s.x)) * w.normal, s.v)
-        return contact_constrained_step(start, a, w, u, P, SPRING, phi(dt), dt)
+        return contact_constrained_step(start, *a, w, u, P, SPRING, phi(dt), dt)
 
     touching, shifted = step_from(P.r_contact), step_from(P.r_contact + d)
     assert np.allclose(shifted[0].x, touching[0].x, rtol=0.0, atol=1e-14)
@@ -542,11 +542,11 @@ def test_contact_step_does_not_depend_on_the_start_normal_position(s, a, w, u, d
     assert shifted[1:] == touching[1:]  # the arm state and exited
 
 
-def oracle_contact_constrained_step(s, a, w, u, p, sp, phi, dt):
+def oracle_contact_constrained_step(s, l, l_dot, w, u, p, sp, phi, dt):
     """Verbatim copy of the contact step as it was written with slices of the free
     state's y, a star-unpacked rebuild and BodyState._trusted."""
     n0, n1, n2 = w.normal_flat
-    l2, ld2, exited = advance_arm(a.l, a.l_dot, phi, sp)
+    l2, ld2, exited = advance_arm(l, l_dot, phi, sp)
 
     # the one free step gives q, omega and the tangential x and v: attitude does not
     # depend on translation, and the free acceleration depends only on q(t)
@@ -559,16 +559,16 @@ def oracle_contact_constrained_step(s, a, w, u, p, sp, phi, dt):
     if not all(map(math.isfinite, y[:6])):
         raise StateBlowUpError("non-finite state after contact step")
 
-    return BodyState._trusted(y), ArmState(l=l2, l_dot=ld2), exited
+    return BodyState._trusted(y), l2, ld2, exited
 
 
 def contact_bits(step, *args):
-    """The bits of a contact step's new y and arm state, and exited; or its exception."""
+    """The bits of a contact step's new y, l and l_dot, and exited; or its exception."""
     try:
-        s, a, exited = step(*args)
+        s, l, l_dot, exited = step(*args)
     except StateBlowUpError as exc:
         return "StateBlowUpError", str(exc)
-    return hexes(s.y, a.l, a.l_dot), exited
+    return hexes(s.y, l, l_dot), exited
 
 
 # non-finite offsets and arm states, and finite ones whose sums overflow, end in the
@@ -578,16 +578,15 @@ blowups = st.sampled_from([math.inf, -math.inf, math.nan, 1.797e308, -1.797e308]
 
 @settings(max_examples=300, deadline=None)
 @given(moderate_states,
-       arms | st.builds(ArmState, l=st.floats(0.0, SPRING.l_max) | blowups,
-                        l_dot=st.floats(-5.0, 5.0) | blowups),
+       arms | st.tuples(st.floats(0.0, SPRING.l_max) | blowups, st.floats(-5.0, 5.0) | blowups),
        oblique_walls | st.builds(Wall, normal=oblique_normals, offset=blowups),
        st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
-@example(BodyState.hover([0.0, 0.0, 0.0]), ArmState(l=0.0, l_dot=math.nan), WALL,
+@example(BodyState.hover([0.0, 0.0, 0.0]), (0.0, math.nan), WALL,
          ControlInput(f=10.0), 1e-3)
 def test_named_float_contact_step_is_bit_identical_to_sliced_step(s, a, w, u, dt):
     """contact_constrained_step, which unpacks the free state once and builds one tuple,
     gives the old step's bits: y, the arm state and exited, or the same StateBlowUpError."""
-    args = (s, a, w, u, P, SPRING, phi(dt), dt)
+    args = (s, *a, w, u, P, SPRING, phi(dt), dt)
     assert contact_bits(contact_constrained_step, *args) == \
         contact_bits(oracle_contact_constrained_step, *args)
 
