@@ -13,6 +13,11 @@ import numpy as np
 CONTACT_TIMEOUT_S = 1.0  # a contact that has not released after this long is aborted
 
 
+def contact_step_limit(dt):
+    """The most arm steps of dt that a contact may take before it times out."""
+    return int(CONTACT_TIMEOUT_S / dt) + 1
+
+
 class ContactTimeoutError(RuntimeError):
     """Contact integration did not terminate within CONTACT_TIMEOUT_S."""
 
@@ -205,17 +210,16 @@ def advance_arm(l, l_dot, phi, p: SpringParams):
 def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
     """Integrate the arm ODE from (l=0, l_dot=v_impact) until release.
 
-    The rebound speed is |l_dot| at the step where l first falls to delta_l
-    after the compression peak. Guards against non-termination at
-    CONTACT_TIMEOUT_S.
+    The rebound speed is |l_dot| at the step where l first falls to delta_l after
+    the compression peak. ContactTimeoutError after contact_step_limit(dt) steps.
     """
     if not (0.0 < v_impact < math.inf):
         raise ValueError("v_impact must be positive and finite")
-    if not (0.0 < dt <= 1e-3):
-        raise ValueError("dt must be in (0, 1e-3] s")
+    if not (0.0 < dt <= 0.01):  # the bound of ScenarioConfig.dt
+        raise ValueError("dt must be in (0, 0.01] s")
     phi = _transition(p.b_s, p.k_s, dt)
     l, l_dot, peak_l = 0.0, float(v_impact), 0.0
-    for i in range(1, int(CONTACT_TIMEOUT_S / dt) + 2):  # step i ends at t = i*dt
+    for i in range(1, contact_step_limit(dt) + 1):  # step i ends at t = i*dt
         l, l_dot, exited = advance_arm(l, l_dot, phi, p)
         if l > peak_l:
             peak_l = l

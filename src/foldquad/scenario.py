@@ -6,12 +6,12 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .arm import CONTACT_TIMEOUT_S, SpringParams, _transition, check_rk4_stable
+from .arm import CONTACT_TIMEOUT_S, SpringParams, _transition, check_rk4_stable, contact_step_limit
 from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                       recovery_setpoint, step_controller)
-from .dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams, integrate_step
+from .dynamics import BodyState, StateBlowUpError, VehicleParams, integrate_step
 from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics, log_row
 
 # flat YAML key -> the one field it sets: (part, field) on a part of the config,
@@ -167,23 +167,21 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
     cs = ControllerState()
     sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
     x_d = sp.x_d_flat
-    u = ControlInput(f=cfg.vehicle.m * cfg.vehicle.g)
 
     dt, ctl = cfg.dt, cfg.controller
     wall, vehicle, log_interval = cfg.wall, cfg.vehicle, cfg.log_interval
     spring = (resolve_rigid(cfg.restitution, vehicle.r_contact) if isinstance(cfg.mode, Rigid)
               else cfg.spring)
     phi = _transition(spring.b_s, spring.k_s, dt)  # the arm's step, for every contact
+    max_arm_steps = contact_step_limit(dt)  # a contact that needs more times out
     att_rate, pos_rate = ctl.attitude_rate, ctl.position_rate
     n_steps = int(round(cfg.duration / dt))
     n_att = n_pos = n_log = 0  # ticks fired so far, per loop
 
-    touch, was_contact = None, False  # touch: the contact's first step, None if free
+    touch, after = None, -1  # the contact's first step or None; the step after the last release
     l = l_dot = 0.0  # the arm's deflection and rate; after release l stays in the log
 
-    # steps tracked as (t, state, u, x_d, l) until the first touch, then again from the
-    # first step after that contact; a probe stops at the touch, so it logs none of them
-    watching = True
+    # steps tracked as (t, state, u, x_d, l); the nearest to the wall from the first release on
     far = after_far = nearest = None
     s_min = math.inf
     n0, n1, n2 = (-c for c in wall.normal_flat) if wall else (0.0, 0.0, 0.0)
@@ -207,28 +205,25 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
             ev = detect_contact(state, wall, vehicle, t) if wall and touch is None else None
             contact = touch is not None or ev is not None
             grid = t / log_interval > n_log - 1e-9
-            if grid or contact or was_contact:
+            if grid or contact or i == after:
                 rows[t] = log_row(t, state, u, x_d, l, contact)
                 if grid:
                     n_log += 1
-            watching |= was_contact and not contact  # the first step after a contact
-            was_contact = contact
 
             # the same float expressions as compute_metrics, so a tie picks the same row
-            if watching:
-                x0, x1, x2 = state.y[:3]
-                e0, e1, e2 = x0 - x_d[0], x1 - x_d[1], x2 - x_d[2]
-                if e0 * e0 + e1 * e1 + e2 * e2 > r2:
-                    far, after_far = (t, state, u, x_d, l), None
-                elif far and not after_far:
-                    after_far = (t, state, u, x_d, l)
-                if events and x0 * n0 + x1 * n1 + x2 * n2 < s_min:
-                    s_min = x0 * n0 + x1 * n1 + x2 * n2
-                    nearest = (t, state, u, x_d, l)
+            x0, x1, x2 = state.y[:3]
+            e0, e1, e2 = x0 - x_d[0], x1 - x_d[1], x2 - x_d[2]
+            if e0 * e0 + e1 * e1 + e2 * e2 > r2:
+                far, after_far = (t, state, u, x_d, l), None
+            elif far and not after_far:
+                after_far = (t, state, u, x_d, l)
+            if after >= 0 and x0 * n0 + x1 * n1 + x2 * n2 < s_min:
+                s_min = x0 * n0 + x1 * n1 + x2 * n2
+                nearest = (t, state, u, x_d, l)
 
             if ev is not None:
-                if not events:  # settling is measured again from after this contact
-                    watching, far, after_far = False, None, None
+                if after < 0:  # settling is measured again from after the first contact
+                    far = after_far = None
                 events.append(ev)
                 sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
                 x_d = sp.x_d_flat
@@ -239,8 +234,8 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                 state, l, l_dot, exited = contact_constrained_step(
                     state, l, l_dot, wall, u, vehicle, spring, phi, dt)
                 if exited:
-                    touch = None
-                elif (i - touch) * dt > CONTACT_TIMEOUT_S:
+                    touch, after = None, i + 1
+                elif i + 1 - touch >= max_arm_steps:  # i + 1 - touch arm steps so far
                     diagnostic = (f"contact timeout at t={t:.4f} s: contact did not "
                                   f"release within {CONTACT_TIMEOUT_S:g} s")
                     break

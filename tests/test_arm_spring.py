@@ -162,8 +162,9 @@ def test_clamp_keeps_an_extending_rate():
 def test_contact_input_validation():
     with pytest.raises(ValueError):
         simulate_contact(0.0, NOMINAL)
-    with pytest.raises(ValueError):
-        simulate_contact(1.0, NOMINAL, dt=2e-3)
+    for dt in (0.0, 0.0101):  # ScenarioConfig.dt's bound, (0, 0.01]
+        with pytest.raises(ValueError, match="dt must be in"):
+            simulate_contact(1.0, NOMINAL, dt=dt)
     for v in (math.nan, math.inf):
         with pytest.raises(ValueError, match="v_impact must be positive and finite"):
             simulate_contact(v, NOMINAL)
@@ -292,6 +293,21 @@ def test_foldable_run_makes_one_arm_step_per_contact_step(monkeypatch):
     n_arm_steps = len(calls)
     oracle = simulate_contact(float(ev.v_c @ ev.normal), cfg.spring, cfg.dt)
     assert n_arm_steps == len(contact_steps) == round(oracle.duration / cfg.dt) > 0
+
+
+@pytest.mark.parametrize("dt, n", [(1e-3, 1001), (7e-4, 1429), (2e-3, 501)])
+def test_run_and_arm_time_out_after_the_same_arm_steps(monkeypatch, dt, n):
+    """A spring that does not release within the timeout: run_scenario and
+    simulate_contact give up after the same number of arm steps."""
+    slow = SpringParams(b_s=0.0, k_s=1.0)
+    calls = counting_advance_arm(monkeypatch)
+    with pytest.raises(ContactTimeoutError):
+        simulate_contact(1.4, slow, dt)
+    assert len(calls) == n == arm_module.contact_step_limit(dt)
+    calls.clear()
+    log = scenario.run_scenario(scenario.ScenarioConfig(spring=slow, dt=dt, duration=2.0))
+    assert log.aborted and log.diagnostic.startswith("contact timeout")
+    assert len(calls) == n
 
 
 def test_transition_is_computed_once_per_contact(monkeypatch):

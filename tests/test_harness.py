@@ -290,14 +290,17 @@ def test_contact_uses_scenario_spring():
     assert abs(m.contact_duration - default.duration) > 10 * cfg.dt
 
 
-@pytest.mark.parametrize("angle", [0.0, 30.0])
+@pytest.mark.parametrize("angle, dt", [  # the 1 ms cases keep their ids
+    pytest.param(angle, dt, id=str(angle) if dt == 1e-3 else f"{angle}-dt{dt:g}")
+    for dt in (1e-3, 2e-3, 5e-3) for angle in (0.0, 30.0)])
 @pytest.mark.parametrize("speed, saturated", [(1.0, False), (2.6, True)])
-def test_closed_loop_contact_matches_arm_oracle(angle, speed, saturated):
+def test_closed_loop_contact_matches_arm_oracle(angle, dt, speed, saturated):
     """The closed-loop foldable contact is the arm-only contact from the run's own
     v_c: bit for bit on the default wall, within 1e-12 relative on a wall turned
-    30 degrees about the vertical, on both sides of the arm's saturation."""
+    30 degrees about the vertical, on both sides of the arm's saturation, at
+    physics steps of 1, 2 and 5 ms."""
     a = np.radians(angle)
-    base = ScenarioConfig(wall=Wall(normal=[-np.cos(a), np.sin(a), 0.0], offset=-0.3))
+    base = ScenarioConfig(wall=Wall(normal=[-np.cos(a), np.sin(a), 0.0], offset=-0.3), dt=dt)
     cfg = _cruise_cfg(base, speed, 0.3)
     m = compute_metrics(run_scenario(cfg), cfg)
     oracle = simulate_contact(m.v_c, cfg.spring, cfg.dt)

@@ -18,7 +18,8 @@ The sweep's one start-gap probe reaches its target speed on plausible cruises.
 Over random loop rates, physics steps and log intervals, the run loop fires
 every tick and grid row on the integer step clock, logs every step that decides
 a metric, and a repeated run is byte-identical. Runs into tilted walls give the
-same metrics at every log interval and after the CSV round trip.
+same metrics at every log interval and after the CSV round trip, as does a
+run that touches the wall twice.
 """
 import dataclasses
 import io
@@ -751,8 +752,14 @@ def wall_runs(draw):
         duration=draw(st.floats(0.5, 3.0)))
 
 
+_RECOLLISION = ScenarioConfig(controller=ControllerConfig(gamma1=1e-6, gamma2=1e-6),
+                              start_velocity=[2.5, 0.0, 0.0], duration=3.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(wall_runs())
+@example(_RECOLLISION)  # a second touch, which wall_runs rarely draws
+@example(dataclasses.replace(_RECOLLISION, mode=Rigid()))
 def test_metrics_do_not_depend_on_log_interval(cfg):
     """Every Metrics field, None-ness included, is the same at log intervals of
     1, 5, 7.3 and 20 physics steps, and after the CSV round trip."""
