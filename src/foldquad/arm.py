@@ -132,29 +132,31 @@ def analytic_response(v0, p: SpringParams, t):
     """
     if not p.is_underdamped:
         raise ValueError("analytic response only implemented for the underdamped branch")
-    t = np.asarray(t, dtype=float)
-    wn, wd, zeta = p.omega_n, p.omega_d, p.zeta
-    env = np.exp(-zeta * wn * t)
-    l = (v0 / wd) * env * np.sin(wd * t)
-    l_dot = v0 * env * (np.cos(wd * t) - (zeta * wn / wd) * np.sin(wd * t))
-    return l, l_dot
+    sigma = 0.5 * p.b_s  # b_s^2 < 4 k_s, so k_s - sigma^2 > 0 in floats too
+    omega_d = np.sqrt(p.k_s - sigma * sigma)
+    return _modal_response(sigma, omega_d, v0, np.asarray(t, dtype=float))
+
+
+def _modal_response(sigma, omega_d, v0, t):
+    """The closed form in modal coordinates, with one exp, one sin and one cos:
+    l = (v0/omega_d) e^(-sigma t) sin(omega_d t) and
+    l_dot = v0 e^(-sigma t) cos(omega_d t) - sigma l."""
+    env = np.exp(-sigma * t)
+    wt = omega_d * t
+    l = (v0 / omega_d) * env * np.sin(wt)
+    return l, v0 * env * np.cos(wt) - sigma * l
 
 
 def _modal_spring(sigma, omega_d):
     """The spring at the fit's modal coordinates: b_s = 2 sigma, k_s = sigma^2 + omega_d^2,
     underdamped for every omega_d > 0 until rounding makes k_s = sigma^2."""
-    p = SpringParams(2.0 * sigma, sigma * sigma + omega_d * omega_d)
-    if not p.is_underdamped:
-        raise ValueError(f"the fit reached critical damping (b_s={p.b_s:g}, k_s={p.k_s:g}): "
-                         "the trace is not an underdamped response")
-    return p
+    return SpringParams(2.0 * sigma, sigma * sigma + omega_d * omega_d)
 
 
-def _response_jacobian(theta, t):
-    """(len(t), 3) derivatives of analytic_response's l in theta = (sigma, omega_d, v0), from
-    the one call's (l, l_dot): -t l, (t (l_dot + sigma l) - l)/omega_d and l/v0."""
+def _response_jacobian(theta, t, l, l_dot):
+    """(len(t), 3) derivatives of the modal response's l in theta = (sigma, omega_d, v0), from
+    its (l, l_dot) at theta: -t l, (t (l_dot + sigma l) - l)/omega_d and l/v0."""
     sigma, omega_d, v0 = theta
-    l, l_dot = analytic_response(v0, _modal_spring(sigma, omega_d), t)
     return np.column_stack([-t * l, (t * (l_dot + sigma * l) - l) / omega_d, l / v0])
 
 
@@ -252,9 +254,13 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
     """Least-squares identification of (b_s, k_s) from a displacement trace.
 
     Fits the closed-form response, exact for the linear ODE, in the modal coordinates
-    (sigma, omega_d, v0), sigma >= 0 and omega_d > 0, where every point is underdamped; a
-    search that reaches critical damping raises ValueError. Each residual and each Jacobian
-    (_response_jacobian) costs one analytic_response call; nothing is differenced.
+    (sigma, omega_d, v0), sigma >= 0 and omega_d > 0, where every point is underdamped. Each
+    point the search visits costs one _modal_response call, shared by its residual and its
+    Jacobian (_response_jacobian); nothing is differenced. ValueError for a trace whose
+    largest deflection is negative (an arm trace starts with compression), for a guess or a
+    fit whose omega_d is at or above the trace's Nyquist frequency pi/dt (it would alias),
+    and for a fit at critical damping as far as the trace can tell: its first zero crossing,
+    at pi/omega_d, lies past the trace's end.
     """
     if not guess.is_underdamped:
         raise ValueError(f"guess b_s={guess.b_s!r}, k_s={guess.k_s!r} is not underdamped: "
@@ -266,20 +272,45 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
     if not _has_oscillation(trace.l):
         raise ValueError("degenerate trace: no oscillation (local max + subsequent min)")
     t = trace.t - trace.t[0]
-    amp = float(np.max(np.abs(trace.l)))  # residuals / amp: gtol does not depend on l's unit
+    nyquist = math.pi / float(np.max(np.diff(t)))  # at the trace's largest sample spacing
+    # residuals / amp, so gtol does not depend on l's unit; the same scan gives the sign
+    amp = float(trace.l[np.argmax(np.abs(trace.l))])
+    if amp < 0.0:
+        raise ValueError(f"the trace's largest deflection is negative (l={amp:g}): an arm "
+                         "trace starts with compression, so its largest |l| must be l > 0")
     n_lead = max(3, len(t) // 20)
     v0_init = float(np.polyfit(t[:n_lead], trace.l[:n_lead], 1)[0])
     if v0_init <= 0:
         # noisy leading samples; start from the amplitude and guess frequency
         v0_init = amp * float(guess.omega_n)
+    x0 = [0.5 * guess.b_s, float(guess.omega_d), v0_init]
+    _check_below_nyquist("guess", x0[1], nyquist)
+
+    last = [None, None]  # the last point evaluated, as a list of floats, and its (l, l_dot)
+
+    def response(x):
+        key = x.tolist()
+        if key != last[0]:
+            last[:] = key, _modal_response(*key, t)
+        return last[1]
 
     # v0 is refined jointly with the spring: the finite-difference estimate from
     # the first samples is curvature-biased and noise-sensitive on its own.
     sol = least_squares(
-        lambda x: (analytic_response(x[2], _modal_spring(*x[:2]), t)[0] - trace.l) / amp,
-        jac=lambda x: _response_jacobian(x, t) / amp, max_nfev=2000, gtol=1e-5,
-        x0=[0.5 * guess.b_s, float(guess.omega_d), v0_init], bounds=([0.0, 1e-9, 1e-9], np.inf))
+        lambda x: (response(x)[0] - trace.l) / amp,
+        jac=lambda x: _response_jacobian(x, t, *response(x)) / amp, max_nfev=2000, gtol=1e-5,
+        x0=x0, bounds=([0.0, 1e-9, 1e-9], np.inf))
+    _check_below_nyquist("fitted", sol.x[1], nyquist)
     fit = _modal_spring(*sol.x[:2])
+    if sol.x[1] * t[-1] < math.pi or not fit.is_underdamped:
+        raise ValueError(f"the fit reached critical damping (b_s={fit.b_s:g}, k_s={fit.k_s:g}, "
+                         f"omega_d={sol.x[1]:g} rad/s): the trace is not an underdamped response")
     return FitResult(params=SpringParams(fit.b_s, fit.k_s, guess.l_max, guess.delta_l),
                      residual_norm=amp * float(np.linalg.norm(sol.fun)),
                      converged=bool(sol.status > 0 and np.isfinite(sol.cost)), v0=float(sol.x[2]))
+
+
+def _check_below_nyquist(which, omega_d, nyquist):
+    if omega_d >= nyquist:
+        raise ValueError(f"the {which} omega_d={omega_d:g} rad/s is at or above the trace's "
+                         f"Nyquist frequency pi/dt={nyquist:g} rad/s: it would alias")

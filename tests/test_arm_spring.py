@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from foldquad import arm as arm_module
 from foldquad import collision, scenario
-from foldquad.arm import (ContactTimeoutError, DisplacementTrace,
-                          SpringParams, _response_jacobian, _transition, advance_arm,
-                          analytic_response, check_rk4_stable, fit_spring_params,
+from foldquad.arm import (ContactTimeoutError, DisplacementTrace, SpringParams,
+                          _modal_response, _modal_spring, _response_jacobian, _transition,
+                          advance_arm, analytic_response, check_rk4_stable, fit_spring_params,
                           simulate_contact)
 
 NOMINAL = SpringParams(b_s=30.0, k_s=500.0)
@@ -102,6 +102,28 @@ def test_analytic_first_zero_crossing():
 def test_analytic_rejects_overdamped():
     with pytest.raises(ValueError):
         analytic_response(1.0, SpringParams(b_s=100.0, k_s=500.0), 0.1)
+
+
+def _zeta_omega_n_response(v0, p, t):
+    """The closed form in zeta and omega_n, the textbook form: an oracle for analytic_response."""
+    t = np.asarray(t, dtype=float)
+    wn, wd, zeta = p.omega_n, p.omega_d, p.zeta
+    env = np.exp(-zeta * wn * t)
+    l = (v0 / wd) * env * np.sin(wd * t)
+    l_dot = v0 * env * (np.cos(wd * t) - (zeta * wn / wd) * np.sin(wd * t))
+    return l, l_dot
+
+
+@settings(deadline=None)
+@given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.0, 0.95), v0=st.floats(0.2, 2.0))
+def test_modal_response_matches_the_zeta_omega_n_form(wn, zeta, v0):
+    """The modal core (sigma = b_s/2, omega_d = sqrt(k_s - sigma^2)) gives the same l and
+    l_dot as the zeta-omega_n form, over 1.2 damped periods at 1 ms, to 4e-15 of their
+    largest magnitude: the two differ only in rounding."""
+    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
+    t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
+    for got, want in zip(analytic_response(v0, p, t), _zeta_omega_n_response(v0, p, t)):
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
 
 # -- simulate_contact ---------------------------------------------------------
@@ -496,19 +518,20 @@ def test_fit_noise_free_round_trip():
 
 
 def test_fit_makes_no_finite_difference_evaluations(monkeypatch):
-    """One analytic_response call per residual and one per Jacobian: 12 on this fit,
-    where a 2-point finite-difference Jacobian would make 24."""
-    calls = []
-    real = arm_module.analytic_response
+    """One _modal_response call per distinct point, shared by its residual and its Jacobian:
+    6 on this fit, where a call per residual and per Jacobian would make 12 and a 2-point
+    finite-difference Jacobian 24."""
+    points = []
+    real = arm_module._modal_response
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(sigma, omega_d, v0, t):
+        points.append((sigma, omega_d, v0))
+        return real(sigma, omega_d, v0, t)
 
-    monkeypatch.setattr(arm_module, "analytic_response", counted)
     t, l = _synthetic_trace()
+    monkeypatch.setattr(arm_module, "_modal_response", counted)
     res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
-    assert len(calls) <= 14
+    assert len(points) == len(set(points)) == 6
     assert res.converged
     for got, want in [(res.params.b_s, 30.0), (res.params.k_s, 500.0), (res.v0, 1.4)]:
         assert abs(got - want) <= 1e-8 * want
@@ -544,6 +567,54 @@ def test_fit_recovers_a_clean_trace_from_any_underdamped_guess(wn, zeta, v0, b_f
         assert abs(got - want) <= 1e-4 * want
 
 
+def _evaluate_twice_fit(trace, guess):
+    """fit_spring_params's search with no shared evaluation: the residual calls
+    analytic_response at the spring of each point, and the Jacobian calls it again.
+    Returns the solution (sigma, omega_d, v0) and whether it converged."""
+    from scipy.optimize import least_squares
+
+    t = trace.t - trace.t[0]
+    amp = float(np.max(np.abs(trace.l)))
+    n_lead = max(3, len(t) // 20)
+    v0_init = float(np.polyfit(t[:n_lead], trace.l[:n_lead], 1)[0])
+    if v0_init <= 0:
+        v0_init = amp * float(guess.omega_n)
+
+    def response(x):
+        return analytic_response(x[2], _modal_spring(*x[:2]), t)
+
+    sol = least_squares(
+        lambda x: (response(x)[0] - trace.l) / amp,
+        jac=lambda x: _response_jacobian(x, t, *response(x)) / amp, max_nfev=2000, gtol=1e-5,
+        x0=[0.5 * guess.b_s, float(guess.omega_d), v0_init], bounds=([0.0, 1e-9, 1e-9], np.inf))
+    return sol.x, bool(sol.status > 0 and np.isfinite(sol.cost))
+
+
+@settings(deadline=None)
+@given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.9), v0=st.floats(0.2, 2.0),
+       noise=st.floats(0.0, 0.01), seed=st.integers(0, 2 ** 32 - 1),
+       b_factor=st.floats(0.3, 3.0), k_factor=st.floats(0.3, 3.0))
+def test_shared_evaluation_fit_matches_the_evaluate_twice_search(wn, zeta, v0, noise, seed,
+                                                                  b_factor, k_factor):
+    """Sharing one evaluation between a point's residual and its Jacobian changes only
+    rounding: from a guess 0.3-3x each coefficient that is underdamped, on a trace with
+    0-1% noise, b_s, k_s and v0 agree with the evaluate-twice search to 1e-10 relative,
+    and so does convergence."""
+    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
+    guess = SpringParams(b_s=b_factor * p.b_s, k_s=k_factor * p.k_s)
+    assume(guess.is_underdamped)
+    t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
+    l, _ = analytic_response(v0, p, t)
+    l = l + noise * np.max(np.abs(l)) * np.random.default_rng(seed).standard_normal(len(t))
+    trace = DisplacementTrace(t=t, l=l)
+    res = fit_spring_params(trace, guess)
+    x, converged = _evaluate_twice_fit(trace, guess)
+    want = _modal_spring(*x[:2])
+    assert res.converged == converged
+    for got, ref in [(res.params.b_s, want.b_s), (res.params.k_s, want.k_s), (res.v0, x[2])]:
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
 @settings(deadline=None)
 @given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.95), v0=st.floats(0.2, 2.0))
 def test_response_jacobian_is_the_model_derivative(wn, zeta, v0):
@@ -552,7 +623,7 @@ def test_response_jacobian_is_the_model_derivative(wn, zeta, v0):
     column's largest entry."""
     theta = np.array([zeta * wn, wn * math.sqrt(1.0 - zeta * zeta), v0])
     t = np.arange(0.0, 1.2 * 2.0 * np.pi / theta[1], 1e-3)
-    jac = _response_jacobian(theta, t)
+    jac = _response_jacobian(theta, t, *_modal_response(*theta, t))
     assert jac.shape == (len(t), 3)
     for i in range(3):
         up, down = theta.copy(), theta.copy()
@@ -603,6 +674,31 @@ def test_fit_of_an_overdamped_trace_reaches_critical_damping_and_raises(noise):
     l += noise * np.max(np.abs(l)) * np.random.default_rng(0).standard_normal(len(t))
     with pytest.raises(ValueError, match="the fit reached critical damping"):
         fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
+
+
+def test_fit_rejects_a_trace_whose_largest_deflection_is_negative():
+    """An arm trace starts with compression. Without this rule the README trace negated
+    fits as b_s 184, k_s 9874 and v0 7e-7, with its own norm as the residual, converged."""
+    t, l = _synthetic_trace(v0=1.0, n=600)
+    with pytest.raises(ValueError, match="largest deflection is negative"):
+        fit_spring_params(DisplacementTrace(t=t, l=-l), SpringParams(b_s=20.0, k_s=300.0))
+
+
+@pytest.mark.parametrize("drop, guess, which, nyquist", [
+    (None, SpringParams(b_s=20.0, k_s=1e9), "guess", "3141.59"),
+    (300, SpringParams(b_s=1.0, k_s=0.25 + 1570.0 ** 2), "fitted", "1570.8"),
+], ids=["guess", "fit"])
+def test_fit_rejects_an_omega_d_at_or_above_the_nyquist_frequency(drop, guess, which, nyquist):
+    """At or above pi/dt, dt the largest sample spacing, a spring aliases onto the samples:
+    without this rule the README trace fits from the guess k_s 1e9 as k_s 9.88e8 (omega_d
+    16.58 + 5 * 2 pi/dt) with a 3e-8 residual. With one 2 ms gap the band ends at
+    1570.8 rad/s, and a search from just below it ends above it."""
+    t, l = _synthetic_trace(v0=1.0, n=600)
+    if drop is not None:
+        t, l = np.delete(t, drop), np.delete(l, drop)
+    with pytest.raises(ValueError, match=rf"the {which} omega_d=[0-9.]+ rad/s is at or above "
+                                         rf"the trace's Nyquist frequency pi/dt={nyquist} rad/s"):
+        fit_spring_params(DisplacementTrace(t=t, l=l), guess)
 
 
 def test_fit_rejects_monotone_trace():

@@ -666,9 +666,9 @@ def test_cli_malformed_yaml_exit_code(tmp_path, capsys):
     assert err.startswith(f"error: {bad} is not valid YAML: ") and err.count("\n") == 1
 
 
-def _trace_csv(path, nan_first_row=False, zero=False):
+def _trace_csv(path, nan_first_row=False, scale=1.0):
     t = np.arange(0.0, 0.6, 1e-3)
-    rows = np.column_stack([t, 0.0 * t if zero else analytic_response(1.0, SpringParams(), t)[0]])
+    rows = np.column_stack([t, scale * analytic_response(1.0, SpringParams(), t)[0]])
     if nan_first_row:
         rows[0] = np.nan  # t[0] too: a nan passes the strictly-increasing check
     np.savetxt(path, rows, delimiter=",", header="t,l", comments="")
@@ -690,13 +690,16 @@ WALL_CONFIG = str(Path(__file__).parents[1] / "configs" / "wall_collision.yaml")
     lambda d: ["run", WALL_CONFIG, "--out-dir", _a_file(d / "out")],
     lambda d: ["run", WALL_CONFIG, "--out-dir", str(d / "out"), "--set", "foo"],
     lambda d: ["fit", str(d / "missing.csv")],
-    lambda d: ["fit", _trace_csv(d / "zero.csv", zero=True)],
+    lambda d: ["fit", _trace_csv(d / "zero.csv", scale=0.0)],
+    lambda d: ["fit", _trace_csv(d / "negated.csv", scale=-1.0)],
     lambda d: ["fit", _trace_csv(d / "nan.csv", nan_first_row=True)],
     lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "100", "--guess-ks", "300"],
     lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "40", "--guess-ks", "400"],
+    lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "20", "--guess-ks", "1e9"],
 ], ids=["config_is_a_directory", "log_is_a_directory", "trace_is_a_directory",
         "out_dir_is_a_file", "override_without_equals", "missing_trace", "zero_trace",
-        "nan_trace", "overdamped_guess", "critically_damped_guess"])
+        "sign_flipped_trace", "nan_trace", "overdamped_guess", "critically_damped_guess",
+        "guess_above_nyquist"])
 def test_cli_failure_is_one_error_line(tmp_path, capfd, argv):
     """Exit 1 with one "error:" line and nothing on stdout: no traceback, no SystemExit
     out of main(), and for the nan trace no LAPACK lines (it is rejected before scipy)."""
