@@ -84,8 +84,10 @@ class VehicleParams:
         J_inv = np.linalg.inv(J)
         J.flags.writeable = J_inv.flags.writeable = False
         for name, M in (("J", J), ("J_inv", J_inv)):  # *_flat: plain floats for the EOM
-            object.__setattr__(self, name, M)  # not vars(self).update: it slows every read
-            object.__setattr__(self, f"{name}_flat", tuple(M.ravel().tolist()))
+            flat = tuple(M.ravel().tolist())  # *_moments: the diagonal, if all else is +-0.0
+            moments = flat[::4] if np.count_nonzero(M) == 3 else None  # SPD: a nonzero diagonal
+            for key, value in ((name, M), (f"{name}_flat", flat), (f"{name}_moments", moments)):
+                object.__setattr__(self, key, value)  # not vars(self).update: it slows reads
 
 
 @dataclass
@@ -181,6 +183,21 @@ def _deriv(qw, qx, qy, qz, w0, w1, w2, a, g, tau, J, J_inv):
             i20 * t0 + i21 * t1 + i22 * t2)
 
 
+def _deriv_principal(qw, qx, qy, qz, w0, w1, w2, a, g, tau, J, J_inv):
+    """_deriv in principal axes, J and J^-1 as their diagonals, minus its products with a zero
+    entry: only the sign of a zero omegadot can differ, which a step loses in omega + h omegadot
+    unless omega has a -0.0 component (integrate_step then calls _deriv)."""
+    (j0, j1, j2), (i0, i1, i2), a2 = J, J_inv, 2.0 * a
+    h0, h1, h2 = j0 * w0, j1 * w1, j2 * w2  # J omega
+    t0, t1, t2 = (tau[0] - (w1 * h2 - w2 * h1), tau[1] - (w2 * h0 - w0 * h2),
+                  tau[2] - (w0 * h1 - w1 * h0))  # tau - omega x J omega
+    return (-a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
+            g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
+            -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1),
+            0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0),
+            i0 * t0, i1 * t1, i2 * t2)
+
+
 def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -> BodyState:
     """One classical RK4 step on named scalars, then the quaternion rescaled to unit norm.
     Stages a, b, c, d hold (vdot, qdot, omegadot); a stage's xdot is its v. Identical inputs
@@ -188,16 +205,20 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
     x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s.y
-    acc, g, tau, J, Ji, h, k = u.f / p.m, p.g, u.tau, p.J_flat, p.J_inv_flat, 0.5 * dt, dt / 6.0
-    av0, av1, av2, aqw, aqx, aqy, aqz, aw0, aw1, aw2 = _deriv(
+    acc, g, tau, h, k = u.f / p.m, p.g, u.tau, 0.5 * dt, dt / 6.0
+    J, Ji, deriv = p.J_moments, p.J_inv_moments, _deriv_principal
+    if not (J and Ji and (w0 or math.copysign(1.0, w0) > 0.0)
+            and (w1 or math.copysign(1.0, w1) > 0.0) and (w2 or math.copysign(1.0, w2) > 0.0)):
+        J, Ji, deriv = p.J_flat, p.J_inv_flat, _deriv  # products of inertia, or a -0.0 rate
+    av0, av1, av2, aqw, aqx, aqy, aqz, aw0, aw1, aw2 = deriv(
         qw, qx, qy, qz, w0, w1, w2, acc, g, tau, J, Ji)
-    bv0, bv1, bv2, bqw, bqx, bqy, bqz, bw0, bw1, bw2 = _deriv(
+    bv0, bv1, bv2, bqw, bqx, bqy, bqz, bw0, bw1, bw2 = deriv(
         qw + h * aqw, qx + h * aqx, qy + h * aqy, qz + h * aqz,
         w0 + h * aw0, w1 + h * aw1, w2 + h * aw2, acc, g, tau, J, Ji)
-    cv0, cv1, cv2, cqw, cqx, cqy, cqz, cw0, cw1, cw2 = _deriv(
+    cv0, cv1, cv2, cqw, cqx, cqy, cqz, cw0, cw1, cw2 = deriv(
         qw + h * bqw, qx + h * bqx, qy + h * bqy, qz + h * bqz,
         w0 + h * bw0, w1 + h * bw1, w2 + h * bw2, acc, g, tau, J, Ji)
-    dv0, dv1, dv2, dqw, dqx, dqy, dqz, dw0, dw1, dw2 = _deriv(
+    dv0, dv1, dv2, dqw, dqx, dqy, dqz, dw0, dw1, dw2 = deriv(
         qw + dt * cqw, qx + dt * cqx, qy + dt * cqy, qz + dt * cqz,
         w0 + dt * cw0, w1 + dt * cw1, w2 + dt * cw2, acc, g, tau, J, Ji)
     x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y = (

@@ -90,8 +90,7 @@ class ScenarioConfig:
     def to_dict(self):
         d = {key: _plain(getattr(getattr(self, part) if part else self, name))
              for key, (part, name) in _KEYS.items()}
-        J = self.vehicle.J
-        d["inertia"] = _plain(np.diag(J) if np.array_equal(J, np.diag(np.diag(J))) else J)
+        d["inertia"] = _plain(self.vehicle.J_moments or self.vehicle.J)
         d["contact_mode"] = "rigid" if isinstance(self.mode, Rigid) else "foldable"
         d["wall_normal"] = _plain(self.wall.normal) if self.wall else None
         d["wall_offset"] = _plain(self.wall.offset) if self.wall else None

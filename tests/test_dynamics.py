@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from foldquad import dynamics
 from foldquad.arm import SpringParams, _transition
 from foldquad.collision import Wall, contact_constrained_step
 from foldquad.dynamics import (_ROT_ORTHO_TOL, BodyState, ControlInput, StateBlowUpError,
-                               VehicleParams, _deriv, integrate_step, quaternion_to_rotation,
-                               rotation_to_quaternion)
+                               VehicleParams, _deriv, _deriv_principal, integrate_step,
+                               quaternion_to_rotation, rotation_to_quaternion)
 
 E3 = np.array([0.0, 0.0, 1.0])
 EPS = np.finfo(float).eps
@@ -23,10 +24,12 @@ def hat(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def full_deriv(y, a, tau, p):
+def full_deriv(y, a, tau, p, deriv=_deriv):
     """(xdot, vdot, qdot, omegadot) of the 13 state floats as a list: xdot = v, then
-    the 10 floats of _deriv."""
-    return [*y[3:6], *_deriv(*y[6:], a, p.g, tau, p.J_flat, p.J_inv_flat)]
+    the 10 floats of the statement `deriv`: _deriv on J and J^-1, or _deriv_principal
+    on their diagonals."""
+    J, J_inv = (p.J_flat, p.J_inv_flat) if deriv is _deriv else (p.J_moments, p.J_inv_moments)
+    return [*y[3:6], *deriv(*y[6:], a, p.g, tau, J, J_inv)]
 
 
 def random_rotation(rng):
@@ -236,36 +239,64 @@ def test_constructor_round_trip_is_bit_identical():
 
 # -- equations of motion -----------------------------------------------------
 
-def derivative(s, u, p):
-    """(xdot, vdot, qdot, omegadot) of the state, as arrays."""
-    d = np.array(full_deriv(s.y, u.f / p.m, u.tau, p))
+def derivative(s, u, p, deriv):
+    """(xdot, vdot, qdot, omegadot) of the state under the statement `deriv`, as arrays."""
+    d = np.array(full_deriv(s.y, u.f / p.m, u.tau, p, deriv))
     return d[:3], d[3:6], d[6:10], d[10:]
+
+
+STATEMENTS = (_deriv, _deriv_principal)  # the default vehicle's J is diagonal: both apply
 
 
 def test_hover_equilibrium_derivative():
     p = VehicleParams()
     s = BodyState.hover(np.zeros(3))
     u = ControlInput(f=p.m * p.g)
-    xdot, vdot, qdot, omegadot = derivative(s, u, p)
-    assert np.allclose(xdot, 0, atol=1e-15)
-    assert np.allclose(vdot, 0, atol=1e-12)
-    assert np.allclose(qdot, 0, atol=1e-15)
-    assert np.allclose(omegadot, 0, atol=1e-15)
+    for deriv in STATEMENTS:
+        xdot, vdot, qdot, omegadot = derivative(s, u, p, deriv)
+        assert np.allclose(xdot, 0, atol=1e-15)
+        assert np.allclose(vdot, 0, atol=1e-12)
+        assert np.allclose(qdot, 0, atol=1e-15)
+        assert np.allclose(omegadot, 0, atol=1e-15)
 
 
 def test_free_fall_derivative():
     p = VehicleParams()
     s = BodyState.hover(np.zeros(3))
-    _, vdot, _, _ = derivative(s, ControlInput(f=0.0), p)
-    assert np.allclose(vdot, [0.0, 0.0, 9.81], atol=1e-12)
+    for deriv in STATEMENTS:
+        _, vdot, _, _ = derivative(s, ControlInput(f=0.0), p, deriv)
+        assert np.allclose(vdot, [0.0, 0.0, 9.81], atol=1e-12)
 
 
 def test_pure_yaw_moment_derivative():
     p = VehicleParams()
     s = BodyState.hover(np.zeros(3))
     u = ControlInput(f=p.m * p.g, tau=[0.0, 0.0, 0.01])
-    _, _, _, omegadot = derivative(s, u, p)
-    assert np.allclose(omegadot, [0.0, 0.0, 0.01 / 0.0053], atol=1e-12)
+    for deriv in STATEMENTS:
+        _, _, _, omegadot = derivative(s, u, p, deriv)
+        assert np.allclose(omegadot, [0.0, 0.0, 0.01 / 0.0053], atol=1e-12)
+
+
+def test_principal_statement_is_taken_where_it_is_exact(monkeypatch):
+    """A diagonal J steps through _deriv_principal at all four stages. A product of
+    inertia, or a body rate with a -0.0 component, steps through _deriv."""
+    calls = []
+    for name in ("_deriv", "_deriv_principal"):
+        monkeypatch.setattr(dynamics, name, lambda *args, name=name, f=getattr(dynamics, name):
+                            calls.append(name) or f(*args))
+
+    def stages(s, p):
+        calls.clear()
+        integrate_step(s, ControlInput(f=12.0, tau=(0.0, 0.001, 0.0)), p, 1e-3)
+        return calls
+
+    hover = BodyState.hover(np.zeros(3))
+    J = np.diag([0.0034, 0.0034, 0.0053])
+    J[0, 1] = J[1, 0] = 1e-4
+    assert stages(hover, VehicleParams()) == ["_deriv_principal"] * 4
+    assert stages(hover, VehicleParams(J=J)) == ["_deriv"] * 4
+    tumbling = BodyState._trusted((*hover.y[:10], -0.0, 1.0, 0.0))
+    assert stages(tumbling, VehicleParams()) == ["_deriv"] * 4
 
 
 # -- integrate_step ----------------------------------------------------------
@@ -465,9 +496,10 @@ def signed(bound):
 @st.composite
 def bit_cases(draw):
     """A state with a unit q (w of either sign), a control, a symmetric positive-definite
-    J with products of inertia, and dt in (0, 0.01]. The body rate is free, huge
-    enough to overflow, or turns 0.40 to 0.52 rad in one step about a random axis,
-    across the 0.46 rad norm guard."""
+    J, and dt in (0, 0.01]. The body rate is free, huge enough to overflow, or turns
+    0.40 to 0.52 rad in one step about a random axis, across the 0.46 rad norm guard.
+    J has products of inertia, or in a third of the cases principal axes, each product
+    0.0 or -0.0, which integrate_step steps through _deriv_principal."""
     dt = draw(st.floats(0.0, 0.01, exclude_min=True))
     q = draw(st.lists(signed(1.0), min_size=4, max_size=4).filter(
         lambda c: math.fsum(x * x for x in c) > 0.01))
@@ -483,9 +515,13 @@ def bit_cases(draw):
     y = (*draw(st.lists(signed(100.0), min_size=6, max_size=6)), *(x / n for x in q), *w)
     moments = draw(st.lists(st.floats(1e-4, 1e-1), min_size=3, max_size=3))
     J = np.diag(moments)
-    for (i, j), f in zip(((0, 1), (0, 2), (1, 2)), draw(st.lists(st.floats(-0.3, 0.3),
-                                                                  min_size=3, max_size=3))):
-        J[i, j] = J[j, i] = f * min(moments[i], moments[j])  # diagonally dominant, so SPD
+    if draw(st.integers(0, 2)) == 0:
+        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+            J[i, j] = draw(st.sampled_from([0.0, -0.0]))
+    else:
+        for (i, j), f in zip(((0, 1), (0, 2), (1, 2)), draw(st.lists(st.floats(-0.3, 0.3),
+                                                                      min_size=3, max_size=3))):
+            J[i, j] = J[j, i] = f * min(moments[i], moments[j])  # diagonally dominant, so SPD
     u = ControlInput._trusted(draw(st.floats(0.0, 1e3)),
                               tuple(draw(st.lists(signed(10.0), min_size=3, max_size=3))))
     return BodyState._trusted(y), u, VehicleParams(m=draw(st.floats(0.1, 10.0)), J=J), dt
@@ -501,7 +537,11 @@ def outcome(step, case):
 
 @settings(max_examples=300, deadline=None)
 @given(bit_cases())
+@example((BodyState._trusted((0.0,) * 9 + (1.0, 0.0, 0.0, -0.0)),
+          ControlInput._trusted(0.0, (0.0, 0.0, -0.0)),
+          VehicleParams(m=1.0, J=0.0625 * np.eye(3)), 0.0078125))  # -0.0 rate, diagonal J
 def test_scalar_step_is_bit_identical_to_list_step(case):
     """The scalar stages change no float operation: the same bits, -0.0 kept apart
-    from 0.0, or the same StateBlowUpError with the same message."""
+    from 0.0, or the same StateBlowUpError with the same message. With a diagonal J,
+    the principal statement may drop products with zero only where that is exact."""
     assert outcome(lambda *c: integrate_step(*c).y, case) == outcome(reference_step, case)
