@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -147,12 +147,6 @@ def _modal_response(sigma, omega_d, v0, t):
     return l, v0 * env * np.cos(wt) - sigma * l
 
 
-def _modal_spring(sigma, omega_d):
-    """The spring at the fit's modal coordinates: b_s = 2 sigma, k_s = sigma^2 + omega_d^2,
-    underdamped for every omega_d > 0 until rounding makes k_s = sigma^2."""
-    return SpringParams(2.0 * sigma, sigma * sigma + omega_d * omega_d)
-
-
 def _response_jacobian(theta, t, l, l_dot):
     """(len(t), 3) derivatives of the modal response's l in theta = (sigma, omega_d, v0), from
     its (l, l_dot) at theta: -t l, (t (l_dot + sigma l) - l)/omega_d and l/v0."""
@@ -250,19 +244,48 @@ def _has_oscillation(l):
     return len(peaks) > 0 and bool(np.any(turns[peaks[0]:] > 0))
 
 
-def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResult:
+def _recurrence_start(t, l):
+    """(sigma, omega_d, v0) of l with no guess, or None: off a uniform grid (spacing spread over
+    1e-9 relative), with no damped pair, or at sigma < 0 or v0 <= 0. On a grid of step dt a free
+    response obeys l[k+m] = a l[k] + b l[k-m], a = 2 e^(-sigma m dt) cos(omega_d m dt) and
+    b = -e^(-2 sigma m dt) (Prony in linear-prediction form; Kumaresan & Tufts 1982). Noise swamps
+    short lags: m doubles while 3m < len(l) until omega_d m dt, out of an acos so it cannot
+    alias, passes 1 rad, and the lag where it is nearest 1 rad is kept. v0 is then linear."""
+    steps = np.diff(t)
+    if steps.max() - steps.min() > 1e-9 * steps.max():
+        return None
+    n, m, best = len(l), 1, None
+    while 3 * m < n:
+        a, b = np.linalg.lstsq(np.column_stack([l[m:n - m], l[:n - 2 * m]]), l[2 * m:],
+                               rcond=None)[0]
+        if b < 0.0 and abs(a) < 2.0 * math.sqrt(-b):  # a damped pair
+            angle, lag = math.acos(0.5 * a / math.sqrt(-b)), m * float(t[-1]) / (n - 1)
+            if best is None or abs(angle - 1.0) < abs(best[1] * best[2] - 1.0):
+                best = -0.5 * math.log(-b) / lag, angle / lag, lag
+            if angle > 1.0:
+                break
+        m *= 2
+    if best is None or best[0] < 0.0:
+        return None
+    phi = _modal_response(best[0], best[1], 1.0, t)[0]
+    v0 = float(phi @ l) / float(phi @ phi)
+    return (best[0], best[1], v0) if v0 > 0.0 else None
+
+
+def fit_spring_params(trace: DisplacementTrace, guess: SpringParams | None = None) -> FitResult:
     """Least-squares identification of (b_s, k_s) from a displacement trace.
 
-    Fits the closed-form response, exact for the linear ODE, in the modal coordinates
-    (sigma, omega_d, v0), sigma >= 0 and omega_d > 0, where every point is underdamped. Each
-    point the search visits costs one _modal_response call, shared by its residual and its
-    Jacobian (_response_jacobian); nothing is differenced. ValueError for a trace whose
-    largest deflection is negative (an arm trace starts with compression), for a guess or a
-    fit whose omega_d is at or above the trace's Nyquist frequency pi/dt (it would alias),
-    and for a fit at critical damping as far as the trace can tell: its first zero crossing,
-    at pi/omega_d, lies past the trace's end.
+    Fits the closed-form response, exact for the linear ODE, by MINPACK's Levenberg-Marquardt
+    in (s, omega_d, w), sigma = s^2 and v0 = w^2, where every point is underdamped and starts
+    with compression; the model is even in omega_d, so the fit takes |omega_d|. It starts from
+    _recurrence_start, else from (b_s/2, omega_d) of the guess and v0 = amp omega_d. Each point
+    costs one _modal_response call, shared by its residual and its Jacobian. ValueError for a
+    trace whose largest deflection is negative (an arm trace starts with compression), for no
+    start, for a guess or a fit whose omega_d is at or above the trace's Nyquist frequency pi/dt
+    (it would alias), and for a fit at critical damping as far as the trace can tell: its first
+    zero crossing, at pi/omega_d, lies past the trace's end.
     """
-    if not guess.is_underdamped:
+    if guess is not None and not guess.is_underdamped:
         raise ValueError(f"guess b_s={guess.b_s!r}, k_s={guess.k_s!r} is not underdamped: "
                          "b_s^2 >= 4 k_s")
     from scipy.optimize import least_squares  # imported here: it dominates `import foldquad`
@@ -273,41 +296,43 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams) -> FitResul
         raise ValueError("degenerate trace: no oscillation (local max + subsequent min)")
     t = trace.t - trace.t[0]
     nyquist = math.pi / float(np.max(np.diff(t)))  # at the trace's largest sample spacing
-    # residuals / amp, so gtol does not depend on l's unit; the same scan gives the sign
+    # residuals / amp, so the tolerances do not depend on l's unit; the same scan gives the sign
     amp = float(trace.l[np.argmax(np.abs(trace.l))])
     if amp < 0.0:
         raise ValueError(f"the trace's largest deflection is negative (l={amp:g}): an arm "
                          "trace starts with compression, so its largest |l| must be l > 0")
-    n_lead = max(3, len(t) // 20)
-    v0_init = float(np.polyfit(t[:n_lead], trace.l[:n_lead], 1)[0])
-    if v0_init <= 0:
-        # noisy leading samples; start from the amplitude and guess frequency
-        v0_init = amp * float(guess.omega_n)
-    x0 = [0.5 * guess.b_s, float(guess.omega_d), v0_init]
-    _check_below_nyquist("guess", x0[1], nyquist)
-
+    if guess is not None:
+        _check_below_nyquist("guess", guess.omega_d, nyquist)
+    start = _recurrence_start(t, trace.l)
+    if start is None and guess is None:
+        raise ValueError("no start for the fit: the trace is not on a uniform grid or has no "
+                         "damped recurrence, and no guess was given")
+    sigma, omega_d, v0 = start or (0.5 * guess.b_s, guess.omega_d, amp * guess.omega_d)
+    # s's Jacobian column, 2s dl/dsigma, is 0 at s = 0, and a first step from near 0 overshoots
+    x0 = [math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)]
     last = [None, None]  # the last point evaluated, as a list of floats, and its (l, l_dot)
 
     def response(x):
         key = x.tolist()
         if key != last[0]:
-            last[:] = key, _modal_response(*key, t)
+            last[:] = key, _modal_response(key[0] * key[0], key[1], key[2] * key[2], t)
         return last[1]
 
-    # v0 is refined jointly with the spring: the finite-difference estimate from
-    # the first samples is curvature-biased and noise-sensitive on its own.
+    # gtol 1e-5 ends the search above the cost's rounding floor, where rounding picks the last step
     sol = least_squares(
-        lambda x: (response(x)[0] - trace.l) / amp,
-        jac=lambda x: _response_jacobian(x, t, *response(x)) / amp, max_nfev=2000, gtol=1e-5,
-        x0=x0, bounds=([0.0, 1e-9, 1e-9], np.inf))
-    _check_below_nyquist("fitted", sol.x[1], nyquist)
-    fit = _modal_spring(*sol.x[:2])
-    if sol.x[1] * t[-1] < math.pi or not fit.is_underdamped:
+        lambda x: (response(x)[0] - trace.l) / amp, x0, method="lm", max_nfev=2000, gtol=1e-5,
+        jac=lambda x: (_response_jacobian((x[0] * x[0], x[1], x[2] * x[2]), t, *response(x))
+                       * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]))
+    sigma, omega_d = float(sol.x[0]) ** 2, abs(float(sol.x[1]))
+    _check_below_nyquist("fitted", omega_d, nyquist)
+    fit = SpringParams(2.0 * sigma, sigma * sigma + omega_d * omega_d)  # underdamped, bar rounding
+    if omega_d * t[-1] < math.pi or not fit.is_underdamped:
         raise ValueError(f"the fit reached critical damping (b_s={fit.b_s:g}, k_s={fit.k_s:g}, "
-                         f"omega_d={sol.x[1]:g} rad/s): the trace is not an underdamped response")
-    return FitResult(params=SpringParams(fit.b_s, fit.k_s, guess.l_max, guess.delta_l),
+                         f"omega_d={omega_d:g} rad/s): the trace is not an underdamped response")
+    return FitResult(params=fit if guess is None else replace(guess, b_s=fit.b_s, k_s=fit.k_s),
                      residual_norm=amp * float(np.linalg.norm(sol.fun)),
-                     converged=bool(sol.status > 0 and np.isfinite(sol.cost)), v0=float(sol.x[2]))
+                     converged=bool(sol.status > 0 and np.isfinite(sol.cost)),
+                     v0=float(sol.x[2]) ** 2)
 
 
 def _check_below_nyquist(which, omega_d, nyquist):

@@ -80,8 +80,8 @@ def cmd_sweep(args):
 
 def cmd_fit(args):
     trace = DisplacementTrace.from_csv(args.trace)
-    guess = SpringParams(b_s=args.guess_bs, k_s=args.guess_ks)
-    result = fit_spring_params(trace, guess)
+    given = {k: v for k, v in (("b_s", args.guess_bs), ("k_s", args.guess_ks)) if v is not None}
+    result = fit_spring_params(trace, SpringParams(**given) if given else None)
     print(json.dumps({"b_s": result.params.b_s, "k_s": result.params.k_s,
                       "residual_norm": result.residual_norm, "converged": result.converged,
                       "v0": result.v0}, indent=2))
@@ -124,8 +124,8 @@ def build_parser():
 
     p = sub.add_parser("fit", help="identify spring parameters from a t,l trace CSV")
     p.add_argument("trace")
-    p.add_argument("--guess-bs", type=float, default=20.0)
-    p.add_argument("--guess-ks", type=float, default=300.0)
+    p.add_argument("--guess-bs", type=float, help="start where the trace gives none")
+    p.add_argument("--guess-ks", type=float)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("metrics", help="recompute metrics from a log CSV")

@@ -15,7 +15,7 @@ from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
 RIGID_CONTACT_TIME = 10e-3  # s; whole steps at dt 0.25, 0.5, 1, 2, 2.5, 5 ms, 1/600, 1/300 s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == raises on numpy fields; compare to_dict()s
 class Wall:
     """Infinite plane; `normal` points away from the wall into free space.
 

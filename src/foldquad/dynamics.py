@@ -64,7 +64,7 @@ def quaternion_to_rotation(q):
             2.0 * (x * z - w * y), 2.0 * (y * z + w * x), (ww + zz) - (xx + yy))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated == raises on numpy fields; compare to_dict()s
 class VehicleParams:
     """Mass, inertia and geometry of the vehicle; frozen, and J read-only, so J_inv holds."""
 

@@ -45,7 +45,7 @@ def _plain(value):
     return np.asarray(value, dtype=float).tolist()
 
 
-@dataclass
+@dataclass(eq=False)  # a generated == raises on numpy fields; compare to_dict()s
 class ScenarioConfig:
     """Full description of one reproducible run.
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from foldquad import arm as arm_module
 from foldquad import collision, scenario
 from foldquad.arm import (ContactTimeoutError, DisplacementTrace, SpringParams,
-                          _modal_response, _modal_spring, _response_jacobian, _transition,
-                          advance_arm, analytic_response, check_rk4_stable, fit_spring_params,
-                          simulate_contact)
+                          _modal_response, _recurrence_start, _response_jacobian,
+                          _transition, advance_arm, analytic_response, check_rk4_stable,
+                          fit_spring_params, simulate_contact)
 
 NOMINAL = SpringParams(b_s=30.0, k_s=500.0)
 
@@ -519,8 +519,8 @@ def test_fit_noise_free_round_trip():
 
 def test_fit_makes_no_finite_difference_evaluations(monkeypatch):
     """One _modal_response call per distinct point, shared by its residual and its Jacobian:
-    6 on this fit, where a call per residual and per Jacobian would make 12 and a 2-point
-    finite-difference Jacobian 24."""
+    3 on this fit (the start's v0, then two points of the search), where a call per residual
+    and per Jacobian would make 5 and a 2-point finite-difference Jacobian 9."""
     points = []
     real = arm_module._modal_response
 
@@ -531,22 +531,37 @@ def test_fit_makes_no_finite_difference_evaluations(monkeypatch):
     t, l = _synthetic_trace()
     monkeypatch.setattr(arm_module, "_modal_response", counted)
     res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
-    assert len(points) == len(set(points)) == 6
+    assert len(points) == len(set(points)) == 3
     assert res.converged
     for got, want in [(res.params.b_s, 30.0), (res.params.k_s, 500.0), (res.v0, 1.4)]:
         assert abs(got - want) <= 1e-8 * want
 
 
-def test_fit_from_the_cli_default_guess_recovers_a_well_damped_spring():
-    """b_s 15, k_s 100 (zeta 0.75) from the CLI's default guess (20, 300). A search in
-    (b_s, k_s) that keeps off b_s^2 >= 3.999 k_s by a penalty stops on that wall, at
-    b_s 25.87 and k_s 167.38, and reports it converged."""
+def test_fit_from_a_guess_recovers_a_well_damped_spring():
+    """b_s 15, k_s 100 (zeta 0.75) from the guess (20, 300), with one sample dropped so that
+    the search starts there. A search in (b_s, k_s) that keeps off b_s^2 >= 3.999 k_s by a
+    penalty stops on that wall, at b_s 25.87 and k_s 167.38, and reports it converged."""
     t = np.arange(0.0, 0.6, 1e-3)
     l, _ = analytic_response(1.0, SpringParams(b_s=15.0, k_s=100.0), t)
+    t, l = np.delete(t, 300), np.delete(l, 300)
     res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
     assert res.converged
     for got, want in [(res.params.b_s, 15.0), (res.params.k_s, 100.0), (res.v0, 1.0)]:
         assert abs(got - want) <= 1e-6 * want
+
+
+def _check_clean_fit(wn, zeta, v0, b_factor, k_factor, drop_middle):
+    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
+    guess = SpringParams(b_s=b_factor * p.b_s, k_s=k_factor * p.k_s)
+    assume(guess.is_underdamped)
+    t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
+    l, _ = analytic_response(v0, p, t)
+    if drop_middle:
+        t, l = np.delete(t, len(t) // 2), np.delete(l, len(t) // 2)
+    res = fit_spring_params(DisplacementTrace(t=t, l=l), guess)
+    assert res.converged
+    for got, want in [(res.params.b_s, p.b_s), (res.params.k_s, p.k_s), (res.v0, v0)]:
+        assert abs(got - want) <= 1e-4 * want
 
 
 @settings(deadline=None)
@@ -554,40 +569,93 @@ def test_fit_from_the_cli_default_guess_recovers_a_well_damped_spring():
        b_factor=st.floats(0.3, 3.0), k_factor=st.floats(0.3, 3.0))
 @example(wn=10.0, zeta=0.75, v0=1.0, b_factor=20.0 / 15.0, k_factor=3.0)
 def test_fit_recovers_a_clean_trace_from_any_underdamped_guess(wn, zeta, v0, b_factor, k_factor):
-    """Over 1.2 damped periods at 1 ms, from a guess 0.3-3x each coefficient that is
+    """Over 1.2 damped periods at 1 ms, given a guess 0.3-3x each coefficient that is
     underdamped, the fit recovers b_s, k_s and v0 to 1e-4 relative."""
+    _check_clean_fit(wn, zeta, v0, b_factor, k_factor, drop_middle=False)
+
+
+@settings(deadline=None)
+@given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.9), v0=st.floats(0.2, 2.0),
+       b_factor=st.floats(0.3, 3.0), k_factor=st.floats(0.3, 3.0))
+@example(wn=10.0, zeta=0.75, v0=1.0, b_factor=20.0 / 15.0, k_factor=3.0)
+def test_fit_recovers_a_non_uniform_clean_trace_from_any_underdamped_guess(wn, zeta, v0,
+                                                                          b_factor, k_factor):
+    """The same traces with their middle sample dropped, so that the search starts from the
+    guess, not from the recurrence: b_s, k_s and v0 to 1e-4 relative."""
+    _check_clean_fit(wn, zeta, v0, b_factor, k_factor, drop_middle=True)
+
+
+@settings(deadline=None)
+@given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.01, 0.95), v0=st.floats(0.2, 2.0),
+       periods=st.floats(1.2, 3.0))
+def test_recurrence_start_is_exact_on_a_clean_uniform_trace(wn, zeta, v0, periods):
+    """With no guess and no search, the recurrence of a clean trace sampled at 1 ms over 1.2
+    or more damped periods gives sigma, omega_d and v0 to 1e-6 relative (about 3e-14 on 5,000
+    random draws)."""
     p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
-    guess = SpringParams(b_s=b_factor * p.b_s, k_s=k_factor * p.k_s)
-    assume(guess.is_underdamped)
-    t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
+    t = np.arange(0.0, periods * 2.0 * np.pi / p.omega_d, 1e-3)
     l, _ = analytic_response(v0, p, t)
+    start = _recurrence_start(t, l)
+    assert start is not None
+    for got, want in zip(start, (0.5 * p.b_s, p.omega_d, v0)):
+        assert abs(got - want) <= 1e-6 * want
+
+
+@pytest.mark.parametrize("guess", [None, SpringParams(b_s=20.0, k_s=300.0),
+                                   SpringParams(b_s=20.0, k_s=5e6),
+                                   SpringParams(b_s=20.0, k_s=100.0 + 2500.0 ** 2),
+                                   SpringParams(b_s=20.0, k_s=100.0 + 3140.0 ** 2)],
+                         ids=["no_guess", "k_s_300", "k_s_5e6", "omega_d_2500", "omega_d_3140"])
+def test_fit_of_the_readme_trace_does_not_depend_on_the_guess(guess):
+    """The clean b_s 30, k_s 500 trace of the README, from no guess and from guesses far
+    above the spring but below pi/dt, which a search from the guess took to a wrong basin
+    (b_s 306.7, k_s 5.02e6 from k_s 5e6) and reported converged."""
+    t, l = _synthetic_trace(v0=1.0, n=600)
     res = fit_spring_params(DisplacementTrace(t=t, l=l), guess)
     assert res.converged
-    for got, want in [(res.params.b_s, p.b_s), (res.params.k_s, p.k_s), (res.v0, v0)]:
-        assert abs(got - want) <= 1e-4 * want
+    for got, want in [(res.params.b_s, 30.0), (res.params.k_s, 500.0), (res.v0, 1.0)]:
+        assert abs(got - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("b_s, drop, guess", [
+    (0.0, None, None), (0.0, 300, SpringParams(b_s=0.0, k_s=300.0)),
+    (30.0, 300, SpringParams(b_s=0.0, k_s=300.0))], ids=["undamped", "undamped_guess", "guess"])
+def test_fit_starts_off_s_zero(b_s, drop, guess):
+    """The search runs in s = sqrt(sigma), whose Jacobian column vanishes at s = 0, so from
+    s = 0 it never moves s: the damped trace from the guess b_s 0 would end at b_s 0, k_s 292.
+    Every search starts at sigma >= 0.01 omega_d, and from there the undamped trace (its
+    recurrence gives sigma -0.0) fits b_s 0 too, with no guess and from the guess b_s 0."""
+    t, l = _synthetic_trace(v0=1.0, p=SpringParams(b_s=b_s, k_s=500.0), n=600)
+    if drop is not None:
+        t, l = np.delete(t, drop), np.delete(l, drop)
+    res = fit_spring_params(DisplacementTrace(t=t, l=l), guess)
+    assert res.converged
+    assert abs(res.params.b_s - b_s) <= 1e-9 and abs(res.params.k_s - 500.0) <= 1e-8 * 500.0
 
 
 def _evaluate_twice_fit(trace, guess):
-    """fit_spring_params's search with no shared evaluation: the residual calls
+    """fit_spring_params's start and search with no shared evaluation: the residual calls
     analytic_response at the spring of each point, and the Jacobian calls it again.
     Returns the solution (sigma, omega_d, v0) and whether it converged."""
     from scipy.optimize import least_squares
 
     t = trace.t - trace.t[0]
     amp = float(np.max(np.abs(trace.l)))
-    n_lead = max(3, len(t) // 20)
-    v0_init = float(np.polyfit(t[:n_lead], trace.l[:n_lead], 1)[0])
-    if v0_init <= 0:
-        v0_init = amp * float(guess.omega_n)
+    sigma, omega_d, v0 = (_recurrence_start(t, trace.l)
+                          or (0.5 * guess.b_s, guess.omega_d, amp * guess.omega_d))
 
     def response(x):
-        return analytic_response(x[2], _modal_spring(*x[:2]), t)
+        s2, w2 = x[0] ** 2, x[2] ** 2
+        return analytic_response(w2, SpringParams(2.0 * s2, s2 * s2 + x[1] * x[1]), t)
 
     sol = least_squares(
         lambda x: (response(x)[0] - trace.l) / amp,
-        jac=lambda x: _response_jacobian(x, t, *response(x)) / amp, max_nfev=2000, gtol=1e-5,
-        x0=[0.5 * guess.b_s, float(guess.omega_d), v0_init], bounds=([0.0, 1e-9, 1e-9], np.inf))
-    return sol.x, bool(sol.status > 0 and np.isfinite(sol.cost))
+        [math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)],
+        jac=lambda x: (_response_jacobian((x[0] ** 2, x[1], x[2] ** 2), t, *response(x))
+                       * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]),
+        method="lm", max_nfev=2000, gtol=1e-5)
+    return ((sol.x[0] ** 2, abs(sol.x[1]), sol.x[2] ** 2),
+            bool(sol.status > 0 and np.isfinite(sol.cost)))
 
 
 @settings(deadline=None)
@@ -609,7 +677,7 @@ def test_shared_evaluation_fit_matches_the_evaluate_twice_search(wn, zeta, v0, n
     trace = DisplacementTrace(t=t, l=l)
     res = fit_spring_params(trace, guess)
     x, converged = _evaluate_twice_fit(trace, guess)
-    want = _modal_spring(*x[:2])
+    want = SpringParams(2.0 * x[0], x[0] * x[0] + x[1] * x[1])
     assert res.converged == converged
     for got, ref in [(res.params.b_s, want.b_s), (res.params.k_s, want.k_s), (res.v0, x[2])]:
         assert abs(got - ref) <= 1e-10 * abs(ref)
@@ -689,10 +757,11 @@ def test_fit_rejects_a_trace_whose_largest_deflection_is_negative():
     (300, SpringParams(b_s=1.0, k_s=0.25 + 1570.0 ** 2), "fitted", "1570.8"),
 ], ids=["guess", "fit"])
 def test_fit_rejects_an_omega_d_at_or_above_the_nyquist_frequency(drop, guess, which, nyquist):
-    """At or above pi/dt, dt the largest sample spacing, a spring aliases onto the samples:
-    without this rule the README trace fits from the guess k_s 1e9 as k_s 9.88e8 (omega_d
-    16.58 + 5 * 2 pi/dt) with a 3e-8 residual. With one 2 ms gap the band ends at
-    1570.8 rad/s, and a search from just below it ends above it."""
+    """At or above pi/dt, dt the largest sample spacing, a spring aliases onto the samples: a
+    search from the guess k_s 1e9 fits the README trace as k_s 9.88e8 (omega_d
+    16.58 + 5 * 2 pi/dt) with a 4e-14 residual, so such a guess is an error even where the
+    trace's recurrence gives the start. With one 2 ms gap the band ends at 1570.8 rad/s, and
+    a search from just below it ends above it."""
     t, l = _synthetic_trace(v0=1.0, n=600)
     if drop is not None:
         t, l = np.delete(t, drop), np.delete(l, drop)

@@ -182,6 +182,17 @@ def test_config_vehicle_and_wall_are_frozen(make):
         assert not np.shares_memory(getattr(derived, name), getattr(cfg, name))
 
 
+def test_configs_compare_by_identity_and_hash():
+    """VehicleParams, Wall and ScenarioConfig hold numpy arrays, which a generated == compares
+    inside a tuple and raises on ("truth value of an array is ambiguous"); their == is
+    identity, so it neither raises nor needs a hash that raises. Compare configs by to_dict()."""
+    for make in (ScenarioConfig, lambda: ScenarioConfig().vehicle, lambda: ScenarioConfig().wall):
+        a, b = make(), make()
+        assert a == a and a != b and hash(a) == hash(a)
+        assert len({a, b}) == 2
+    assert ScenarioConfig().to_dict() == ScenarioConfig().to_dict()
+
+
 def test_config_inertia_as_moments_or_rows():
     rows = [[0.0034, 1e-4, 0.0], [1e-4, 0.0034, 2e-5], [0.0, 2e-5, 0.0053]]
     cfg = ScenarioConfig.from_dict({"inertia": rows})
@@ -574,12 +585,17 @@ def test_cli_fit(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["b_s"] - 30.0) / 30.0 < 0.01
     assert abs(out["k_s"] - 500.0) / 500.0 < 0.01
-    # b_s 15, k_s 100 from the CLI's default guess (20, 300)
+    # b_s 15, k_s 100 with no guess, and with one sample dropped from a guess (20, 300), or
+    # from one flag alone, whose other half is the default spring's
     t = np.arange(0.0, 0.6, 1e-3)
     l15, _ = analytic_response(1.0, SpringParams(b_s=15.0, k_s=100.0), t)
     np.savetxt(trace_path, np.column_stack([t, l15]), delimiter=",")
     assert cli_main(["fit", str(trace_path)]) == 0
     assert abs(json.loads(capsys.readouterr().out)["b_s"] - 15.0) <= 0.15
+    np.savetxt(trace_path, np.delete(np.column_stack([t, l15]), 300, axis=0), delimiter=",")
+    for guess in (["--guess-bs", "20", "--guess-ks", "300"], ["--guess-ks", "300"]):
+        assert cli_main(["fit", str(trace_path), *guess]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["b_s"] - 15.0) <= 0.15
 
 
 @pytest.mark.parametrize("flag, field", [("--guess-bs", "b_s"), ("--guess-ks", "k_s")])
@@ -666,11 +682,13 @@ def test_cli_malformed_yaml_exit_code(tmp_path, capsys):
     assert err.startswith(f"error: {bad} is not valid YAML: ") and err.count("\n") == 1
 
 
-def _trace_csv(path, nan_first_row=False, scale=1.0):
+def _trace_csv(path, nan_first_row=False, scale=1.0, drop_row=None):
     t = np.arange(0.0, 0.6, 1e-3)
     rows = np.column_stack([t, scale * analytic_response(1.0, SpringParams(), t)[0]])
     if nan_first_row:
         rows[0] = np.nan  # t[0] too: a nan passes the strictly-increasing check
+    if drop_row is not None:  # off a uniform grid the fit has no start without a guess
+        rows = np.delete(rows, drop_row, axis=0)
     np.savetxt(path, rows, delimiter=",", header="t,l", comments="")
     return str(path)
 
@@ -696,10 +714,11 @@ WALL_CONFIG = str(Path(__file__).parents[1] / "configs" / "wall_collision.yaml")
     lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "100", "--guess-ks", "300"],
     lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "40", "--guess-ks", "400"],
     lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "20", "--guess-ks", "1e9"],
+    lambda d: ["fit", _trace_csv(d / "gap.csv", drop_row=300)],
 ], ids=["config_is_a_directory", "log_is_a_directory", "trace_is_a_directory",
         "out_dir_is_a_file", "override_without_equals", "missing_trace", "zero_trace",
         "sign_flipped_trace", "nan_trace", "overdamped_guess", "critically_damped_guess",
-        "guess_above_nyquist"])
+        "guess_above_nyquist", "non_uniform_trace_without_guess"])
 def test_cli_failure_is_one_error_line(tmp_path, capfd, argv):
     """Exit 1 with one "error:" line and nothing on stdout: no traceback, no SystemExit
     out of main(), and for the nan trace no LAPACK lines (it is rejected before scipy)."""
