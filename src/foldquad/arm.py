@@ -10,6 +10,8 @@ from itertools import chain
 
 import numpy as np
 
+from .dynamics import MAX_DT
+
 CONTACT_TIMEOUT_S = 1.0  # a contact that has not released after this long is aborted
 
 
@@ -211,8 +213,8 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
     """
     if not (0.0 < v_impact < math.inf):
         raise ValueError("v_impact must be positive and finite")
-    if not (0.0 < dt <= 0.01):  # the bound of ScenarioConfig.dt
-        raise ValueError("dt must be in (0, 0.01] s")
+    if not (0.0 < dt <= MAX_DT):
+        raise ValueError(f"dt must be in (0, {MAX_DT:g}] s")
     phi = _transition(p.b_s, p.k_s, dt)
     l, l_dot, peak_l = 0.0, float(v_impact), 0.0
     for i in range(1, contact_step_limit(dt) + 1):  # step i ends at t = i*dt
@@ -329,9 +331,13 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams | None = Non
     if omega_d * t[-1] < math.pi or not fit.is_underdamped:
         raise ValueError(f"the fit reached critical damping (b_s={fit.b_s:g}, k_s={fit.k_s:g}, "
                          f"omega_d={omega_d:g} rad/s): the trace is not an underdamped response")
+    residual_norm = amp * float(np.linalg.norm(sol.fun))
+    # a search from a guess can stop in a wrong basin, where the residual is about the trace's
+    # own norm; a fit must explain at least 3/4 of the trace's energy sum(l^2) to count
     return FitResult(params=fit if guess is None else replace(guess, b_s=fit.b_s, k_s=fit.k_s),
-                     residual_norm=amp * float(np.linalg.norm(sol.fun)),
-                     converged=bool(sol.status > 0 and np.isfinite(sol.cost)),
+                     residual_norm=residual_norm,
+                     converged=bool(sol.status > 0 and np.isfinite(sol.cost)
+                                    and residual_norm <= 0.5 * float(np.linalg.norm(trace.l))),
                      v0=float(sol.x[2]) ** 2)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_DT = 0.01  # s: the longest physics step, and so the longest arm step
 _ROT_ORTHO_TOL = 1e-6  # loose bound on max|R^T R - I| of a given R, and on ||q| - 1| after RK4
 
 
@@ -202,8 +203,8 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     """One classical RK4 step on named scalars, then the quaternion rescaled to unit norm.
     Stages a, b, c, d hold (vdot, qdot, omegadot); a stage's xdot is its v. Identical inputs
     give bit-identical outputs: finite, with a unit q, w >= 0, or StateBlowUpError."""
-    if not (0.0 < dt <= 0.01):
-        raise ValueError("dt must be in (0, 0.01] s")
+    if not (0.0 < dt <= MAX_DT):
+        raise ValueError(f"dt must be in (0, {MAX_DT:g}] s")
     x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s.y
     acc, g, tau, h, k = u.f / p.m, p.g, u.tau, 0.5 * dt, dt / 6.0
     J, Ji, deriv = p.J_moments, p.J_inv_moments, _deriv_principal

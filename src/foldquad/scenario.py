@@ -11,7 +11,7 @@ from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                       recovery_setpoint, step_controller)
-from .dynamics import BodyState, StateBlowUpError, VehicleParams, integrate_step
+from .dynamics import MAX_DT, BodyState, StateBlowUpError, VehicleParams, integrate_step
 from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics, log_row
 
 # flat YAML key -> the one field it sets: (part, field) on a part of the config,
@@ -77,8 +77,8 @@ class ScenarioConfig:
             raise ValueError("restitution must lie in (0, 1]")
         if not self.spring.l_max < self.vehicle.r_contact:  # the centroid stays off the wall
             raise ValueError("arm_travel_max must be below contact_radius")
-        if not (0.0 < self.dt <= 0.01):
-            raise ValueError("dt must be in (0, 0.01]")
+        if not (0.0 < self.dt <= MAX_DT):
+            raise ValueError(f"dt must be in (0, {MAX_DT:g}]")
         if not (self.duration >= self.dt and self.log_interval >= self.dt):
             raise ValueError("duration and log_interval must be >= dt")
         if self.controller.attitude_rate * self.dt > 1.0:  # position_rate is never faster
@@ -145,7 +145,7 @@ class ScenarioConfig:
         return replace(self, mode=mode)
 
 
-def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
+def run_scenario(cfg: ScenarioConfig) -> SimLog:
     """Integrate the closed loop and return its log.
 
     Step i runs at t = i*dt. Attitude tick k fires at the first step at or
@@ -238,8 +238,6 @@ def run_scenario(cfg: ScenarioConfig, stop_at_first_contact=False) -> SimLog:
                     diagnostic = (f"contact timeout at t={t:.4f} s: contact did not "
                                   f"release within {CONTACT_TIMEOUT_S:g} s")
                     break
-            if stop_at_first_contact and events:
-                break
     except StateBlowUpError as exc:
         diagnostic = f"state blow-up at t={t:.4f} s: {exc}"
 
@@ -288,7 +286,7 @@ class SweepRow:
     mode: str
     achieved_v_c: float | None
     unreachable: bool = False
-    aborted: bool = False  # a run ended early: metrics from its partial log, or None for a probe
+    aborted: bool = False  # a run ended early: metrics from its partial log, None before the touch
     diagnostic: str = ""
     metrics: Metrics | None = None
 
@@ -320,20 +318,17 @@ def _cruise_cfg(cfg, speed, gap):
 
 
 _START_GAP = 0.02  # m of run-up before the touch
-_V_C_TOL = 0.04  # m/s: how far the probe's first-contact speed may miss its target
+_V_C_TOL = 0.04  # m/s: how far a cruise's first-contact speed may miss its target
 
 
-def find_start_gap(cfg: ScenarioConfig, target_speed):
-    """One probe run: the level cruise at target_speed from _START_GAP before the touch.
+def find_start_gap(log: SimLog, target_speed):
+    """The sweep's reachability rule, on the log of the level cruise at target_speed
+    from _START_GAP before the touch. Starts no run.
 
     Returns (_START_GAP, v_c) when its first-contact speed v_c is within _V_C_TOL
     of target_speed, else (None, v_c), or (None, None) if it never touches the wall.
     The cruise starts at target_speed and is commanded faster still, so a longer
-    run-up would only arrive faster. Raises StateBlowUpError if the probe aborts."""
-    probe = replace(_cruise_cfg(cfg, target_speed, _START_GAP), duration=min(cfg.duration, 10.0))
-    log = run_scenario(probe, stop_at_first_contact=True)
-    if log.aborted:  # it stops at the touch, so only a blow-up can abort it
-        raise StateBlowUpError(f"start-gap probe: {log.diagnostic}")
+    run-up would only arrive faster."""
     if not log.events:
         return None, None
     ev = log.events[0]
@@ -346,28 +341,24 @@ def sweep_velocities(cfg: ScenarioConfig, speeds) -> list[SweepRow]:
 
     The setpoint sits just past the touch point, so the vehicle arrives
     near-level at the target speed instead of still accelerating toward a
-    distant goal. One find_start_gap probe per speed checks that the cruise
-    touches at that speed, and the foldable and rigid runs share it: the
-    approach does not depend on the mode. A point the probe misses is
-    `unreachable`, with the probe's speed as its `achieved_v_c`.
+    distant goal. Each speed makes one compare_modes call on the cruise from
+    _START_GAP; the approach does not depend on the mode, so find_start_gap
+    judges the foldable run's first touch. A point the cruise misses is
+    `unreachable`, with that touch speed as `achieved_v_c`; a blow-up before
+    the touch makes both rows `aborted`. Neither has metrics.
     """
     speeds = list(speeds)  # checked in full before the first run
     if not all(0.0 < speed < math.inf for speed in speeds):
         raise ValueError("sweep speeds must be positive and finite")
     rows = []
     for speed in speeds:
-        try:
-            gap, achieved = find_start_gap(cfg, speed)
-            no_run = {"unreachable": True}
-        except StateBlowUpError as exc:
-            gap, achieved, no_run = None, None, {"aborted": True, "diagnostic": str(exc)}
-        if gap is None:
-            rows += [SweepRow(speed=speed, mode=mode, achieved_v_c=achieved, **no_run)
-                     for mode in ("foldable", "rigid")]
-            continue
-        report = compare_modes(_cruise_cfg(cfg, speed, gap))
+        report = compare_modes(_cruise_cfg(cfg, speed, _START_GAP))
+        gap, achieved = find_start_gap(report.foldable_log, speed)
+        # with no touch, an aborted run blew up on the approach, which both modes share
+        unreachable = gap is None and not (achieved is None and report.foldable_log.aborted)
         for mode, log in (("foldable", report.foldable_log), ("rigid", report.rigid_log)):
             rows.append(SweepRow(speed=speed, mode=mode, achieved_v_c=achieved,
-                                 metrics=getattr(report, mode), aborted=log.aborted,
-                                 diagnostic=log.diagnostic))
+                                 unreachable=unreachable, aborted=log.aborted and not unreachable,
+                                 diagnostic="" if unreachable else log.diagnostic,
+                                 metrics=None if gap is None else getattr(report, mode)))
     return rows

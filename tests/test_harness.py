@@ -14,10 +14,10 @@ from foldquad import scenario
 from foldquad.arm import SpringParams, analytic_response, simulate_contact
 from foldquad.cli import _parse_overrides
 from foldquad.cli import main as cli_main
-from foldquad.collision import RIGID_CONTACT_TIME, Rigid, Wall
+from foldquad.collision import RIGID_CONTACT_TIME, Foldable, Rigid, Wall
 from foldquad.control import ControllerConfig, recovery_setpoint
-from foldquad.scenario import (ScenarioConfig, _cruise_cfg, compare_modes,
-                               find_start_gap, run_scenario, sweep_velocities)
+from foldquad.scenario import (_START_GAP, ScenarioConfig, _cruise_cfg, compare_modes,
+                               run_scenario, sweep_velocities)
 from foldquad.simlog import (COLUMNS, SETTLE_RADIUS, Metrics, SimLog, _contact_episodes,
                              compute_metrics)
 
@@ -483,29 +483,33 @@ def test_reference_compare_matches_golden_metrics():
 
 @pytest.mark.parametrize("k_p, speed, reachable", [(1.0, 1.5, True), (10.0, 0.02, False)],
                          ids=["default", "overshoot"])
-def test_find_start_gap_makes_one_probe(monkeypatch, k_p, speed, reachable):
-    """One probe run per point. A cruise that reaches the wall within 0.04 m/s of
-    its target gets the fixed 2 cm run-up; one that misses it (k_p 10 at 0.02 m/s
-    touches at about 0.09 m/s) is unreachable at the probe's own speed."""
+def test_sweep_point_makes_two_runs(monkeypatch, k_p, speed, reachable):
+    """A sweep point makes the foldable and the rigid run on the 2 cm cruise and no
+    other, reachable or not. A cruise that touches within 0.04 m/s of its target keeps
+    both runs' metrics; one that misses it (k_p 10 at 0.02 m/s touches at about
+    0.09 m/s) is unreachable at the foldable run's touch speed, with no metrics."""
     runs = []
     real_run = scenario.run_scenario
 
-    def counted_run(*args, **kwargs):
-        runs.append(args)
-        return real_run(*args, **kwargs)
+    def counted_run(cfg):
+        runs.append(cfg)
+        return real_run(cfg)
 
     monkeypatch.setattr(scenario, "run_scenario", counted_run)
     cfg = ScenarioConfig(controller=ControllerConfig(k_p=k_p))
-    gap, achieved = find_start_gap(cfg, speed)
-    assert len(runs) == 1
-    if reachable:
-        assert gap == 0.02 and abs(achieved - speed) <= 0.04
-        return
-    assert gap is None and speed < achieved < 0.2
     rows = sweep_velocities(cfg, [speed])
-    assert len(runs) == 2  # the sweep's own probe, and no run after it
+    cruise = _cruise_cfg(cfg, speed, _START_GAP)
+    assert [run.to_dict() for run in runs] == [
+        cruise.with_mode(mode).to_dict() for mode in (Foldable(), Rigid())]
+    achieved = rows[0].achieved_v_c
     assert [(r.mode, r.unreachable, r.achieved_v_c) for r in rows] == [
-        ("foldable", True, achieved), ("rigid", True, achieved)]
+        ("foldable", not reachable, achieved), ("rigid", not reachable, achieved)]
+    if reachable:
+        assert abs(achieved - speed) <= 0.04
+        assert all(r.metrics is not None and not r.aborted for r in rows)
+    else:
+        assert speed < achieved < 0.2
+        assert all(r.metrics is None and not r.aborted and r.diagnostic == "" for r in rows)
 
 
 def test_single_speed_sweep_matches_compare():
@@ -523,10 +527,7 @@ def test_sweep_rejects_nonpositive_speed():
 
 def test_altitude_hold_through_recovery():
     """|x3(t) - x3(t_c)| stays within 0.15 m after a level-cruise impact."""
-    base = ScenarioConfig()
-    gap, _ = find_start_gap(base, 2.0)
-    cfg = _cruise_cfg(base, 2.0, gap)
-    log = run_scenario(cfg)
+    log = run_scenario(_cruise_cfg(ScenarioConfig(), 2.0, _START_GAP))
     ev = log.events[0]
     t = log.column("t")
     x3 = log.column("x3")
@@ -772,7 +773,8 @@ def test_cli_sweep_flags_aborted_point_and_exits_2(tmp_path):
 
 
 def test_cli_sweep_flags_aborted_start_gap_probe_and_exits_2(tmp_path):
-    """A probe run that blows up marks its point aborted, not unreachable."""
+    """A cruise that blows up before the touch marks its point aborted, not unreachable,
+    with the runs' own diagnostic and no metrics."""
     cfg_path = tmp_path / "wall.yaml"
     ScenarioConfig(duration=2.0).save(cfg_path)
     rc = cli_main(["sweep", str(cfg_path), "--out-dir", str(tmp_path), "--speeds", "1.5",
@@ -782,7 +784,7 @@ def test_cli_sweep_flags_aborted_start_gap_probe_and_exits_2(tmp_path):
     assert [r["mode"] for r in rows] == ["foldable", "rigid"]
     for r in rows:
         assert r["aborted"] and not r["unreachable"] and r["metrics"] is None
-        assert r["diagnostic"].startswith("start-gap probe: state blow-up at t=0.0000 s")
+        assert r["diagnostic"].startswith("state blow-up at t=0.0000 s")
 
 
 def test_cli_compare_aborted_on_first_step_writes_logs_and_exits_2(tmp_path, capsys):

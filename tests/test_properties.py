@@ -14,7 +14,7 @@ far along the normal its start state sits from touching contact, and is
 bit-identical to the step that rebuilt its state from slices.
 A scenario config saved to YAML and loaded back must reproduce every field,
 and its run, cut short, ends at its last step or aborts with a diagnostic.
-The sweep's one start-gap probe reaches its target speed on plausible cruises.
+The sweep's 2 cm cruise reaches its target speed on plausible vehicles.
 Over random loop rates, physics steps and log intervals, the run loop fires
 every tick and grid row on the integer step clock, logs every step that decides
 a metric, and a repeated run is byte-identical. Runs into tilted walls give the
@@ -176,16 +176,18 @@ def test_any_config_runs_to_the_end_or_aborts_with_a_diagnostic(cfg):
 @given(st.lists(st.floats(0.5, 1.5), min_size=4, max_size=4), st.floats(-np.pi, np.pi),
        st.floats(-np.pi / 4, np.pi / 4), st.floats(0.3, 8.0))
 def test_one_start_gap_probe_reaches_a_plausible_cruise(scales, yaw, wall_angle, speed):
-    """The sweep's single probe from 2 cm touches within 0.04 m/s of its target for
-    the default vehicle with k_p, k_v, k_r and k_omega at 0.5-1.5x their defaults,
-    any start yaw and a wall turned up to 45 degrees about the vertical. The cruise
-    starts at the target speed, so no longer run-up is needed to reach it."""
+    """The sweep's cruise from 2 cm, cut to 0.2 s, touches within 0.04 m/s of its
+    target for the default vehicle with k_p, k_v, k_r and k_omega at 0.5-1.5x their
+    defaults, any start yaw and a wall turned up to 45 degrees about the vertical. The
+    cruise starts at the target speed, so no longer run-up is needed to reach it."""
     gains = {name: f * getattr(CFG, name) for name, f in zip(("k_p", "k_v", "k_r", "k_omega"),
                                                              scales)}
     normal = [-math.cos(wall_angle), -math.sin(wall_angle), 0.0]
     cfg = ScenarioConfig(controller=dataclasses.replace(CFG, **gains), start_yaw=yaw,
                          wall=Wall(normal=normal, offset=-0.3))
-    gap, v_c = scenario.find_start_gap(cfg, speed)
+    cruise = dataclasses.replace(scenario._cruise_cfg(cfg, speed, scenario._START_GAP),
+                                 duration=0.2)
+    gap, v_c = scenario.find_start_gap(scenario.run_scenario(cruise), speed)
     assert gap == 0.02, (speed, v_c)
 
 
