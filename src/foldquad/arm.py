@@ -290,7 +290,7 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams | None = Non
     if guess is not None and not guess.is_underdamped:
         raise ValueError(f"guess b_s={guess.b_s!r}, k_s={guess.k_s!r} is not underdamped: "
                          "b_s^2 >= 4 k_s")
-    from scipy.optimize import least_squares  # imported here: it dominates `import foldquad`
+    from scipy.optimize import leastsq  # imported here: it dominates `import foldquad`
 
     if len(trace) < 10:
         raise ValueError("trace too short for identification (need >= 10 samples)")
@@ -321,24 +321,25 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams | None = Non
         return last[1]
 
     # gtol 1e-5 ends the search above the cost's rounding floor, where rounding picks the last step
-    sol = least_squares(
-        lambda x: (response(x)[0] - trace.l) / amp, x0, method="lm", max_nfev=2000, gtol=1e-5,
-        jac=lambda x: (_response_jacobian((x[0] * x[0], x[1], x[2] * x[2]), t, *response(x))
-                       * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]))
-    sigma, omega_d = float(sol.x[0]) ** 2, abs(float(sol.x[1]))
+    sol, _, info, _, ier = leastsq(
+        lambda x: (response(x)[0] - trace.l) / amp, x0, full_output=True, ftol=1e-8, xtol=1e-8,
+        gtol=1e-5, maxfev=2000,
+        Dfun=lambda x: (_response_jacobian((x[0] * x[0], x[1], x[2] * x[2]), t, *response(x))
+                        * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]))
+    sigma, omega_d, fvec = float(sol[0]) ** 2, abs(float(sol[1])), info["fvec"]
     _check_below_nyquist("fitted", omega_d, nyquist)
     fit = SpringParams(2.0 * sigma, sigma * sigma + omega_d * omega_d)  # underdamped, bar rounding
     if omega_d * t[-1] < math.pi or not fit.is_underdamped:
         raise ValueError(f"the fit reached critical damping (b_s={fit.b_s:g}, k_s={fit.k_s:g}, "
                          f"omega_d={omega_d:g} rad/s): the trace is not an underdamped response")
-    residual_norm = amp * float(np.linalg.norm(sol.fun))
+    residual_norm = amp * float(np.linalg.norm(fvec))
     # a search from a guess can stop in a wrong basin, where the residual is about the trace's
     # own norm; a fit must explain at least 3/4 of the trace's energy sum(l^2) to count
     return FitResult(params=fit if guess is None else replace(guess, b_s=fit.b_s, k_s=fit.k_s),
                      residual_norm=residual_norm,
-                     converged=bool(sol.status > 0 and np.isfinite(sol.cost)
+                     converged=bool(1 <= ier <= 4 and np.isfinite(fvec @ fvec)
                                     and residual_norm <= 0.5 * float(np.linalg.norm(trace.l))),
-                     v0=float(sol.x[2]) ** 2)
+                     v0=float(sol[2]) ** 2)
 
 
 def _check_below_nyquist(which, omega_d, nyquist):

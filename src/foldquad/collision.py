@@ -39,7 +39,7 @@ class Wall:
                             ("offset", float(self.offset))):
             object.__setattr__(self, name, value)  # not vars(self).update: it slows every read
 
-    def distance(self, x):  # detect_contact evaluates this expression in place
+    def distance(self, x):  # detect_contact and run_scenario evaluate this in place
         (n0, n1, n2), (x0, x1, x2) = self.normal_flat, x
         return (n0 * x0 + n1 * x1 + n2 * x2) - self.offset
 

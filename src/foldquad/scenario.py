@@ -111,8 +111,8 @@ class ScenarioConfig:
         has_wall = d["wall_normal"] is not None
         for key in (*_KEYS, "inertia", *(("wall_normal", "wall_offset") if has_wall else ())):
             value = np.asarray(d[key])
-            shape_ok = key == "inertia" or value.shape == np.shape(base[key])  # inertia: 3 or 3x3
-            if value.dtype.kind not in "iuf" or not shape_ok or not np.isfinite(value).all():
+            shaped = value.shape in ({(3,), (3, 3)} if key == "inertia" else {np.shape(base[key])})
+            if value.dtype.kind not in "iuf" or not shaped or not np.isfinite(value).all():
                 raise ValueError(f"{key} must be a number or a list of numbers shaped like "
                                  f"the default {base[key]!r}, all finite, not {d[key]!r}")
         kwargs = {part: {} for part in (*_PARTS, None)}
@@ -165,7 +165,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     state = state.with_translation(state.y[:3], cfg.start_velocity)
     cs = ControllerState()
     sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
-    x_d = sp.x_d_flat
+    xd0, xd1, xd2 = x_d = sp.x_d_flat
 
     dt, ctl = cfg.dt, cfg.controller
     wall, vehicle, log_interval = cfg.wall, cfg.vehicle, cfg.log_interval
@@ -180,10 +180,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     touch, after = None, -1  # the contact's first step or None; the step after the last release
     l = l_dot = 0.0  # the arm's deflection and rate; after release l stays in the log
 
-    # steps tracked as (t, state, u, x_d, l); the nearest to the wall from the first release on
-    far = after_far = nearest = None
-    s_min = math.inf
-    n0, n1, n2 = (-c for c in wall.normal_flat) if wall else (0.0, 0.0, 0.0)
+    # steps tracked as (t, state, u, x_d, l); the farthest from the wall from the first release on
+    far = after_far = farthest = None
+    d_max = -math.inf
+    c0, c1, c2, offset = (*wall.normal_flat, wall.offset) if wall else (0.0,) * 4
     r2 = SETTLE_RADIUS ** 2
 
     rows = {}  # t -> row
@@ -201,7 +201,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                 u = step_controller(state, cs, ctl, vehicle)
                 n_att += 1
 
-            ev = detect_contact(state, wall, vehicle, t) if wall and touch is None else None
+            x0, x1, x2 = state.y[:3]
+            d = c0 * x0 + c1 * x1 + c2 * x2  # n . x, as detect_contact: a touch needs it in reach
+            ev = (detect_contact(state, wall, vehicle, t)
+                  if wall and touch is None and d - offset <= vehicle.r_contact else None)
             contact = touch is not None or ev is not None
             grid = t / log_interval > n_log - 1e-9
             if grid or contact or i == after:
@@ -210,22 +213,20 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                     n_log += 1
 
             # the same float expressions as compute_metrics, so a tie picks the same row
-            x0, x1, x2 = state.y[:3]
-            e0, e1, e2 = x0 - x_d[0], x1 - x_d[1], x2 - x_d[2]
+            e0, e1, e2 = x0 - xd0, x1 - xd1, x2 - xd2
             if e0 * e0 + e1 * e1 + e2 * e2 > r2:
                 far, after_far = (t, state, u, x_d, l), None
             elif far and not after_far:
                 after_far = (t, state, u, x_d, l)
-            if after >= 0 and x0 * n0 + x1 * n1 + x2 * n2 < s_min:
-                s_min = x0 * n0 + x1 * n1 + x2 * n2
-                nearest = (t, state, u, x_d, l)
+            if after >= 0 and d > d_max:  # the least x . (-normal), which the overshoot reads
+                d_max, farthest = d, (t, state, u, x_d, l)
 
             if ev is not None:
                 if after < 0:  # settling is measured again from after the first contact
                     far = after_far = None
                 events.append(ev)
                 sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
-                x_d = sp.x_d_flat
+                xd0, xd1, xd2 = x_d = sp.x_d_flat
                 touch, l, l_dot = i, 0.0, float(ev.v_c @ ev.normal)
             if touch is None:
                 state = integrate_step(state, u, vehicle, dt)
@@ -243,7 +244,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
     # an aborted run ends at the step that aborted; were it a contact step, it is logged
     last = (t, state, u, x_d, l) if diagnostic else None
-    for ref in (nearest, far, after_far, last):
+    for ref in (farthest, far, after_far, last):
         if ref and ref[0] not in rows:
             rows[ref[0]] = log_row(*ref, False)
     if not diagnostic:

@@ -11,7 +11,7 @@ from foldquad import dynamics
 from foldquad.arm import SpringParams, _transition
 from foldquad.collision import Wall, contact_constrained_step
 from foldquad.dynamics import (_ROT_ORTHO_TOL, BodyState, ControlInput, StateBlowUpError,
-                               VehicleParams, _deriv, _deriv_principal, integrate_step,
+                               VehicleParams, _deriv, integrate_step,
                                quaternion_to_rotation, rotation_to_quaternion)
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -24,12 +24,10 @@ def hat(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def full_deriv(y, a, tau, p, deriv=_deriv):
+def full_deriv(y, a, tau, p):
     """(xdot, vdot, qdot, omegadot) of the 13 state floats as a list: xdot = v, then
-    the 10 floats of the statement `deriv`: _deriv on J and J^-1, or _deriv_principal
-    on their diagonals."""
-    J, J_inv = (p.J_flat, p.J_inv_flat) if deriv is _deriv else (p.J_moments, p.J_inv_moments)
-    return [*y[3:6], *deriv(*y[6:], a, p.g, tau, J, J_inv)]
+    the 10 floats of _deriv on J and J^-1."""
+    return [*y[3:6], *_deriv(*y[6:], a, p.g, tau, p.J_flat, p.J_inv_flat)]
 
 
 def random_rotation(rng):
@@ -239,13 +237,20 @@ def test_constructor_round_trip_is_bit_identical():
 
 # -- equations of motion -----------------------------------------------------
 
-def derivative(s, u, p, deriv):
-    """(xdot, vdot, qdot, omegadot) of the state under the statement `deriv`, as arrays."""
-    d = np.array(full_deriv(s.y, u.f / p.m, u.tau, p, deriv))
+def derivative(s, u, p):
+    """(xdot, vdot, qdot, omegadot) of the state under _deriv, as arrays."""
+    d = np.array(full_deriv(s.y, u.f / p.m, u.tau, p))
     return d[:3], d[3:6], d[6:10], d[10:]
 
 
-STATEMENTS = (_deriv, _deriv_principal)  # the default vehicle's J is diagonal: both apply
+def step_rate(s, u, p, dt=1e-3):
+    """The same four rates as the state's change over one integrate_step, divided by dt. The
+    default vehicle's J is diagonal, so the step takes its principal stages, not _deriv."""
+    d = (np.array(integrate_step(s, u, p, dt).y) - np.array(s.y)) / dt
+    return d[:3], d[3:6], d[6:10], d[10:]
+
+
+STATEMENTS = (derivative, step_rate)  # the general statement, and the principal stages
 
 
 def test_hover_equilibrium_derivative():
@@ -253,7 +258,7 @@ def test_hover_equilibrium_derivative():
     s = BodyState.hover(np.zeros(3))
     u = ControlInput(f=p.m * p.g)
     for deriv in STATEMENTS:
-        xdot, vdot, qdot, omegadot = derivative(s, u, p, deriv)
+        xdot, vdot, qdot, omegadot = deriv(s, u, p)
         assert np.allclose(xdot, 0, atol=1e-15)
         assert np.allclose(vdot, 0, atol=1e-12)
         assert np.allclose(qdot, 0, atol=1e-15)
@@ -264,7 +269,7 @@ def test_free_fall_derivative():
     p = VehicleParams()
     s = BodyState.hover(np.zeros(3))
     for deriv in STATEMENTS:
-        _, vdot, _, _ = derivative(s, ControlInput(f=0.0), p, deriv)
+        _, vdot, _, _ = deriv(s, ControlInput(f=0.0), p)
         assert np.allclose(vdot, [0.0, 0.0, 9.81], atol=1e-12)
 
 
@@ -273,30 +278,28 @@ def test_pure_yaw_moment_derivative():
     s = BodyState.hover(np.zeros(3))
     u = ControlInput(f=p.m * p.g, tau=[0.0, 0.0, 0.01])
     for deriv in STATEMENTS:
-        _, _, _, omegadot = derivative(s, u, p, deriv)
+        _, _, _, omegadot = deriv(s, u, p)
         assert np.allclose(omegadot, [0.0, 0.0, 0.01 / 0.0053], atol=1e-12)
 
 
 def test_principal_statement_is_taken_where_it_is_exact(monkeypatch):
-    """A diagonal J steps through _deriv_principal at all four stages. A product of
-    inertia, or a body rate with a -0.0 component, steps through _deriv."""
+    """A diagonal J steps through the principal stages, with no _deriv call. A product of
+    inertia, or a body rate with a -0.0 component, calls _deriv at all four stages."""
     calls = []
-    for name in ("_deriv", "_deriv_principal"):
-        monkeypatch.setattr(dynamics, name, lambda *args, name=name, f=getattr(dynamics, name):
-                            calls.append(name) or f(*args))
+    monkeypatch.setattr(dynamics, "_deriv", lambda *args, f=_deriv: calls.append(1) or f(*args))
 
     def stages(s, p):
         calls.clear()
         integrate_step(s, ControlInput(f=12.0, tau=(0.0, 0.001, 0.0)), p, 1e-3)
-        return calls
+        return len(calls)
 
     hover = BodyState.hover(np.zeros(3))
     J = np.diag([0.0034, 0.0034, 0.0053])
     J[0, 1] = J[1, 0] = 1e-4
-    assert stages(hover, VehicleParams()) == ["_deriv_principal"] * 4
-    assert stages(hover, VehicleParams(J=J)) == ["_deriv"] * 4
+    assert stages(hover, VehicleParams()) == 0
+    assert stages(hover, VehicleParams(J=J)) == 4
     tumbling = BodyState._trusted((*hover.y[:10], -0.0, 1.0, 0.0))
-    assert stages(tumbling, VehicleParams()) == ["_deriv"] * 4
+    assert stages(tumbling, VehicleParams()) == 4
 
 
 # -- integrate_step ----------------------------------------------------------
@@ -499,7 +502,7 @@ def bit_cases(draw):
     J, and dt in (0, 0.01]. The body rate is free, huge enough to overflow, or turns
     0.40 to 0.52 rad in one step about a random axis, across the 0.46 rad norm guard.
     J has products of inertia, or in a third of the cases principal axes, each product
-    0.0 or -0.0, which integrate_step steps through _deriv_principal."""
+    0.0 or -0.0, which integrate_step steps through its principal stages."""
     dt = draw(st.floats(0.0, 0.01, exclude_min=True))
     q = draw(st.lists(signed(1.0), min_size=4, max_size=4).filter(
         lambda c: math.fsum(x * x for x in c) > 0.01))

@@ -132,6 +132,21 @@ def test_cli_rejects_non_finite_value(tmp_path, capsys, override):
     assert not (tmp_path / "wall_log.csv").exists()
 
 
+@pytest.mark.parametrize("override", ["inertia=[0.003,0.004]", "inertia=[1,0,0,0,1,0,0,0,1]",
+                                      "inertia=[[1,0],[0,1]]", "start_position=[0,0]"])
+def test_cli_rejects_a_misshapen_value(tmp_path, capsys, override):
+    """inertia is 3 moments or a 3x3 J; any other shape gets the error every key gets,
+    naming the key, and not numpy's reshape error."""
+    cfg_path = tmp_path / "wall.yaml"
+    ScenarioConfig(duration=0.1).save(cfg_path)
+    rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {override.split('=')[0]} must be a number or a list of "
+                          "numbers shaped like the default ") and err.count("\n") == 1
+    assert not (tmp_path / "wall_log.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["wall_normal: [-1.0, 0.0, 0.0]\nwall_offset: null\n",
                                   "wall_normal: null\nwall_offset: 5.0\n"])
 def test_cli_rejects_wall_with_one_side_null(tmp_path, capsys, text):

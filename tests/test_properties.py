@@ -13,7 +13,8 @@ vector form against walls that are not axis-aligned, does not depend on how
 far along the normal its start state sits from touching contact, and is
 bit-identical to the step that rebuilt its state from slices.
 A scenario config saved to YAML and loaded back must reproduce every field,
-and its run, cut short, ends at its last step or aborts with a diagnostic.
+and its run, cut short, ends at its last step or aborts with a diagnostic; the
+run loop, which calls detect_contact only within reach, misses no touch.
 The sweep's 2 cm cruise reaches its target speed on plausible vehicles.
 Over random loop rates, physics steps and log intervals, the run loop fires
 every tick and grid row on the integer step clock, logs every step that decides
@@ -170,6 +171,33 @@ def test_any_config_runs_to_the_end_or_aborts_with_a_diagnostic(cfg):
         assert log.column("t")[-1] == int(round(cfg.duration / cfg.dt)) * cfg.dt
     dense = dataclasses.replace(cfg, log_interval=cfg.dt)
     assert compute_metrics(log, cfg) == compute_metrics(scenario.run_scenario(dense), dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs())
+@example(ScenarioConfig())  # a touch at 0.11 s and a release within 0.3 s, in either mode
+@example(ScenarioConfig(mode=Rigid()))
+def test_contact_is_detected_on_exactly_the_logged_touches(cfg):
+    """Cut to 0.3 s and logged at every step, so a row holds each step's starting state.
+    detect_contact finds no touch in any row flagged 0 that the loop tested (every row but
+    an unaborted run's last, at n*dt, which no step starts from): the loop's own distance
+    test, which skips detect_contact out of reach, skips no touch. On the first row of each
+    contact episode detect_contact returns that episode's logged event, bit for bit."""
+    cfg = dataclasses.replace(cfg, duration=min(cfg.duration, 0.3), log_interval=cfg.dt)
+    log = scenario.run_scenario(cfg)
+    flags = log.column("contact").tolist()
+    if cfg.wall is None:
+        assert not any(flags) and not log.events
+        return
+    events = {e.t_c: e for e in log.events}
+    tested = len(flags) if log.aborted else len(flags) - 1
+    for k, (t, *y) in enumerate(log.data[:tested, :14].tolist()):
+        ev = detect_contact(BodyState._trusted(tuple(y)), cfg.wall, cfg.vehicle, t)
+        if not flags[k]:
+            assert ev is None, f"a touch at t={t} that the loop did not log"
+        elif k == 0 or not flags[k - 1]:
+            assert ev is not None and t in events and event_bits(ev) == event_bits(events[t])
+    assert all(flags[k] for k, t in enumerate(log.column("t").tolist()) if t in events)
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,11 +492,14 @@ def hexes(*values):
     return [float.hex(v) if isinstance(v, float) else [float.hex(c) for c in v] for v in values]
 
 
+def event_bits(ev):
+    return None if ev is None else hexes(ev.t_c, ev.x_c.tolist(), ev.v_c.tolist(),
+                                         ev.normal.tolist())
+
+
 def tick_bits(cs, u, ev):
-    event = None if ev is None else hexes(ev.t_c, ev.x_c.tolist(), ev.v_c.tolist(),
-                                          ev.normal.tolist())
     return (hexes(cs.integral, cs.prev_e_v or (), cs.held_f, cs.held_R_d),
-            hexes(u.f, u.tau), event)
+            hexes(u.f, u.tau), event_bits(ev))
 
 
 @settings(max_examples=300, deadline=None)
@@ -642,7 +673,7 @@ def tracked_steps(cfg, n):
     """The steps the run loop tracks, read off the same run logged at every step:
     from the first step after the first contact (from step 0 without a contact)
     the last step farther than SETTLE_RADIUS from the setpoint and the step after
-    it, and the step nearest the wall (only after a contact)."""
+    it, and the step farthest from the wall (only after a contact)."""
     dense = scenario.run_scenario(dataclasses.replace(cfg, log_interval=cfg.dt)).data[:n]
     col = {name: i for i, name in enumerate(COLUMNS)}
     x, xd = dense[:, col["x1"]:col["x3"] + 1], dense[:, col["xd1"]:col["xd3"] + 1]
