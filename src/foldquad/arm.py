@@ -247,15 +247,18 @@ def _has_oscillation(l):
 
 
 def _recurrence_start(t, l):
-    """(sigma, omega_d, v0) of l with no guess, or None: off a uniform grid (spacing spread over
-    1e-9 relative), with no damped pair, or at sigma < 0 or v0 <= 0. On a grid of step dt a free
-    response obeys l[k+m] = a l[k] + b l[k-m], a = 2 e^(-sigma m dt) cos(omega_d m dt) and
-    b = -e^(-2 sigma m dt) (Prony in linear-prediction form; Kumaresan & Tufts 1982). Noise swamps
+    """(sigma, omega_d, v0) of l from the trace alone. On a grid of step dt a free response obeys
+    l[k+m] = a l[k] + b l[k-m], a = 2 e^(-sigma m dt) cos(omega_d m dt) and b = -e^(-2 sigma m dt)
+    (Prony in linear-prediction form; Kumaresan & Tufts 1982); off a uniform grid (spacing spread
+    over 1e-9 relative) this reads a copy resampled onto np.linspace(t[0], t[-1], n). Noise swamps
     short lags: m doubles while 3m < len(l) until omega_d m dt, out of an acos so it cannot
-    alias, passes 1 rad, and the lag where it is nearest 1 rad is kept. v0 is then linear."""
+    alias, passes 1 rad, and the lag where it is nearest 1 rad is kept. v0 is then linear. With
+    no damped pair, or at sigma < 0 or v0 <= 0, it starts at zeta 0.6 from the largest sample:
+    omega_d = atan2(0.8, 0.6)/t_peak, sigma = 0.75 omega_d and v0 = peak omega_d."""
     steps = np.diff(t)
-    if steps.max() - steps.min() > 1e-9 * steps.max():
-        return None
+    if steps.max() - steps.min() > 1e-9 * steps.max():  # for the start only: the search fits t
+        grid = np.linspace(t[0], t[-1], len(t))
+        t, l = grid, np.interp(grid, t, l)
     n, m, best = len(l), 1, None
     while 3 * m < n:
         a, b = np.linalg.lstsq(np.column_stack([l[m:n - m], l[:n - 2 * m]]), l[2 * m:],
@@ -267,29 +270,33 @@ def _recurrence_start(t, l):
             if angle > 1.0:
                 break
         m *= 2
-    if best is None or best[0] < 0.0:
-        return None
-    phi = _modal_response(best[0], best[1], 1.0, t)[0]
-    v0 = float(phi @ l) / float(phi @ phi)
-    return (best[0], best[1], v0) if v0 > 0.0 else None
+    if best is not None and best[0] >= 0.0:
+        phi = _modal_response(best[0], best[1], 1.0, t)[0]
+        v0 = float(phi @ l) / float(phi @ phi)
+        if v0 > 0.0:
+            return best[0], best[1], v0
+    k = int(np.argmax(l))
+    if k == 0:
+        raise ValueError("the trace's largest sample is its first: an arm trace starts at the "
+                         "touch, so no start for the fit can be taken from its peak time")
+    omega_d = math.atan2(0.8, 0.6) / float(t[k])
+    return 0.75 * omega_d, omega_d, float(l[k]) * omega_d
 
 
-def fit_spring_params(trace: DisplacementTrace, guess: SpringParams | None = None) -> FitResult:
+def fit_spring_params(trace: DisplacementTrace,
+                      template: SpringParams = SpringParams()) -> FitResult:
     """Least-squares identification of (b_s, k_s) from a displacement trace.
 
     Fits the closed-form response, exact for the linear ODE, by MINPACK's Levenberg-Marquardt
     in (s, omega_d, w), sigma = s^2 and v0 = w^2, where every point is underdamped and starts
     with compression; the model is even in omega_d, so the fit takes |omega_d|. It starts from
-    _recurrence_start, else from (b_s/2, omega_d) of the guess and v0 = amp omega_d. Each point
-    costs one _modal_response call, shared by its residual and its Jacobian. ValueError for a
-    trace whose largest deflection is negative (an arm trace starts with compression), for no
-    start, for a guess or a fit whose omega_d is at or above the trace's Nyquist frequency pi/dt
-    (it would alias), and for a fit at critical damping as far as the trace can tell: its first
-    zero crossing, at pi/omega_d, lies past the trace's end.
+    _recurrence_start, from the trace alone; template only supplies the result's l_max and
+    delta_l. Each point costs one _modal_response call, shared by its residual and its Jacobian.
+    ValueError for a trace whose largest deflection is negative (an arm trace starts with
+    compression) or whose largest sample is its first, for a fit whose omega_d is at or above
+    the trace's Nyquist frequency pi/dt (it would alias), and for a fit at critical damping as
+    far as the trace can tell: its first zero crossing, at pi/omega_d, lies past the trace's end.
     """
-    if guess is not None and not guess.is_underdamped:
-        raise ValueError(f"guess b_s={guess.b_s!r}, k_s={guess.k_s!r} is not underdamped: "
-                         "b_s^2 >= 4 k_s")
     from scipy.optimize import leastsq  # imported here: it dominates `import foldquad`
 
     if len(trace) < 10:
@@ -297,19 +304,12 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams | None = Non
     if not _has_oscillation(trace.l):
         raise ValueError("degenerate trace: no oscillation (local max + subsequent min)")
     t = trace.t - trace.t[0]
-    nyquist = math.pi / float(np.max(np.diff(t)))  # at the trace's largest sample spacing
     # residuals / amp, so the tolerances do not depend on l's unit; the same scan gives the sign
     amp = float(trace.l[np.argmax(np.abs(trace.l))])
     if amp < 0.0:
         raise ValueError(f"the trace's largest deflection is negative (l={amp:g}): an arm "
                          "trace starts with compression, so its largest |l| must be l > 0")
-    if guess is not None:
-        _check_below_nyquist("guess", guess.omega_d, nyquist)
-    start = _recurrence_start(t, trace.l)
-    if start is None and guess is None:
-        raise ValueError("no start for the fit: the trace is not on a uniform grid or has no "
-                         "damped recurrence, and no guess was given")
-    sigma, omega_d, v0 = start or (0.5 * guess.b_s, guess.omega_d, amp * guess.omega_d)
+    sigma, omega_d, v0 = _recurrence_start(t, trace.l)
     # s's Jacobian column, 2s dl/dsigma, is 0 at s = 0, and a first step from near 0 overshoots
     x0 = [math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)]
     last = [None, None]  # the last point evaluated, as a list of floats, and its (l, l_dot)
@@ -327,22 +327,19 @@ def fit_spring_params(trace: DisplacementTrace, guess: SpringParams | None = Non
         Dfun=lambda x: (_response_jacobian((x[0] * x[0], x[1], x[2] * x[2]), t, *response(x))
                         * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]))
     sigma, omega_d, fvec = float(sol[0]) ** 2, abs(float(sol[1])), info["fvec"]
-    _check_below_nyquist("fitted", omega_d, nyquist)
-    fit = SpringParams(2.0 * sigma, sigma * sigma + omega_d * omega_d)  # underdamped, bar rounding
+    nyquist = math.pi / float(np.max(np.diff(t)))  # at the trace's largest sample spacing
+    if omega_d >= nyquist:
+        raise ValueError(f"the fitted omega_d={omega_d:g} rad/s is at or above the trace's "
+                         f"Nyquist frequency pi/dt={nyquist:g} rad/s: it would alias")
+    # underdamped, bar rounding
+    fit = replace(template, b_s=2.0 * sigma, k_s=sigma * sigma + omega_d * omega_d)
     if omega_d * t[-1] < math.pi or not fit.is_underdamped:
         raise ValueError(f"the fit reached critical damping (b_s={fit.b_s:g}, k_s={fit.k_s:g}, "
                          f"omega_d={omega_d:g} rad/s): the trace is not an underdamped response")
     residual_norm = amp * float(np.linalg.norm(fvec))
-    # a search from a guess can stop in a wrong basin, where the residual is about the trace's
-    # own norm; a fit must explain at least 3/4 of the trace's energy sum(l^2) to count
-    return FitResult(params=fit if guess is None else replace(guess, b_s=fit.b_s, k_s=fit.k_s),
-                     residual_norm=residual_norm,
+    # a search can stop in a wrong basin, where the residual is about the trace's own norm;
+    # a fit must explain at least 3/4 of the trace's energy sum(l^2) to count
+    return FitResult(params=fit, residual_norm=residual_norm,
                      converged=bool(1 <= ier <= 4 and np.isfinite(fvec @ fvec)
                                     and residual_norm <= 0.5 * float(np.linalg.norm(trace.l))),
                      v0=float(sol[2]) ** 2)
-
-
-def _check_below_nyquist(which, omega_d, nyquist):
-    if omega_d >= nyquist:
-        raise ValueError(f"the {which} omega_d={omega_d:g} rad/s is at or above the trace's "
-                         f"Nyquist frequency pi/dt={nyquist:g} rad/s: it would alias")

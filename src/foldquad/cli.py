@@ -6,7 +6,7 @@ import json
 import sys
 from pathlib import Path
 
-from .arm import DisplacementTrace, SpringParams, fit_spring_params
+from .arm import DisplacementTrace, fit_spring_params
 from .scenario import ScenarioConfig, compare_modes, run_scenario, sweep_velocities
 from .simlog import SimLog, compute_metrics
 
@@ -79,9 +79,7 @@ def cmd_sweep(args):
 
 
 def cmd_fit(args):
-    trace = DisplacementTrace.from_csv(args.trace)
-    given = {k: v for k, v in (("b_s", args.guess_bs), ("k_s", args.guess_ks)) if v is not None}
-    result = fit_spring_params(trace, SpringParams(**given) if given else None)
+    result = fit_spring_params(DisplacementTrace.from_csv(args.trace))
     print(json.dumps({"b_s": result.params.b_s, "k_s": result.params.k_s,
                       "residual_norm": result.residual_norm, "converged": result.converged,
                       "v0": result.v0}, indent=2))
@@ -124,8 +122,6 @@ def build_parser():
 
     p = sub.add_parser("fit", help="identify spring parameters from a t,l trace CSV")
     p.add_argument("trace")
-    p.add_argument("--guess-bs", type=float, help="start where the trace gives none")
-    p.add_argument("--guess-ks", type=float)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("metrics", help="recompute metrics from a log CSV")

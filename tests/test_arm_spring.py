@@ -510,10 +510,10 @@ def _synthetic_trace(v0=1.4, p=NOMINAL, n=350, dt=1e-3):
 
 
 def test_fit_noise_free_round_trip():
+    """The template passed in supplies only the result's l_max and delta_l."""
     t, l = _synthetic_trace()
-    res = fit_spring_params(DisplacementTrace(t=t, l=l),
-                            SpringParams(b_s=20.0, k_s=300.0))
-    assert res.converged
+    res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(l_max=1e6, delta_l=1e-9))
+    assert res.converged and (res.params.l_max, res.params.delta_l) == (1e6, 1e-9)
     assert abs(res.params.b_s - 30.0) / 30.0 < 0.01
     assert abs(res.params.k_s - 500.0) / 500.0 < 0.01
 
@@ -531,59 +531,60 @@ def test_fit_makes_no_finite_difference_evaluations(monkeypatch):
 
     t, l = _synthetic_trace()
     monkeypatch.setattr(arm_module, "_modal_response", counted)
-    res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
+    res = fit_spring_params(DisplacementTrace(t=t, l=l))
     assert len(points) == len(set(points)) == 3
     assert res.converged
     for got, want in [(res.params.b_s, 30.0), (res.params.k_s, 500.0), (res.v0, 1.4)]:
         assert abs(got - want) <= 1e-8 * want
 
 
-def test_fit_from_a_guess_recovers_a_well_damped_spring():
-    """b_s 15, k_s 100 (zeta 0.75) from the guess (20, 300), with one sample dropped so that
-    the search starts there. A search in (b_s, k_s) that keeps off b_s^2 >= 3.999 k_s by a
-    penalty stops on that wall, at b_s 25.87 and k_s 167.38, and reports it converged."""
-    t = np.arange(0.0, 0.6, 1e-3)
-    l, _ = analytic_response(1.0, SpringParams(b_s=15.0, k_s=100.0), t)
-    t, l = np.delete(t, 300), np.delete(l, 300)
-    res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
-    assert res.converged
-    for got, want in [(res.params.b_s, 15.0), (res.params.k_s, 100.0), (res.v0, 1.0)]:
-        assert abs(got - want) <= 1e-6 * want
-
-
-def _check_clean_fit(wn, zeta, v0, b_factor, k_factor, drop_middle):
-    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
-    guess = SpringParams(b_s=b_factor * p.b_s, k_s=k_factor * p.k_s)
-    assume(guess.is_underdamped)
-    t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
+def _check_clean_fit(t, v0, p):
     l, _ = analytic_response(v0, p, t)
-    if drop_middle:
-        t, l = np.delete(t, len(t) // 2), np.delete(l, len(t) // 2)
-    res = fit_spring_params(DisplacementTrace(t=t, l=l), guess)
+    res = fit_spring_params(DisplacementTrace(t=t, l=l))
     assert res.converged
     for got, want in [(res.params.b_s, p.b_s), (res.params.k_s, p.k_s), (res.v0, v0)]:
-        assert abs(got - want) <= 1e-4 * want
+        assert abs(got - want) <= 1e-8 * want
+
+
+def _clean_fit_grid(wn, zeta):
+    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
+    return np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3), p
+
+
+@settings(deadline=None)
+@given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.9), v0=st.floats(0.2, 2.0))
+def test_fit_recovers_a_clean_trace(wn, zeta, v0):
+    """Over 1.2 damped periods at 1 ms, from the trace alone, the fit recovers b_s, k_s and
+    v0 to 1e-8 relative (8.7e-16 at worst over 500 draws)."""
+    t, p = _clean_fit_grid(wn, zeta)
+    _check_clean_fit(t, v0, p)
+
+
+def test_fit_recovers_a_well_damped_spring_off_a_uniform_grid():
+    """b_s 15, k_s 100 (zeta 0.75) with one sample dropped. A search in (b_s, k_s) that kept
+    off b_s^2 >= 3.999 k_s by a penalty stopped on that wall, at b_s 25.87 and k_s 167.38,
+    from the guess (20, 300), and reported it converged."""
+    t = np.arange(0.0, 0.6, 1e-3)
+    p = SpringParams(b_s=15.0, k_s=100.0)
+    _check_clean_fit(np.delete(t, 300), 1.0, p)
 
 
 @settings(deadline=None)
 @given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.9), v0=st.floats(0.2, 2.0),
-       b_factor=st.floats(0.3, 3.0), k_factor=st.floats(0.3, 3.0))
-@example(wn=10.0, zeta=0.75, v0=1.0, b_factor=20.0 / 15.0, k_factor=3.0)
-def test_fit_recovers_a_clean_trace_from_any_underdamped_guess(wn, zeta, v0, b_factor, k_factor):
-    """Over 1.2 damped periods at 1 ms, given a guess 0.3-3x each coefficient that is
-    underdamped, the fit recovers b_s, k_s and v0 to 1e-4 relative."""
-    _check_clean_fit(wn, zeta, v0, b_factor, k_factor, drop_middle=False)
-
-
-@settings(deadline=None)
-@given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.9), v0=st.floats(0.2, 2.0),
-       b_factor=st.floats(0.3, 3.0), k_factor=st.floats(0.3, 3.0))
-@example(wn=10.0, zeta=0.75, v0=1.0, b_factor=20.0 / 15.0, k_factor=3.0)
-def test_fit_recovers_a_non_uniform_clean_trace_from_any_underdamped_guess(wn, zeta, v0,
-                                                                          b_factor, k_factor):
-    """The same traces with their middle sample dropped, so that the search starts from the
-    guess, not from the recurrence: b_s, k_s and v0 to 1e-4 relative."""
-    _check_clean_fit(wn, zeta, v0, b_factor, k_factor, drop_middle=True)
+       gap=st.sampled_from(["one_dropped", "five_dropped", "jitter"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_recovers_a_non_uniform_clean_trace(wn, zeta, v0, gap, seed):
+    """The same traces off a uniform grid: one or five samples dropped, or each time after the
+    first moved by up to 0.3 ms. The start comes from the trace resampled onto a uniform grid,
+    and the fit recovers b_s, k_s and v0 to 1e-8 relative (4.7e-16 at worst over 1,500 draws)."""
+    t, p = _clean_fit_grid(wn, zeta)
+    rng = np.random.default_rng(seed)
+    if gap == "jitter":
+        t[1:] += rng.uniform(-3e-4, 3e-4, len(t) - 1)  # the first sample stays at the touch
+    else:
+        t = np.delete(t, rng.choice(np.arange(1, len(t) - 1), 1 if gap == "one_dropped" else 5,
+                                    replace=False))
+    _check_clean_fit(t, v0, p)
 
 
 @settings(deadline=None)
@@ -602,56 +603,66 @@ def test_recurrence_start_is_exact_on_a_clean_uniform_trace(wn, zeta, v0, period
         assert abs(got - want) <= 1e-6 * want
 
 
-@pytest.mark.parametrize("guess", [None, SpringParams(b_s=20.0, k_s=300.0),
-                                   SpringParams(b_s=20.0, k_s=5e6),
-                                   SpringParams(b_s=20.0, k_s=100.0 + 2500.0 ** 2),
-                                   SpringParams(b_s=20.0, k_s=100.0 + 3140.0 ** 2)],
-                         ids=["no_guess", "k_s_300", "k_s_5e6", "omega_d_2500", "omega_d_3140"])
-def test_fit_of_the_readme_trace_does_not_depend_on_the_guess(guess):
-    """The clean b_s 30, k_s 500 trace of the README, from no guess and from guesses far
-    above the spring but below pi/dt, which a search from the guess took to a wrong basin
-    (b_s 306.7, k_s 5.02e6 from k_s 5e6) and reported converged."""
+@pytest.mark.parametrize("guess, drop", [
+    (None, None), (SpringParams(b_s=20.0, k_s=300.0), None),
+    (SpringParams(b_s=20.0, k_s=5e6), None),
+    (SpringParams(b_s=20.0, k_s=100.0 + 2500.0 ** 2), None),
+    (SpringParams(b_s=20.0, k_s=100.0 + 3140.0 ** 2), None),
+    (SpringParams(b_s=20.0, k_s=2e6), 300)],
+    ids=["no_guess", "k_s_300", "k_s_5e6", "omega_d_2500", "omega_d_3140", "dropped_sample"])
+def test_fit_of_the_readme_trace_does_not_depend_on_the_guess(guess, drop):
+    """The clean b_s 30, k_s 500 trace of the README, whatever spring is passed as the template.
+    A search from such a spring as a guess ended in a wrong basin and reported it converged:
+    b_s 306.7, k_s 5.02e6 from k_s 5e6, and, with the 301st sample dropped, b_s 92.06,
+    k_s 1.98e6 from (20, 2e6). The fit starts from the trace alone; the template only supplies
+    l_max and delta_l."""
     t, l = _synthetic_trace(v0=1.0, n=600)
-    res = fit_spring_params(DisplacementTrace(t=t, l=l), guess)
+    if drop is not None:
+        t, l = np.delete(t, drop), np.delete(l, drop)
+    trace = DisplacementTrace(t=t, l=l)
+    res = fit_spring_params(trace) if guess is None else fit_spring_params(trace, guess)
     assert res.converged
     for got, want in [(res.params.b_s, 30.0), (res.params.k_s, 500.0), (res.v0, 1.0)]:
         assert abs(got - want) <= 1e-8 * want
 
 
-@pytest.mark.parametrize("b_s, drop, guess", [
-    (0.0, None, None), (0.0, 300, SpringParams(b_s=0.0, k_s=300.0)),
-    (30.0, 300, SpringParams(b_s=0.0, k_s=300.0))], ids=["undamped", "undamped_guess", "guess"])
-def test_fit_starts_off_s_zero(b_s, drop, guess):
+@pytest.mark.parametrize("b_s, drop", [(0.0, None), (0.0, 300), (30.0, None)],
+                         ids=["undamped", "undamped_dropped_sample", "damped_from_sigma_zero"])
+def test_fit_starts_off_s_zero(monkeypatch, b_s, drop):
     """The search runs in s = sqrt(sigma), whose Jacobian column vanishes at s = 0, so from
-    s = 0 it never moves s: the damped trace from the guess b_s 0 would end at b_s 0, k_s 292.
-    Every search starts at sigma >= 0.01 omega_d, and from there the undamped trace (its
-    recurrence gives sigma -0.0) fits b_s 0 too, with no guess and from the guess b_s 0."""
+    s = 0 it never moves s: the damped trace from a start at sigma 0 and omega_d sqrt(300)
+    would end at b_s 0, k_s 292. Every search starts at sigma >= 0.01 omega_d, and from there
+    that trace fits b_s 30, and the undamped trace, whose recurrence gives sigma -0.0, fits
+    b_s 0, on its uniform grid and with a sample dropped."""
     t, l = _synthetic_trace(v0=1.0, p=SpringParams(b_s=b_s, k_s=500.0), n=600)
     if drop is not None:
         t, l = np.delete(t, drop), np.delete(l, drop)
-    res = fit_spring_params(DisplacementTrace(t=t, l=l), guess)
+    if b_s:
+        monkeypatch.setattr(arm_module, "_recurrence_start",
+                            lambda t, l: (0.0, math.sqrt(300.0), math.sqrt(300.0)))
+    res = fit_spring_params(DisplacementTrace(t=t, l=l))
     assert res.converged
     assert abs(res.params.b_s - b_s) <= 1e-9 and abs(res.params.k_s - 500.0) <= 1e-8 * 500.0
 
 
-def test_fit_in_a_wrong_basin_is_not_converged(tmp_path, capsys):
-    """With its 301st sample dropped the README trace has no recurrence start, and from
-    the guess (20, 2e6) the search stops at b_s 92.06, k_s 1.98e6, whose residual is the
-    trace's own norm. MINPACK reports success there; the fit does not, and `foldquad fit`
-    exits 3. The 400 arm_identification fits of seeds 1-10 leave at most 0.028 of it."""
+def test_fit_that_explains_too_little_of_the_trace_is_not_converged(tmp_path, capsys):
+    """A fit counts as converged only if its residual is at most half the trace's norm. A
+    piecewise-linear trace that no damped response fits ends at 0.73 of its norm: MINPACK
+    reports success there; the fit does not, and `foldquad fit` exits 3. The 400
+    arm_identification fits of seeds 1-10 leave at most 0.028 of it."""
     from foldquad.cli import main as cli_main
-    t, l = _synthetic_trace(v0=1.0, n=600)
-    t, l = np.delete(t, 300), np.delete(l, 300)
-    res = fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=2e6))
-    assert abs(res.params.b_s - 92.06) <= 0.01 and abs(res.params.k_s - 1.98e6) <= 0.01e6
-    assert res.residual_norm > 0.5 * np.linalg.norm(l) and not res.converged
+    t = np.arange(600) * 1e-3
+    l = np.interp(t, [0.0, 0.1, 0.2, 0.3, 0.6], [0.0, 1.0, -1.0, 1.0, 0.0])
+    res = fit_spring_params(DisplacementTrace(t=t, l=l))
+    assert 0.5 * np.linalg.norm(l) < res.residual_norm < 0.8 * np.linalg.norm(l)
+    assert not res.converged
     trace_path = tmp_path / "trace.csv"
     np.savetxt(trace_path, np.column_stack([t, l]), delimiter=",")
-    assert cli_main(["fit", str(trace_path), "--guess-bs", "20", "--guess-ks", "2e6"]) == 3
+    assert cli_main(["fit", str(trace_path)]) == 3
     assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
-def _evaluate_twice_fit(trace, guess):
+def _evaluate_twice_fit(trace):
     """fit_spring_params's start and search with no shared evaluation: the residual calls
     analytic_response at the spring of each point, and the Jacobian calls it again.
     Returns the solution (sigma, omega_d, v0) and whether it converged, by the fit's rule:
@@ -660,8 +671,7 @@ def _evaluate_twice_fit(trace, guess):
 
     t = trace.t - trace.t[0]
     amp = float(np.max(np.abs(trace.l)))
-    sigma, omega_d, v0 = (_recurrence_start(t, trace.l)
-                          or (0.5 * guess.b_s, guess.omega_d, amp * guess.omega_d))
+    sigma, omega_d, v0 = _recurrence_start(t, trace.l)
 
     def response(x):
         s2, w2 = x[0] ** 2, x[2] ** 2
@@ -680,23 +690,18 @@ def _evaluate_twice_fit(trace, guess):
 
 @settings(deadline=None)
 @given(wn=st.floats(8.0, 40.0), zeta=st.floats(0.1, 0.9), v0=st.floats(0.2, 2.0),
-       noise=st.floats(0.0, 0.01), seed=st.integers(0, 2 ** 32 - 1),
-       b_factor=st.floats(0.3, 3.0), k_factor=st.floats(0.3, 3.0))
-def test_shared_evaluation_fit_matches_the_evaluate_twice_search(wn, zeta, v0, noise, seed,
-                                                                  b_factor, k_factor):
+       noise=st.floats(0.0, 0.01), seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_evaluation_fit_matches_the_evaluate_twice_search(wn, zeta, v0, noise, seed):
     """Sharing one evaluation between a point's residual and its Jacobian changes only
-    rounding: from a guess 0.3-3x each coefficient that is underdamped, on a trace with
-    0-1% noise, b_s, k_s and v0 agree with the evaluate-twice search to 1e-10 relative,
-    and so does convergence."""
+    rounding: on a trace with 0-1% noise, b_s, k_s and v0 agree with the evaluate-twice
+    search to 1e-10 relative, and so does convergence."""
     p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
-    guess = SpringParams(b_s=b_factor * p.b_s, k_s=k_factor * p.k_s)
-    assume(guess.is_underdamped)
     t = np.arange(0.0, 1.2 * 2.0 * np.pi / p.omega_d, 1e-3)
     l, _ = analytic_response(v0, p, t)
     l = l + noise * np.max(np.abs(l)) * np.random.default_rng(seed).standard_normal(len(t))
     trace = DisplacementTrace(t=t, l=l)
-    res = fit_spring_params(trace, guess)
-    x, converged = _evaluate_twice_fit(trace, guess)
+    res = fit_spring_params(trace)
+    x, converged = _evaluate_twice_fit(trace)
     want = SpringParams(2.0 * x[0], x[0] * x[0] + x[1] * x[1])
     assert res.converged == converged
     for got, ref in [(res.params.b_s, want.b_s), (res.params.k_s, want.k_s), (res.v0, x[2])]:
@@ -726,30 +731,7 @@ def test_response_jacobian_is_the_model_derivative(wn, zeta, v0):
 def test_fit_rejects_constant_trace():
     t = np.arange(50) * 1e-3
     with pytest.raises(ValueError):
-        fit_spring_params(DisplacementTrace(t=t, l=np.zeros(50)),
-                          SpringParams(b_s=20.0, k_s=300.0))
-
-
-@pytest.mark.parametrize("b_s, k_s", [(100.0, 300.0), (40.0, 400.0)])
-def test_fit_rejects_a_guess_that_is_not_underdamped(b_s, k_s):
-    """Such a guess has no damped frequency to start the search from; it is rejected
-    by name. (40, 400) is critically damped."""
-    t = np.arange(0.0, 0.6, 1e-3)
-    l, _ = analytic_response(1.0, SpringParams(b_s=30.0, k_s=500.0), t)
-    with pytest.raises(ValueError, match=f"b_s={b_s!r}, k_s={k_s!r} is not underdamped"):
-        fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=b_s, k_s=k_s))
-
-
-def test_fit_starts_from_a_guess_near_critical_damping():
-    """A guess with b_s^2 = 3.999 k_s is underdamped, so the fit starts there and
-    recovers the spring."""
-    t = np.arange(0.0, 0.6, 1e-3)
-    l, _ = analytic_response(1.0, SpringParams(b_s=30.0, k_s=500.0), t)
-    res = fit_spring_params(DisplacementTrace(t=t, l=l),
-                            SpringParams(b_s=math.sqrt(3.999 * 500.0), k_s=500.0))
-    assert res.converged
-    for got, want in [(res.params.b_s, 30.0), (res.params.k_s, 500.0), (res.v0, 1.0)]:
-        assert abs(got - want) <= 1e-8 * want
+        fit_spring_params(DisplacementTrace(t=t, l=np.zeros(50)))
 
 
 @pytest.mark.parametrize("noise", [0.01, 0.05])
@@ -761,7 +743,7 @@ def test_fit_of_an_overdamped_trace_reaches_critical_damping_and_raises(noise):
     l = (np.exp(slow * t) - np.exp(fast * t)) / (slow - fast)  # from l(0) = 0, l_dot(0) = 1
     l += noise * np.max(np.abs(l)) * np.random.default_rng(0).standard_normal(len(t))
     with pytest.raises(ValueError, match="the fit reached critical damping"):
-        fit_spring_params(DisplacementTrace(t=t, l=l), SpringParams(b_s=20.0, k_s=300.0))
+        fit_spring_params(DisplacementTrace(t=t, l=l))
 
 
 def test_fit_rejects_a_trace_whose_largest_deflection_is_negative():
@@ -769,39 +751,30 @@ def test_fit_rejects_a_trace_whose_largest_deflection_is_negative():
     fits as b_s 184, k_s 9874 and v0 7e-7, with its own norm as the residual, converged."""
     t, l = _synthetic_trace(v0=1.0, n=600)
     with pytest.raises(ValueError, match="largest deflection is negative"):
-        fit_spring_params(DisplacementTrace(t=t, l=-l), SpringParams(b_s=20.0, k_s=300.0))
+        fit_spring_params(DisplacementTrace(t=t, l=-l))
 
 
-@pytest.mark.parametrize("drop, guess, which, nyquist", [
-    (None, SpringParams(b_s=20.0, k_s=1e9), "guess", "3141.59"),
-    (300, SpringParams(b_s=1.0, k_s=0.25 + 1570.0 ** 2), "fitted", "1570.8"),
-], ids=["guess", "fit"])
-def test_fit_rejects_an_omega_d_at_or_above_the_nyquist_frequency(drop, guess, which, nyquist):
-    """At or above pi/dt, dt the largest sample spacing, a spring aliases onto the samples: a
-    search from the guess k_s 1e9 fits the README trace as k_s 9.88e8 (omega_d
-    16.58 + 5 * 2 pi/dt) with a 4e-14 residual, so such a guess is an error even where the
-    trace's recurrence gives the start. With one 2 ms gap the band ends at 1570.8 rad/s, and
-    a search from just below it ends above it."""
-    t, l = _synthetic_trace(v0=1.0, n=600)
-    if drop is not None:
-        t, l = np.delete(t, drop), np.delete(l, drop)
-    with pytest.raises(ValueError, match=rf"the {which} omega_d=[0-9.]+ rad/s is at or above "
-                                         rf"the trace's Nyquist frequency pi/dt={nyquist} rad/s"):
-        fit_spring_params(DisplacementTrace(t=t, l=l), guess)
+def test_fit_rejects_an_omega_d_at_or_above_the_nyquist_frequency():
+    """At or above pi/dt, dt the largest sample spacing, a spring aliases onto the samples: the
+    trace of b_s 20, k_s 100 + 2000^2 on a 1 ms grid with its 301st sample dropped fits
+    omega_d 2000, above the 1570.8 rad/s that its one 2 ms gap leaves."""
+    t, l = _synthetic_trace(v0=1.0, p=SpringParams(b_s=20.0, k_s=100.0 + 2000.0 ** 2), n=600)
+    t, l = np.delete(t, 300), np.delete(l, 300)
+    with pytest.raises(ValueError, match=r"the fitted omega_d=[0-9.]+ rad/s is at or above "
+                                         r"the trace's Nyquist frequency pi/dt=1570.8 rad/s"):
+        fit_spring_params(DisplacementTrace(t=t, l=l))
 
 
 def test_fit_rejects_monotone_trace():
     t = np.arange(50) * 1e-3
     with pytest.raises(ValueError):
-        fit_spring_params(DisplacementTrace(t=t, l=t * 0.1),
-                          SpringParams(b_s=20.0, k_s=300.0))
+        fit_spring_params(DisplacementTrace(t=t, l=t * 0.1))
 
 
 def test_fit_rejects_short_trace():
     t = np.arange(5) * 1e-3
     with pytest.raises(ValueError):
-        fit_spring_params(DisplacementTrace(t=t, l=np.sin(40 * t)),
-                          SpringParams(b_s=20.0, k_s=300.0))
+        fit_spring_params(DisplacementTrace(t=t, l=np.sin(40 * t)))
 
 
 def test_trace_csv_round_trip(tmp_path):

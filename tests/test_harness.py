@@ -601,36 +601,23 @@ def test_cli_fit(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["b_s"] - 30.0) / 30.0 < 0.01
     assert abs(out["k_s"] - 500.0) / 500.0 < 0.01
-    # b_s 15, k_s 100 with no guess, and with one sample dropped from a guess (20, 300), or
-    # from one flag alone, whose other half is the default spring's
+
+
+def test_cli_fit_of_a_trace_off_a_uniform_grid(tmp_path, capsys):
+    """b_s 15, k_s 100 on a uniform grid and with one sample dropped, and the README trace
+    with its 301st sample dropped. Off a uniform grid the start comes from the trace
+    resampled onto one; before, such a trace was an error without a guess."""
+    from foldquad.arm import analytic_response
+    trace_path = tmp_path / "trace.csv"
     t = np.arange(0.0, 0.6, 1e-3)
     l15, _ = analytic_response(1.0, SpringParams(b_s=15.0, k_s=100.0), t)
-    np.savetxt(trace_path, np.column_stack([t, l15]), delimiter=",")
-    assert cli_main(["fit", str(trace_path)]) == 0
-    assert abs(json.loads(capsys.readouterr().out)["b_s"] - 15.0) <= 0.15
-    np.savetxt(trace_path, np.delete(np.column_stack([t, l15]), 300, axis=0), delimiter=",")
-    for guess in (["--guess-bs", "20", "--guess-ks", "300"], ["--guess-ks", "300"]):
-        assert cli_main(["fit", str(trace_path), *guess]) == 0
+    for rows in (np.column_stack([t, l15]), np.delete(np.column_stack([t, l15]), 300, axis=0)):
+        np.savetxt(trace_path, rows, delimiter=",")
+        assert cli_main(["fit", str(trace_path)]) == 0
         assert abs(json.loads(capsys.readouterr().out)["b_s"] - 15.0) <= 0.15
-
-
-@pytest.mark.parametrize("flag, field", [("--guess-bs", "b_s"), ("--guess-ks", "k_s")])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_cli_fit_rejects_non_finite_guess(tmp_path, flag, field, value):
-    """A non-finite initial guess is a config error that names the field, raised
-    before scipy sees it: exit 1, no traceback, no RuntimeWarning."""
-    from foldquad.arm import analytic_response
-    t = np.arange(0, 0.35, 1e-3)
-    l, _ = analytic_response(1.4, SpringParams(), t)
-    trace_path = tmp_path / "trace.csv"
-    np.savetxt(trace_path, np.column_stack([t, l]), delimiter=",")
-    code = "import sys; from foldquad.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = {"PYTHONPATH": str(Path(foldquad.__file__).parents[1]), "PATH": ""}
-    out = subprocess.run([sys.executable, "-c", code, "fit", str(trace_path), flag, value],
-                         env=env, capture_output=True, text=True)
-    assert out.returncode == 1
-    assert out.stderr.startswith(f"error: {field} must be")
-    assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
+    assert cli_main(["fit", _trace_csv(tmp_path / "gap.csv", drop_row=300)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["b_s"] - 30.0) <= 1e-6 and abs(out["k_s"] - 500.0) <= 1e-6
 
 
 def test_cli_fit_rejects_a_malformed_first_row(tmp_path, capsys):
@@ -698,12 +685,13 @@ def test_cli_malformed_yaml_exit_code(tmp_path, capsys):
     assert err.startswith(f"error: {bad} is not valid YAML: ") and err.count("\n") == 1
 
 
-def _trace_csv(path, nan_first_row=False, scale=1.0, drop_row=None):
+def _trace_csv(path, nan_first_row=False, scale=1.0, drop_row=None, l=None):
     t = np.arange(0.0, 0.6, 1e-3)
-    rows = np.column_stack([t, scale * analytic_response(1.0, SpringParams(), t)[0]])
+    l = scale * analytic_response(1.0, SpringParams(), t)[0] if l is None else l(t)
+    rows = np.column_stack([t, l])
     if nan_first_row:
         rows[0] = np.nan  # t[0] too: a nan passes the strictly-increasing check
-    if drop_row is not None:  # off a uniform grid the fit has no start without a guess
+    if drop_row is not None:
         rows = np.delete(rows, drop_row, axis=0)
     np.savetxt(path, rows, delimiter=",", header="t,l", comments="")
     return str(path)
@@ -727,14 +715,12 @@ WALL_CONFIG = str(Path(__file__).parents[1] / "configs" / "wall_collision.yaml")
     lambda d: ["fit", _trace_csv(d / "zero.csv", scale=0.0)],
     lambda d: ["fit", _trace_csv(d / "negated.csv", scale=-1.0)],
     lambda d: ["fit", _trace_csv(d / "nan.csv", nan_first_row=True)],
-    lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "100", "--guess-ks", "300"],
-    lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "40", "--guess-ks", "400"],
-    lambda d: ["fit", _trace_csv(d / "trace.csv"), "--guess-bs", "20", "--guess-ks", "1e9"],
-    lambda d: ["fit", _trace_csv(d / "gap.csv", drop_row=300)],
+    # a damped pair whose v0 comes out negative, so the start needs the peak time, here 0
+    lambda d: ["fit", _trace_csv(d / "peak_first.csv",
+                                 l=lambda t: np.exp(-5.0 * t) * np.cos(100.0 * t + 0.3))],
 ], ids=["config_is_a_directory", "log_is_a_directory", "trace_is_a_directory",
         "out_dir_is_a_file", "override_without_equals", "missing_trace", "zero_trace",
-        "sign_flipped_trace", "nan_trace", "overdamped_guess", "critically_damped_guess",
-        "guess_above_nyquist", "non_uniform_trace_without_guess"])
+        "sign_flipped_trace", "nan_trace", "largest_sample_first"])
 def test_cli_failure_is_one_error_line(tmp_path, capfd, argv):
     """Exit 1 with one "error:" line and nothing on stdout: no traceback, no SystemExit
     out of main(), and for the nan trace no LAPACK lines (it is rejected before scipy)."""
