@@ -131,19 +131,19 @@ def _rotation_error(r, d):
             0.5 * ((d01 * r00 + d11 * r10 + d21 * r20) - (d00 * r01 + d10 * r11 + d20 * r21)))
 
 
-def attitude_moment(e_R, e_omega, omega, p: VehicleParams, cfg: ControllerConfig):
-    """Body moment tau = -k_R e_R - k_Omega e_Omega + Omega x J Omega, as a 3-tuple."""
-    (j00, j01, j02, j10, j11, j12, j20, j21, j22), (w0, w1, w2) = p.J_flat, omega
-    g0, g1, g2 = cross3(omega, (j00 * w0 + j01 * w1 + j02 * w2, j10 * w0 + j11 * w1 + j12 * w2,
-                                j20 * w0 + j21 * w1 + j22 * w2))
-    (e0, e1, e2), (o0, o1, o2), k_r, k_omega = e_R, e_omega, cfg.k_r, cfg.k_omega
-    return (-k_r * e0 - k_omega * o0 + g0, -k_r * e1 - k_omega * o1 + g1,
-            -k_r * e2 - k_omega * o2 + g2)
+def attitude_moment(e_R, omega, p: VehicleParams, cfg: ControllerConfig):
+    """Body moment tau = -k_R e_R - k_Omega Omega + Omega x J Omega, as a 3-tuple: no rate
+    feedforward, so the rate error is the body rate Omega."""
+    (j0, j1, j2), (w0, w1, w2) = p.J_moments, omega
+    g0, g1, g2 = cross3(omega, (j0 * w0, j1 * w1, j2 * w2))
+    (e0, e1, e2), k_r, k_omega = e_R, cfg.k_r, cfg.k_omega
+    return (-k_r * e0 - k_omega * w0 + g0, -k_r * e1 - k_omega * w1 + g1,
+            -k_r * e2 - k_omega * w2 + g2)
 
 
 def step_controller(s: BodyState, cs: ControllerState, cfg: ControllerConfig,
                     p: VehicleParams) -> ControlInput:
     """One attitude tick: the held thrust, and the moment that tracks the held R_d."""
     omega, R = s.y[10:], quaternion_to_rotation(s.y[6:10])
-    tau = attitude_moment(_rotation_error(R, cs.held_R_d), omega, omega, p, cfg)
+    tau = attitude_moment(_rotation_error(R, cs.held_R_d), omega, p, cfg)
     return ControlInput._trusted(cs.held_f, tau)

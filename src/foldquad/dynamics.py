@@ -67,7 +67,9 @@ def quaternion_to_rotation(q):
 
 @dataclass(frozen=True, eq=False)  # a generated == raises on numpy fields; compare to_dict()s
 class VehicleParams:
-    """Mass, inertia and geometry of the vehicle; frozen, and J read-only, so J_inv holds."""
+    """Mass, inertia and geometry of the vehicle. The body axes are principal axes, so J is
+    diagonal: its three positive moments are also kept as floats, `J_moments`, with their
+    reciprocals, `J_inv_moments`. Frozen, and J read-only, so the three agree."""
 
     m: float = 1.112
     J: np.ndarray = field(default_factory=lambda: np.diag([0.0034, 0.0034, 0.0053]))
@@ -76,19 +78,18 @@ class VehicleParams:
 
     def __post_init__(self):
         J = np.array(self.J, dtype=float).reshape(3, 3)
+        moments = tuple(np.diag(J).tolist())
         if self.m <= 0:
             raise ValueError("mass must be positive")
-        if np.max(np.abs(J - J.T)) > 1e-12 or np.any(np.linalg.eigvalsh(J) <= 0):
-            raise ValueError("inertia must be symmetric positive-definite")
+        if np.any(J[~np.eye(3, dtype=bool)] != 0.0) or not all(0.0 < j < math.inf for j in moments):
+            raise ValueError(f"inertia must be three positive principal moments (a diagonal J), "
+                             f"not {J.tolist()}")
         if not self.r_contact > 0:
             raise ValueError("contact radius must be positive")
-        J_inv = np.linalg.inv(J)
-        J.flags.writeable = J_inv.flags.writeable = False
-        for name, M in (("J", J), ("J_inv", J_inv)):  # *_flat: plain floats for the EOM
-            flat = tuple(M.ravel().tolist())  # *_moments: the diagonal, if all else is +-0.0
-            moments = flat[::4] if np.count_nonzero(M) == 3 else None  # SPD: a nonzero diagonal
-            for key, value in ((name, M), (f"{name}_flat", flat), (f"{name}_moments", moments)):
-                object.__setattr__(self, key, value)  # not vars(self).update: it slows reads
+        J.flags.writeable = False
+        for key, value in (("J", J), ("J_moments", moments),
+                           ("J_inv_moments", tuple(1.0 / j for j in moments))):
+            object.__setattr__(self, key, value)  # not vars(self).update: it slows reads
 
 
 @dataclass
@@ -163,88 +164,52 @@ class BodyState:
         return s
 
 
-def _deriv(qw, qx, qy, qz, w0, w1, w2, a, g, tau, J, J_inv):
-    """The equations of motion on scalars: (vdot, qdot, omegadot) as 10 floats at attitude q,
-    rate omega, thrust acceleration a = f/m, gravity g, moment tau, row-major J and J^-1.
-    vdot = g e3 - a R(q) e3 and qdot = q (x) (0, omega) / 2; a stage off the sphere is fine."""
-    j00, j01, j02, j10, j11, j12, j20, j21, j22 = J
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = J_inv
-    h0 = j00 * w0 + j01 * w1 + j02 * w2  # J omega
-    h1 = j10 * w0 + j11 * w1 + j12 * w2
-    h2 = j20 * w0 + j21 * w1 + j22 * w2
-    t0 = tau[0] - (w1 * h2 - w2 * h1)  # tau - omega x J omega
-    t1 = tau[1] - (w2 * h0 - w0 * h2)
-    t2 = tau[2] - (w0 * h1 - w1 * h0)
-    a2 = 2.0 * a
-    return (-a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
-            g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
-            -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1),
-            0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0),
-            i00 * t0 + i01 * t1 + i02 * t2, i10 * t0 + i11 * t1 + i12 * t2,
-            i20 * t0 + i21 * t1 + i22 * t2)
-
-
 def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -> BodyState:
     """One classical RK4 step on named scalars, then the quaternion rescaled to unit norm.
-    Stages a, b, c, d hold (vdot, qdot, omegadot); a stage's xdot is its v. In principal axes
-    they state _deriv in place on the diagonals of J and J^-1, minus its products with a zero
-    entry: only the sign of a zero omegadot can differ, which omega + h omegadot loses unless
-    omega has a -0.0 component; such a rate, or products of inertia, step through _deriv.
-    Identical inputs give bit-identical outputs: finite, unit q, w >= 0, or StateBlowUpError."""
+    Stages a, b, c, d hold (vdot, qdot, omegadot) at attitude q and body rate omega, in the
+    principal axes: vdot = g e3 - (f/m) R(q) e3, qdot = q (x) (0, omega) / 2 and
+    omegadot_k = (tau - omega x J omega)_k (1/J_k); a stage's xdot is its v, and a stage
+    off the unit sphere is fine. Identical inputs give bit-identical outputs: finite,
+    unit q, w >= 0, or StateBlowUpError."""
     if not (0.0 < dt <= MAX_DT):
         raise ValueError(f"dt must be in (0, {MAX_DT:g}] s")
     x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s.y
-    acc, g, tau, h, k = u.f / p.m, p.g, u.tau, 0.5 * dt, dt / 6.0
-    J, Ji = p.J_moments, p.J_inv_moments
-    if (J and Ji and (w0 or math.copysign(1.0, w0) > 0.0)
-            and (w1 or math.copysign(1.0, w1) > 0.0) and (w2 or math.copysign(1.0, w2) > 0.0)):
-        (j0, j1, j2), (i0, i1, i2), (t0, t1, t2), a2 = J, Ji, tau, 2.0 * acc
-        m0, m1, m2 = j0 * w0, j1 * w1, j2 * w2  # J omega; then vdot, qdot and omegadot
-        av0, av1 = -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx)
-        av2 = g - acc * ((qw * qw + qz * qz) - (qx * qx + qy * qy))
-        aqw, aqx = -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1)
-        aqy, aqz = 0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0)
-        aw0, aw1, aw2 = (i0 * (t0 - (w1 * m2 - w2 * m1)), i1 * (t1 - (w2 * m0 - w0 * m2)),
-                         i2 * (t2 - (w0 * m1 - w1 * m0)))
-        pw, px, py, pz = qw + h * aqw, qx + h * aqx, qy + h * aqy, qz + h * aqz
-        r0, r1, r2 = w0 + h * aw0, w1 + h * aw1, w2 + h * aw2
-        m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
-        bv0, bv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
-        bv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
-        bqw, bqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
-        bqy, bqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
-        bw0, bw1, bw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
-                         i2 * (t2 - (r0 * m1 - r1 * m0)))
-        pw, px, py, pz = qw + h * bqw, qx + h * bqx, qy + h * bqy, qz + h * bqz
-        r0, r1, r2 = w0 + h * bw0, w1 + h * bw1, w2 + h * bw2
-        m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
-        cv0, cv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
-        cv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
-        cqw, cqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
-        cqy, cqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
-        cw0, cw1, cw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
-                         i2 * (t2 - (r0 * m1 - r1 * m0)))
-        pw, px, py, pz = qw + dt * cqw, qx + dt * cqx, qy + dt * cqy, qz + dt * cqz
-        r0, r1, r2 = w0 + dt * cw0, w1 + dt * cw1, w2 + dt * cw2
-        m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
-        dv0, dv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
-        dv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
-        dqw, dqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
-        dqy, dqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
-        dw0, dw1, dw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
-                         i2 * (t2 - (r0 * m1 - r1 * m0)))
-    else:  # products of inertia, or a -0.0 rate: the general statement
-        av0, av1, av2, aqw, aqx, aqy, aqz, aw0, aw1, aw2 = _deriv(
-            qw, qx, qy, qz, w0, w1, w2, acc, g, tau, p.J_flat, p.J_inv_flat)
-        bv0, bv1, bv2, bqw, bqx, bqy, bqz, bw0, bw1, bw2 = _deriv(
-            qw + h * aqw, qx + h * aqx, qy + h * aqy, qz + h * aqz,
-            w0 + h * aw0, w1 + h * aw1, w2 + h * aw2, acc, g, tau, p.J_flat, p.J_inv_flat)
-        cv0, cv1, cv2, cqw, cqx, cqy, cqz, cw0, cw1, cw2 = _deriv(
-            qw + h * bqw, qx + h * bqx, qy + h * bqy, qz + h * bqz,
-            w0 + h * bw0, w1 + h * bw1, w2 + h * bw2, acc, g, tau, p.J_flat, p.J_inv_flat)
-        dv0, dv1, dv2, dqw, dqx, dqy, dqz, dw0, dw1, dw2 = _deriv(
-            qw + dt * cqw, qx + dt * cqx, qy + dt * cqy, qz + dt * cqz,
-            w0 + dt * cw0, w1 + dt * cw1, w2 + dt * cw2, acc, g, tau, p.J_flat, p.J_inv_flat)
+    acc, g, (t0, t1, t2), h, k = u.f / p.m, p.g, u.tau, 0.5 * dt, dt / 6.0
+    (j0, j1, j2), (i0, i1, i2), a2 = p.J_moments, p.J_inv_moments, 2.0 * acc
+    m0, m1, m2 = j0 * w0, j1 * w1, j2 * w2  # J omega; then vdot, qdot and omegadot
+    av0, av1 = -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx)
+    av2 = g - acc * ((qw * qw + qz * qz) - (qx * qx + qy * qy))
+    aqw, aqx = -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1)
+    aqy, aqz = 0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0)
+    aw0, aw1, aw2 = (i0 * (t0 - (w1 * m2 - w2 * m1)), i1 * (t1 - (w2 * m0 - w0 * m2)),
+                     i2 * (t2 - (w0 * m1 - w1 * m0)))
+    pw, px, py, pz = qw + h * aqw, qx + h * aqx, qy + h * aqy, qz + h * aqz
+    r0, r1, r2 = w0 + h * aw0, w1 + h * aw1, w2 + h * aw2
+    m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
+    bv0, bv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
+    bv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
+    bqw, bqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
+    bqy, bqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
+    bw0, bw1, bw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
+                     i2 * (t2 - (r0 * m1 - r1 * m0)))
+    pw, px, py, pz = qw + h * bqw, qx + h * bqx, qy + h * bqy, qz + h * bqz
+    r0, r1, r2 = w0 + h * bw0, w1 + h * bw1, w2 + h * bw2
+    m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
+    cv0, cv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
+    cv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
+    cqw, cqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
+    cqy, cqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
+    cw0, cw1, cw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
+                     i2 * (t2 - (r0 * m1 - r1 * m0)))
+    pw, px, py, pz = qw + dt * cqw, qx + dt * cqx, qy + dt * cqy, qz + dt * cqz
+    r0, r1, r2 = w0 + dt * cw0, w1 + dt * cw1, w2 + dt * cw2
+    m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
+    dv0, dv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
+    dv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
+    dqw, dqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
+    dqy, dqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
+    dw0, dw1, dw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
+                     i2 * (t2 - (r0 * m1 - r1 * m0)))
     x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y = (
         x0 + k * (v0 + 2.0 * (v0 + h * av0) + 2.0 * (v0 + h * bv0) + (v0 + dt * cv0)),
         x1 + k * (v1 + 2.0 * (v1 + h * av1) + 2.0 * (v1 + h * bv1) + (v1 + dt * cv1)),

@@ -41,7 +41,7 @@ _MODES = {"foldable": Foldable, "rigid": Rigid}
 
 
 def _plain(value):
-    """A float, or a list of floats (row lists for a matrix), for YAML."""
+    """A float, or a list of floats, for YAML."""
     return np.asarray(value, dtype=float).tolist()
 
 
@@ -90,7 +90,7 @@ class ScenarioConfig:
     def to_dict(self):
         d = {key: _plain(getattr(getattr(self, part) if part else self, name))
              for key, (part, name) in _KEYS.items()}
-        d["inertia"] = _plain(self.vehicle.J_moments or self.vehicle.J)
+        d["inertia"] = _plain(self.vehicle.J_moments)
         d["contact_mode"] = "rigid" if isinstance(self.mode, Rigid) else "foldable"
         d["wall_normal"] = _plain(self.wall.normal) if self.wall else None
         d["wall_offset"] = _plain(self.wall.offset) if self.wall else None
@@ -111,15 +111,14 @@ class ScenarioConfig:
         has_wall = d["wall_normal"] is not None
         for key in (*_KEYS, "inertia", *(("wall_normal", "wall_offset") if has_wall else ())):
             value = np.asarray(d[key])
-            shaped = value.shape in ({(3,), (3, 3)} if key == "inertia" else {np.shape(base[key])})
-            if value.dtype.kind not in "iuf" or not shaped or not np.isfinite(value).all():
+            if (value.dtype.kind not in "iuf" or value.shape != np.shape(base[key])
+                    or not np.isfinite(value).all()):
                 raise ValueError(f"{key} must be a number or a list of numbers shaped like "
                                  f"the default {base[key]!r}, all finite, not {d[key]!r}")
         kwargs = {part: {} for part in (*_PARTS, None)}
         for key, (part, name) in _KEYS.items():
             kwargs[part][name] = d[key]
-        J = np.asarray(d["inertia"], dtype=float)
-        kwargs["vehicle"]["J"] = np.diag(J) if J.shape == (3,) else J
+        kwargs["vehicle"]["J"] = np.diag(np.asarray(d["inertia"], dtype=float))
         wall = Wall(normal=d["wall_normal"], offset=d["wall_offset"]) if has_wall else None
         return cls(**{part: make(**kwargs[part]) for part, make in _PARTS.items()},
                    mode=mode(), wall=wall, **kwargs[None])

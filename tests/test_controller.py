@@ -177,19 +177,20 @@ def test_attitude_error_zero_iff_equal():
 
 
 def test_attitude_moment_zero_case():
-    tau = attitude_moment(np.zeros(3), np.zeros(3), np.zeros(3), P, CFG)
+    tau = attitude_moment(np.zeros(3), np.zeros(3), P, CFG)
     assert np.allclose(tau, 0, atol=1e-15)
 
 
 def test_attitude_moment_gyroscopic_vanishes_on_principal_axis():
+    """About a principal axis Omega x J Omega is zero: only the rate damping is left."""
     om = np.array([1.0, 0.0, 0.0])
-    tau = attitude_moment(np.zeros(3), np.zeros(3), om, P, CFG)
-    assert np.allclose(tau, 0, atol=1e-15)
+    tau = attitude_moment(np.zeros(3), om, P, CFG)
+    assert np.allclose(tau, -CFG.k_omega * om, atol=1e-15)
 
 
 def test_attitude_moment_proportional_term():
     cfg = ControllerConfig(k_r=2.0, k_omega=0.25)
-    tau = attitude_moment(np.array([0.1, 0.0, 0.0]), np.zeros(3), np.zeros(3), P, cfg)
+    tau = attitude_moment(np.array([0.1, 0.0, 0.0]), np.zeros(3), P, cfg)
     assert np.allclose(tau, [-0.2, 0.0, 0.0], atol=1e-15)
 
 
@@ -241,7 +242,7 @@ def test_closed_loop_attitude_convergence_from_30_deg():
     norms = []
     while t < 2.0:
         if t >= next_att - 1e-12:
-            tau = attitude_moment(rotation_error(s.R, R_d), s.omega, s.omega, P, CFG)
+            tau = attitude_moment(rotation_error(s.R, R_d), s.omega, P, CFG)
             u = ControlInput(f=P.m * P.g, tau=tau)
             next_att += 1.0 / CFG.attitude_rate
         s = integrate_step(s, u, P, 1e-3)

@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from foldquad import dynamics
 from foldquad.arm import SpringParams, _transition
 from foldquad.collision import Wall, contact_constrained_step
 from foldquad.dynamics import (_ROT_ORTHO_TOL, BodyState, ControlInput, StateBlowUpError,
-                               VehicleParams, _deriv, integrate_step,
+                               VehicleParams, integrate_step,
                                quaternion_to_rotation, rotation_to_quaternion)
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -24,10 +23,24 @@ def hat(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def full_deriv(y, a, tau, p):
-    """(xdot, vdot, qdot, omegadot) of the 13 state floats as a list: xdot = v, then
-    the 10 floats of _deriv on J and J^-1."""
-    return [*y[3:6], *_deriv(*y[6:], a, p.g, tau, p.J_flat, p.J_inv_flat)]
+def reference_deriv(y, a, tau, p):
+    """Equations of motion on the flat state y = (x, v, q, omega) as a list of 13 floats
+    (xdot = v, vdot, qdot, omegadot), for thrust acceleration a = f/m, moment tau and the
+    principal moments of J: vdot uses R(q) @ e3, the third column of R, and
+    qdot = q (x) (0, omega) / 2. RK stages may leave the unit sphere or be non-finite;
+    the step checks and normalizes its result."""
+    _, _, _, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y
+    (j0, j1, j2), (i0, i1, i2) = p.J_moments, p.J_inv_moments
+    h0, h1, h2 = j0 * w0, j1 * w1, j2 * w2  # J omega
+    t0 = tau[0] - (w1 * h2 - w2 * h1)  # tau - omega x J omega
+    t1 = tau[1] - (w2 * h0 - w0 * h2)
+    t2 = tau[2] - (w0 * h1 - w1 * h0)
+    a2 = 2.0 * a
+    return [v0, v1, v2, -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
+            p.g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
+            -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1),
+            0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0),
+            i0 * t0, i1 * t1, i2 * t2]
 
 
 def random_rotation(rng):
@@ -123,7 +136,7 @@ def test_negated_quaternion_gives_bit_identical_step():
                       omega=rng.normal(size=3))
         neg = BodyState._trusted((*s.y[:6], *(-c for c in s.y[6:10]), *s.y[10:]))
         u = ControlInput(f=12.0, tau=rng.normal(scale=0.01, size=3))
-        d, d_neg = full_deriv(s.y, u.f / p.m, u.tau, p), full_deriv(neg.y, u.f / p.m, u.tau, p)
+        d, d_neg = (reference_deriv(y, u.f / p.m, u.tau, p) for y in (s.y, neg.y))
         assert d_neg[:6] == d[:6] and d_neg[10:] == d[10:]
         assert d_neg[6:10] == [-c for c in d[6:10]]
         assert integrate_step(neg, u, p, 1e-3).y == integrate_step(s, u, p, 1e-3).y
@@ -165,8 +178,20 @@ def test_vehicle_params_defaults():
 
 
 def test_vehicle_params_rejects_bad_inertia():
-    with pytest.raises(ValueError):
-        VehicleParams(J=np.diag([1.0, -1.0, 1.0]))
+    """Inertia is three positive principal moments: a moment that is not positive, or any
+    off-diagonal entry but 0.0 and -0.0 (a product of inertia, or NaN), is refused."""
+    product = np.diag([0.0034, 0.0034, 0.0053])
+    product[0, 1] = product[1, 0] = 1e-4
+    nan = np.diag([0.0034, 0.0034, 0.0053])
+    nan[2, 0] = np.nan
+    for J in (np.diag([1.0, -1.0, 1.0]), np.diag([1.0, np.nan, 1.0]), product, nan):
+        with pytest.raises(ValueError, match="inertia must be three positive principal moments"):
+            VehicleParams(J=J)
+    signed_zeros = np.diag([0.0034, 0.0034, 0.0053])
+    signed_zeros[0, 2] = signed_zeros[2, 1] = -0.0
+    p = VehicleParams(J=signed_zeros)
+    assert p.J_moments == (0.0034, 0.0034, 0.0053)
+    assert p.J_inv_moments == tuple(1.0 / j for j in p.J_moments)
 
 
 def test_control_input_rejects_negative_thrust():
@@ -238,19 +263,18 @@ def test_constructor_round_trip_is_bit_identical():
 # -- equations of motion -----------------------------------------------------
 
 def derivative(s, u, p):
-    """(xdot, vdot, qdot, omegadot) of the state under _deriv, as arrays."""
-    d = np.array(full_deriv(s.y, u.f / p.m, u.tau, p))
+    """(xdot, vdot, qdot, omegadot) of the state under reference_deriv, as arrays."""
+    d = np.array(reference_deriv(s.y, u.f / p.m, u.tau, p))
     return d[:3], d[3:6], d[6:10], d[10:]
 
 
 def step_rate(s, u, p, dt=1e-3):
-    """The same four rates as the state's change over one integrate_step, divided by dt. The
-    default vehicle's J is diagonal, so the step takes its principal stages, not _deriv."""
+    """The same four rates as the state's change over one integrate_step, divided by dt."""
     d = (np.array(integrate_step(s, u, p, dt).y) - np.array(s.y)) / dt
     return d[:3], d[3:6], d[6:10], d[10:]
 
 
-STATEMENTS = (derivative, step_rate)  # the general statement, and the principal stages
+STATEMENTS = (derivative, step_rate)  # the list oracle, and the step's own stages
 
 
 def test_hover_equilibrium_derivative():
@@ -280,26 +304,6 @@ def test_pure_yaw_moment_derivative():
     for deriv in STATEMENTS:
         _, _, _, omegadot = deriv(s, u, p)
         assert np.allclose(omegadot, [0.0, 0.0, 0.01 / 0.0053], atol=1e-12)
-
-
-def test_principal_statement_is_taken_where_it_is_exact(monkeypatch):
-    """A diagonal J steps through the principal stages, with no _deriv call. A product of
-    inertia, or a body rate with a -0.0 component, calls _deriv at all four stages."""
-    calls = []
-    monkeypatch.setattr(dynamics, "_deriv", lambda *args, f=_deriv: calls.append(1) or f(*args))
-
-    def stages(s, p):
-        calls.clear()
-        integrate_step(s, ControlInput(f=12.0, tau=(0.0, 0.001, 0.0)), p, 1e-3)
-        return len(calls)
-
-    hover = BodyState.hover(np.zeros(3))
-    J = np.diag([0.0034, 0.0034, 0.0053])
-    J[0, 1] = J[1, 0] = 1e-4
-    assert stages(hover, VehicleParams()) == 0
-    assert stages(hover, VehicleParams(J=J)) == 4
-    tumbling = BodyState._trusted((*hover.y[:10], -0.0, 1.0, 0.0))
-    assert stages(tumbling, VehicleParams()) == 4
 
 
 # -- integrate_step ----------------------------------------------------------
@@ -376,37 +380,11 @@ def test_rk4_matches_euler_substeps():
             acc = p.g * E3 - (u.f / p.m) * (R @ E3)
             x, v = x + h * v, v + h * acc
             R = R + h * (R @ hat(om))
-            om = om + h * (p.J_inv @ (u.tau - np.cross(om, p.J @ om)))
+            om = om + h * np.linalg.solve(p.J, u.tau - np.cross(om, p.J @ om))
         err = max(np.max(np.abs(out.x - x)), np.max(np.abs(out.v - v)),
                   np.max(np.abs(out.R - R)), np.max(np.abs(out.omega - om)))
         assert err < 1e-6
 
-
-
-def test_rk4_matches_euler_substeps_full_inertia():
-    """The Euler sub-step oracle with a symmetric positive-definite J that has
-    off-diagonal terms, so a diagonal-only shortcut in the dynamics fails."""
-    J = np.array([[0.0034, 0.0004, -0.0003],
-                  [0.0004, 0.0036, 0.0005],
-                  [-0.0003, 0.0005, 0.0053]])
-    p = VehicleParams(J=J)
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        s = BodyState(x=rng.normal(size=3), v=rng.normal(size=3),
-                      R=random_rotation(rng), omega=rng.normal(size=3))
-        u = ControlInput(f=abs(rng.normal()) * 10.0, tau=rng.normal(size=3) * 0.01)
-        dt = 1e-3
-        out = integrate_step(s, u, p, dt)
-        x, v, R, om = s.x.copy(), s.v.copy(), s.R.copy(), s.omega.copy()
-        h = dt / 100
-        for _ in range(100):
-            acc = p.g * E3 - (u.f / p.m) * (R @ E3)
-            x, v = x + h * v, v + h * acc
-            R = R + h * (R @ hat(om))
-            om = om + h * np.linalg.solve(J, u.tau - np.cross(om, J @ om))
-        err = max(np.max(np.abs(out.x - x)), np.max(np.abs(out.v - v)),
-                  np.max(np.abs(out.R - R)), np.max(np.abs(out.omega - om)))
-        assert err < 1e-6
 
 def test_orthonormality_every_step():
     p = VehicleParams()
@@ -444,29 +422,6 @@ def test_blow_up_detected():
 
 # -- the scalar stages against the list-based step, bit for bit -----------------------
 
-def reference_deriv(y, a, tau, p):
-    """Equations of motion on the flat state y = (x, v, q, omega) as floats, for
-    thrust acceleration a = f/m and moment tau: vdot uses R(q) @ e3, the third
-    column of R, and qdot = q (x) (0, omega) / 2. RK stages may leave the unit
-    sphere or be non-finite; the step checks and normalizes its result."""
-    _, _, _, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y
-    j00, j01, j02, j10, j11, j12, j20, j21, j22 = p.J_flat
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = p.J_inv_flat
-    h0 = j00 * w0 + j01 * w1 + j02 * w2  # J omega
-    h1 = j10 * w0 + j11 * w1 + j12 * w2
-    h2 = j20 * w0 + j21 * w1 + j22 * w2
-    t0 = tau[0] - (w1 * h2 - w2 * h1)  # tau - omega x J omega
-    t1 = tau[1] - (w2 * h0 - w0 * h2)
-    t2 = tau[2] - (w0 * h1 - w1 * h0)
-    a2 = 2.0 * a
-    return [v0, v1, v2, -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
-            p.g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
-            -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1),
-            0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0),
-            i00 * t0 + i01 * t1 + i02 * t2, i10 * t0 + i11 * t1 + i12 * t2,
-            i20 * t0 + i21 * t1 + i22 * t2]
-
-
 def reference_step(s, u, p, dt):
     """The staged RK4 over one list of 13 floats that the scalar step replaced,
     returning the new state's 13-tuple."""
@@ -498,11 +453,10 @@ def signed(bound):
 
 @st.composite
 def bit_cases(draw):
-    """A state with a unit q (w of either sign), a control, a symmetric positive-definite
-    J, and dt in (0, 0.01]. The body rate is free, huge enough to overflow, or turns
-    0.40 to 0.52 rad in one step about a random axis, across the 0.46 rad norm guard.
-    J has products of inertia, or in a third of the cases principal axes, each product
-    0.0 or -0.0, which integrate_step steps through its principal stages."""
+    """A state with a unit q (w of either sign), a control, a diagonal J, and dt in
+    (0, 0.01]. The body rate is free, huge enough to overflow, or turns 0.40 to 0.52 rad
+    in one step about a random axis, across the 0.46 rad norm guard. Each off-diagonal
+    entry of J is 0.0 or -0.0."""
     dt = draw(st.floats(0.0, 0.01, exclude_min=True))
     q = draw(st.lists(signed(1.0), min_size=4, max_size=4).filter(
         lambda c: math.fsum(x * x for x in c) > 0.01))
@@ -518,13 +472,8 @@ def bit_cases(draw):
     y = (*draw(st.lists(signed(100.0), min_size=6, max_size=6)), *(x / n for x in q), *w)
     moments = draw(st.lists(st.floats(1e-4, 1e-1), min_size=3, max_size=3))
     J = np.diag(moments)
-    if draw(st.integers(0, 2)) == 0:
-        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-            J[i, j] = draw(st.sampled_from([0.0, -0.0]))
-    else:
-        for (i, j), f in zip(((0, 1), (0, 2), (1, 2)), draw(st.lists(st.floats(-0.3, 0.3),
-                                                                      min_size=3, max_size=3))):
-            J[i, j] = J[j, i] = f * min(moments[i], moments[j])  # diagonally dominant, so SPD
+    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        J[i, j] = draw(st.sampled_from([0.0, -0.0]))
     u = ControlInput._trusted(draw(st.floats(0.0, 1e3)),
                               tuple(draw(st.lists(signed(10.0), min_size=3, max_size=3))))
     return BodyState._trusted(y), u, VehicleParams(m=draw(st.floats(0.1, 10.0)), J=J), dt
@@ -545,6 +494,5 @@ def outcome(step, case):
           VehicleParams(m=1.0, J=0.0625 * np.eye(3)), 0.0078125))  # -0.0 rate, diagonal J
 def test_scalar_step_is_bit_identical_to_list_step(case):
     """The scalar stages change no float operation: the same bits, -0.0 kept apart
-    from 0.0, or the same StateBlowUpError with the same message. With a diagonal J,
-    the principal statement may drop products with zero only where that is exact."""
+    from 0.0, or the same StateBlowUpError with the same message."""
     assert outcome(lambda *c: integrate_step(*c).y, case) == outcome(reference_step, case)

@@ -133,10 +133,13 @@ def test_cli_rejects_non_finite_value(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("override", ["inertia=[0.003,0.004]", "inertia=[1,0,0,0,1,0,0,0,1]",
-                                      "inertia=[[1,0],[0,1]]", "start_position=[0,0]"])
+                                      "inertia=[[1,0],[0,1]]", "start_position=[0,0]",
+                                      "inertia=[[0.0034,1e-4,0],[1e-4,0.0034,0],[0,0,0.0053]]",
+                                      "inertia=[[0.0034,0,0],[0,0.0034,0],[0,0,0.0053]]"])
 def test_cli_rejects_a_misshapen_value(tmp_path, capsys, override):
-    """inertia is 3 moments or a 3x3 J; any other shape gets the error every key gets,
-    naming the key, and not numpy's reshape error."""
+    """inertia is the 3 principal moments, so 3x3 rows, with a product of inertia or
+    without, are refused; any other shape gets the error every key gets, naming the key,
+    and not numpy's reshape error."""
     cfg_path = tmp_path / "wall.yaml"
     ScenarioConfig(duration=0.1).save(cfg_path)
     rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
@@ -179,8 +182,8 @@ def test_import_does_not_load_scipy_or_yaml():
                                   lambda: ScenarioConfig().with_mode(Rigid())],
                          ids=["constructed", "from_dict", "with_mode"])
 def test_config_vehicle_and_wall_are_frozen(make):
-    """The run reads J and the wall normal through copies made at construction (J_flat,
-    J_inv, normal_flat), so neither may change afterwards, by reassignment or in place.
+    """The run reads J and the wall normal through copies made at construction (J_moments,
+    J_inv_moments, normal_flat), so neither may change afterwards, by reassignment or in place.
     The spring and the controller, checked against the rest at construction, are frozen too."""
     cfg = make()
     for part, name in [(cfg.spring, "k_s"), (cfg.controller, "k_p"), (cfg.vehicle, "m")]:
@@ -208,11 +211,7 @@ def test_configs_compare_by_identity_and_hash():
     assert ScenarioConfig().to_dict() == ScenarioConfig().to_dict()
 
 
-def test_config_inertia_as_moments_or_rows():
-    rows = [[0.0034, 1e-4, 0.0], [1e-4, 0.0034, 2e-5], [0.0, 2e-5, 0.0053]]
-    cfg = ScenarioConfig.from_dict({"inertia": rows})
-    assert np.array_equal(cfg.vehicle.J, rows)
-    assert cfg.to_dict()["inertia"] == rows
+def test_config_inertia_round_trips_as_moments():
     moments = ScenarioConfig.from_dict({"inertia": [0.004, 0.005, 0.006]})
     assert np.array_equal(moments.vehicle.J, np.diag([0.004, 0.005, 0.006]))
     assert moments.to_dict()["inertia"] == [0.004, 0.005, 0.006]
