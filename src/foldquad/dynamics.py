@@ -167,64 +167,64 @@ class BodyState:
 def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -> BodyState:
     """One classical RK4 step on named scalars, then the quaternion rescaled to unit norm.
     Stages a, b, c, d hold (vdot, qdot, omegadot) at attitude q and body rate omega, in the
-    principal axes: vdot = g e3 - (f/m) R(q) e3, qdot = q (x) (0, omega) / 2 and
-    omegadot_k = (tau - omega x J omega)_k (1/J_k); a stage's xdot is its v, and a stage
-    off the unit sphere is fine. Identical inputs give bit-identical outputs: finite,
-    unit q, w >= 0, or StateBlowUpError."""
+    principal axes: vdot = g e3 - (f/m) R(q) e3, qdot = q (x) (0, omega) / 2 and Euler's
+    equations in coefficient form, omegadot_k = tau_k/J_k + g_k omega_{k+1} omega_{k+2},
+    g_k = (J_{k+1} - J_{k+2})/J_k. tau/J, the g_k, -2f/m and the step sizes h/2, dt/2 (= h)
+    and k/2, which carry qdot's 1/2 and its w entry's minus, are computed once per step.
+    xdot is v, so x takes RK4's closed form x + (dt v + (dt^2/6)(a + b + c)); the rest are
+    weighted (a + d) + 2(b + c). A stage off the unit sphere is fine. Identical inputs give
+    bit-identical outputs: finite, unit q, w >= 0, or StateBlowUpError."""
     if not (0.0 < dt <= MAX_DT):
         raise ValueError(f"dt must be in (0, {MAX_DT:g}] s")
     x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s.y
-    acc, g, (t0, t1, t2), h, k = u.f / p.m, p.g, u.tau, 0.5 * dt, dt / 6.0
-    (j0, j1, j2), (i0, i1, i2), a2 = p.J_moments, p.J_inv_moments, 2.0 * acc
-    m0, m1, m2 = j0 * w0, j1 * w1, j2 * w2  # J omega; then vdot, qdot and omegadot
-    av0, av1 = -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx)
+    (j0, j1, j2), (i0, i1, i2), (t0, t1, t2) = p.J_moments, p.J_inv_moments, u.tau
+    acc, g, h, k = u.f / p.m, p.g, 0.5 * dt, dt / 6.0
+    a2, hh, kh, kk = -2.0 * acc, 0.5 * h, 0.5 * k, dt * k
+    e0, e1, e2 = t0 * i0, t1 * i1, t2 * i2  # tau/J, and Euler's coefficients g_k
+    g0, g1, g2 = (j1 - j2) * i0, (j2 - j0) * i1, (j0 - j1) * i2
+    av0, av1 = a2 * (qx * qz + qw * qy), a2 * (qy * qz - qw * qx)
     av2 = g - acc * ((qw * qw + qz * qz) - (qx * qx + qy * qy))
-    aqw, aqx = -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1)
-    aqy, aqz = 0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0)
-    aw0, aw1, aw2 = (i0 * (t0 - (w1 * m2 - w2 * m1)), i1 * (t1 - (w2 * m0 - w0 * m2)),
-                     i2 * (t2 - (w0 * m1 - w1 * m0)))
-    pw, px, py, pz = qw + h * aqw, qx + h * aqx, qy + h * aqy, qz + h * aqz
+    aqw, aqx = qx * w0 + qy * w1 + qz * w2, qw * w0 + qy * w2 - qz * w1  # 2 qdot, w negated
+    aqy, aqz = qw * w1 + qz * w0 - qx * w2, qw * w2 + qx * w1 - qy * w0
+    aw0, aw1, aw2 = e0 + g0 * (w1 * w2), e1 + g1 * (w2 * w0), e2 + g2 * (w0 * w1)
+    pw, px, py, pz = qw - hh * aqw, qx + hh * aqx, qy + hh * aqy, qz + hh * aqz
     r0, r1, r2 = w0 + h * aw0, w1 + h * aw1, w2 + h * aw2
-    m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
-    bv0, bv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
+    bv0, bv1 = a2 * (px * pz + pw * py), a2 * (py * pz - pw * px)
     bv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
-    bqw, bqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
-    bqy, bqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
-    bw0, bw1, bw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
-                     i2 * (t2 - (r0 * m1 - r1 * m0)))
-    pw, px, py, pz = qw + h * bqw, qx + h * bqx, qy + h * bqy, qz + h * bqz
+    bqw, bqx = px * r0 + py * r1 + pz * r2, pw * r0 + py * r2 - pz * r1
+    bqy, bqz = pw * r1 + pz * r0 - px * r2, pw * r2 + px * r1 - py * r0
+    bw0, bw1, bw2 = e0 + g0 * (r1 * r2), e1 + g1 * (r2 * r0), e2 + g2 * (r0 * r1)
+    pw, px, py, pz = qw - hh * bqw, qx + hh * bqx, qy + hh * bqy, qz + hh * bqz
     r0, r1, r2 = w0 + h * bw0, w1 + h * bw1, w2 + h * bw2
-    m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
-    cv0, cv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
+    cv0, cv1 = a2 * (px * pz + pw * py), a2 * (py * pz - pw * px)
     cv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
-    cqw, cqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
-    cqy, cqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
-    cw0, cw1, cw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
-                     i2 * (t2 - (r0 * m1 - r1 * m0)))
-    pw, px, py, pz = qw + dt * cqw, qx + dt * cqx, qy + dt * cqy, qz + dt * cqz
+    cqw, cqx = px * r0 + py * r1 + pz * r2, pw * r0 + py * r2 - pz * r1
+    cqy, cqz = pw * r1 + pz * r0 - px * r2, pw * r2 + px * r1 - py * r0
+    cw0, cw1, cw2 = e0 + g0 * (r1 * r2), e1 + g1 * (r2 * r0), e2 + g2 * (r0 * r1)
+    pw, px, py, pz = qw - h * cqw, qx + h * cqx, qy + h * cqy, qz + h * cqz
     r0, r1, r2 = w0 + dt * cw0, w1 + dt * cw1, w2 + dt * cw2
-    m0, m1, m2 = j0 * r0, j1 * r1, j2 * r2
-    dv0, dv1 = -a2 * (px * pz + pw * py), -a2 * (py * pz - pw * px)
+    dv0, dv1 = a2 * (px * pz + pw * py), a2 * (py * pz - pw * px)
     dv2 = g - acc * ((pw * pw + pz * pz) - (px * px + py * py))
-    dqw, dqx = -0.5 * (px * r0 + py * r1 + pz * r2), 0.5 * (pw * r0 + py * r2 - pz * r1)
-    dqy, dqz = 0.5 * (pw * r1 + pz * r0 - px * r2), 0.5 * (pw * r2 + px * r1 - py * r0)
-    dw0, dw1, dw2 = (i0 * (t0 - (r1 * m2 - r2 * m1)), i1 * (t1 - (r2 * m0 - r0 * m2)),
-                     i2 * (t2 - (r0 * m1 - r1 * m0)))
-    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y = (
-        x0 + k * (v0 + 2.0 * (v0 + h * av0) + 2.0 * (v0 + h * bv0) + (v0 + dt * cv0)),
-        x1 + k * (v1 + 2.0 * (v1 + h * av1) + 2.0 * (v1 + h * bv1) + (v1 + dt * cv1)),
-        x2 + k * (v2 + 2.0 * (v2 + h * av2) + 2.0 * (v2 + h * bv2) + (v2 + dt * cv2)),
-        v0 + k * (av0 + 2.0 * bv0 + 2.0 * cv0 + dv0), v1 + k * (av1 + 2.0 * bv1 + 2.0 * cv1 + dv1),
-        v2 + k * (av2 + 2.0 * bv2 + 2.0 * cv2 + dv2), qw + k * (aqw + 2.0 * bqw + 2.0 * cqw + dqw),
-        qx + k * (aqx + 2.0 * bqx + 2.0 * cqx + dqx), qy + k * (aqy + 2.0 * bqy + 2.0 * cqy + dqy),
-        qz + k * (aqz + 2.0 * bqz + 2.0 * cqz + dqz), w0 + k * (aw0 + 2.0 * bw0 + 2.0 * cw0 + dw0),
-        w1 + k * (aw1 + 2.0 * bw1 + 2.0 * cw1 + dw1), w2 + k * (aw2 + 2.0 * bw2 + 2.0 * cw2 + dw2))
-    if not all(map(math.isfinite, y)):
-        raise StateBlowUpError("non-finite state after integration step")
+    dqw, dqx = px * r0 + py * r1 + pz * r2, pw * r0 + py * r2 - pz * r1
+    dqy, dqz = pw * r1 + pz * r0 - px * r2, pw * r2 + px * r1 - py * r0
+    dw0, dw1, dw2 = e0 + g0 * (r1 * r2), e1 + g1 * (r2 * r0), e2 + g2 * (r0 * r1)
+    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = (
+        x0 + (dt * v0 + kk * ((av0 + bv0) + cv0)), x1 + (dt * v1 + kk * ((av1 + bv1) + cv1)),
+        x2 + (dt * v2 + kk * ((av2 + bv2) + cv2)), v0 + k * ((av0 + dv0) + 2.0 * (bv0 + cv0)),
+        v1 + k * ((av1 + dv1) + 2.0 * (bv1 + cv1)), v2 + k * ((av2 + dv2) + 2.0 * (bv2 + cv2)),
+        qw - kh * ((aqw + dqw) + 2.0 * (bqw + cqw)), qx + kh * ((aqx + dqx) + 2.0 * (bqx + cqx)),
+        qy + kh * ((aqy + dqy) + 2.0 * (bqy + cqy)), qz + kh * ((aqz + dqz) + 2.0 * (bqz + cqz)),
+        w0 + k * ((aw0 + dw0) + 2.0 * (bw0 + cw0)), w1 + k * ((aw1 + dw1) + 2.0 * (bw1 + cw1)),
+        w2 + k * ((aw2 + dw2) + 2.0 * (bw2 + cw2)))
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    if not abs(n - 1.0) <= _ROT_ORTHO_TOL:
-        raise StateBlowUpError(f"attitude quaternion norm {n!r} after integration step: "
-                               "the body rate turns too far in one step")
+    # one test unless it fails: a NaN or inf in q fails the norm, one elsewhere the sum
+    if not (abs(n - 1.0) <= _ROT_ORTHO_TOL
+            and math.isfinite(x0 + x1 + x2 + v0 + v1 + v2 + w0 + w1 + w2)):
+        if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2))):
+            raise StateBlowUpError("non-finite state after integration step")
+        if not abs(n - 1.0) <= _ROT_ORTHO_TOL:
+            raise StateBlowUpError(f"attitude quaternion norm {n!r} after integration step: "
+                                   "the body rate turns too far in one step")
     n = math.copysign(n, qw)  # w >= 0; -q is the same rotation, with bit-identical derivatives
     s = object.__new__(BodyState)  # as _trusted does, without a call per step
     s.y = (x0, x1, x2, v0, v1, v2, qw / n, qx / n, qy / n, qz / n, w0, w1, w2)

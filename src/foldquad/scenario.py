@@ -110,7 +110,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown contact_mode: {d['contact_mode']!r}")
         has_wall = d["wall_normal"] is not None
         for key in (*_KEYS, "inertia", *(("wall_normal", "wall_offset") if has_wall else ())):
-            value = np.asarray(d[key])
+            try:
+                value = np.asarray(d[key])
+            except ValueError:  # a ragged list, refused below as an object array
+                value = np.asarray(d[key], dtype=object)
             if (value.dtype.kind not in "iuf" or value.shape != np.shape(base[key])
                     or not np.isfinite(value).all()):
                 raise ValueError(f"{key} must be a number or a list of numbers shaped like "

@@ -25,22 +25,22 @@ def hat(v):
 
 def reference_deriv(y, a, tau, p):
     """Equations of motion on the flat state y = (x, v, q, omega) as a list of 13 floats
-    (xdot = v, vdot, qdot, omegadot), for thrust acceleration a = f/m, moment tau and the
-    principal moments of J: vdot uses R(q) @ e3, the third column of R, and
-    qdot = q (x) (0, omega) / 2. RK stages may leave the unit sphere or be non-finite;
-    the step checks and normalizes its result."""
+    (xdot = v, vdot, Q, omegadot), for thrust acceleration a = f/m, moment tau and the
+    principal moments of J: vdot uses R(q) @ e3, the third column of R; Q is
+    q (x) (0, omega) = 2 qdot with its w entry negated, the 1/2 and that sign left to the
+    step's coefficients; omegadot is Euler's equations in coefficient form,
+    tau_k/J_k + g_k omega_{k+1} omega_{k+2} with g_k = (J_{k+1} - J_{k+2})/J_k.
+    RK stages may leave the unit sphere or be non-finite; the step checks and normalizes
+    its result."""
     _, _, _, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y
     (j0, j1, j2), (i0, i1, i2) = p.J_moments, p.J_inv_moments
-    h0, h1, h2 = j0 * w0, j1 * w1, j2 * w2  # J omega
-    t0 = tau[0] - (w1 * h2 - w2 * h1)  # tau - omega x J omega
-    t1 = tau[1] - (w2 * h0 - w0 * h2)
-    t2 = tau[2] - (w0 * h1 - w1 * h0)
-    a2 = 2.0 * a
-    return [v0, v1, v2, -a2 * (qx * qz + qw * qy), -a2 * (qy * qz - qw * qx),
+    a2 = -2.0 * a
+    return [v0, v1, v2, a2 * (qx * qz + qw * qy), a2 * (qy * qz - qw * qx),
             p.g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
-            -0.5 * (qx * w0 + qy * w1 + qz * w2), 0.5 * (qw * w0 + qy * w2 - qz * w1),
-            0.5 * (qw * w1 + qz * w0 - qx * w2), 0.5 * (qw * w2 + qx * w1 - qy * w0),
-            i0 * t0, i1 * t1, i2 * t2]
+            qx * w0 + qy * w1 + qz * w2, qw * w0 + qy * w2 - qz * w1,
+            qw * w1 + qz * w0 - qx * w2, qw * w2 + qx * w1 - qy * w0,
+            tau[0] * i0 + (j1 - j2) * i0 * (w1 * w2), tau[1] * i1 + (j2 - j0) * i1 * (w2 * w0),
+            tau[2] * i2 + (j0 - j1) * i2 * (w0 * w1)]
 
 
 def random_rotation(rng):
@@ -265,7 +265,7 @@ def test_constructor_round_trip_is_bit_identical():
 def derivative(s, u, p):
     """(xdot, vdot, qdot, omegadot) of the state under reference_deriv, as arrays."""
     d = np.array(reference_deriv(s.y, u.f / p.m, u.tau, p))
-    return d[:3], d[3:6], d[6:10], d[10:]
+    return d[:3], d[3:6], np.array([-0.5, 0.5, 0.5, 0.5]) * d[6:10], d[10:]
 
 
 def step_rate(s, u, p, dt=1e-3):
@@ -420,20 +420,62 @@ def test_blow_up_detected():
         integrate_step(s, ControlInput(f=0.0), p, 1e-3)
 
 
+def test_guard_passes_a_finite_state_whose_sum_overflows():
+    """The guard's fast test sums the 9 translation and rate floats; a sum that
+    overflows sends the step to the full checks, which pass a finite state."""
+    s = BodyState._trusted((1.7e308, 1.7e308) + (0.0,) * 5 + (1.0,) + (0.0,) * 5)
+    out = integrate_step(s, ControlInput(f=0.0), VehicleParams(), 1e-3)
+    assert out.y[:2] == (1.7e308, 1.7e308) and all(map(math.isfinite, out.y))
+
+
+@pytest.mark.parametrize("index", [3, 7])  # v0, then the quaternion's x
+def test_guard_names_a_nan_as_non_finite(index):
+    """A NaN in the translation, or in q (where the norm is NaN too), is reported as a
+    non-finite state, not as a quaternion norm off 1."""
+    y = [0.0] * 13
+    y[6], y[index] = 1.0, math.nan
+    with pytest.raises(StateBlowUpError, match="non-finite state"):
+        integrate_step(BodyState._trusted(tuple(y)), ControlInput(f=10.0), VehicleParams(), 1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, 1e-1), st.floats(0.5, 2.0), st.floats(0.0, 1e3),
+       st.floats(1e-4, 0.01), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda c: math.fsum(x * x for x in c) > 0.01),
+       st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+       st.floats(-10.0, 10.0).filter(lambda w: w != 0.0))
+def test_symmetric_body_keeps_its_axial_rate_bit_for_bit(j, ratio, f, dt, q, w, w2):
+    """A torque-free body with j0 == j1 has omegadot_3 = 0 exactly in Euler's equations:
+    its coefficient (j0 - j1)/j2 is 0.0, so each stage adds a zero to a nonzero omega_3,
+    which stays the same float for 1,000 steps, whatever the thrust and the other rates."""
+    n = math.sqrt(math.fsum(x * x for x in q))
+    p = VehicleParams(J=np.diag([j, j, ratio * j]))
+    s = BodyState._trusted((0.0,) * 6 + tuple(x / n for x in q) + (*w, w2))
+    u = ControlInput(f=f)
+    for _ in range(1000):
+        s = integrate_step(s, u, p, dt)
+        assert s.y[12] == w2
+
+
 # -- the scalar stages against the list-based step, bit for bit -----------------------
 
 def reference_step(s, u, p, dt):
-    """The staged RK4 over one list of 13 floats that the scalar step replaced,
-    returning the new state's 13-tuple."""
+    """integrate_step's operations over lists of 13 floats: four stages of reference_deriv,
+    x in RK4's closed form x + (dt v + (dt^2/6)(a + b + c)) of the vdot stages, the rest
+    weighted (a + d) + 2 (b + c); returns the new state's 13-tuple."""
     if not (0.0 < dt <= 0.01):
         raise ValueError("dt must be in (0, 0.01] s")
     y0, a, tau, h, c = s.y, u.f / p.m, u.tau, 0.5 * dt, dt / 6.0
+    half, full, weight = ((r,) * 6 + (-0.5 * r, 0.5 * r, 0.5 * r, 0.5 * r) + (r,) * 3
+                          for r in (h, dt, c))  # Q is 2 qdot with its w entry negated
     k1 = reference_deriv(y0, a, tau, p)
-    k2 = reference_deriv([q + h * k for q, k in zip(y0, k1)], a, tau, p)
-    k3 = reference_deriv([q + h * k for q, k in zip(y0, k2)], a, tau, p)
-    k4 = reference_deriv([q + dt * k for q, k in zip(y0, k3)], a, tau, p)
-    y = [q + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-         for q, d1, d2, d3, d4 in zip(y0, k1, k2, k3, k4)]
+    k2 = reference_deriv([q + r * k for q, r, k in zip(y0, half, k1)], a, tau, p)
+    k3 = reference_deriv([q + r * k for q, r, k in zip(y0, half, k2)], a, tau, p)
+    k4 = reference_deriv([q + r * k for q, r, k in zip(y0, full, k3)], a, tau, p)
+    y = [q + r * ((d1 + d4) + 2.0 * (d2 + d3))
+         for q, r, d1, d2, d3, d4 in zip(y0, weight, k1, k2, k3, k4)]
+    y[:3] = (y0[i] + (dt * y0[i + 3] + dt * c * ((k1[i + 3] + k2[i + 3]) + k3[i + 3]))
+             for i in range(3))
     if not all(map(math.isfinite, y)):
         raise StateBlowUpError("non-finite state after integration step")
     qw, qx, qy, qz = y[6:10]

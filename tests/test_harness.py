@@ -135,11 +135,12 @@ def test_cli_rejects_non_finite_value(tmp_path, capsys, override):
 @pytest.mark.parametrize("override", ["inertia=[0.003,0.004]", "inertia=[1,0,0,0,1,0,0,0,1]",
                                       "inertia=[[1,0],[0,1]]", "start_position=[0,0]",
                                       "inertia=[[0.0034,1e-4,0],[1e-4,0.0034,0],[0,0,0.0053]]",
-                                      "inertia=[[0.0034,0,0],[0,0.0034,0],[0,0,0.0053]]"])
+                                      "inertia=[[0.0034,0,0],[0,0.0034,0],[0,0,0.0053]]",
+                                      "inertia=[[1,0],[1]]", "start_position=[[1,0],[1],2]"])
 def test_cli_rejects_a_misshapen_value(tmp_path, capsys, override):
     """inertia is the 3 principal moments, so 3x3 rows, with a product of inertia or
-    without, are refused; any other shape gets the error every key gets, naming the key,
-    and not numpy's reshape error."""
+    without, are refused; any other shape, a ragged list included, gets the error every key
+    gets, naming the key, and not numpy's reshape or inhomogeneous-shape error."""
     cfg_path = tmp_path / "wall.yaml"
     ScenarioConfig(duration=0.1).save(cfg_path)
     rc = cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path), "--set", override])
