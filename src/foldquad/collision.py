@@ -15,33 +15,27 @@ from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams,
 RIGID_CONTACT_TIME = 10e-3  # s; whole steps at dt 0.25, 0.5, 1, 2, 2.5, 5 ms, 1/600, 1/300 s
 
 
-@dataclass(frozen=True, eq=False)  # a generated == raises on numpy fields; compare to_dict()s
+@dataclass(frozen=True)
 class Wall:
-    """Infinite plane; `normal` points away from the wall into free space.
+    """Infinite plane; `normal`, a unit float 3-tuple, points away from the wall into free space.
 
     The plane is {x : normal . x = offset}; signed distance of a point is
-    normal . x - offset (positive in free space). Frozen, and `normal` read-only,
-    so `normal_flat`, its plain floats for the per-step readers, holds.
+    normal . x - offset (positive in free space).
     """
 
-    normal: np.ndarray
+    normal: tuple
     offset: float
 
     def __post_init__(self):
         n = as_vec3(self.normal, "wall normal")
-        nn = np.linalg.norm(n)
+        nn = float(np.linalg.norm(n))
         if nn == 0:
             raise ValueError("wall normal must be non-zero")
+        if not math.isfinite(self.offset):
+            raise ValueError("wall offset must be finite")
         # a normal that is already unit stays as it is, so a reloaded wall is bit-identical
-        normal = n / nn if abs(nn - 1.0) > 1e-12 else n.copy()
-        normal.flags.writeable = False
-        for name, value in (("normal", normal), ("normal_flat", tuple(normal.tolist())),
-                            ("offset", float(self.offset))):
-            object.__setattr__(self, name, value)  # not vars(self).update: it slows every read
-
-    def distance(self, x):  # detect_contact and run_scenario evaluate this in place
-        (n0, n1, n2), (x0, x1, x2) = self.normal_flat, x
-        return (n0 * x0 + n1 * x1 + n2 * x2) - self.offset
+        object.__setattr__(self, "normal", tuple(c / nn for c in n) if abs(nn - 1.0) > 1e-12 else n)
+        object.__setattr__(self, "offset", float(self.offset))
 
 
 @dataclass
@@ -70,9 +64,9 @@ class CollisionEvent:
 def detect_contact(s: BodyState, w: Wall, p: VehicleParams, t=0.0):
     """Return a CollisionEvent if the contact sphere touches the wall while
     approaching it, else None. Separating or out-of-reach states give None."""
-    (n0, n1, n2), (x0, x1, x2, v0, v1, v2), r = w.normal_flat, s.y[:6], p.r_contact
+    (n0, n1, n2), (x0, x1, x2, v0, v1, v2), r = w.normal, s.y[:6], p.r_contact
     if (n0 * x0 + n1 * x1 + n2 * x2) - w.offset <= r and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
-        return CollisionEvent(t_c=float(t), x_c=s.x, v_c=s.v, normal=-w.normal)
+        return CollisionEvent(t_c=float(t), x_c=s.x, v_c=s.v, normal=-np.array(w.normal))
     return None
 
 
@@ -101,7 +95,7 @@ def contact_constrained_step(s: BodyState, l: float, l_dot: float, w: Wall, u: C
     Returns (BodyState, l, l_dot, exited), as advance_arm returns the arm;
     raises StateBlowUpError if the state is not finite.
     """
-    n0, n1, n2 = w.normal_flat
+    n0, n1, n2 = w.normal
     l2, ld2, exited = advance_arm(l, l_dot, phi, sp)
 
     # the one free step gives q, omega and the tangential x and v: attitude does not

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .dynamics import (BodyState, ControlInput, VehicleParams, as_vec3, cross3,
                        quaternion_to_rotation)
 
@@ -37,20 +35,19 @@ class ControllerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0:  # NaN fails too
-                raise ValueError(f"{f.name} must be positive")
+            if not 0.0 < getattr(self, f.name) < math.inf:  # NaN fails too
+                raise ValueError(f"{f.name} must be positive and finite")
         if self.attitude_rate < self.position_rate:
             raise ValueError("attitude_rate must be >= position_rate")
 
 
 @dataclass
 class Setpoint:
-    x_d: np.ndarray
+    x_d: tuple  # plain floats for the tick and the log row
     yaw_d: float = 0.0
 
     def __post_init__(self):
         self.x_d = as_vec3(self.x_d, "x_d")
-        self.x_d_flat = tuple(self.x_d.tolist())  # plain floats for the tick and the log row
         self.yaw_d = float(self.yaw_d)
 
 
@@ -71,10 +68,9 @@ def recovery_setpoint(x_tc, v_c_xy, cfg: ControllerConfig, yaw_d=0.0) -> Setpoin
     gamma_i * |v_ci| per axis; the altitude target is the altitude at the
     collision instant, copied bit-exactly.
     """
-    x_tc = as_vec3(x_tc, "x_tc")
+    x0, x1, x2 = as_vec3(x_tc, "x_tc")
     v1, v2 = float(v_c_xy[0]), float(v_c_xy[1])
-    x_d = np.array([x_tc[0] - cfg.gamma1 * v1, x_tc[1] - cfg.gamma2 * v2, x_tc[2]])
-    return Setpoint(x_d=x_d, yaw_d=yaw_d)
+    return Setpoint(x_d=(x0 - cfg.gamma1 * v1, x1 - cfg.gamma2 * v2, x2), yaw_d=yaw_d)
 
 
 def _clamp(x, lo, hi):
@@ -104,7 +100,7 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     A vanishing specific force keeps the held R_d.
     """
     lim, k_p, k_v, k_vi, k_vd = cfg.integral_limit, cfg.k_p, cfg.k_v, cfg.k_vi, cfg.k_vd
-    (x0, x1, x2, v0, v1, v2), (xd0, xd1, xd2), (i0, i1, i2) = s.y[:6], sp.x_d_flat, cs.integral
+    (x0, x1, x2, v0, v1, v2), (xd0, xd1, xd2), (i0, i1, i2) = s.y[:6], sp.x_d, cs.integral
     e0, e1, e2 = k_p * (xd0 - x0) - v0, k_p * (xd1 - x1) - v1, k_p * (xd2 - x2) - v2
     i0, i1, i2 = (_clamp(i0 + e0 * dt, -lim, lim), _clamp(i1 + e1 * dt, -lim, lim),
                   _clamp(i2 + e2 * dt, -lim, lim))
@@ -134,7 +130,7 @@ def _rotation_error(r, d):
 def attitude_moment(e_R, omega, p: VehicleParams, cfg: ControllerConfig):
     """Body moment tau = -k_R e_R - k_Omega Omega + Omega x J Omega, as a 3-tuple: no rate
     feedforward, so the rate error is the body rate Omega."""
-    (j0, j1, j2), (w0, w1, w2) = p.J_moments, omega
+    (j0, j1, j2), (w0, w1, w2) = p.J, omega
     g0, g1, g2 = cross3(omega, (j0 * w0, j1 * w1, j2 * w2))
     (e0, e1, e2), k_r, k_omega = e_R, cfg.k_r, cfg.k_omega
     return (-k_r * e0 - k_omega * w0 + g0, -k_r * e1 - k_omega * w1 + g1,

@@ -7,11 +7,12 @@ accelerates the vehicle along -R @ e3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DT = 0.01  # s: the longest physics step, and so the longest arm step
+MIN_DT = 2.2250738585072014e-308  # s: the least normal float; below it, dt/6 underflows
 _ROT_ORTHO_TOL = 1e-6  # loose bound on max|R^T R - I| of a given R, and on ||q| - 1| after RK4
 
 
@@ -22,11 +23,11 @@ class StateBlowUpError(RuntimeError):
 
 
 def as_vec3(v, name="vector"):
-    """Coerce to a finite (3,) float array."""
+    """Coerce to a 3-tuple of finite floats."""
     a = np.asarray(v, dtype=float).reshape(3)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite components: {a}")
-    return a
+    return tuple(a.tolist())
 
 
 def cross3(a, b):
@@ -65,31 +66,29 @@ def quaternion_to_rotation(q):
             2.0 * (x * z - w * y), 2.0 * (y * z + w * x), (ww + zz) - (xx + yy))
 
 
-@dataclass(frozen=True, eq=False)  # a generated == raises on numpy fields; compare to_dict()s
+@dataclass(frozen=True)
 class VehicleParams:
-    """Mass, inertia and geometry of the vehicle. The body axes are principal axes, so J is
-    diagonal: its three positive moments are also kept as floats, `J_moments`, with their
-    reciprocals, `J_inv_moments`. Frozen, and J read-only, so the three agree."""
+    """Mass, inertia and geometry of the vehicle. The body axes are principal axes, so the
+    inertia J is its three positive moments, as floats; J_inv holds their reciprocals."""
 
     m: float = 1.112
-    J: np.ndarray = field(default_factory=lambda: np.diag([0.0034, 0.0034, 0.0053]))
+    J: tuple = (0.0034, 0.0034, 0.0053)
     g: float = 9.81
     r_contact: float = 0.145  # contact envelope radius (m)
 
     def __post_init__(self):
-        J = np.array(self.J, dtype=float).reshape(3, 3)
-        moments = tuple(np.diag(J).tolist())
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
-        if np.any(J[~np.eye(3, dtype=bool)] != 0.0) or not all(0.0 < j < math.inf for j in moments):
-            raise ValueError(f"inertia must be three positive principal moments (a diagonal J), "
+        J = np.asarray(self.J, dtype=float)
+        if not 0.0 < self.m < math.inf:
+            raise ValueError("mass must be positive and finite")
+        if J.shape != (3,) or not all(0.0 < j < math.inf for j in J.tolist()):
+            raise ValueError(f"inertia must be three positive principal moments, each finite, "
                              f"not {J.tolist()}")
-        if not self.r_contact > 0:
-            raise ValueError("contact radius must be positive")
-        J.flags.writeable = False
-        for key, value in (("J", J), ("J_moments", moments),
-                           ("J_inv_moments", tuple(1.0 / j for j in moments))):
-            object.__setattr__(self, key, value)  # not vars(self).update: it slows reads
+        if not math.isfinite(self.g):
+            raise ValueError("gravity must be finite")
+        if not 0.0 < self.r_contact < math.inf:
+            raise ValueError("contact radius must be positive and finite")
+        object.__setattr__(self, "J", tuple(J.tolist()))  # not vars(self).update: it slows reads
+        object.__setattr__(self, "J_inv", tuple(1.0 / j for j in self.J))
 
 
 @dataclass
@@ -101,7 +100,7 @@ class ControlInput:
 
     def __post_init__(self):
         self.f = float(self.f)
-        self.tau = tuple(as_vec3(self.tau, "tau").tolist())
+        self.tau = as_vec3(self.tau, "tau")
         if not 0.0 <= self.f < math.inf:
             raise ValueError(f"thrust must be finite and non-negative, not {self.f}")
 
@@ -137,8 +136,7 @@ class BodyState:
             raise ValueError("R has non-finite entries")
         if np.max(np.abs(R.T @ R - np.eye(3))) > _ROT_ORTHO_TOL or np.linalg.det(R) < 0.0:
             raise ValueError("R is not a rotation (orthonormal with det +1)")
-        self.y = (*x.tolist(), *v.tolist(), *rotation_to_quaternion(R.ravel().tolist()),
-                  *omega.tolist())
+        self.y = (*x, *v, *rotation_to_quaternion(R.ravel().tolist()), *omega)
 
     x = property(lambda s: np.array(s.y[:3]))
     v = property(lambda s: np.array(s.y[3:6]))
@@ -153,8 +151,7 @@ class BodyState:
     def with_translation(self, x, v):
         """This state moved to position x and velocity v (validated as in the
         constructor); the attitude and body rate are carried bit for bit."""
-        return BodyState._trusted((*as_vec3(x, "x").tolist(), *as_vec3(v, "v").tolist(),
-                                   *self.y[6:]))
+        return BodyState._trusted((*as_vec3(x, "x"), *as_vec3(v, "v"), *self.y[6:]))
 
     @classmethod
     def _trusted(cls, y):
@@ -174,10 +171,10 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     xdot is v, so x takes RK4's closed form x + (dt v + (dt^2/6)(a + b + c)); the rest are
     weighted (a + d) + 2(b + c). A stage off the unit sphere is fine. Identical inputs give
     bit-identical outputs: finite, unit q, w >= 0, or StateBlowUpError."""
-    if not (0.0 < dt <= MAX_DT):
-        raise ValueError(f"dt must be in (0, {MAX_DT:g}] s")
+    if not (MIN_DT <= dt <= MAX_DT):
+        raise ValueError(f"dt must be in [{MIN_DT:g}, {MAX_DT:g}] s")
     x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s.y
-    (j0, j1, j2), (i0, i1, i2), (t0, t1, t2) = p.J_moments, p.J_inv_moments, u.tau
+    (j0, j1, j2), (i0, i1, i2), (t0, t1, t2) = p.J, p.J_inv, u.tau
     acc, g, h, k = u.f / p.m, p.g, 0.5 * dt, dt / 6.0
     a2, hh, kh, kk = -2.0 * acc, 0.5 * h, 0.5 * k, dt * k
     e0, e1, e2 = t0 * i0, t1 * i1, t2 * i2  # tau/J, and Euler's coefficients g_k

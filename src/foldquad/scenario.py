@@ -11,14 +11,16 @@ from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                       recovery_setpoint, step_controller)
-from .dynamics import MAX_DT, BodyState, StateBlowUpError, VehicleParams, integrate_step
+from .dynamics import (MAX_DT, MIN_DT, BodyState, StateBlowUpError, VehicleParams, as_vec3,
+                       integrate_step)
 from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics, log_row
 
 # flat YAML key -> the one field it sets: (part, field) on a part of the config,
-# or (None, field) on the config itself. inertia, contact_mode and wall_* are
-# handled by to_dict/from_dict.
+# or (None, field) on the config itself. contact_mode and wall_* are handled by
+# to_dict/from_dict.
 _KEYS = {
     "mass": ("vehicle", "m"),
+    "inertia": ("vehicle", "J"),
     "gravity": ("vehicle", "g"),
     "contact_radius": ("vehicle", "r_contact"),
     "spring_damping": ("spring", "b_s"),
@@ -45,7 +47,7 @@ def _plain(value):
     return np.asarray(value, dtype=float).tolist()
 
 
-@dataclass(eq=False)  # a generated == raises on numpy fields; compare to_dict()s
+@dataclass
 class ScenarioConfig:
     """Full description of one reproducible run.
 
@@ -59,28 +61,28 @@ class ScenarioConfig:
     restitution: float = 0.9
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     wall: Wall | None = field(default_factory=lambda: Wall(normal=[-1.0, 0.0, 0.0], offset=-0.3))
-    start_position: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -0.5]))
-    start_velocity: np.ndarray = field(default_factory=lambda: np.array([1.4, 0.0, 0.0]))
+    start_position: tuple = (0.0, 0.0, -0.5)
+    start_velocity: tuple = (1.4, 0.0, 0.0)
     start_yaw: float = 0.0
-    setpoint: np.ndarray = field(default_factory=lambda: np.array([2.0, 0.0, -4.0]))
+    setpoint: tuple = (2.0, 0.0, -4.0)
     setpoint_yaw: float = 0.0
     duration: float = 5.0
     dt: float = 1e-3
     log_interval: float = 5e-3
 
     def __post_init__(self):
-        # copies, so configs derived by `replace` share no array
-        self.start_position = np.array(self.start_position, dtype=float).reshape(3)
-        self.start_velocity = np.array(self.start_velocity, dtype=float).reshape(3)
-        self.setpoint = np.array(self.setpoint, dtype=float).reshape(3)
+        for name in ("start_position", "start_velocity", "setpoint"):
+            setattr(self, name, as_vec3(getattr(self, name), name))
+        if not (math.isfinite(self.start_yaw) and math.isfinite(self.setpoint_yaw)):
+            raise ValueError("start_yaw and setpoint_yaw must be finite")
         if not (0.0 < self.restitution <= 1.0):  # e = 0 has no finite contact time
             raise ValueError("restitution must lie in (0, 1]")
         if not self.spring.l_max < self.vehicle.r_contact:  # the centroid stays off the wall
             raise ValueError("arm_travel_max must be below contact_radius")
-        if not (0.0 < self.dt <= MAX_DT):
-            raise ValueError(f"dt must be in (0, {MAX_DT:g}]")
-        if not (self.duration >= self.dt and self.log_interval >= self.dt):
-            raise ValueError("duration and log_interval must be >= dt")
+        if not (MIN_DT <= self.dt <= MAX_DT):
+            raise ValueError(f"dt must be in [{MIN_DT:g}, {MAX_DT:g}]")
+        if not (self.dt <= self.duration < math.inf and self.dt <= self.log_interval < math.inf):
+            raise ValueError("duration and log_interval must be finite and >= dt")
         if self.controller.attitude_rate * self.dt > 1.0:  # position_rate is never faster
             raise ValueError("attitude_rate * physics_dt must be <= 1: one tick per step at most")
         check_rk4_stable(self.spring, self.dt)  # the physics grid must resolve the spring
@@ -90,7 +92,6 @@ class ScenarioConfig:
     def to_dict(self):
         d = {key: _plain(getattr(getattr(self, part) if part else self, name))
              for key, (part, name) in _KEYS.items()}
-        d["inertia"] = _plain(self.vehicle.J_moments)
         d["contact_mode"] = "rigid" if isinstance(self.mode, Rigid) else "foldable"
         d["wall_normal"] = _plain(self.wall.normal) if self.wall else None
         d["wall_offset"] = _plain(self.wall.offset) if self.wall else None
@@ -109,7 +110,7 @@ class ScenarioConfig:
         if mode is None:
             raise ValueError(f"unknown contact_mode: {d['contact_mode']!r}")
         has_wall = d["wall_normal"] is not None
-        for key in (*_KEYS, "inertia", *(("wall_normal", "wall_offset") if has_wall else ())):
+        for key in (*_KEYS, *(("wall_normal", "wall_offset") if has_wall else ())):
             try:
                 value = np.asarray(d[key])
             except ValueError:  # a ragged list, refused below as an object array
@@ -121,7 +122,6 @@ class ScenarioConfig:
         kwargs = {part: {} for part in (*_PARTS, None)}
         for key, (part, name) in _KEYS.items():
             kwargs[part][name] = d[key]
-        kwargs["vehicle"]["J"] = np.diag(np.asarray(d["inertia"], dtype=float))
         wall = Wall(normal=d["wall_normal"], offset=d["wall_offset"]) if has_wall else None
         return cls(**{part: make(**kwargs[part]) for part, make in _PARTS.items()},
                    mode=mode(), wall=wall, **kwargs[None])
@@ -167,7 +167,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     state = state.with_translation(state.y[:3], cfg.start_velocity)
     cs = ControllerState()
     sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
-    xd0, xd1, xd2 = x_d = sp.x_d_flat
+    xd0, xd1, xd2 = x_d = sp.x_d
 
     dt, ctl = cfg.dt, cfg.controller
     wall, vehicle, log_interval = cfg.wall, cfg.vehicle, cfg.log_interval
@@ -185,7 +185,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     # steps tracked as (t, state, u, x_d, l); the farthest from the wall from the first release on
     far = after_far = farthest = None
     d_max = -math.inf
-    c0, c1, c2, offset = (*wall.normal_flat, wall.offset) if wall else (0.0,) * 4
+    c0, c1, c2, offset = (*wall.normal, wall.offset) if wall else (0.0,) * 4
     r2 = SETTLE_RADIUS ** 2
 
     rows = {}  # t -> row
@@ -228,7 +228,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                     far = after_far = None
                 events.append(ev)
                 sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
-                xd0, xd1, xd2 = x_d = sp.x_d_flat
+                xd0, xd1, xd2 = x_d = sp.x_d
                 touch, l, l_dot = i, 0.0, float(ev.v_c @ ev.normal)
             if touch is None:
                 state = integrate_step(state, u, vehicle, dt)
@@ -312,9 +312,9 @@ def _cruise_cfg(cfg, speed, gap):
     """
     if cfg.wall is None:
         raise ValueError("sweep needs a wall: wall_normal and wall_offset are null")
-    n = cfg.wall.normal
+    n, x = np.array(cfg.wall.normal), np.array(cfg.start_position)
     touch = cfg.wall.offset + cfg.vehicle.r_contact
-    start = cfg.start_position + (touch + gap - float(n @ cfg.start_position)) * n
+    start = x + (touch + gap - float(n @ x)) * n
     coord = touch - _CRUISE_MARGIN * speed / cfg.controller.k_p
     return replace(cfg, start_position=start, start_velocity=-speed * n,
                    setpoint=start + (coord - float(n @ start)) * n)

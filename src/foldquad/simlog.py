@@ -123,7 +123,7 @@ def compute_metrics(log: SimLog, cfg) -> Metrics:
     if cfg.wall is None:
         raise ValueError("the log has contact rows but the config has no wall")
 
-    n = -cfg.wall.normal
+    n = -np.array(cfg.wall.normal)
     i0, i1 = episodes[0]
     post = i1 + 1
     v_c = float(v[i0] @ n)

@@ -150,7 +150,7 @@ def test_attitude_errors_zero_case():
     # with the rate error e_Omega equal to the body rate
     s = BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=om)
     u = step_controller(s, ControllerState(held_R_d=tuple(s.R.ravel().tolist())), CFG, P)
-    assert np.allclose(u.tau, -CFG.k_omega * om + np.cross(om, P.J @ om), atol=1e-12)
+    assert np.allclose(u.tau, -CFG.k_omega * om + np.cross(om, np.diag(P.J) @ om), atol=1e-12)
 
 
 def test_attitude_error_closed_form_single_axis():

@@ -9,8 +9,8 @@ from scipy.spatial.transform import Rotation
 
 from foldquad.arm import SpringParams, _transition
 from foldquad.collision import Wall, contact_constrained_step
-from foldquad.dynamics import (_ROT_ORTHO_TOL, BodyState, ControlInput, StateBlowUpError,
-                               VehicleParams, integrate_step,
+from foldquad.dynamics import (_ROT_ORTHO_TOL, MIN_DT, BodyState, ControlInput,
+                               StateBlowUpError, VehicleParams, integrate_step,
                                quaternion_to_rotation, rotation_to_quaternion)
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -33,7 +33,7 @@ def reference_deriv(y, a, tau, p):
     RK stages may leave the unit sphere or be non-finite; the step checks and normalizes
     its result."""
     _, _, _, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = y
-    (j0, j1, j2), (i0, i1, i2) = p.J_moments, p.J_inv_moments
+    (j0, j1, j2), (i0, i1, i2) = p.J, p.J_inv
     a2 = -2.0 * a
     return [v0, v1, v2, a2 * (qx * qz + qw * qy), a2 * (qy * qz - qw * qx),
             p.g - a * ((qw * qw + qz * qz) - (qx * qx + qy * qy)),
@@ -173,25 +173,22 @@ def test_norm_guard_fires_where_rk4_drift_exceeds_tolerance():
 def test_vehicle_params_defaults():
     p = VehicleParams()
     assert p.m == 1.112
-    assert np.allclose(np.diag(p.J), [0.0034, 0.0034, 0.0053])
+    assert p.J == (0.0034, 0.0034, 0.0053)
     assert p.r_contact == 0.145
 
 
 def test_vehicle_params_rejects_bad_inertia():
-    """Inertia is three positive principal moments: a moment that is not positive, or any
-    off-diagonal entry but 0.0 and -0.0 (a product of inertia, or NaN), is refused."""
-    product = np.diag([0.0034, 0.0034, 0.0053])
-    product[0, 1] = product[1, 0] = 1e-4
-    nan = np.diag([0.0034, 0.0034, 0.0053])
-    nan[2, 0] = np.nan
-    for J in (np.diag([1.0, -1.0, 1.0]), np.diag([1.0, np.nan, 1.0]), product, nan):
+    """Inertia is three positive finite principal moments: a moment that is not positive
+    or not finite, another count, or a 3x3 matrix (even a diagonal one) is refused.
+    J is kept as a float tuple, and J_inv holds the reciprocals."""
+    for J in ([1.0, -1.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [0.0, 1.0, 1.0],
+              [1.0, 1.0], np.diag([0.0034, 0.0034, 0.0053])):
         with pytest.raises(ValueError, match="inertia must be three positive principal moments"):
             VehicleParams(J=J)
-    signed_zeros = np.diag([0.0034, 0.0034, 0.0053])
-    signed_zeros[0, 2] = signed_zeros[2, 1] = -0.0
-    p = VehicleParams(J=signed_zeros)
-    assert p.J_moments == (0.0034, 0.0034, 0.0053)
-    assert p.J_inv_moments == tuple(1.0 / j for j in p.J_moments)
+    p = VehicleParams(J=np.array([0.0034, 0.0034, 0.0053]))
+    assert type(p.J) is tuple and all(type(j) is float for j in p.J)
+    assert p.J == (0.0034, 0.0034, 0.0053)
+    assert p.J_inv == tuple(1.0 / j for j in p.J)
 
 
 def test_control_input_rejects_negative_thrust():
@@ -343,13 +340,15 @@ def test_constant_yaw_rate_full_turn():
 
 
 def test_integrate_step_rejects_bad_dt():
+    """dt must be a normal float up to MAX_DT: at a subnormal dt, dt/6 underflows and the
+    velocity would miss its increment (5e-324 s of g is 5e-323 m/s, and dt/6 is 0.0)."""
     p = VehicleParams()
     s = BodyState.hover(np.zeros(3))
     u = ControlInput(f=p.m * p.g)
-    with pytest.raises(ValueError):
-        integrate_step(s, u, p, 0.0)
-    with pytest.raises(ValueError):
-        integrate_step(s, u, p, 0.02)
+    for dt in (0.0, 5e-324, MIN_DT / 2.0, 0.02):
+        with pytest.raises(ValueError, match="dt must be in"):
+            integrate_step(s, u, p, dt)
+    assert integrate_step(BodyState.hover(np.zeros(3)), ControlInput(f=0.0), p, MIN_DT).y[5] > 0.0
 
 
 def test_integrate_step_deterministic():
@@ -380,7 +379,8 @@ def test_rk4_matches_euler_substeps():
             acc = p.g * E3 - (u.f / p.m) * (R @ E3)
             x, v = x + h * v, v + h * acc
             R = R + h * (R @ hat(om))
-            om = om + h * np.linalg.solve(p.J, u.tau - np.cross(om, p.J @ om))
+            J = np.diag(p.J)
+            om = om + h * np.linalg.solve(J, u.tau - np.cross(om, J @ om))
         err = max(np.max(np.abs(out.x - x)), np.max(np.abs(out.v - v)),
                   np.max(np.abs(out.R - R)), np.max(np.abs(out.omega - om)))
         assert err < 1e-6
@@ -404,10 +404,10 @@ def test_angular_momentum_conserved_in_free_rotation():
     s = BodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
                   omega=np.array([1.0, -2.0, 0.5]))
     u = ControlInput(f=p.m * p.g)  # zero torque; thrust does not affect rotation
-    L0 = s.R @ (p.J @ s.omega)
+    L0 = s.R @ (np.diag(p.J) @ s.omega)
     for _ in range(1000):
         s = integrate_step(s, u, p, 1e-3)
-    L1 = s.R @ (p.J @ s.omega)
+    L1 = s.R @ (np.diag(p.J) @ s.omega)
     assert np.max(np.abs(L1 - L0)) < 1e-6
 
 
@@ -449,7 +449,7 @@ def test_symmetric_body_keeps_its_axial_rate_bit_for_bit(j, ratio, f, dt, q, w, 
     its coefficient (j0 - j1)/j2 is 0.0, so each stage adds a zero to a nonzero omega_3,
     which stays the same float for 1,000 steps, whatever the thrust and the other rates."""
     n = math.sqrt(math.fsum(x * x for x in q))
-    p = VehicleParams(J=np.diag([j, j, ratio * j]))
+    p = VehicleParams(J=(j, j, ratio * j))
     s = BodyState._trusted((0.0,) * 6 + tuple(x / n for x in q) + (*w, w2))
     u = ControlInput(f=f)
     for _ in range(1000):
@@ -463,8 +463,8 @@ def reference_step(s, u, p, dt):
     """integrate_step's operations over lists of 13 floats: four stages of reference_deriv,
     x in RK4's closed form x + (dt v + (dt^2/6)(a + b + c)) of the vdot stages, the rest
     weighted (a + d) + 2 (b + c); returns the new state's 13-tuple."""
-    if not (0.0 < dt <= 0.01):
-        raise ValueError("dt must be in (0, 0.01] s")
+    if not (MIN_DT <= dt <= 0.01):
+        raise ValueError(f"dt must be in [{MIN_DT:g}, 0.01] s")
     y0, a, tau, h, c = s.y, u.f / p.m, u.tau, 0.5 * dt, dt / 6.0
     half, full, weight = ((r,) * 6 + (-0.5 * r, 0.5 * r, 0.5 * r, 0.5 * r) + (r,) * 3
                           for r in (h, dt, c))  # Q is 2 qdot with its w entry negated
@@ -495,11 +495,10 @@ def signed(bound):
 
 @st.composite
 def bit_cases(draw):
-    """A state with a unit q (w of either sign), a control, a diagonal J, and dt in
-    (0, 0.01]. The body rate is free, huge enough to overflow, or turns 0.40 to 0.52 rad
-    in one step about a random axis, across the 0.46 rad norm guard. Each off-diagonal
-    entry of J is 0.0 or -0.0."""
-    dt = draw(st.floats(0.0, 0.01, exclude_min=True))
+    """A state with a unit q (w of either sign), a control, three principal moments, and dt
+    in [MIN_DT, 0.01]. The body rate is free, huge enough to overflow, or turns 0.40 to
+    0.52 rad in one step about a random axis, across the 0.46 rad norm guard."""
+    dt = draw(st.floats(MIN_DT, 0.01))
     q = draw(st.lists(signed(1.0), min_size=4, max_size=4).filter(
         lambda c: math.fsum(x * x for x in c) > 0.01))
     n = math.sqrt(math.fsum(x * x for x in q))
@@ -512,10 +511,7 @@ def bit_cases(draw):
     else:
         w = draw(st.lists(signed(1e3 if kind == "free" else 1e200), min_size=3, max_size=3))
     y = (*draw(st.lists(signed(100.0), min_size=6, max_size=6)), *(x / n for x in q), *w)
-    moments = draw(st.lists(st.floats(1e-4, 1e-1), min_size=3, max_size=3))
-    J = np.diag(moments)
-    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-        J[i, j] = draw(st.sampled_from([0.0, -0.0]))
+    J = draw(st.lists(st.floats(1e-4, 1e-1), min_size=3, max_size=3))
     u = ControlInput._trusted(draw(st.floats(0.0, 1e3)),
                               tuple(draw(st.lists(signed(10.0), min_size=3, max_size=3))))
     return BodyState._trusted(y), u, VehicleParams(m=draw(st.floats(0.1, 10.0)), J=J), dt
@@ -533,7 +529,7 @@ def outcome(step, case):
 @given(bit_cases())
 @example((BodyState._trusted((0.0,) * 9 + (1.0, 0.0, 0.0, -0.0)),
           ControlInput._trusted(0.0, (0.0, 0.0, -0.0)),
-          VehicleParams(m=1.0, J=0.0625 * np.eye(3)), 0.0078125))  # -0.0 rate, diagonal J
+          VehicleParams(m=1.0, J=(0.0625,) * 3), 0.0078125))  # -0.0 rate, equal moments
 def test_scalar_step_is_bit_identical_to_list_step(case):
     """The scalar stages change no float operation: the same bits, -0.0 kept apart
     from 0.0, or the same StateBlowUpError with the same message."""

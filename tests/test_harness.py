@@ -1,6 +1,7 @@
 """Scenario orchestration, logging, metrics, comparisons and the CLI."""
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from foldquad.cli import _parse_overrides
 from foldquad.cli import main as cli_main
 from foldquad.collision import RIGID_CONTACT_TIME, Foldable, Rigid, Wall
 from foldquad.control import ControllerConfig, recovery_setpoint
+from foldquad.dynamics import VehicleParams
 from foldquad.scenario import (_START_GAP, ScenarioConfig, _cruise_cfg, compare_modes,
                                run_scenario, sweep_velocities)
 from foldquad.simlog import (COLUMNS, SETTLE_RADIUS, Metrics, SimLog, _contact_episodes,
@@ -39,6 +41,34 @@ def test_config_yaml_round_trip(tmp_path):
     cfg.save(path)
     loaded = ScenarioConfig.load(path)
     assert loaded.to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("name", ["free_flight", "wall_collision", "wall_collision_rigid"])
+def test_config_file_saves_and_loads_to_an_equal_config(tmp_path, name):
+    """Configs compare by value, so a shipped config saved and loaded again is equal."""
+    cfg = ScenarioConfig.load(Path(__file__).parents[1] / "configs" / f"{name}.yaml")
+    cfg.save(tmp_path / "saved.yaml")
+    assert ScenarioConfig.load(tmp_path / "saved.yaml") == cfg
+
+
+@pytest.mark.parametrize("make, kwargs", [
+    (ScenarioConfig, {"duration": math.inf}), (ScenarioConfig, {"log_interval": math.inf}),
+    (ScenarioConfig, {"start_yaw": math.nan}),
+    (ScenarioConfig, {"setpoint_yaw": -math.inf}),
+    (ScenarioConfig, {"start_position": [0.0, math.inf, -0.5]}),
+    (ScenarioConfig, {"start_velocity": [math.nan, 0.0, 0.0]}),
+    (ScenarioConfig, {"setpoint": [2.0, 0.0, math.nan]}),
+    (VehicleParams, {"m": math.nan}), (VehicleParams, {"m": math.inf}),
+    (VehicleParams, {"g": math.nan}), (VehicleParams, {"r_contact": math.inf}),
+    (Wall, {"normal": [1, 0, 0], "offset": math.nan}),
+    (Wall, {"normal": [1, math.nan, 0], "offset": 0.0}),
+    (ControllerConfig, {"k_p": math.inf}), (ControllerConfig, {"integral_limit": math.inf})])
+def test_config_rejects_a_non_finite_value_when_built(make, kwargs):
+    """A config built in code refuses a non-finite value, as from_dict does for the CLI:
+    duration = inf would overflow the step count, g = NaN blow up at t = 0, and a NaN
+    start velocity fail only when the run starts."""
+    with pytest.raises(ValueError, match="finite"):
+        make(**kwargs)
 
 
 def test_config_overrides(tmp_path):
@@ -183,38 +213,38 @@ def test_import_does_not_load_scipy_or_yaml():
                                   lambda: ScenarioConfig().with_mode(Rigid())],
                          ids=["constructed", "from_dict", "with_mode"])
 def test_config_vehicle_and_wall_are_frozen(make):
-    """The run reads J and the wall normal through copies made at construction (J_moments,
-    J_inv_moments, normal_flat), so neither may change afterwards, by reassignment or in place.
-    The spring and the controller, checked against the rest at construction, are frozen too."""
+    """The run reads J, J_inv (set from J at construction) and the wall's unit normal as
+    float tuples, so none may be reassigned. The spring and the controller, checked against
+    the rest at construction, are frozen too."""
     cfg = make()
     for part, name in [(cfg.spring, "k_s"), (cfg.controller, "k_p"), (cfg.vehicle, "m")]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(part, name, 1e9)
-    for part, name, value in [(cfg.vehicle, "J", np.diag([0.01, 0.01, 0.02])),
-                              (cfg.wall, "normal", np.array([-0.8, 0.6, 0.0]))]:
+    for part, name, value in [(cfg.vehicle, "J", (0.01, 0.01, 0.02)),
+                              (cfg.wall, "normal", (-0.8, 0.6, 0.0))]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(part, name, value)
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(part, name)[...] = value
-    derived = cfg.with_mode(Rigid())  # shares the frozen parts, but no array of its own
-    for name in ("start_position", "start_velocity", "setpoint"):
-        assert not np.shares_memory(getattr(derived, name), getattr(cfg, name))
 
 
-def test_configs_compare_by_identity_and_hash():
-    """VehicleParams, Wall and ScenarioConfig hold numpy arrays, which a generated == compares
-    inside a tuple and raises on ("truth value of an array is ambiguous"); their == is
-    identity, so it neither raises nor needs a hash that raises. Compare configs by to_dict()."""
-    for make in (ScenarioConfig, lambda: ScenarioConfig().vehicle, lambda: ScenarioConfig().wall):
-        a, b = make(), make()
-        assert a == a and a != b and hash(a) == hash(a)
-        assert len({a, b}) == 2
-    assert ScenarioConfig().to_dict() == ScenarioConfig().to_dict()
+def test_configs_compare_by_value_and_hash():
+    """Configs and their parts hold floats and float tuples, so they compare by value.
+    Equal VehicleParams and Walls hash equal; a ScenarioConfig, mutable, has no hash."""
+    assert ScenarioConfig() == ScenarioConfig() == ScenarioConfig.from_dict({})
+    assert ScenarioConfig() != ScenarioConfig(duration=4.0)
+    assert ScenarioConfig() != ScenarioConfig().with_mode(Rigid())
+    for a, b, other in [(VehicleParams(), VehicleParams(J=np.array([0.0034, 0.0034, 0.0053])),
+                         VehicleParams(m=1.0)),
+                        (Wall([-1.0, 0.0, 0.0], -0.3), Wall(np.array([-2.0, 0.0, 0.0]), -0.3),
+                         Wall([-1.0, 0.0, 0.0], 0.0))]:
+        assert a == b and hash(a) == hash(b)
+        assert a != other and len({a, b, other}) == 2
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ScenarioConfig())
 
 
 def test_config_inertia_round_trips_as_moments():
     moments = ScenarioConfig.from_dict({"inertia": [0.004, 0.005, 0.006]})
-    assert np.array_equal(moments.vehicle.J, np.diag([0.004, 0.005, 0.006]))
+    assert moments.vehicle.J == (0.004, 0.005, 0.006)
     assert moments.to_dict()["inertia"] == [0.004, 0.005, 0.006]
 
 
