@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dynamics import MAX_DT
+from .dynamics import MAX_DT, MIN_DT
 
 CONTACT_TIMEOUT_S = 1.0  # a contact that has not released after this long is aborted
 
@@ -213,8 +213,8 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
     """
     if not (0.0 < v_impact < math.inf):
         raise ValueError("v_impact must be positive and finite")
-    if not (0.0 < dt <= MAX_DT):
-        raise ValueError(f"dt must be in (0, {MAX_DT:g}] s")
+    if not (MIN_DT <= dt <= MAX_DT):  # as integrate_step: a lesser dt overflows the step limit
+        raise ValueError(f"dt must be in [{MIN_DT:g}, {MAX_DT:g}] s")
     phi = _transition(p.b_s, p.k_s, dt)
     l, l_dot, peak_l = 0.0, float(v_impact), 0.0
     for i in range(1, contact_step_limit(dt) + 1):  # step i ends at t = i*dt

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arm import SpringParams, advance_arm
-from .dynamics import (BodyState, ControlInput, StateBlowUpError, VehicleParams, as_vec3,
-                       integrate_step)
+from .dynamics import ControlInput, StateBlowUpError, VehicleParams, as_vec3, integrate_step
 
 RIGID_CONTACT_TIME = 10e-3  # s; whole steps at dt 0.25, 0.5, 1, 2, 2.5, 5 ms, 1/600, 1/300 s
 
@@ -28,9 +27,12 @@ class Wall:
 
     def __post_init__(self):
         n = as_vec3(self.normal, "wall normal")
-        nn = float(np.linalg.norm(n))
-        if nn == 0:
+        big = max(map(abs, n))
+        if big == 0:
             raise ValueError("wall normal must be non-zero")
+        if not 1e-150 <= big <= 1e150:  # its squares would over- or underflow: scale first
+            n = tuple(c / big for c in n)
+        nn = float(np.linalg.norm(n))
         if not math.isfinite(self.offset):
             raise ValueError("wall offset must be finite")
         # a normal that is already unit stays as it is, so a reloaded wall is bit-identical
@@ -61,12 +63,13 @@ class CollisionEvent:
     normal: np.ndarray
 
 
-def detect_contact(s: BodyState, w: Wall, p: VehicleParams, t=0.0):
+def detect_contact(s: tuple, w: Wall, p: VehicleParams, t=0.0):
     """Return a CollisionEvent if the contact sphere touches the wall while
     approaching it, else None. Separating or out-of-reach states give None."""
-    (n0, n1, n2), (x0, x1, x2, v0, v1, v2), r = w.normal, s.y[:6], p.r_contact
+    (n0, n1, n2), (x0, x1, x2, v0, v1, v2), r = w.normal, s[:6], p.r_contact
     if (n0 * x0 + n1 * x1 + n2 * x2) - w.offset <= r and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
-        return CollisionEvent(t_c=float(t), x_c=s.x, v_c=s.v, normal=-np.array(w.normal))
+        return CollisionEvent(t_c=float(t), x_c=np.array(s[:3]), v_c=np.array(s[3:6]),
+                              normal=-np.array(w.normal))
     return None
 
 
@@ -81,7 +84,7 @@ def resolve_rigid(e: float, r_contact: float) -> SpringParams:
                         l_max=0.9 * r_contact, delta_l=1e-9)
 
 
-def contact_constrained_step(s: BodyState, l: float, l_dot: float, w: Wall, u: ControlInput,
+def contact_constrained_step(s: tuple, l: float, l_dot: float, w: Wall, u: ControlInput,
                              p: VehicleParams, sp: SpringParams, phi, dt: float):
     """One physics step while the arm is pinned against the wall.
 
@@ -92,24 +95,22 @@ def contact_constrained_step(s: BodyState, l: float, l_dot: float, w: Wall, u: C
     and attitude dynamics continue under tau. On release the normal velocity
     equals l_dot, the rebound velocity.
 
-    Returns (BodyState, l, l_dot, exited), as advance_arm returns the arm;
-    raises StateBlowUpError if the state is not finite.
+    Returns (state, l, l_dot, exited): a new 13-float state, and the arm as advance_arm
+    returns it; raises StateBlowUpError if the state is not finite.
     """
     n0, n1, n2 = w.normal
     l2, ld2, exited = advance_arm(l, l_dot, phi, sp)
 
     # the one free step gives q, omega and the tangential x and v: attitude does not
     # depend on translation, and the free acceleration depends only on q(t)
-    free = integrate_step(s, u, p, dt)
-    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = free.y
+    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = integrate_step(s, u, p, dt)
     c = (w.offset + (p.r_contact - l2)) - (n0 * x0 + n1 * x1 + n2 * x2)
     vn = (v0 * n0 + v1 * n1 + v2 * n2) + ld2  # keep the tangential v, then l_dot into the wall
     x0, x1, x2 = x0 + c * n0, x1 + c * n1, x2 + c * n2
     v0, v1, v2 = v0 - vn * n0, v1 - vn * n1, v2 - vn * n2
     if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2))):
         raise StateBlowUpError("non-finite state after contact step")
-    free.y = (x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2)  # free is new, unshared
-    return free, l2, ld2, exited
+    return (x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2), l2, ld2, exited
 
 
 def impact_force_estimate(m, dv, dt_c):

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .dynamics import (BodyState, ControlInput, VehicleParams, as_vec3, cross3,
-                       quaternion_to_rotation)
+from .dynamics import ControlInput, VehicleParams, as_vec3, cross3, quaternion_to_rotation
 
 _THRUST_DIR_EPS = 1e-6
 
@@ -90,7 +89,7 @@ def rotation_from_thrust_dir(b3, yaw):
     return (x0, y0, z0, x1, y1, z1, x2, y2, z2)
 
 
-def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
+def position_loop(s: tuple, sp: Setpoint, cs: ControllerState,
                   cfg: ControllerConfig, p: VehicleParams, dt: float) -> ControllerState:
     """One position-loop tick: the new state, with thrust held_f and attitude setpoint held_R_d.
 
@@ -100,7 +99,7 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     A vanishing specific force keeps the held R_d.
     """
     lim, k_p, k_v, k_vi, k_vd = cfg.integral_limit, cfg.k_p, cfg.k_v, cfg.k_vi, cfg.k_vd
-    (x0, x1, x2, v0, v1, v2), (xd0, xd1, xd2), (i0, i1, i2) = s.y[:6], sp.x_d, cs.integral
+    (x0, x1, x2, v0, v1, v2), (xd0, xd1, xd2), (i0, i1, i2) = s[:6], sp.x_d, cs.integral
     e0, e1, e2 = k_p * (xd0 - x0) - v0, k_p * (xd1 - x1) - v1, k_p * (xd2 - x2) - v2
     i0, i1, i2 = (_clamp(i0 + e0 * dt, -lim, lim), _clamp(i1 + e1 * dt, -lim, lim),
                   _clamp(i2 + e2 * dt, -lim, lim))
@@ -113,7 +112,7 @@ def position_loop(s: BodyState, sp: Setpoint, cs: ControllerState,
     norm = math.hypot(f0, f1, f2)
     R_d = cs.held_R_d if norm < _THRUST_DIR_EPS else rotation_from_thrust_dir(
         (f0 / norm, f1 / norm, f2 / norm), sp.yaw_d)
-    r02, r12, r22 = quaternion_to_rotation(s.y[6:10])[2::3]  # body-z is the third column of R
+    r02, r12, r22 = quaternion_to_rotation(s[6:10])[2::3]  # body-z is the third column of R
     f = _clamp(p.m * (f0 * r02 + f1 * r12 + f2 * r22), 0.0, cfg.max_thrust)
     return ControllerState(integral=(i0, i1, i2), prev_e_v=(e0, e1, e2), held_f=f, held_R_d=R_d)
 
@@ -137,9 +136,9 @@ def attitude_moment(e_R, omega, p: VehicleParams, cfg: ControllerConfig):
             -k_r * e2 - k_omega * w2 + g2)
 
 
-def step_controller(s: BodyState, cs: ControllerState, cfg: ControllerConfig,
+def step_controller(s: tuple, cs: ControllerState, cfg: ControllerConfig,
                     p: VehicleParams) -> ControlInput:
     """One attitude tick: the held thrust, and the moment that tracks the held R_d."""
-    omega, R = s.y[10:], quaternion_to_rotation(s.y[6:10])
+    omega, R = s[10:], quaternion_to_rotation(s[6:10])
     tau = attitude_moment(_rotation_error(R, cs.held_R_d), omega, p, cfg)
     return ControlInput._trusted(cs.held_f, tau)

@@ -112,57 +112,29 @@ class ControlInput:
         return u
 
 
-class BodyState:
-    """Position, inertial velocity, body->inertial attitude, body rate.
-
-    The one home of the state is `y`, a tuple of 13 Python floats
-    (x, v, q, omega) with the unit attitude quaternion q = (w, x, y, z),
-    w >= 0, which every layer of the simulation loop reads. `x`, `v`, `R`
-    (built from q) and `omega` are read-only and build a fresh array on each
-    access, so writing into one does not change the state. The constructor
-    and `hover` validate finite vectors and an R within _ROT_ORTHO_TOL of
-    orthonormal with det(R) > 0, and convert R to q once. `integrate_step`
-    builds its result unvalidated, setting `y` on a bare instance, after checking
-    that the state is finite and q normalized, or raising StateBlowUpError;
-    `contact_constrained_step` replaces the translation of that fresh result.
-    """
-
-    __slots__ = ("y",)
-
-    def __init__(self, x, v, R, omega):
-        x, v, omega = as_vec3(x, "x"), as_vec3(v, "v"), as_vec3(omega, "omega")
-        R = np.asarray(R, dtype=float).reshape(3, 3)
-        if not np.all(np.isfinite(R)):
-            raise ValueError("R has non-finite entries")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > _ROT_ORTHO_TOL or np.linalg.det(R) < 0.0:
-            raise ValueError("R is not a rotation (orthonormal with det +1)")
-        self.y = (*x, *v, *rotation_to_quaternion(R.ravel().tolist()), *omega)
-
-    x = property(lambda s: np.array(s.y[:3]))
-    v = property(lambda s: np.array(s.y[3:6]))
-    R = property(lambda s: np.array(quaternion_to_rotation(s.y[6:10])).reshape(3, 3))
-    omega = property(lambda s: np.array(s.y[10:]))
-
-    @classmethod
-    def hover(cls, x, yaw=0.0):
-        c, s, zero = np.cos(yaw), np.sin(yaw), (0.0, 0.0, 0.0)
-        return cls(x=x, v=zero, R=[[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], omega=zero)
-
-    def with_translation(self, x, v):
-        """This state moved to position x and velocity v (validated as in the
-        constructor); the attitude and body rate are carried bit for bit."""
-        return BodyState._trusted((*as_vec3(x, "x"), *as_vec3(v, "v"), *self.y[6:]))
-
-    @classmethod
-    def _trusted(cls, y):
-        """Build from a 13-tuple of floats, unvalidated; the caller checked it."""
-        s = object.__new__(cls)
-        s.y = y
-        return s
+def body_state(x, v, R, omega):
+    """The body state as its 13 floats (x, v, q, omega): position, inertial velocity, the
+    unit attitude quaternion q = (w, x, y, z), w >= 0, of the body->inertial rotation R,
+    and body rate. x, v and omega must be finite, and R within _ROT_ORTHO_TOL of
+    orthonormal with det(R) > 0; R is converted to q once."""
+    x, v, omega = as_vec3(x, "x"), as_vec3(v, "v"), as_vec3(omega, "omega")
+    R = np.asarray(R, dtype=float).reshape(3, 3)
+    if not np.all(np.isfinite(R)):
+        raise ValueError("R has non-finite entries")
+    if np.max(np.abs(R.T @ R - np.eye(3))) > _ROT_ORTHO_TOL or np.linalg.det(R) < 0.0:
+        raise ValueError("R is not a rotation (orthonormal with det +1)")
+    return (*x, *v, *rotation_to_quaternion(R.ravel().tolist()), *omega)
 
 
-def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -> BodyState:
-    """One classical RK4 step on named scalars, then the quaternion rescaled to unit norm.
+def hover(x, yaw=0.0, v=(0.0, 0.0, 0.0)):
+    """The level state at position x, heading yaw and velocity v, with no body rate."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    return body_state(x, v, [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], (0.0, 0.0, 0.0))
+
+
+def integrate_step(s: tuple, u: ControlInput, p: VehicleParams, dt: float) -> tuple:
+    """One classical RK4 step of the 13-float state s on named scalars, then the quaternion
+    rescaled to unit norm; the result is a new tuple.
     Stages a, b, c, d hold (vdot, qdot, omegadot) at attitude q and body rate omega, in the
     principal axes: vdot = g e3 - (f/m) R(q) e3, qdot = q (x) (0, omega) / 2 and Euler's
     equations in coefficient form, omegadot_k = tau_k/J_k + g_k omega_{k+1} omega_{k+2},
@@ -173,7 +145,7 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
     bit-identical outputs: finite, unit q, w >= 0, or StateBlowUpError."""
     if not (MIN_DT <= dt <= MAX_DT):
         raise ValueError(f"dt must be in [{MIN_DT:g}, {MAX_DT:g}] s")
-    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s.y
+    x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s
     (j0, j1, j2), (i0, i1, i2), (t0, t1, t2) = p.J, p.J_inv, u.tau
     acc, g, h, k = u.f / p.m, p.g, 0.5 * dt, dt / 6.0
     a2, hh, kh, kk = -2.0 * acc, 0.5 * h, 0.5 * k, dt * k
@@ -223,6 +195,4 @@ def integrate_step(s: BodyState, u: ControlInput, p: VehicleParams, dt: float) -
             raise StateBlowUpError(f"attitude quaternion norm {n!r} after integration step: "
                                    "the body rate turns too far in one step")
     n = math.copysign(n, qw)  # w >= 0; -q is the same rotation, with bit-identical derivatives
-    s = object.__new__(BodyState)  # as _trusted does, without a call per step
-    s.y = (x0, x1, x2, v0, v1, v2, qw / n, qx / n, qy / n, qz / n, w0, w1, w2)
-    return s
+    return (x0, x1, x2, v0, v1, v2, qw / n, qx / n, qy / n, qz / n, w0, w1, w2)

@@ -11,7 +11,7 @@ from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
 from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
                       recovery_setpoint, step_controller)
-from .dynamics import (MAX_DT, MIN_DT, BodyState, StateBlowUpError, VehicleParams, as_vec3,
+from .dynamics import (MAX_DT, MIN_DT, StateBlowUpError, VehicleParams, as_vec3, hover,
                        integrate_step)
 from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics, log_row
 
@@ -163,8 +163,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     so no metric depends on log_interval. `contact` is 1 on contact steps, and
     on the final row if the run ends in contact.
     """
-    state = BodyState.hover(cfg.start_position, yaw=cfg.start_yaw)
-    state = state.with_translation(state.y[:3], cfg.start_velocity)
+    state = hover(cfg.start_position, cfg.start_yaw, cfg.start_velocity)
     cs = ControllerState()
     sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
     xd0, xd1, xd2 = x_d = sp.x_d
@@ -203,7 +202,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                 u = step_controller(state, cs, ctl, vehicle)
                 n_att += 1
 
-            x0, x1, x2 = state.y[:3]
+            x0, x1, x2 = state[:3]
             d = c0 * x0 + c1 * x1 + c2 * x2  # n . x, as detect_contact: a touch needs it in reach
             ev = (detect_contact(state, wall, vehicle, t)
                   if wall and touch is None and d - offset <= vehicle.r_contact else None)
@@ -227,7 +226,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                 if after < 0:  # settling is measured again from after the first contact
                     far = after_far = None
                 events.append(ev)
-                sp = recovery_setpoint(state.x, ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
+                sp = recovery_setpoint(state[:3], ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
                 xd0, xd1, xd2 = x_d = sp.x_d
                 touch, l, l_dot = i, 0.0, float(ev.v_c @ ev.normal)
             if touch is None:

@@ -21,7 +21,7 @@ _COL = {name: i for i, name in enumerate(COLUMNS)}
 
 def log_row(t, state, u, x_d, l, contact):
     """One log row in COLUMNS order: the body state, arm deflection l, input and setpoint at t."""
-    return [t, *state.y, l, u.f, *u.tau, 1.0 if contact else 0.0, *x_d]
+    return [t, *state, l, u.f, *u.tau, 1.0 if contact else 0.0, *x_d]
 
 SETTLE_RADIUS = 0.05  # m
 

@@ -14,6 +14,7 @@ from foldquad.arm import (ContactTimeoutError, DisplacementTrace, SpringParams,
                           _modal_response, _recurrence_start, _response_jacobian,
                           _transition, advance_arm, analytic_response, check_rk4_stable,
                           fit_spring_params, simulate_contact)
+from foldquad.dynamics import MIN_DT, ControlInput, VehicleParams, hover, integrate_step
 
 NOMINAL = SpringParams(b_s=30.0, k_s=500.0)
 
@@ -185,12 +186,30 @@ def test_clamp_keeps_an_extending_rate():
 def test_contact_input_validation():
     with pytest.raises(ValueError):
         simulate_contact(0.0, NOMINAL)
-    for dt in (0.0, 0.0101):  # ScenarioConfig.dt's bound, (0, 0.01]
+    for dt in (0.0, 0.0101):  # ScenarioConfig.dt's bound, [MIN_DT, 0.01]
         with pytest.raises(ValueError, match="dt must be in"):
             simulate_contact(1.0, NOMINAL, dt=dt)
     for v in (math.nan, math.inf):
         with pytest.raises(ValueError, match="v_impact must be positive and finite"):
             simulate_contact(v, NOMINAL)
+
+
+@pytest.mark.parametrize("dt", [5e-324, MIN_DT / 2])
+def test_contact_refuses_a_subnormal_dt_as_integrate_step_does(dt):
+    """A dt below MIN_DT is a ValueError with integrate_step's message, not an
+    OverflowError from the step limit 1/dt."""
+    with pytest.raises(ValueError, match="dt must be in") as arm_error:
+        simulate_contact(1.0, NOMINAL, dt=dt)
+    with pytest.raises(ValueError) as step_error:
+        integrate_step(hover((0.0, 0.0, 0.0)), ControlInput(), VehicleParams(), dt)
+    assert str(arm_error.value) == str(step_error.value)
+
+
+def test_contact_accepts_min_dt(monkeypatch):
+    """MIN_DT passes the check and has a finite step limit. The arm is stubbed to
+    release on its first step: at MIN_DT a contact takes about 4.5e307 steps."""
+    monkeypatch.setattr(arm_module, "advance_arm", lambda l, l_dot, phi, p: (0.0, -0.5, True))
+    assert simulate_contact(1.0, NOMINAL, dt=MIN_DT).duration == MIN_DT
 
 
 def test_contact_timeout_guard():

@@ -8,7 +8,8 @@ from foldquad import scenario
 from foldquad.arm import SpringParams, _transition, simulate_contact
 from foldquad.collision import (RIGID_CONTACT_TIME, Foldable, Rigid, Wall, contact_constrained_step,
                                 detect_contact, impact_force_estimate, resolve_rigid)
-from foldquad.dynamics import BodyState, ControlInput, StateBlowUpError, VehicleParams
+from foldquad.dynamics import (ControlInput, StateBlowUpError, VehicleParams, body_state,
+                               quaternion_to_rotation)
 from foldquad.scenario import ScenarioConfig
 
 P = VehicleParams()
@@ -20,9 +21,21 @@ def distance(w, x):
     return float(np.array(w.normal) @ np.asarray(x, dtype=float)) - w.offset
 
 
+def x_of(s):
+    return np.array(s[:3])
+
+
+def v_of(s):
+    return np.array(s[3:6])
+
+
+def R_of(s):
+    return np.array(quaternion_to_rotation(s[6:10])).reshape(3, 3)
+
+
 def moving_state(x, v):
-    return BodyState(x=np.asarray(x, dtype=float), v=np.asarray(v, dtype=float),
-                     R=np.eye(3), omega=np.zeros(3))
+    return body_state(x=np.asarray(x, dtype=float), v=np.asarray(v, dtype=float),
+                      R=np.eye(3), omega=np.zeros(3))
 
 
 # -- wall ----------------------------------------------------------------------
@@ -46,6 +59,21 @@ def test_wall_normalization_is_idempotent():
 def test_wall_rejects_zero_normal():
     with pytest.raises(ValueError):
         Wall(normal=[0.0, 0.0, 0.0], offset=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("normal, unit", [
+    ([-1e200, 0.0, 0.0], (-1.0, 0.0, 0.0)),  # its square overflows
+    ([1e-200, 0.0, 0.0], (1.0, 0.0, 0.0)),  # its square underflows to 0
+    ([3e-160, 4e-160, 0.0], (0.6, 0.8, 0.0)),  # its squares are subnormal
+    ([5e-324, 0.0, -5e-324], (0.5 ** 0.5, 0.0, -(0.5 ** 0.5))),  # subnormal components
+    ([1.7e308, -1.7e308, 1.7e308], (3.0 ** -0.5, -(3.0 ** -0.5), 3.0 ** -0.5)),
+])
+def test_wall_normal_of_any_finite_length_is_unit(normal, unit):
+    """A normal whose squares over- or underflow is scaled by its largest component
+    first: each component lands within 1 ulp of the unit normal's, without a warning."""
+    got = Wall(normal=normal, offset=0.0).normal
+    assert all(abs(g - u) <= math.ulp(u) for g, u in zip(got, unit)), got
 
 
 def test_rigid_restitution_bounds():
@@ -87,8 +115,8 @@ def test_detect_at_boundary_approaching():
     ev = detect_contact(s, WALL, P, t=0.25)
     assert ev is not None
     assert ev.t_c == 0.25
-    assert np.array_equal(ev.v_c, s.v)
-    assert np.array_equal(ev.x_c, s.x)
+    assert np.array_equal(ev.v_c, v_of(s))
+    assert np.array_equal(ev.x_c, x_of(s))
     assert float(ev.v_c @ ev.normal) > 0.0  # approaching by construction
 
 
@@ -104,12 +132,12 @@ def test_no_tunneling_at_step_speed():
     s = moving_state([0.3 - P.r_contact + v * dt * 0.999, 0.0, 0.0], [v, 0.0, 0.0])
     ev = detect_contact(s, WALL, P)
     assert ev is not None
-    penetration = P.r_contact - distance(WALL, s.x)
+    penetration = P.r_contact - distance(WALL, x_of(s))
     assert penetration <= v * dt + 1e-12
     sp = resolve_rigid(0.9, P.r_contact)
     out, l, _, _ = contact_constrained_step(s, 0.0, v, WALL, ControlInput(f=0.0),
                                             P, sp, _transition(sp.b_s, sp.k_s, dt), dt)
-    assert abs(distance(WALL, out.x) - (P.r_contact - l)) < 1e-12
+    assert abs(distance(WALL, x_of(out)) - (P.r_contact - l)) < 1e-12
     assert 0.0 < l < sp.l_max
 
 
@@ -142,9 +170,9 @@ def test_rigid_reflection_default_restitution():
     steps; attitude without torque or rate stays as it was."""
     states, _ = _run_constrained(1.4, ControlInput(f=0.0), resolve_rigid(0.9, P.r_contact))
     assert len(states) - 1 == 10
-    assert states[-1].v[0] == pytest.approx(-1.26, rel=1e-12, abs=0.0)
-    assert states[-1].v[1] == 0.0
-    assert np.array_equal(states[-1].R, states[0].R)
+    assert v_of(states[-1])[0] == pytest.approx(-1.26, rel=1e-12, abs=0.0)
+    assert v_of(states[-1])[1] == 0.0
+    assert np.array_equal(R_of(states[-1]), R_of(states[0]))
 
 
 def test_rigid_elastic_oblique_preserves_speed():
@@ -163,11 +191,11 @@ def test_rigid_elastic_oblique_preserves_speed():
     for _ in range(10):  # releases on the step at RIGID_CONTACT_TIME
         s, l, l_dot, exited = contact_constrained_step(s, l, l_dot, wall, ControlInput(f=0.0),
                                                        P, sp, phi, 1e-3)
-        assert abs(float(s.v @ tan) - 0.5) < 1e-12
+        assert abs(float(v_of(s) @ tan) - 0.5) < 1e-12
     assert exited
-    assert float(s.v @ n) == pytest.approx(-1.0, rel=1e-12, abs=0.0)
-    assert np.hypot(*s.v[:2]) == pytest.approx(np.hypot(*v0[:2]), rel=1e-12, abs=0.0)
-    assert s.v[2] == pytest.approx(P.g * RIGID_CONTACT_TIME, rel=1e-9)
+    assert float(v_of(s) @ n) == pytest.approx(-1.0, rel=1e-12, abs=0.0)
+    assert np.hypot(*v_of(s)[:2]) == pytest.approx(np.hypot(*v0[:2]), rel=1e-12, abs=0.0)
+    assert v_of(s)[2] == pytest.approx(P.g * RIGID_CONTACT_TIME, rel=1e-9)
 
 
 def _first_contact_steps(monkeypatch, mode):
@@ -199,7 +227,7 @@ def test_foldable_contact_snap_carries_attitude_and_rate_bit_for_bit(monkeypatch
     exactly as detect_contact saw them, over twelve start headings."""
     touched, first_input = _first_contact_steps(monkeypatch, Foldable())
     assert len(touched) == len(first_input) == 12
-    assert all(a.y[6:] == b.y[6:] for a, b in zip(first_input, touched))
+    assert all(a[6:] == b[6:] for a, b in zip(first_input, touched))
 
 
 def test_rigid_contact_snap_carries_attitude_and_rate_bit_for_bit(monkeypatch):
@@ -207,7 +235,7 @@ def test_rigid_contact_snap_carries_attitude_and_rate_bit_for_bit(monkeypatch):
     omega bit for bit."""
     touched, first_input = _first_contact_steps(monkeypatch, Rigid())
     assert len(touched) == len(first_input) == 12
-    assert all(a.y == b.y for a, b in zip(first_input, touched))
+    assert all(a == b for a, b in zip(first_input, touched))
 
 
 # -- contact_constrained_step ------------------------------------------------------
@@ -239,8 +267,8 @@ def test_centroid_advances_with_compression():
         s, 0.0, 1.4, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
     assert not exited
     assert l2 > 0.0
-    assert s2.x[0] > s.x[0]  # centroid keeps moving toward the wall as l grows
-    assert abs((0.3 - s2.x[0]) - (P.r_contact - l2)) < 1e-12
+    assert x_of(s2)[0] > x_of(s)[0]  # centroid keeps moving toward the wall as l grows
+    assert abs((0.3 - x_of(s2)[0]) - (P.r_contact - l2)) < 1e-12
 
 
 def test_release_speed_matches_pure_arm_integration():
@@ -249,7 +277,7 @@ def test_release_speed_matches_pure_arm_integration():
     for v_c in [0.6, 1.4, 2.2]:
         states, arms = _run_constrained(v_c, ControlInput(f=0.0), spring)
         oracle = simulate_contact(v_c, spring, dt=1e-3)
-        v_exit = -float(states[-1].v @ np.array([1.0, 0.0, 0.0]))
+        v_exit = -float(v_of(states[-1]) @ np.array([1.0, 0.0, 0.0]))
         assert abs(v_exit - oracle.v_rb) < 1e-6
         assert abs(max(l for l, _ in arms) - oracle.peak_l) < 1e-6
         assert len(states) - 1 == round(oracle.duration / 1e-3)
@@ -267,7 +295,7 @@ def test_tangential_velocity_decoupled():
             s, l, l_dot, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
         if exited:
             break
-    assert abs(s.v[1] - 0.25) < 1e-12
+    assert abs(v_of(s)[1] - 0.25) < 1e-12
 
 
 def test_energy_monotone_inside_constrained_contact():
@@ -289,17 +317,17 @@ def test_contact_step_blow_up_detected():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateBlowUpError):
         for _ in range(100):
             s, l, l_dot, _ = contact_constrained_step(s, l, l_dot, WALL, u, P, sp, phi, 1e-3)
-            assert np.isfinite(s.x).all() and np.isfinite(s.v).all()
+            assert np.isfinite(x_of(s)).all() and np.isfinite(v_of(s)).all()
 
 
 def test_foldable_rebound_below_rigid_for_all_restitutions():
     spring = SpringParams()
     v_c = 1.4
     states, _ = _run_constrained(v_c, ControlInput(f=0.0), spring)
-    v_fold = -float(states[-1].v[0])
+    v_fold = -float(v_of(states[-1])[0])
     for e in [0.3, 0.5, 0.7, 0.9, 1.0]:
         rigid, _ = _run_constrained(v_c, ControlInput(f=0.0), resolve_rigid(e, P.r_contact))
-        v_rigid = -float(rigid[-1].v[0])
+        v_rigid = -float(v_of(rigid[-1])[0])
         assert v_rigid == pytest.approx(e * v_c, rel=1e-12, abs=0.0)
         assert v_fold < v_rigid
 

@@ -735,6 +735,16 @@ def _a_file(path):
 WALL_CONFIG = str(Path(__file__).parents[1] / "configs" / "wall_collision.yaml")
 
 
+def test_cli_wall_normal_of_length_1e200_runs_as_the_unit_normal(tmp_path, capsys):
+    """Scaled before it is normalized, the long normal is (-1, 0, 0) exactly: the run
+    touches the wall and prints the metrics of the config as it is."""
+    args = ["run", WALL_CONFIG, "--out-dir", str(tmp_path)]
+    assert cli_main(args) == 0
+    want = capsys.readouterr().out
+    assert cli_main([*args, "--set", "wall_normal=[-1e200, 0, 0]"]) == 0
+    assert capsys.readouterr().out == want and json.loads(want)["v_c"] is not None
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["run", str(d), "--out-dir", str(d / "out")],
     lambda d: ["metrics", str(d)],

@@ -1,8 +1,8 @@
 """Property tests over random states and random scenario configs.
 
-`integrate_step` and `contact_constrained_step` build their results without
-`BodyState.__post_init__`, so each must either raise StateBlowUpError or
-return a state that the validating constructor accepts. The scalar
+`integrate_step` and `contact_constrained_step` build their 13-float results
+without `body_state`'s checks, so each must either raise StateBlowUpError or
+return a state that `body_state` accepts. The scalar
 `integrate_step` matches a quaternion RK4 written with numpy arrays, leaves a
 unit quaternion with w >= 0 whose rotation is orthonormal, and raises on a body
 rate that turns too far in one step; the constructor rejects a reflection.
@@ -41,8 +41,8 @@ from foldquad.collision import (CollisionEvent, Foldable, Rigid, Wall, contact_c
                                 detect_contact)
 from foldquad.control import (ControllerConfig, ControllerState, Setpoint, _rotation_error,
                               position_loop, step_controller)
-from foldquad.dynamics import (MIN_DT, BodyState, ControlInput, StateBlowUpError, VehicleParams,
-                               cross3, integrate_step, quaternion_to_rotation)
+from foldquad.dynamics import (MIN_DT, ControlInput, StateBlowUpError, VehicleParams, body_state,
+                               cross3, hover, integrate_step, quaternion_to_rotation)
 from foldquad.scenario import ScenarioConfig
 from foldquad.simlog import COLUMNS, SETTLE_RADIUS, SimLog, compute_metrics
 
@@ -53,6 +53,22 @@ SPRING = SpringParams()
 WALL = Wall(normal=[-1.0, 0.0, 0.0], offset=-0.3)
 EXAMPLES = settings(max_examples=50, deadline=None)
 EPS = np.finfo(float).eps
+
+
+def x_of(s):
+    return np.array(s[:3])
+
+
+def v_of(s):
+    return np.array(s[3:6])
+
+
+def R_of(s):
+    return np.array(quaternion_to_rotation(s[6:10])).reshape(3, 3)
+
+
+def omega_of(s):
+    return np.array(s[10:])
 
 
 def phi(dt):
@@ -67,7 +83,7 @@ def vec3(bound):
 quaternions = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
     lambda q: np.linalg.norm(q) > 0.1)
 states = st.builds(
-    lambda x, v, q, w: BodyState(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
+    lambda x, v, q, w: body_state(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
     vec3(100.0), vec3(100.0), quaternions, vec3(1e3))
 inputs = st.builds(ControlInput, f=st.floats(0.0, 1e3), tau=vec3(1e3))
 dts = st.floats(MIN_DT, 0.01)  # a normal float: integrate_step refuses a subnormal dt
@@ -75,7 +91,7 @@ arms = st.tuples(st.floats(0.0, SPRING.l_max), st.floats(-5.0, 5.0))  # (l, l_do
 
 
 def assert_fully_valid(s):
-    BodyState(x=s.x, v=s.v, R=s.R, omega=s.omega)
+    body_state(x=x_of(s), v=v_of(s), R=R_of(s), omega=omega_of(s))
 
 
 @EXAMPLES
@@ -171,7 +187,7 @@ def test_contact_is_detected_on_exactly_the_logged_touches(cfg):
     events = {e.t_c: e for e in log.events}
     tested = len(flags) if log.aborted else len(flags) - 1
     for k, (t, *y) in enumerate(log.data[:tested, :14].tolist()):
-        ev = detect_contact(BodyState._trusted(tuple(y)), cfg.wall, cfg.vehicle, t)
+        ev = detect_contact(tuple(y), cfg.wall, cfg.vehicle, t)
         if not flags[k]:
             assert ev is None, f"a touch at t={t} that the loop did not log"
         elif k == 0 or not flags[k - 1]:
@@ -218,7 +234,7 @@ def reference_rk4(s, u, p, dt):
         return (v, p.g * E3 - (u.f / p.m) * (rotation(q) @ E3), qdot,
                 np.linalg.solve(J, u.tau - np.cross(w, J @ w)))
 
-    y0 = (s.x, s.v, np.array(s.y[6:10]), s.omega)
+    y0 = (x_of(s), v_of(s), np.array(s[6:10]), omega_of(s))
     k1 = f(*y0)
     k2 = f(*(y + 0.5 * dt * k for y, k in zip(y0, k1)))
     k3 = f(*(y + 0.5 * dt * k for y, k in zip(y0, k2)))
@@ -231,10 +247,10 @@ def reference_rk4(s, u, p, dt):
 
 inertias = st.lists(st.floats(1e-3, 1e-1), min_size=3, max_size=3)  # 3 principal moments
 moderate_states = st.builds(
-    lambda x, v, q, w: BodyState(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
+    lambda x, v, q, w: body_state(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
     vec3(100.0), vec3(100.0), quaternions, vec3(20.0))
 states_near_origin = st.builds(
-    lambda x, v, q, w: BodyState(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
+    lambda x, v, q, w: body_state(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
     vec3(1.0), vec3(5.0), quaternions, vec3(20.0))
 
 
@@ -250,8 +266,8 @@ def test_integrate_step_matches_numpy_rk4(s, u, J, dt):
         assert abs(norm - 1.0) > 0.99e-6
         return
     for name, g, w, start in zip("x v q omega".split(),
-                                 (got.x, got.v, np.array(got.y[6:10]), got.omega),
-                                 want, (s.x, s.v, np.array(s.y[6:10]), s.omega)):
+                                 (x_of(got), v_of(got), np.array(got[6:10]), omega_of(got)),
+                                 want, (x_of(s), v_of(s), np.array(s[6:10]), omega_of(s))):
         scale = max(np.max(np.abs(w)), np.max(np.abs(start)))
         assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
 
@@ -277,10 +293,10 @@ def test_step_keeps_a_unit_quaternion_and_an_orthonormal_rotation(s, u, dt):
         out = integrate_step(s, u, P, dt)
     except StateBlowUpError:
         return
-    q = [Fraction(c) for c in out.y[6:10]]
+    q = [Fraction(c) for c in out[6:10]]
     assert abs(sum(c * c for c in q) - 1) <= 4 * EPS  # |q|^2 - 1 is 2 (|q| - 1)
-    assert out.y[6] >= 0.0
-    as_float, exact = ortho_errors(out.R)
+    assert out[6] >= 0.0
+    as_float, exact = ortho_errors(R_of(out))
     assert as_float <= 2e-15 and exact <= 2e-15
 
 
@@ -294,7 +310,7 @@ def test_step_rejects_a_rate_that_turns_too_far(q, axis, dt):
     R = Rotation.from_quat(q).as_matrix()
     for turn, raises in ((1.0, True), (0.3, False)):
         omega = turn / dt * axis / np.linalg.norm(axis)
-        s = BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=omega)
+        s = body_state(x=np.zeros(3), v=np.zeros(3), R=R, omega=omega)
         if raises:
             with pytest.raises(StateBlowUpError):
                 integrate_step(s, ControlInput(f=0.0), p, dt)
@@ -310,10 +326,10 @@ def test_renormalize_rejects_nonpositive_det(q, i):
     R = Rotation.from_quat(q).as_matrix()
     R[i] = -R[i]
     with pytest.raises(ValueError, match="not a rotation"):
-        BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3))
+        body_state(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3))
     R[i] = 0.0
     with pytest.raises(ValueError, match="not a rotation"):
-        BodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3))
+        body_state(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3))
 
 
 # -- the scalar controller tick against numpy ---------------------------------------
@@ -329,7 +345,7 @@ def reference_rotation_from_thrust_dir(b3, yaw):
 
 def reference_position_loop(s, sp, integral, prev_e_v, held_R_d, cfg, p, dt):
     """The position loop with numpy arrays: (f, R_d, integral, e_v, f_vec, a_cmd)."""
-    e_v = cfg.k_p * (sp.x_d - s.x) - s.v
+    e_v = cfg.k_p * (sp.x_d - x_of(s)) - v_of(s)
     integral = np.clip(integral + e_v * dt, -cfg.integral_limit, cfg.integral_limit)
     d_e_v = np.zeros(3) if prev_e_v is None else (e_v - prev_e_v) / dt
     a_cmd = cfg.k_v * e_v + cfg.k_vi * integral + cfg.k_vd * d_e_v
@@ -339,7 +355,7 @@ def reference_position_loop(s, sp, integral, prev_e_v, held_R_d, cfg, p, dt):
         R_d = np.eye(3) if held_R_d is None else held_R_d
     else:
         R_d = reference_rotation_from_thrust_dir(f_vec / norm, sp.yaw_d)
-    f = float(np.clip(p.m * float(f_vec @ (s.R @ E3)), 0.0, cfg.max_thrust))
+    f = float(np.clip(p.m * float(f_vec @ (R_of(s) @ E3)), 0.0, cfg.max_thrust))
     return f, R_d, integral, e_v, f_vec, a_cmd
 
 
@@ -368,7 +384,7 @@ def controller_cases(draw):
     held = draw(st.none() | quaternions.map(lambda q: Rotation.from_quat(q).as_matrix()))
     cs = ControllerState() if held is None else ControllerState(held_R_d=tuple(held.ravel().tolist()))
     if case == "free":
-        x_d = s.x + draw(vec3(100.0))
+        x_d = x_of(s) + draw(vec3(100.0))
         cs = dataclasses.replace(
             cs, integral=tuple(draw(vec3(CFG.integral_limit)).tolist()),
             prev_e_v=draw(st.none() | vec3(100.0).map(lambda a: tuple(a.tolist()))))
@@ -376,7 +392,7 @@ def controller_cases(draw):
         c = 0.0 if case == "degenerate" else draw(st.floats(0.5, 20.0))
         a_cmd = np.array([-c * np.cos(yaw), -c * np.sin(yaw), P.g])
         e_v = a_cmd / (CFG.k_v + CFG.k_vi / CFG.position_rate)
-        x_d = s.x + (e_v + s.v) / CFG.k_p
+        x_d = x_of(s) + (e_v + v_of(s)) / CFG.k_p
     return case, s, Setpoint(x_d=x_d, yaw_d=yaw), cs, held
 
 
@@ -402,8 +418,8 @@ def test_controller_tick_matches_numpy(case_data, J):
     assert_close("f", f, want_f, p.m * norm)
     assert_close("R_d", R_d, want_R_d, cond)
     assert_close("integral", cs2.integral, want_int, np.array(cs.integral), want_e_v * dt)
-    assert_close("e_v", cs2.prev_e_v, want_e_v, CFG.k_p * (sp.x_d - s.x), s.v)
-    want_tau, terms = reference_moment(s.R, s.omega, want_R_d, p, CFG)
+    assert_close("e_v", cs2.prev_e_v, want_e_v, CFG.k_p * (sp.x_d - x_of(s)), v_of(s))
+    want_tau, terms = reference_moment(R_of(s), omega_of(s), want_R_d, p, CFG)
     assert_close("tau", u.tau, want_tau, *terms, CFG.k_r * cond)
     assert u.f == f
 
@@ -425,7 +441,7 @@ def oracle_rotation_from_thrust_dir(b3, yaw):
 
 def oracle_position_loop(s, sp, cs, cfg, p, dt):
     lim = cfg.integral_limit
-    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(sp.x_d, s.y[:3], s.y[3:6])]
+    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(sp.x_d, s[:3], s[3:6])]
     integral = tuple(min(max(i + e * dt, -lim), lim) for i, e in zip(cs.integral, e_v))
     d_e_v = (0.0, 0.0, 0.0) if cs.prev_e_v is None else [
         (e - q) / dt for e, q in zip(e_v, cs.prev_e_v)]
@@ -435,7 +451,7 @@ def oracle_position_loop(s, sp, cs, cfg, p, dt):
     norm = math.hypot(*f_vec)
     R_d = cs.held_R_d if norm < 1e-6 else oracle_rotation_from_thrust_dir(
         [c / norm for c in f_vec], sp.yaw_d)
-    r02, r12, r22 = quaternion_to_rotation(s.y[6:10])[2::3]  # body-z is the third column of R
+    r02, r12, r22 = quaternion_to_rotation(s[6:10])[2::3]  # body-z is the third column of R
     f = min(max(p.m * (f_vec[0] * r02 + f_vec[1] * r12 + f_vec[2] * r22), 0.0), cfg.max_thrust)
     return ControllerState(integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d)
 
@@ -446,8 +462,8 @@ def oracle_attitude_moment(e_R, omega, p, cfg):
 
 
 def oracle_step_controller(s, cs, cfg, p):
-    omega = s.y[10:]
-    R = quaternion_to_rotation(s.y[6:10])
+    omega = s[10:]
+    R = quaternion_to_rotation(s[6:10])
     tau = oracle_attitude_moment(_rotation_error(R, cs.held_R_d), omega, p, cfg)
     return ControlInput._trusted(cs.held_f, tau)
 
@@ -460,9 +476,9 @@ def oracle_distance(w, x):
 
 def oracle_detect_contact(s, w, p, t=0.0):
     n0, n1, n2 = w.normal
-    v0, v1, v2 = s.y[3:6]
-    if oracle_distance(w, s.y[:3]) <= p.r_contact and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
-        return CollisionEvent(t_c=float(t), x_c=s.x, v_c=s.v, normal=-np.array(w.normal))
+    v0, v1, v2 = s[3:6]
+    if oracle_distance(w, s[:3]) <= p.r_contact and v0 * n0 + v1 * n1 + v2 * n2 < 0.0:
+        return CollisionEvent(t_c=float(t), x_c=x_of(s), v_c=v_of(s), normal=-np.array(w.normal))
     return None
 
 
@@ -491,7 +507,7 @@ def test_named_float_tick_is_bit_identical_to_generator_tick(case_data, J, norma
     _, s, sp, cs, _ = case_data
     p, dt = VehicleParams(J=J), 1.0 / CFG.position_rate
     unit = np.asarray(normal) / np.linalg.norm(normal)
-    w = Wall(normal=normal, offset=float(unit @ s.x) - p.r_contact - gap)
+    w = Wall(normal=normal, offset=float(unit @ x_of(s)) - p.r_contact - gap)
     for held in (cs, position_loop(s, sp, cs, CFG, p, dt)):
         assert tick_bits(held, step_controller(s, held, CFG, p), None) == tick_bits(
             held, oracle_step_controller(s, held, CFG, p), None)
@@ -511,9 +527,9 @@ def reference_contact_translation(s, l2, ld2, w, u, p, dt):
     n = np.array(w.normal)
     n_in = -n
     coord = w.offset + (p.r_contact - l2)
-    x2 = free.x + (coord - float(n @ free.x)) * n
-    v2 = free.v - float(free.v @ n_in) * n_in + ld2 * n_in
-    return x2, v2, (free.x, coord), (free.v, ld2)
+    x2 = x_of(free) + (coord - float(n @ x_of(free))) * n
+    v2 = v_of(free) - float(v_of(free) @ n_in) * n_in + ld2 * n_in
+    return x2, v2, (x_of(free), coord), (v_of(free), ld2)
 
 
 # every component at least 0.1 in magnitude before normalization: no axis-aligned wall
@@ -530,10 +546,10 @@ def test_contact_step_matches_numpy(s, a, w, u, dt):
     l2, ld2, want_exited = advance_arm(*a, phi(dt), SPRING)
     assert (got_l, got_l_dot, exited) == (l2, ld2, want_exited)
     want_x, want_v, x_terms, v_terms = reference_contact_translation(s, l2, ld2, w, u, P, dt)
-    assert_close("x", got.x, want_x, *x_terms)
-    assert_close("v", got.v, want_v, *v_terms)
+    assert_close("x", x_of(got), want_x, *x_terms)
+    assert_close("v", v_of(got), want_v, *v_terms)
     free = integrate_step(s, u, P, dt)
-    assert got.y[6:] == free.y[6:]  # q and omega come from the one free step
+    assert got[6:] == free[6:]  # q and omega come from the one free step
 
 
 @settings(max_examples=200, deadline=None)
@@ -547,34 +563,34 @@ def test_contact_step_does_not_depend_on_the_start_normal_position(s, a, w, u, d
     touching contact gives the same step to rounding: the run loop needs no snap."""
     def step_from(gap):
         n = np.array(w.normal)
-        start = s.with_translation(s.x + (gap - (float(n @ s.x) - w.offset)) * n, s.v)
+        start = (*(x_of(s) + (gap - (float(n @ x_of(s)) - w.offset)) * n).tolist(), *s[3:])
         return contact_constrained_step(start, *a, w, u, P, SPRING, phi(dt), dt)
 
     touching, shifted = step_from(P.r_contact), step_from(P.r_contact + d)
-    assert np.allclose(shifted[0].x, touching[0].x, rtol=0.0, atol=1e-14)
-    assert np.allclose(shifted[0].v, touching[0].v, rtol=0.0, atol=1e-14)
-    assert shifted[0].y[6:] == touching[0].y[6:]  # q and omega
+    assert np.allclose(x_of(shifted[0]), x_of(touching[0]), rtol=0.0, atol=1e-14)
+    assert np.allclose(v_of(shifted[0]), v_of(touching[0]), rtol=0.0, atol=1e-14)
+    assert shifted[0][6:] == touching[0][6:]  # q and omega
     assert shifted[1:] == touching[1:]  # the arm state and exited
 
 
 def oracle_contact_constrained_step(s, l, l_dot, w, u, p, sp, phi, dt):
     """Verbatim copy of the contact step as it was written with slices of the free
-    state's y, a star-unpacked rebuild and BodyState._trusted."""
+    state and a star-unpacked rebuild."""
     n0, n1, n2 = w.normal
     l2, ld2, exited = advance_arm(l, l_dot, phi, sp)
 
     # the one free step gives q, omega and the tangential x and v: attitude does not
     # depend on translation, and the free acceleration depends only on q(t)
     free = integrate_step(s, u, p, dt)
-    x0, x1, x2, v0, v1, v2 = free.y[:6]
+    x0, x1, x2, v0, v1, v2 = free[:6]
     c = (w.offset + (p.r_contact - l2)) - (n0 * x0 + n1 * x1 + n2 * x2)
     vn = (v0 * n0 + v1 * n1 + v2 * n2) + ld2  # keep the tangential v, then l_dot into the wall
     y = (x0 + c * n0, x1 + c * n1, x2 + c * n2, v0 - vn * n0, v1 - vn * n1, v2 - vn * n2,
-         *free.y[6:])
+         *free[6:])
     if not all(map(math.isfinite, y[:6])):
         raise StateBlowUpError("non-finite state after contact step")
 
-    return BodyState._trusted(y), l2, ld2, exited
+    return y, l2, ld2, exited
 
 
 def contact_bits(step, *args):
@@ -583,7 +599,7 @@ def contact_bits(step, *args):
         s, l, l_dot, exited = step(*args)
     except StateBlowUpError as exc:
         return "StateBlowUpError", str(exc)
-    return hexes(s.y, l, l_dot), exited
+    return hexes(s, l, l_dot), exited
 
 
 # non-finite arm states, and finite offsets and arm states whose sums overflow, end in
@@ -597,7 +613,7 @@ blowups = st.sampled_from([math.inf, -math.inf, math.nan, 1.797e308, -1.797e308]
        arms | st.tuples(st.floats(0.0, SPRING.l_max) | blowups, st.floats(-5.0, 5.0) | blowups),
        oblique_walls | st.builds(Wall, normal=oblique_normals, offset=blowups.filter(math.isfinite)),
        st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
-@example(BodyState.hover([0.0, 0.0, 0.0]), (0.0, math.nan), WALL,
+@example(hover([0.0, 0.0, 0.0]), (0.0, math.nan), WALL,
          ControlInput(f=10.0), 1e-3)
 def test_named_float_contact_step_is_bit_identical_to_sliced_step(s, a, w, u, dt):
     """contact_constrained_step, which unpacks the free state once and builds one tuple,
