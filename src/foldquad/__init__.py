@@ -5,9 +5,9 @@ from .arm import (ContactResult, ContactTimeoutError, DisplacementTrace, FitResu
 from .collision import (CollisionEvent, ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact,
                         impact_force_estimate, resolve_rigid)
-from .control import (ControllerConfig, ControllerState, Setpoint, attitude_moment,
-                      position_loop, recovery_setpoint, step_controller)
-from .dynamics import (ControlInput, StateBlowUpError, VehicleParams, body_state, hover,
+from .control import (ControllerConfig, ControllerState, attitude_moment, position_loop,
+                      recovery_setpoint, step_controller)
+from .dynamics import (StateBlowUpError, VehicleParams, body_state, control_input, hover,
                        integrate_step)
 from .scenario import (ComparisonReport, ScenarioConfig, SweepRow, compare_modes,
                        find_start_gap, run_scenario, sweep_velocities)
@@ -16,11 +16,11 @@ from .simlog import COLUMNS, Metrics, SimLog, compute_metrics
 __all__ = [
     "COLUMNS", "CollisionEvent",
     "ComparisonReport", "ContactMode", "ContactResult", "ContactTimeoutError",
-    "ControlInput", "ControllerConfig", "ControllerState", "DisplacementTrace",
-    "FitResult", "Foldable", "Metrics", "Rigid", "ScenarioConfig", "Setpoint",
+    "ControllerConfig", "ControllerState", "DisplacementTrace",
+    "FitResult", "Foldable", "Metrics", "Rigid", "ScenarioConfig",
     "SimLog", "SpringParams", "StateBlowUpError", "SweepRow", "VehicleParams",
     "Wall", "analytic_response", "attitude_moment", "body_state", "compare_modes",
-    "compute_metrics", "contact_constrained_step", "detect_contact",
+    "compute_metrics", "contact_constrained_step", "control_input", "detect_contact",
     "find_start_gap", "fit_spring_params", "hover", "impact_force_estimate",
     "integrate_step", "position_loop", "recovery_setpoint", "resolve_rigid",
     "run_scenario", "simulate_contact", "step_controller", "sweep_velocities",

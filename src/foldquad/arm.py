@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dynamics import MAX_DT, MIN_DT
+from .dynamics import MAX_DT, MAX_STEPS, MIN_DT
 
 CONTACT_TIMEOUT_S = 1.0  # a contact that has not released after this long is aborted
 
@@ -176,16 +176,30 @@ def _transition(b_s, k_s, dt):
     return c + half * s, s, -k_s * s, c - half * s
 
 
+def _rk4_gain(b, k, dt):
+    """The largest |R(z)| of RK4 at z = s dt over the roots s of s^2 + b s + k."""
+    d = cmath.sqrt(b * b - 4.0 * k)
+    return max(abs(1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24)
+               for z in (0.5 * (-b + d) * dt, 0.5 * (-b - d) * dt))
+
+
 def check_rk4_stable(p: SpringParams, dt):
-    """Raise ValueError unless each root s of s^2 + b_s s + k_s puts z = s dt
-    inside RK4's stability region. The arm step is exact at any dt; this bounds
-    how coarsely the physics grid, on which contact begins and ends, resolves the
-    spring's poles."""
-    d = cmath.sqrt(p.b_s * p.b_s - 4.0 * p.k_s)
-    for z in (0.5 * (-p.b_s + d) * dt, 0.5 * (-p.b_s - d) * dt):
-        if abs(1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24) > 1.0:
-            raise ValueError(f"arm spring (b_s={p.b_s:g}, k_s={p.k_s:g}) is unstable "
-                             f"under RK4 at physics_dt={dt:g}")
+    """Raise ValueError unless each root s of s^2 + b_s s + k_s puts z = s dt inside RK4's
+    stability region. The arm step is exact at any dt; this bounds how coarsely the physics
+    grid, on which contact begins and ends, resolves the spring's poles. Where b_s^2 or z^3
+    overflows, it decides in scaled form: the roots' sum is -b_s and their product k_s, so
+    some z lies outside if max(b_s/2, sqrt(k_s)) dt exceeds the region's largest |z|,
+    2.96012; else the z are the roots of z^2 + b_s dt z + k_s dt^2."""
+    try:
+        gain = _rk4_gain(p.b_s, p.k_s, dt)
+    except OverflowError:  # z ** 3 of a huge complex z
+        gain = math.inf
+    if not math.isfinite(gain):
+        b, k = p.b_s * dt, p.k_s * dt * dt
+        gain = math.inf if max(0.5 * b, math.sqrt(k)) > 2.9602 else _rk4_gain(b, k, 1.0)
+    if gain > 1.0:
+        raise ValueError(f"arm spring (b_s={p.b_s:g}, k_s={p.k_s:g}) is unstable "
+                         f"under RK4 at physics_dt={dt:g}")
 
 
 def advance_arm(l, l_dot, phi, p: SpringParams):
@@ -215,6 +229,9 @@ def simulate_contact(v_impact, p: SpringParams, dt=1e-3) -> ContactResult:
         raise ValueError("v_impact must be positive and finite")
     if not (MIN_DT <= dt <= MAX_DT):  # as integrate_step: a lesser dt overflows the step limit
         raise ValueError(f"dt must be in [{MIN_DT:g}, {MAX_DT:g}] s")
+    if contact_step_limit(dt) > MAX_STEPS:
+        raise ValueError(f"dt={dt:g} s allows {contact_step_limit(dt):.3g} arm steps, over "
+                         f"the budget of {MAX_STEPS:,}")
     phi = _transition(p.b_s, p.k_s, dt)
     l, l_dot, peak_l = 0.0, float(v_impact), 0.0
     for i in range(1, contact_step_limit(dt) + 1):  # step i ends at t = i*dt

@@ -25,20 +25,17 @@ def _parse_overrides(pairs):
     return out
 
 
-def _load_config(args):
-    return ScenarioConfig.load(args.config, overrides=_parse_overrides(args.set))
-
-
-def _out_dir(args):
+def _load(args):
+    """The config with its overrides, then the output directory, made if missing, and the
+    config's stem, which names the output files."""
+    cfg = ScenarioConfig.load(args.config, overrides=_parse_overrides(args.set))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return cfg, out, Path(args.config).stem
 
 
 def cmd_run(args):
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    stem = Path(args.config).stem
+    cfg, out, stem = _load(args)
     log = run_scenario(cfg)
     log.write_csv(out / f"{stem}_log.csv")
     if log.aborted:
@@ -51,9 +48,7 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    stem = Path(args.config).stem
+    cfg, out, stem = _load(args)
     report = compare_modes(cfg)
     report.foldable_log.write_csv(out / f"{stem}_foldable_log.csv")
     report.rigid_log.write_csv(out / f"{stem}_rigid_log.csv")
@@ -68,12 +63,11 @@ def cmd_compare(args):
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args)
-    out = _out_dir(args)
+    cfg, out, stem = _load(args)
     speeds = [float(s) for s in args.speeds.split(",")]
     rows = sweep_velocities(cfg, speeds)
     text = json.dumps([r.to_dict() for r in rows], indent=2)
-    (out / f"{Path(args.config).stem}_sweep.json").write_text(text + "\n")
+    (out / f"{stem}_sweep.json").write_text(text + "\n")
     print(text)
     return 2 if any(r.aborted for r in rows) else 0
 

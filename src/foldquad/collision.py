@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arm import SpringParams, advance_arm
-from .dynamics import ControlInput, StateBlowUpError, VehicleParams, as_vec3, integrate_step
+from .dynamics import StateBlowUpError, VehicleParams, as_vec3, integrate_step
 
 RIGID_CONTACT_TIME = 10e-3  # s; whole steps at dt 0.25, 0.5, 1, 2, 2.5, 5 ms, 1/600, 1/300 s
 
@@ -84,7 +84,7 @@ def resolve_rigid(e: float, r_contact: float) -> SpringParams:
                         l_max=0.9 * r_contact, delta_l=1e-9)
 
 
-def contact_constrained_step(s: tuple, l: float, l_dot: float, w: Wall, u: ControlInput,
+def contact_constrained_step(s: tuple, l: float, l_dot: float, w: Wall, u: tuple,
                              p: VehicleParams, sp: SpringParams, phi, dt: float):
     """One physics step while the arm is pinned against the wall.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .dynamics import ControlInput, VehicleParams, as_vec3, cross3, quaternion_to_rotation
+from .dynamics import VehicleParams, as_vec3, cross3, quaternion_to_rotation
 
 _THRUST_DIR_EPS = 1e-6
 
@@ -41,16 +41,6 @@ class ControllerConfig:
 
 
 @dataclass
-class Setpoint:
-    x_d: tuple  # plain floats for the tick and the log row
-    yaw_d: float = 0.0
-
-    def __post_init__(self):
-        self.x_d = as_vec3(self.x_d, "x_d")
-        self.yaw_d = float(self.yaw_d)
-
-
-@dataclass
 class ControllerState:
     """Loop memory owned by a single simulation loop, in floats; R_d is row-major."""
 
@@ -60,8 +50,8 @@ class ControllerState:
     held_R_d: tuple = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # identity before a tick
 
 
-def recovery_setpoint(x_tc, v_c_xy, cfg: ControllerConfig, yaw_d=0.0) -> Setpoint:
-    """One-shot post-collision position target.
+def recovery_setpoint(x_tc, v_c_xy, cfg: ControllerConfig) -> tuple:
+    """One-shot post-collision position target x_d, as 3 floats.
 
     Displaces the horizontal target opposite the approach direction by
     gamma_i * |v_ci| per axis; the altitude target is the altitude at the
@@ -69,7 +59,7 @@ def recovery_setpoint(x_tc, v_c_xy, cfg: ControllerConfig, yaw_d=0.0) -> Setpoin
     """
     x0, x1, x2 = as_vec3(x_tc, "x_tc")
     v1, v2 = float(v_c_xy[0]), float(v_c_xy[1])
-    return Setpoint(x_d=(x0 - cfg.gamma1 * v1, x1 - cfg.gamma2 * v2, x2), yaw_d=yaw_d)
+    return (x0 - cfg.gamma1 * v1, x1 - cfg.gamma2 * v2, x2)
 
 
 def _clamp(x, lo, hi):
@@ -89,9 +79,10 @@ def rotation_from_thrust_dir(b3, yaw):
     return (x0, y0, z0, x1, y1, z1, x2, y2, z2)
 
 
-def position_loop(s: tuple, sp: Setpoint, cs: ControllerState,
+def position_loop(s: tuple, x_d: tuple, yaw_d: float, cs: ControllerState,
                   cfg: ControllerConfig, p: VehicleParams, dt: float) -> ControllerState:
-    """One position-loop tick: the new state, with thrust held_f and attitude setpoint held_R_d.
+    """One position-loop tick toward x_d at heading yaw_d: the new state, with thrust held_f
+    and attitude setpoint held_R_d.
 
     v_d = k_p e_x; the velocity PID output is a commanded acceleration whose
     matching specific-force vector fixes the desired body-z axis; thrust is
@@ -99,7 +90,7 @@ def position_loop(s: tuple, sp: Setpoint, cs: ControllerState,
     A vanishing specific force keeps the held R_d.
     """
     lim, k_p, k_v, k_vi, k_vd = cfg.integral_limit, cfg.k_p, cfg.k_v, cfg.k_vi, cfg.k_vd
-    (x0, x1, x2, v0, v1, v2), (xd0, xd1, xd2), (i0, i1, i2) = s[:6], sp.x_d, cs.integral
+    (x0, x1, x2, v0, v1, v2), (xd0, xd1, xd2), (i0, i1, i2) = s[:6], x_d, cs.integral
     e0, e1, e2 = k_p * (xd0 - x0) - v0, k_p * (xd1 - x1) - v1, k_p * (xd2 - x2) - v2
     i0, i1, i2 = (_clamp(i0 + e0 * dt, -lim, lim), _clamp(i1 + e1 * dt, -lim, lim),
                   _clamp(i2 + e2 * dt, -lim, lim))
@@ -111,7 +102,7 @@ def position_loop(s: tuple, sp: Setpoint, cs: ControllerState,
     f2 = p.g - (k_v * e2 + k_vi * i2 + k_vd * d2)
     norm = math.hypot(f0, f1, f2)
     R_d = cs.held_R_d if norm < _THRUST_DIR_EPS else rotation_from_thrust_dir(
-        (f0 / norm, f1 / norm, f2 / norm), sp.yaw_d)
+        (f0 / norm, f1 / norm, f2 / norm), yaw_d)
     r02, r12, r22 = quaternion_to_rotation(s[6:10])[2::3]  # body-z is the third column of R
     f = _clamp(p.m * (f0 * r02 + f1 * r12 + f2 * r22), 0.0, cfg.max_thrust)
     return ControllerState(integral=(i0, i1, i2), prev_e_v=(e0, e1, e2), held_f=f, held_R_d=R_d)
@@ -137,8 +128,9 @@ def attitude_moment(e_R, omega, p: VehicleParams, cfg: ControllerConfig):
 
 
 def step_controller(s: tuple, cs: ControllerState, cfg: ControllerConfig,
-                    p: VehicleParams) -> ControlInput:
-    """One attitude tick: the held thrust, and the moment that tracks the held R_d."""
+                    p: VehicleParams) -> tuple:
+    """One attitude tick: the input (f, tau0, tau1, tau2), of the held thrust f and the
+    moment tau that tracks the held R_d."""
     omega, R = s[10:], quaternion_to_rotation(s[6:10])
     tau = attitude_moment(_rotation_error(R, cs.held_R_d), omega, p, cfg)
-    return ControlInput._trusted(cs.held_f, tau)
+    return (cs.held_f, *tau)

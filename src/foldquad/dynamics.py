@@ -13,6 +13,7 @@ import numpy as np
 
 MAX_DT = 0.01  # s: the longest physics step, and so the longest arm step
 MIN_DT = 2.2250738585072014e-308  # s: the least normal float; below it, dt/6 underflows
+MAX_STEPS = 10_000_000  # the most physics or arm steps one run or contact may take
 _ROT_ORTHO_TOL = 1e-6  # loose bound on max|R^T R - I| of a given R, and on ||q| - 1| after RK4
 
 
@@ -91,27 +92,6 @@ class VehicleParams:
         object.__setattr__(self, "J_inv", tuple(1.0 / j for j in self.J))
 
 
-@dataclass
-class ControlInput:
-    """Total thrust (N, along -R e3) and body moment (N m) as a 3-tuple of floats."""
-
-    f: float = 0.0
-    tau: tuple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        self.f = float(self.f)
-        self.tau = as_vec3(self.tau, "tau")
-        if not 0.0 <= self.f < math.inf:
-            raise ValueError(f"thrust must be finite and non-negative, not {self.f}")
-
-    @classmethod
-    def _trusted(cls, f, tau):
-        """Build without validation; `integrate_step` rejects what a non-finite f or tau yields."""
-        u = object.__new__(cls)
-        u.f, u.tau = f, tau
-        return u
-
-
 def body_state(x, v, R, omega):
     """The body state as its 13 floats (x, v, q, omega): position, inertial velocity, the
     unit attitude quaternion q = (w, x, y, z), w >= 0, of the body->inertial rotation R,
@@ -132,9 +112,18 @@ def hover(x, yaw=0.0, v=(0.0, 0.0, 0.0)):
     return body_state(x, v, [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], (0.0, 0.0, 0.0))
 
 
-def integrate_step(s: tuple, u: ControlInput, p: VehicleParams, dt: float) -> tuple:
-    """One classical RK4 step of the 13-float state s on named scalars, then the quaternion
-    rescaled to unit norm; the result is a new tuple.
+def control_input(f=0.0, tau=(0.0, 0.0, 0.0)):
+    """The control input as its 4 floats (f, tau0, tau1, tau2): total thrust (N, along -R e3),
+    finite and non-negative, and the body moment (N m), finite."""
+    f, tau = float(f), as_vec3(tau, "tau")
+    if not 0.0 <= f < math.inf:
+        raise ValueError(f"thrust must be finite and non-negative, not {f}")
+    return (f, *tau)
+
+
+def integrate_step(s: tuple, u: tuple, p: VehicleParams, dt: float) -> tuple:
+    """One classical RK4 step of the 13-float state s under the 4-float input u = (f, tau) on
+    named scalars, then the quaternion rescaled to unit norm; the result is a new tuple.
     Stages a, b, c, d hold (vdot, qdot, omegadot) at attitude q and body rate omega, in the
     principal axes: vdot = g e3 - (f/m) R(q) e3, qdot = q (x) (0, omega) / 2 and Euler's
     equations in coefficient form, omegadot_k = tau_k/J_k + g_k omega_{k+1} omega_{k+2},
@@ -146,8 +135,8 @@ def integrate_step(s: tuple, u: ControlInput, p: VehicleParams, dt: float) -> tu
     if not (MIN_DT <= dt <= MAX_DT):
         raise ValueError(f"dt must be in [{MIN_DT:g}, {MAX_DT:g}] s")
     x0, x1, x2, v0, v1, v2, qw, qx, qy, qz, w0, w1, w2 = s
-    (j0, j1, j2), (i0, i1, i2), (t0, t1, t2) = p.J, p.J_inv, u.tau
-    acc, g, h, k = u.f / p.m, p.g, 0.5 * dt, dt / 6.0
+    (j0, j1, j2), (i0, i1, i2), (f, t0, t1, t2) = p.J, p.J_inv, u
+    acc, g, h, k = f / p.m, p.g, 0.5 * dt, dt / 6.0
     a2, hh, kh, kk = -2.0 * acc, 0.5 * h, 0.5 * k, dt * k
     e0, e1, e2 = t0 * i0, t1 * i1, t2 * i2  # tau/J, and Euler's coefficients g_k
     g0, g1, g2 = (j1 - j2) * i0, (j2 - j0) * i1, (j0 - j1) * i2

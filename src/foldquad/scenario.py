@@ -9,10 +9,10 @@ import numpy as np
 from .arm import CONTACT_TIMEOUT_S, SpringParams, _transition, check_rk4_stable, contact_step_limit
 from .collision import (ContactMode, Foldable, Rigid, Wall,
                         contact_constrained_step, detect_contact, resolve_rigid)
-from .control import (ControllerConfig, ControllerState, Setpoint, position_loop,
-                      recovery_setpoint, step_controller)
-from .dynamics import (MAX_DT, MIN_DT, StateBlowUpError, VehicleParams, as_vec3, hover,
-                       integrate_step)
+from .control import (ControllerConfig, ControllerState, position_loop, recovery_setpoint,
+                      step_controller)
+from .dynamics import (MAX_DT, MAX_STEPS, MIN_DT, StateBlowUpError, VehicleParams, as_vec3,
+                       hover, integrate_step)
 from .simlog import SETTLE_RADIUS, Metrics, SimLog, compute_metrics, log_row
 
 # flat YAML key -> the one field it sets: (part, field) on a part of the config,
@@ -83,6 +83,9 @@ class ScenarioConfig:
             raise ValueError(f"dt must be in [{MIN_DT:g}, {MAX_DT:g}]")
         if not (self.dt <= self.duration < math.inf and self.dt <= self.log_interval < math.inf):
             raise ValueError("duration and log_interval must be finite and >= dt")
+        if not self.duration / self.dt <= MAX_STEPS:  # an overflow to inf too
+            raise ValueError(f"duration / physics_dt = {self.duration / self.dt:g} steps is over "
+                             f"the budget of {MAX_STEPS:,} steps")
         if self.controller.attitude_rate * self.dt > 1.0:  # position_rate is never faster
             raise ValueError("attitude_rate * physics_dt must be <= 1: one tick per step at most")
         check_rk4_stable(self.spring, self.dt)  # the physics grid must resolve the spring
@@ -165,10 +168,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     """
     state = hover(cfg.start_position, cfg.start_yaw, cfg.start_velocity)
     cs = ControllerState()
-    sp = Setpoint(x_d=cfg.setpoint, yaw_d=cfg.setpoint_yaw)
-    xd0, xd1, xd2 = x_d = sp.x_d
+    xd0, xd1, xd2 = x_d = cfg.setpoint
 
-    dt, ctl = cfg.dt, cfg.controller
+    dt, ctl, yaw_d = cfg.dt, cfg.controller, cfg.setpoint_yaw
     wall, vehicle, log_interval = cfg.wall, cfg.vehicle, cfg.log_interval
     spring = (resolve_rigid(cfg.restitution, vehicle.r_contact) if isinstance(cfg.mode, Rigid)
               else cfg.spring)
@@ -197,7 +199,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             # a tick k is due at the first step with t >= k/rate
             if t * att_rate > n_att - 1e-9:
                 if t * pos_rate > n_pos - 1e-9:
-                    cs = position_loop(state, sp, cs, ctl, vehicle, 1.0 / pos_rate)
+                    cs = position_loop(state, x_d, yaw_d, cs, ctl, vehicle, 1.0 / pos_rate)
                     n_pos += 1
                 u = step_controller(state, cs, ctl, vehicle)
                 n_att += 1
@@ -226,8 +228,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                 if after < 0:  # settling is measured again from after the first contact
                     far = after_far = None
                 events.append(ev)
-                sp = recovery_setpoint(state[:3], ev.v_c[:2], ctl, yaw_d=sp.yaw_d)
-                xd0, xd1, xd2 = x_d = sp.x_d
+                xd0, xd1, xd2 = x_d = recovery_setpoint(state[:3], ev.v_c[:2], ctl)
                 touch, l, l_dot = i, 0.0, float(ev.v_c @ ev.normal)
             if touch is None:
                 state = integrate_step(state, u, vehicle, dt)
@@ -270,16 +271,11 @@ class ComparisonReport:
 
 def compare_modes(cfg: ScenarioConfig) -> ComparisonReport:
     """Run the identical scenario in foldable and rigid modes."""
-    fold_cfg = cfg.with_mode(Foldable())
-    rigid_cfg = cfg.with_mode(Rigid())
-    fold_log = run_scenario(fold_cfg)
-    rigid_log = run_scenario(rigid_cfg)
-    return ComparisonReport(
-        foldable=compute_metrics(fold_log, fold_cfg),
-        rigid=compute_metrics(rigid_log, rigid_cfg),
-        foldable_log=fold_log,
-        rigid_log=rigid_log,
-    )
+    fold_cfg, rigid_cfg = cfg.with_mode(Foldable()), cfg.with_mode(Rigid())
+    fold_log, rigid_log = run_scenario(fold_cfg), run_scenario(rigid_cfg)
+    return ComparisonReport(foldable=compute_metrics(fold_log, fold_cfg),
+                            rigid=compute_metrics(rigid_log, rigid_cfg),
+                            foldable_log=fold_log, rigid_log=rigid_log)
 
 
 @dataclass

@@ -21,7 +21,7 @@ _COL = {name: i for i, name in enumerate(COLUMNS)}
 
 def log_row(t, state, u, x_d, l, contact):
     """One log row in COLUMNS order: the body state, arm deflection l, input and setpoint at t."""
-    return [t, *state, l, u.f, *u.tau, 1.0 if contact else 0.0, *x_d]
+    return [t, *state, l, *u, 1.0 if contact else 0.0, *x_d]
 
 SETTLE_RADIUS = 0.05  # m
 
@@ -113,9 +113,11 @@ def compute_metrics(log: SimLog, cfg) -> Metrics:
     x = log.vec("x")
     v = log.vec("v")
     xd = log.vec("xd")
-    # the run loop's float expressions, so that it logged the rows these pick
-    e = x - xd
-    far = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2] > SETTLE_RADIUS ** 2
+    # the run loop's float expressions, so that it logged the rows these pick; a square
+    # that overflows to inf is far, as in the loop's float arithmetic
+    with np.errstate(over="ignore"):
+        e = x - xd
+        far = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2] > SETTLE_RADIUS ** 2
     episodes = _contact_episodes(log.column("contact"))
 
     if not episodes:

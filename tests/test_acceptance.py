@@ -11,7 +11,7 @@ from foldquad.arm import (DisplacementTrace, SpringParams, analytic_response,
                           fit_spring_params, simulate_contact)
 from foldquad.collision import impact_force_estimate
 from foldquad.control import ControllerConfig, recovery_setpoint
-from foldquad.dynamics import (ControlInput, VehicleParams, body_state, hover, integrate_step,
+from foldquad.dynamics import (VehicleParams, body_state, control_input, hover, integrate_step,
                                quaternion_to_rotation)
 from foldquad.scenario import ScenarioConfig, run_scenario, sweep_velocities
 from foldquad.simlog import compute_metrics
@@ -24,8 +24,8 @@ def report(num, name, ok):
 
 def test_acceptance_1_recovery_setpoint_exactness():
     cfg = ControllerConfig(gamma1=0.5, gamma2=0.5)
-    a = recovery_setpoint([0.6, 0.0, -0.5], [2.1, 0.0], cfg).x_d
-    b = recovery_setpoint([0.4, 0.0, -0.5], [2.1, 0.0], cfg).x_d
+    a = recovery_setpoint([0.6, 0.0, -0.5], [2.1, 0.0], cfg)
+    b = recovery_setpoint([0.4, 0.0, -0.5], [2.1, 0.0], cfg)
     ok = (np.max(np.abs(a - np.array([-0.45, 0.0, -0.5]))) <= 1e-12
           and np.max(np.abs(b - np.array([-0.65, 0.0, -0.5]))) <= 1e-12)
     report(1, "recovery-setpoint exactness", ok)
@@ -129,7 +129,7 @@ def test_acceptance_7_invariant_suites():
     # SO(3) orthonormality per integration step (<= 1e-9)
     s = body_state(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
                    omega=np.array([0.4, -0.7, 0.9]))
-    u = ControlInput(f=p.m * p.g, tau=[0.001, 0.002, -0.001])
+    u = control_input(f=p.m * p.g, tau=[0.001, 0.002, -0.001])
     for _ in range(1000):
         s = integrate_step(s, u, p, 1e-3)
         R = np.array(quaternion_to_rotation(s[6:10])).reshape(3, 3)
@@ -137,7 +137,7 @@ def test_acceptance_7_invariant_suites():
 
     # hover fixed point
     h = hover(np.array([0.0, 0.0, -1.0]))
-    uh = ControlInput(f=p.m * p.g)
+    uh = control_input(f=p.m * p.g)
     x0 = np.array(h[:3])
     for _ in range(1000):
         h = integrate_step(h, uh, p, 1e-3)
@@ -167,8 +167,8 @@ def test_acceptance_7_invariant_suites():
     rng = np.random.default_rng(7)
     for _ in range(100):
         x = rng.normal(size=3)
-        spt = recovery_setpoint(x, rng.normal(size=2), cfg)
-        ok = ok and spt.x_d[2] == x[2]
+        x_d = recovery_setpoint(x, rng.normal(size=2), cfg)
+        ok = ok and x_d[2] == x[2]
 
     # determinism: byte-identical repeated runs
     scen = ScenarioConfig(duration=2.0)

@@ -13,8 +13,8 @@ from foldquad import collision, scenario
 from foldquad.arm import (ContactTimeoutError, DisplacementTrace, SpringParams,
                           _modal_response, _recurrence_start, _response_jacobian,
                           _transition, advance_arm, analytic_response, check_rk4_stable,
-                          fit_spring_params, simulate_contact)
-from foldquad.dynamics import MIN_DT, ControlInput, VehicleParams, hover, integrate_step
+                          contact_step_limit, fit_spring_params, simulate_contact)
+from foldquad.dynamics import MAX_STEPS, MIN_DT, VehicleParams, control_input, hover, integrate_step
 
 NOMINAL = SpringParams(b_s=30.0, k_s=500.0)
 
@@ -201,15 +201,37 @@ def test_contact_refuses_a_subnormal_dt_as_integrate_step_does(dt):
     with pytest.raises(ValueError, match="dt must be in") as arm_error:
         simulate_contact(1.0, NOMINAL, dt=dt)
     with pytest.raises(ValueError) as step_error:
-        integrate_step(hover((0.0, 0.0, 0.0)), ControlInput(), VehicleParams(), dt)
+        integrate_step(hover((0.0, 0.0, 0.0)), control_input(), VehicleParams(), dt)
     assert str(arm_error.value) == str(step_error.value)
 
 
-def test_contact_accepts_min_dt(monkeypatch):
-    """MIN_DT passes the check and has a finite step limit. The arm is stubbed to
-    release on its first step: at MIN_DT a contact takes about 4.5e307 steps."""
+def test_contact_refuses_a_dt_over_the_step_budget(monkeypatch):
+    """A dt whose step limit exceeds MAX_STEPS is refused before the first step: at MIN_DT
+    a contact could take about 4.5e307 steps. The arm is stubbed to release on its first
+    step, so only the budget can refuse; 1e-7 s is one step over it, and 2e-7 s runs."""
     monkeypatch.setattr(arm_module, "advance_arm", lambda l, l_dot, phi, p: (0.0, -0.5, True))
-    assert simulate_contact(1.0, NOMINAL, dt=MIN_DT).duration == MIN_DT
+    assert contact_step_limit(1e-7) == MAX_STEPS + 1
+    for dt in (MIN_DT, 1e-7):
+        with pytest.raises(ValueError, match=f"over the budget of {MAX_STEPS:,}"):
+            simulate_contact(1.0, NOMINAL, dt=dt)
+    assert simulate_contact(1.0, NOMINAL, dt=2e-7).duration == 2e-7
+
+
+@pytest.mark.parametrize("b_s, k_s, dt, stable", [
+    (30.0, 1e300, 1e-3, False),  # z ** 3 overflows
+    (1e160, 500.0, 1e-3, False),  # b_s ** 2 overflows, and |R(z)| was nan
+    (2.5e155, 500.0, 1e-155, True),  # b_s ** 2 overflows; scaled, z is about -2.5
+    (2.9e155, 500.0, 1e-155, False),  # scaled, z is about -2.9: |R(z)| = 1.19
+    (1e160, 500.0, 1e-200, True)])  # b_s dt = 1e-40
+def test_rk4_check_decides_springs_whose_poles_overflow(b_s, k_s, dt, stable):
+    """Where b_s^2 or z^3 overflows, the check decides in scaled form, with no
+    OverflowError and with today's message."""
+    spring = SpringParams(b_s=b_s, k_s=k_s)
+    if stable:
+        check_rk4_stable(spring, dt)
+    else:
+        with pytest.raises(ValueError, match=r"is unstable under RK4 at physics_dt="):
+            check_rk4_stable(spring, dt)
 
 
 def test_contact_timeout_guard():

@@ -8,7 +8,7 @@ from foldquad import scenario
 from foldquad.arm import SpringParams, _transition, simulate_contact
 from foldquad.collision import (RIGID_CONTACT_TIME, Foldable, Rigid, Wall, contact_constrained_step,
                                 detect_contact, impact_force_estimate, resolve_rigid)
-from foldquad.dynamics import (ControlInput, StateBlowUpError, VehicleParams, body_state,
+from foldquad.dynamics import (StateBlowUpError, VehicleParams, body_state, control_input,
                                quaternion_to_rotation)
 from foldquad.scenario import ScenarioConfig
 
@@ -135,7 +135,7 @@ def test_no_tunneling_at_step_speed():
     penetration = P.r_contact - distance(WALL, x_of(s))
     assert penetration <= v * dt + 1e-12
     sp = resolve_rigid(0.9, P.r_contact)
-    out, l, _, _ = contact_constrained_step(s, 0.0, v, WALL, ControlInput(f=0.0),
+    out, l, _, _ = contact_constrained_step(s, 0.0, v, WALL, control_input(f=0.0),
                                             P, sp, _transition(sp.b_s, sp.k_s, dt), dt)
     assert abs(distance(WALL, x_of(out)) - (P.r_contact - l)) < 1e-12
     assert 0.0 < l < sp.l_max
@@ -168,7 +168,7 @@ def test_rigid_arm_peak_stays_below_travel_limit():
 def test_rigid_reflection_default_restitution():
     """The default restitution returns 1.4 m/s at 1.26 m/s after ten 1 ms contact
     steps; attitude without torque or rate stays as it was."""
-    states, _ = _run_constrained(1.4, ControlInput(f=0.0), resolve_rigid(0.9, P.r_contact))
+    states, _ = _run_constrained(1.4, control_input(f=0.0), resolve_rigid(0.9, P.r_contact))
     assert len(states) - 1 == 10
     assert v_of(states[-1])[0] == pytest.approx(-1.26, rel=1e-12, abs=0.0)
     assert v_of(states[-1])[1] == 0.0
@@ -189,7 +189,7 @@ def test_rigid_elastic_oblique_preserves_speed():
     phi = _transition(sp.b_s, sp.k_s, 1e-3)
     l, l_dot = 0.0, 1.0
     for _ in range(10):  # releases on the step at RIGID_CONTACT_TIME
-        s, l, l_dot, exited = contact_constrained_step(s, l, l_dot, wall, ControlInput(f=0.0),
+        s, l, l_dot, exited = contact_constrained_step(s, l, l_dot, wall, control_input(f=0.0),
                                                        P, sp, phi, 1e-3)
         assert abs(float(v_of(s) @ tan) - 0.5) < 1e-12
     assert exited
@@ -264,7 +264,7 @@ def test_centroid_advances_with_compression():
     s = _touching_state([1.4, 0.0, 0.0])
     phi = _transition(spring.b_s, spring.k_s, 1e-3)
     s2, l2, _, exited = contact_constrained_step(
-        s, 0.0, 1.4, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
+        s, 0.0, 1.4, WALL, control_input(f=0.0), P, spring, phi, 1e-3)
     assert not exited
     assert l2 > 0.0
     assert x_of(s2)[0] > x_of(s)[0]  # centroid keeps moving toward the wall as l grows
@@ -275,7 +275,7 @@ def test_release_speed_matches_pure_arm_integration():
     """With thrust zeroed the two contact paths agree to 1e-6."""
     spring = SpringParams()
     for v_c in [0.6, 1.4, 2.2]:
-        states, arms = _run_constrained(v_c, ControlInput(f=0.0), spring)
+        states, arms = _run_constrained(v_c, control_input(f=0.0), spring)
         oracle = simulate_contact(v_c, spring, dt=1e-3)
         v_exit = -float(v_of(states[-1]) @ np.array([1.0, 0.0, 0.0]))
         assert abs(v_exit - oracle.v_rb) < 1e-6
@@ -292,7 +292,7 @@ def test_tangential_velocity_decoupled():
     phi = _transition(spring.b_s, spring.k_s, 1e-3)
     for _ in range(2000):
         s, l, l_dot, exited = contact_constrained_step(
-            s, l, l_dot, WALL, ControlInput(f=0.0), P, spring, phi, 1e-3)
+            s, l, l_dot, WALL, control_input(f=0.0), P, spring, phi, 1e-3)
         if exited:
             break
     assert abs(v_of(s)[1] - 0.25) < 1e-12
@@ -300,7 +300,7 @@ def test_tangential_velocity_decoupled():
 
 def test_energy_monotone_inside_constrained_contact():
     spring = SpringParams()
-    _, arms = _run_constrained(1.4, ControlInput(f=0.0), spring)
+    _, arms = _run_constrained(1.4, control_input(f=0.0), spring)
     e_prev = np.inf
     for l, l_dot in arms:
         e = 0.5 * l_dot**2 + 0.5 * spring.k_s * l**2
@@ -312,7 +312,7 @@ def test_contact_step_blow_up_detected():
     # thrust near the float maximum overflows the free step's RK4 sum; the
     # contact step must raise rather than return a non-finite state
     s, l, l_dot = _touching_state([1.4, 0.0, 0.0]), 0.0, 1.4
-    u, sp = ControlInput(f=1e308), SpringParams()
+    u, sp = control_input(f=1e308), SpringParams()
     phi = _transition(sp.b_s, sp.k_s, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateBlowUpError):
         for _ in range(100):
@@ -323,10 +323,10 @@ def test_contact_step_blow_up_detected():
 def test_foldable_rebound_below_rigid_for_all_restitutions():
     spring = SpringParams()
     v_c = 1.4
-    states, _ = _run_constrained(v_c, ControlInput(f=0.0), spring)
+    states, _ = _run_constrained(v_c, control_input(f=0.0), spring)
     v_fold = -float(v_of(states[-1])[0])
     for e in [0.3, 0.5, 0.7, 0.9, 1.0]:
-        rigid, _ = _run_constrained(v_c, ControlInput(f=0.0), resolve_rigid(e, P.r_contact))
+        rigid, _ = _run_constrained(v_c, control_input(f=0.0), resolve_rigid(e, P.r_contact))
         v_rigid = -float(v_of(rigid[-1])[0])
         assert v_rigid == pytest.approx(e * v_c, rel=1e-12, abs=0.0)
         assert v_fold < v_rigid

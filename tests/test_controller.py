@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from foldquad.control import (ControllerConfig, ControllerState, Setpoint, _rotation_error,
+from foldquad.control import (ControllerConfig, ControllerState, _rotation_error,
                               attitude_moment, position_loop, recovery_setpoint,
                               step_controller)
-from foldquad.dynamics import (ControlInput, VehicleParams, body_state, hover, integrate_step,
+from foldquad.dynamics import (VehicleParams, body_state, control_input, hover, integrate_step,
                                quaternion_to_rotation)
 
 P = VehicleParams()
@@ -63,16 +63,15 @@ def test_config_rejects_slow_attitude_loop():
 # -- recovery_setpoint ------------------------------------------------------------
 
 def test_recovery_setpoint_caption_cases():
-    sp = recovery_setpoint([0.6, 0.0, -0.5], [2.1, 0.0], CFG)
-    assert np.max(np.abs(sp.x_d - np.array([-0.45, 0.0, -0.5]))) < 1e-12
-    sp = recovery_setpoint([0.4, 0.0, -0.5], [2.1, 0.0], CFG)
-    assert np.max(np.abs(sp.x_d - np.array([-0.65, 0.0, -0.5]))) < 1e-12
+    x_d = recovery_setpoint([0.6, 0.0, -0.5], [2.1, 0.0], CFG)
+    assert np.max(np.abs(np.subtract(x_d, [-0.45, 0.0, -0.5]))) < 1e-12
+    x_d = recovery_setpoint([0.4, 0.0, -0.5], [2.1, 0.0], CFG)
+    assert np.max(np.abs(np.subtract(x_d, [-0.65, 0.0, -0.5]))) < 1e-12
 
 
 def test_recovery_setpoint_zero_velocity_fixed_point():
     x = np.array([0.7, -0.2, -1.3])
-    sp = recovery_setpoint(x, [0.0, 0.0], CFG)
-    assert np.array_equal(sp.x_d, x)
+    assert np.array_equal(recovery_setpoint(x, [0.0, 0.0], CFG), x)
 
 
 def test_recovery_setpoint_altitude_bit_equal():
@@ -80,8 +79,7 @@ def test_recovery_setpoint_altitude_bit_equal():
     for _ in range(50):
         x = rng.normal(size=3)
         v = rng.normal(size=2) * 3.0
-        sp = recovery_setpoint(x, v, CFG)
-        assert sp.x_d[2] == x[2]  # bit-for-bit
+        assert recovery_setpoint(x, v, CFG)[2] == x[2]  # bit-for-bit
 
 
 def test_recovery_setpoint_displacement_magnitude_and_sign():
@@ -90,8 +88,7 @@ def test_recovery_setpoint_displacement_magnitude_and_sign():
     for _ in range(50):
         x = rng.normal(size=3)
         v = rng.normal(size=2) * 2.0
-        sp = recovery_setpoint(x, v, cfg)
-        d = sp.x_d[:2] - x[:2]
+        d = np.subtract(recovery_setpoint(x, v, cfg)[:2], x[:2])
         assert abs(abs(d[0]) - 0.5 * abs(v[0])) < 1e-15
         assert abs(abs(d[1]) - 0.7 * abs(v[1])) < 1e-15
         # displacement opposes the approach direction on each axis
@@ -102,8 +99,7 @@ def test_recovery_setpoint_displacement_magnitude_and_sign():
 
 def test_position_loop_hover_command():
     s = hover(np.array([1.0, 2.0, -3.0]))
-    sp = Setpoint(x_d=x_of(s), yaw_d=0.0)
-    cs = position_loop(s, sp, ControllerState(), CFG, P, 0.01)
+    cs = position_loop(s, s[:3], 0.0, ControllerState(), CFG, P, 0.01)
     assert abs(cs.held_f - P.m * P.g) < 1e-9
     assert np.allclose(held_R_d(cs), np.eye(3), atol=1e-12)
 
@@ -111,8 +107,7 @@ def test_position_loop_hover_command():
 def test_position_loop_tilts_toward_target():
     cfg = ControllerConfig(k_p=1.0, k_v=2.0, k_vi=1e-9, k_vd=1e-9)
     s = hover(np.zeros(3))
-    sp = Setpoint(x_d=np.array([1.0, 0.0, 0.0]))
-    cs = position_loop(s, sp, ControllerState(), cfg, P, 0.01)
+    cs = position_loop(s, (1.0, 0.0, 0.0), 0.0, ControllerState(), cfg, P, 0.01)
     # a_cmd = [2, 0, 0]; thrust direction -b3d gains a +x component
     b3 = held_R_d(cs)[:, 2]
     assert -b3[0] > 0.0
@@ -122,17 +117,16 @@ def test_position_loop_tilts_toward_target():
 
 def test_position_loop_thrust_clamped():
     s = hover(np.zeros(3))
-    sp = Setpoint(x_d=np.array([0.0, 0.0, -1e6]))
-    assert position_loop(s, sp, ControllerState(), CFG, P, 0.01).held_f == CFG.max_thrust
+    x_d = (0.0, 0.0, -1e6)
+    assert position_loop(s, x_d, 0.0, ControllerState(), CFG, P, 0.01).held_f == CFG.max_thrust
 
 
 def test_position_loop_integral_clamped():
     cfg = ControllerConfig(integral_limit=0.5)
     s = hover(np.zeros(3))
-    sp = Setpoint(x_d=np.array([100.0, 0.0, 0.0]))
     cs = ControllerState()
     for _ in range(1000):
-        cs = position_loop(s, sp, cs, cfg, P, 0.01)
+        cs = position_loop(s, (100.0, 0.0, 0.0), 0.0, cs, cfg, P, 0.01)
         assert np.all(np.abs(cs.integral) <= 0.5 + 1e-15)
 
 
@@ -141,10 +135,9 @@ def test_position_loop_degenerate_direction_holds_previous():
     cfg = ControllerConfig(k_p=1.0, k_v=1.0, k_vi=1e-9, k_vd=1e-9)
     s = body_state(x=np.zeros(3), v=np.array([0.0, 0.0, 9.81]), R=np.eye(3),
                    omega=np.zeros(3))
-    sp = Setpoint(x_d=np.array([0.0, 0.0, 9.81 + 9.81]))
     prev = rot_x(0.3)
     cs = ControllerState(held_R_d=tuple(prev.ravel().tolist()))
-    cs = position_loop(s, sp, cs, cfg, P, 0.01)
+    cs = position_loop(s, (0.0, 0.0, 9.81 + 9.81), 0.0, cs, cfg, P, 0.01)
     assert np.array_equal(held_R_d(cs), prev)
 
 
@@ -159,7 +152,7 @@ def test_attitude_errors_zero_case():
     # with the rate error e_Omega equal to the body rate
     s = body_state(x=np.zeros(3), v=np.zeros(3), R=R, omega=om)
     u = step_controller(s, ControllerState(held_R_d=tuple(R_of(s).ravel().tolist())), CFG, P)
-    assert np.allclose(u.tau, -CFG.k_omega * om + np.cross(om, np.diag(P.J) @ om), atol=1e-12)
+    assert np.allclose(u[1:], -CFG.k_omega * om + np.cross(om, np.diag(P.J) @ om), atol=1e-12)
 
 
 def test_attitude_error_closed_form_single_axis():
@@ -207,37 +200,36 @@ def test_attitude_moment_proportional_term():
 
 def test_step_controller_hover_equilibrium():
     s = hover(np.array([0.0, 0.0, -1.0]))
-    sp = Setpoint(x_d=x_of(s))
     cs = ControllerState()
     for k in range(10):
         if k % 3 != 1:  # position ticks on two of every three attitude ticks, as at 100/150 Hz
-            cs = position_loop(s, sp, cs, CFG, P, 1.0 / CFG.position_rate)
+            cs = position_loop(s, s[:3], 0.0, cs, CFG, P, 1.0 / CFG.position_rate)
         u = step_controller(s, cs, CFG, P)
-        assert abs(u.f - P.m * P.g) < 1e-9
-        assert np.allclose(u.tau, 0, atol=1e-12)
+        assert abs(u[0] - P.m * P.g) < 1e-9
+        assert np.allclose(u[1:], 0, atol=1e-12)
 
 
 def test_closed_loop_position_convergence_from_offset():
     """1 m offset converges to within 0.05 m in under 5 s."""
     s = hover(np.array([1.0, 0.0, -1.0]))
-    sp = Setpoint(x_d=np.array([0.0, 0.0, -1.0]))
+    x_d = (0.0, 0.0, -1.0)
     cs = ControllerState()
-    u = ControlInput(f=P.m * P.g)
+    u = control_input(f=P.m * P.g)
     n_att = n_pos = 0
     t_conv = None
     for i in range(5000):  # ticks on the run loop's rule: tick k at the first t >= k/rate
         t = i * 1e-3
         if t * CFG.attitude_rate > n_att - 1e-9:
             if t * CFG.position_rate > n_pos - 1e-9:
-                cs = position_loop(s, sp, cs, CFG, P, 1.0 / CFG.position_rate)
+                cs = position_loop(s, x_d, 0.0, cs, CFG, P, 1.0 / CFG.position_rate)
                 n_pos += 1
             u = step_controller(s, cs, CFG, P)
             n_att += 1
         s = integrate_step(s, u, P, 1e-3)
-        if t_conv is None and np.linalg.norm(x_of(s) - sp.x_d) < 0.05:
+        if t_conv is None and np.linalg.norm(x_of(s) - x_d) < 0.05:
             t_conv = t + 1e-3
     assert t_conv is not None and t_conv < 5.0
-    assert np.linalg.norm(x_of(s) - sp.x_d) < 0.05
+    assert np.linalg.norm(x_of(s) - x_d) < 0.05
 
 
 def test_closed_loop_attitude_convergence_from_30_deg():
@@ -247,12 +239,12 @@ def test_closed_loop_attitude_convergence_from_30_deg():
     s = body_state(x=np.zeros(3), v=np.zeros(3), R=rot_x(np.deg2rad(30.0)),
                    omega=np.zeros(3))
     t, next_att = 0.0, 0.0
-    u = ControlInput(f=P.m * P.g)
+    u = control_input(f=P.m * P.g)
     norms = []
     while t < 2.0:
         if t >= next_att - 1e-12:
             tau = attitude_moment(rotation_error(R_of(s), R_d), s[10:], P, CFG)
-            u = ControlInput(f=P.m * P.g, tau=tau)
+            u = control_input(f=P.m * P.g, tau=tau)
             next_att += 1.0 / CFG.attitude_rate
         s = integrate_step(s, u, P, 1e-3)
         t += 1e-3

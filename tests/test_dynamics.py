@@ -9,8 +9,8 @@ from scipy.spatial.transform import Rotation
 
 from foldquad.arm import SpringParams, _transition
 from foldquad.collision import Wall, contact_constrained_step
-from foldquad.dynamics import (_ROT_ORTHO_TOL, MIN_DT, ControlInput, StateBlowUpError,
-                               VehicleParams, body_state, hover, integrate_step,
+from foldquad.dynamics import (_ROT_ORTHO_TOL, MIN_DT, StateBlowUpError, VehicleParams,
+                               body_state, control_input, hover, integrate_step,
                                quaternion_to_rotation, rotation_to_quaternion)
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -103,7 +103,7 @@ def test_renormalize_identity():
     from it rescales q by exactly 1."""
     assert rotation_to_quaternion(np.eye(3).ravel().tolist()) == (1.0, 0.0, 0.0, 0.0)
     assert quaternion_to_rotation((1.0, 0.0, 0.0, 0.0)) == tuple(np.eye(3).ravel().tolist())
-    out = integrate_step(hover(np.zeros(3)), ControlInput(f=12.0), VehicleParams(),
+    out = integrate_step(hover(np.zeros(3)), control_input(f=12.0), VehicleParams(),
                          1e-3)
     assert out[6:10] == (1.0, 0.0, 0.0, 0.0)
     assert np.array_equal(R_of(out), np.eye(3))
@@ -130,7 +130,7 @@ def test_renormalize_idempotent_on_rotations():
     for _ in range(10):
         R = random_rotation(rng)
         s = body_state(x=np.zeros(3), v=np.zeros(3), R=R, omega=np.zeros(3))
-        out = integrate_step(s, ControlInput(f=0.0), p, 1e-3)
+        out = integrate_step(s, control_input(f=0.0), p, 1e-3)
         assert max(abs(a - b) for a, b in zip(out[6:10], s[6:10])) <= 2 * EPS
         assert np.max(np.abs(R_of(out) - R)) < 1e-12
 
@@ -151,8 +151,8 @@ def test_negated_quaternion_gives_bit_identical_step():
                        R=Rotation.random(random_state=rng.integers(2**31)).as_matrix(),
                        omega=rng.normal(size=3))
         neg = (*s[:6], *(-c for c in s[6:10]), *s[10:])
-        u = ControlInput(f=12.0, tau=rng.normal(scale=0.01, size=3))
-        d, d_neg = (reference_deriv(y, u.f / p.m, u.tau, p) for y in (s, neg))
+        u = control_input(f=12.0, tau=rng.normal(scale=0.01, size=3))
+        d, d_neg = (reference_deriv(y, u[0] / p.m, u[1:], p) for y in (s, neg))
         assert d_neg[:6] == d[:6] and d_neg[10:] == d[10:]
         assert d_neg[6:10] == [-c for c in d[6:10]]
         assert integrate_step(neg, u, p, 1e-3) == integrate_step(s, u, p, 1e-3)
@@ -178,9 +178,9 @@ def test_norm_guard_fires_where_rk4_drift_exceeds_tolerance():
                            omega=factor * turn / dt * axis)
             if raises:
                 with pytest.raises(StateBlowUpError, match="quaternion norm"):
-                    integrate_step(s, ControlInput(f=0.0), p, dt)
+                    integrate_step(s, control_input(f=0.0), p, dt)
             else:
-                out = integrate_step(s, ControlInput(f=0.0), p, dt)
+                out = integrate_step(s, control_input(f=0.0), p, dt)
                 assert np.array_equal(omega_of(out), omega_of(s))  # no gyroscopic torque
 
 
@@ -209,13 +209,13 @@ def test_vehicle_params_rejects_bad_inertia():
 
 def test_control_input_rejects_negative_thrust():
     with pytest.raises(ValueError):
-        ControlInput(f=-1.0)
+        control_input(f=-1.0)
 
 
 @pytest.mark.parametrize("f", [np.nan, np.inf])
 def test_control_input_rejects_non_finite_thrust(f):
     with pytest.raises(ValueError, match="finite"):
-        ControlInput(f=f)
+        control_input(f=f)
 
 
 def test_body_state_rejects_non_orthonormal_rotation():
@@ -236,7 +236,7 @@ def stepped_states():
     p = VehicleParams()
     s = body_state(x=rng.normal(size=3), v=rng.normal(size=3), R=random_rotation(rng),
                    omega=rng.normal(size=3))
-    u = ControlInput(f=12.0, tau=rng.normal(scale=0.01, size=3))
+    u = control_input(f=12.0, tau=rng.normal(scale=0.01, size=3))
     wall = Wall(normal=[-0.6, 0.48, 0.64], offset=-0.3)
     sp = SpringParams()
     contact, _, _, _ = contact_constrained_step(s, 0.01, 0.5, wall, u, p,
@@ -265,7 +265,7 @@ def test_constructor_round_trip_is_bit_identical():
 
 def derivative(s, u, p):
     """(xdot, vdot, qdot, omegadot) of the state under reference_deriv, as arrays."""
-    d = np.array(reference_deriv(s, u.f / p.m, u.tau, p))
+    d = np.array(reference_deriv(s, u[0] / p.m, u[1:], p))
     return d[:3], d[3:6], np.array([-0.5, 0.5, 0.5, 0.5]) * d[6:10], d[10:]
 
 
@@ -281,7 +281,7 @@ STATEMENTS = (derivative, step_rate)  # the list oracle, and the step's own stag
 def test_hover_equilibrium_derivative():
     p = VehicleParams()
     s = hover(np.zeros(3))
-    u = ControlInput(f=p.m * p.g)
+    u = control_input(f=p.m * p.g)
     for deriv in STATEMENTS:
         xdot, vdot, qdot, omegadot = deriv(s, u, p)
         assert np.allclose(xdot, 0, atol=1e-15)
@@ -294,14 +294,14 @@ def test_free_fall_derivative():
     p = VehicleParams()
     s = hover(np.zeros(3))
     for deriv in STATEMENTS:
-        _, vdot, _, _ = deriv(s, ControlInput(f=0.0), p)
+        _, vdot, _, _ = deriv(s, control_input(f=0.0), p)
         assert np.allclose(vdot, [0.0, 0.0, 9.81], atol=1e-12)
 
 
 def test_pure_yaw_moment_derivative():
     p = VehicleParams()
     s = hover(np.zeros(3))
-    u = ControlInput(f=p.m * p.g, tau=[0.0, 0.0, 0.01])
+    u = control_input(f=p.m * p.g, tau=[0.0, 0.0, 0.01])
     for deriv in STATEMENTS:
         _, _, _, omegadot = deriv(s, u, p)
         assert np.allclose(omegadot, [0.0, 0.0, 0.01 / 0.0053], atol=1e-12)
@@ -312,7 +312,7 @@ def test_pure_yaw_moment_derivative():
 def test_hover_held_one_second():
     p = VehicleParams()
     s = hover(np.array([1.0, -2.0, -3.0]))
-    u = ControlInput(f=p.m * p.g)
+    u = control_input(f=p.m * p.g)
     x0 = x_of(s)
     for _ in range(1000):
         s = integrate_step(s, u, p, 1e-3)
@@ -322,7 +322,7 @@ def test_hover_held_one_second():
 def test_free_fall_one_second():
     p = VehicleParams()
     s = hover(np.zeros(3))
-    u = ControlInput(f=0.0)
+    u = control_input(f=0.0)
     for _ in range(1000):
         s = integrate_step(s, u, p, 1e-3)
     assert abs(v_of(s)[2] - 9.81) < 1e-6
@@ -334,7 +334,7 @@ def test_constant_yaw_rate_full_turn():
                    omega=np.array([0.0, 0.0, 1.0]))
     # torque holding the rate constant: with diagonal J and an axis-aligned
     # rate the gyroscopic term vanishes, so tau = 0 keeps omega fixed
-    u = ControlInput(f=p.m * p.g)
+    u = control_input(f=p.m * p.g)
     n = int(round(2.0 * np.pi / 1e-3))
     for _ in range(n):
         s = integrate_step(s, u, p, 1e-3)
@@ -348,11 +348,11 @@ def test_integrate_step_rejects_bad_dt():
     velocity would miss its increment (5e-324 s of g is 5e-323 m/s, and dt/6 is 0.0)."""
     p = VehicleParams()
     s = hover(np.zeros(3))
-    u = ControlInput(f=p.m * p.g)
+    u = control_input(f=p.m * p.g)
     for dt in (0.0, 5e-324, MIN_DT / 2.0, 0.02):
         with pytest.raises(ValueError, match="dt must be in"):
             integrate_step(s, u, p, dt)
-    assert integrate_step(hover(np.zeros(3)), ControlInput(f=0.0), p, MIN_DT)[5] > 0.0
+    assert integrate_step(hover(np.zeros(3)), control_input(f=0.0), p, MIN_DT)[5] > 0.0
 
 
 def test_integrate_step_deterministic():
@@ -360,7 +360,7 @@ def test_integrate_step_deterministic():
     rng = np.random.default_rng(5)
     s = body_state(x=rng.normal(size=3), v=rng.normal(size=3),
                    R=random_rotation(rng), omega=rng.normal(size=3))
-    u = ControlInput(f=3.0, tau=rng.normal(size=3) * 0.01)
+    u = control_input(f=3.0, tau=rng.normal(size=3) * 0.01)
     a = integrate_step(s, u, p, 1e-3)
     b = integrate_step(s, u, p, 1e-3)
     assert np.array_equal(x_of(a), x_of(b)) and np.array_equal(v_of(a), v_of(b))
@@ -374,17 +374,17 @@ def test_rk4_matches_euler_substeps():
     for _ in range(5):
         s = body_state(x=rng.normal(size=3), v=rng.normal(size=3),
                        R=random_rotation(rng), omega=rng.normal(size=3))
-        u = ControlInput(f=abs(rng.normal()) * 10.0, tau=rng.normal(size=3) * 0.01)
+        u = control_input(f=abs(rng.normal()) * 10.0, tau=rng.normal(size=3) * 0.01)
         dt = 1e-3
         out = integrate_step(s, u, p, dt)
         x, v, R, om = x_of(s), v_of(s), R_of(s), omega_of(s)
         h = dt / 100
         for _ in range(100):
-            acc = p.g * E3 - (u.f / p.m) * (R @ E3)
+            acc = p.g * E3 - (u[0] / p.m) * (R @ E3)
             x, v = x + h * v, v + h * acc
             R = R + h * (R @ hat(om))
             J = np.diag(p.J)
-            om = om + h * np.linalg.solve(J, u.tau - np.cross(om, J @ om))
+            om = om + h * np.linalg.solve(J, u[1:] - np.cross(om, J @ om))
         err = max(np.max(np.abs(x_of(out) - x)), np.max(np.abs(v_of(out) - v)),
                   np.max(np.abs(R_of(out) - R)), np.max(np.abs(omega_of(out) - om)))
         assert err < 1e-6
@@ -395,7 +395,7 @@ def test_orthonormality_every_step():
     rng = np.random.default_rng(7)
     s = body_state(x=np.zeros(3), v=np.zeros(3), R=random_rotation(rng),
                    omega=rng.normal(size=3))
-    u = ControlInput(f=p.m * p.g, tau=[0.001, -0.002, 0.0005])
+    u = control_input(f=p.m * p.g, tau=[0.001, -0.002, 0.0005])
     for _ in range(2000):
         s = integrate_step(s, u, p, 1e-3)
         err = np.linalg.norm(R_of(s).T @ R_of(s) - np.eye(3))
@@ -407,7 +407,7 @@ def test_angular_momentum_conserved_in_free_rotation():
     p = VehicleParams()
     s = body_state(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
                    omega=np.array([1.0, -2.0, 0.5]))
-    u = ControlInput(f=p.m * p.g)  # zero torque; thrust does not affect rotation
+    u = control_input(f=p.m * p.g)  # zero torque; thrust does not affect rotation
     L0 = R_of(s) @ (np.diag(p.J) @ omega_of(s))
     for _ in range(1000):
         s = integrate_step(s, u, p, 1e-3)
@@ -421,14 +421,14 @@ def test_blow_up_detected():
     s = body_state(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
                    omega=np.array([1e200, 1e200, 0.0]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateBlowUpError):
-        integrate_step(s, ControlInput(f=0.0), p, 1e-3)
+        integrate_step(s, control_input(f=0.0), p, 1e-3)
 
 
 def test_guard_passes_a_finite_state_whose_sum_overflows():
     """The guard's fast test sums the 9 translation and rate floats; a sum that
     overflows sends the step to the full checks, which pass a finite state."""
     s = (1.7e308, 1.7e308) + (0.0,) * 5 + (1.0,) + (0.0,) * 5
-    out = integrate_step(s, ControlInput(f=0.0), VehicleParams(), 1e-3)
+    out = integrate_step(s, control_input(f=0.0), VehicleParams(), 1e-3)
     assert out[:2] == (1.7e308, 1.7e308) and all(map(math.isfinite, out))
 
 
@@ -439,7 +439,7 @@ def test_guard_names_a_nan_as_non_finite(index):
     y = [0.0] * 13
     y[6], y[index] = 1.0, math.nan
     with pytest.raises(StateBlowUpError, match="non-finite state"):
-        integrate_step(tuple(y), ControlInput(f=10.0), VehicleParams(), 1e-3)
+        integrate_step(tuple(y), control_input(f=10.0), VehicleParams(), 1e-3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -455,7 +455,7 @@ def test_symmetric_body_keeps_its_axial_rate_bit_for_bit(j, ratio, f, dt, q, w, 
     n = math.sqrt(math.fsum(x * x for x in q))
     p = VehicleParams(J=(j, j, ratio * j))
     s = (0.0,) * 6 + tuple(x / n for x in q) + (*w, w2)
-    u = ControlInput(f=f)
+    u = control_input(f=f)
     for _ in range(1000):
         s = integrate_step(s, u, p, dt)
         assert s[12] == w2
@@ -469,7 +469,7 @@ def reference_step(s, u, p, dt):
     weighted (a + d) + 2 (b + c); returns the new state's 13-tuple."""
     if not (MIN_DT <= dt <= 0.01):
         raise ValueError(f"dt must be in [{MIN_DT:g}, 0.01] s")
-    y0, a, tau, h, c = s, u.f / p.m, u.tau, 0.5 * dt, dt / 6.0
+    y0, a, tau, h, c = s, u[0] / p.m, u[1:], 0.5 * dt, dt / 6.0
     half, full, weight = ((r,) * 6 + (-0.5 * r, 0.5 * r, 0.5 * r, 0.5 * r) + (r,) * 3
                           for r in (h, dt, c))  # Q is 2 qdot with its w entry negated
     k1 = reference_deriv(y0, a, tau, p)
@@ -516,8 +516,7 @@ def bit_cases(draw):
         w = draw(st.lists(signed(1e3 if kind == "free" else 1e200), min_size=3, max_size=3))
     y = (*draw(st.lists(signed(100.0), min_size=6, max_size=6)), *(x / n for x in q), *w)
     J = draw(st.lists(st.floats(1e-4, 1e-1), min_size=3, max_size=3))
-    u = ControlInput._trusted(draw(st.floats(0.0, 1e3)),
-                              tuple(draw(st.lists(signed(10.0), min_size=3, max_size=3))))
+    u = (draw(st.floats(0.0, 1e3)), *draw(st.lists(signed(10.0), min_size=3, max_size=3)))
     return y, u, VehicleParams(m=draw(st.floats(0.1, 10.0)), J=J), dt
 
 
@@ -532,7 +531,7 @@ def outcome(step, case):
 @settings(max_examples=300, deadline=None)
 @given(bit_cases())
 @example(((0.0,) * 9 + (1.0, 0.0, 0.0, -0.0),
-          ControlInput._trusted(0.0, (0.0, 0.0, -0.0)),
+          (0.0, 0.0, 0.0, -0.0),
           VehicleParams(m=1.0, J=(0.0625,) * 3), 0.0078125))  # -0.0 rate, equal moments
 def test_scalar_step_is_bit_identical_to_list_step(case):
     """The scalar stages change no float operation: the same bits, -0.0 kept apart

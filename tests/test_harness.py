@@ -1,14 +1,19 @@
 """Scenario orchestration, logging, metrics, comparisons and the CLI."""
 import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foldquad
 from foldquad import scenario
@@ -17,7 +22,7 @@ from foldquad.cli import _parse_overrides
 from foldquad.cli import main as cli_main
 from foldquad.collision import RIGID_CONTACT_TIME, Foldable, Rigid, Wall
 from foldquad.control import ControllerConfig, recovery_setpoint
-from foldquad.dynamics import VehicleParams
+from foldquad.dynamics import MAX_STEPS, MIN_DT, VehicleParams
 from foldquad.scenario import (_START_GAP, ScenarioConfig, _cruise_cfg, compare_modes,
                                run_scenario, sweep_velocities)
 from foldquad.simlog import (COLUMNS, SETTLE_RADIUS, Metrics, SimLog, _contact_episodes,
@@ -330,8 +335,8 @@ def test_recollision_regenerates_recovery_setpoint(mode, t_c2):
     ev1, ev2 = log.events
     assert ev1.t_c == pytest.approx(0.063, abs=1e-9)
     assert ev2.t_c == pytest.approx(t_c2, abs=1e-9)
-    x_d1 = recovery_setpoint(ev1.x_c, ev1.v_c[:2], cfg.controller).x_d
-    x_d2 = recovery_setpoint(ev2.x_c, ev2.v_c[:2], cfg.controller).x_d
+    x_d1 = recovery_setpoint(ev1.x_c, ev1.v_c[:2], cfg.controller)
+    x_d2 = recovery_setpoint(ev2.x_c, ev2.v_c[:2], cfg.controller)
     assert np.array_equal(log.vec("xd")[-1], x_d2)
     assert not np.array_equal(x_d1, x_d2)
 
@@ -895,3 +900,127 @@ def test_cli_rejects_arm_spring_unstable_at_physics_dt(tmp_path, capsys, k_s):
 @pytest.mark.parametrize("b_s,k_s", [(30.0, 500.0), (30.0, 900.0)])
 def test_arm_spring_stable_at_physics_dt_accepted(b_s, k_s):
     ScenarioConfig(spring=SpringParams(b_s=b_s, k_s=k_s))
+
+
+def test_config_refuses_a_run_over_the_step_budget():
+    """duration / physics_dt may reach MAX_STEPS and no further; an overflow to inf is over."""
+    ScenarioConfig(dt=1e-3, duration=MAX_STEPS * 1e-3)
+    for dt, duration in ((1e-3, 1.001e4), (1e-9, 5.0), (MIN_DT, 5.0), (1e-3, 1e300)):
+        with pytest.raises(ValueError, match=r"duration / physics_dt = .* over the budget"):
+            ScenarioConfig(dt=dt, duration=duration)
+
+
+# -- every accepted config ends in a documented exit -------------------------------------
+
+def _compare_exit(config, overrides, out_dir):
+    """`foldquad compare` in-process with warnings as errors; checks what its exit promises
+    (1: one error line and no CSV; 0 and 2: both CSVs) and returns (exit, stderr)."""
+    argv = ["compare", str(config), "--out-dir", str(out_dir)]
+    for override in overrides:
+        argv += ["--set", override]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli_main(argv)
+    err = err.getvalue()
+    stem = Path(out_dir) / Path(config).stem
+    logs = [Path(f"{stem}_{mode}_log.csv") for mode in ("foldable", "rigid")]
+    assert code in (0, 1, 2), code
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not any(path.exists() for path in logs)
+    else:
+        assert all(path.is_file() for path in logs)
+        assert (code == 2) == bool(err)
+        assert all(" run aborted: " in line for line in err.splitlines())
+    return code, err
+
+
+@pytest.mark.parametrize("overrides, code, message", [
+    (["physics_dt=2.2250738585072014e-308"], 1, "over the budget"),
+    (["physics_dt=1e-9"], 1, "over the budget"),
+    (["duration=1e300"], 1, "over the budget"),
+    (["spring_stiffness=1e300"], 1, "unstable under RK4"),
+    (["spring_damping=1e160"], 1, "unstable under RK4"),
+    (["contact_radius=1e300"], 0, ""),
+    (["gravity=-1e300"], 0, ""),
+    (["start_velocity=[1e300,0,0]"], 0, ""),
+    (["setpoint=[1e300,0,0]"], 0, ""),
+    (["wall_offset=1e300"], 0, ""),
+    (["gamma1=1e300"], 0, ""),
+    (["gamma1=1e300", "start_velocity=[1e10,0,0]"], 2, "state blow-up")])
+def test_cli_extreme_override_ends_in_a_documented_exit(tmp_path, overrides, code, message):
+    """A step count past the budget, a spring whose poles overflow, squared distances that
+    overflow in the metrics, and an infinite recovery target each end in their exit code,
+    with no traceback and no warning."""
+    got, err = _compare_exit(WALL_CONFIG, overrides, tmp_path)
+    assert got == code and message in err
+
+
+_FUZZ_KEYS = sorted([*scenario._KEYS, "wall_normal", "wall_offset"])
+_FUZZ_DEFAULTS = ScenarioConfig().to_dict()
+_EXTREMES = [0.0, MIN_DT, -MIN_DT, 5e-324, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan,
+             -1.0]
+_FUZZ_STEPS = 2000  # a run is cut to this many steps
+
+
+def _fuzz_value(key):
+    """A value for key: near its default, or from the pool of extremes, or misshapen."""
+    def near(d):  # half to twice a nonzero default
+        return st.floats(0.5, 2.0).map(lambda f: f * d) if d else st.floats(-1.0, 1.0)
+
+    default = _FUZZ_DEFAULTS[key]
+    extreme = st.sampled_from(_EXTREMES)
+    wrong_shape = st.just([1.0, 2.0])
+    if not isinstance(default, list):
+        return st.one_of(near(default), extreme, wrong_shape)
+    moderate = st.tuples(*map(near, default)).map(list)
+    one_extreme = st.tuples(moderate, st.integers(0, 2), extreme).map(
+        lambda t: [*t[0][:t[1]], t[2], *t[0][t[1] + 1:]])
+    return st.one_of(moderate, one_extreme, extreme, wrong_shape)
+
+
+flat_overrides = st.lists(st.sampled_from(_FUZZ_KEYS), min_size=1, max_size=3,
+                          unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _fuzz_value(key) for key in keys}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_overrides)
+def test_any_flat_override_ends_in_a_documented_exit(d):
+    """One to three flat keys, near their defaults or extreme: a config over the step budget
+    is refused, and `foldquad compare`, cut to _FUZZ_STEPS steps, exits 1 exactly when the
+    config is refused, else 0 or 2, with no exception and no warning."""
+    try:
+        cfg = ScenarioConfig.from_dict(d)
+    except ValueError:
+        cfg = None
+    else:
+        assert cfg.duration / cfg.dt <= MAX_STEPS
+        if cfg.duration / cfg.dt > _FUZZ_STEPS:
+            d = {**d, "duration": _FUZZ_STEPS * cfg.dt}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzz.yaml"
+        config.write_text("")  # all defaults
+        code, _ = _compare_exit(config, [f"{k}={json.dumps(v)}" for k, v in d.items()], tmp)
+    assert (code == 1) == (cfg is None)
+
+
+# -- the output digest (tests/output_digest.py) ------------------------------------------
+
+def test_output_digest_is_reproducible_and_reports_a_change():
+    """The cut-down item set, run twice, gives equal digests under stable item names (no
+    hash is pinned: libm may differ across hosts); a moved metric is reported as such."""
+    import output_digest
+    a, b = output_digest.digest(quick=True), output_digest.digest(quick=True)
+    assert a == b
+    assert list(a["items"]) == ["compare/default", "sweep/k24", "config/wall_collision", "fit/s1"]
+    assert output_digest.compare(a, b)[1]
+    item = b["items"]["compare/default"]
+    item["sha256"], v_rb = "0" * 64, item["metrics"]["foldable.v_rb"]
+    item["metrics"]["foldable.v_rb"] = v_rb + 4 * math.ulp(v_rb)
+    lines, equal = output_digest.compare(a, b)
+    assert not equal and "first item that differs: compare/default" in lines
+    assert "discrete outcomes: all equal" in lines
+    assert any(line.startswith("largest relative Metrics change: ") and
+               line.endswith("(compare/default foldable.v_rb)") for line in lines)

@@ -39,9 +39,9 @@ from foldquad import collision, scenario
 from foldquad.arm import SpringParams, _transition, advance_arm
 from foldquad.collision import (CollisionEvent, Foldable, Rigid, Wall, contact_constrained_step,
                                 detect_contact)
-from foldquad.control import (ControllerConfig, ControllerState, Setpoint, _rotation_error,
-                              position_loop, step_controller)
-from foldquad.dynamics import (MIN_DT, ControlInput, StateBlowUpError, VehicleParams, body_state,
+from foldquad.control import (ControllerConfig, ControllerState, _rotation_error, position_loop,
+                              step_controller)
+from foldquad.dynamics import (MIN_DT, StateBlowUpError, VehicleParams, body_state, control_input,
                                cross3, hover, integrate_step, quaternion_to_rotation)
 from foldquad.scenario import ScenarioConfig
 from foldquad.simlog import COLUMNS, SETTLE_RADIUS, SimLog, compute_metrics
@@ -85,7 +85,7 @@ quaternions = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
 states = st.builds(
     lambda x, v, q, w: body_state(x=x, v=v, R=Rotation.from_quat(q).as_matrix(), omega=w),
     vec3(100.0), vec3(100.0), quaternions, vec3(1e3))
-inputs = st.builds(ControlInput, f=st.floats(0.0, 1e3), tau=vec3(1e3))
+inputs = st.builds(control_input, f=st.floats(0.0, 1e3), tau=vec3(1e3))
 dts = st.floats(MIN_DT, 0.01)  # a normal float: integrate_step refuses a subnormal dt
 arms = st.tuples(st.floats(0.0, SPRING.l_max), st.floats(-5.0, 5.0))  # (l, l_dot)
 
@@ -231,8 +231,8 @@ def reference_rk4(s, u, p, dt):
 
     def f(x, v, q, w):
         qdot = 0.5 * np.concatenate(([-(q[1:] @ w)], q[0] * w + np.cross(q[1:], w)))
-        return (v, p.g * E3 - (u.f / p.m) * (rotation(q) @ E3), qdot,
-                np.linalg.solve(J, u.tau - np.cross(w, J @ w)))
+        return (v, p.g * E3 - (u[0] / p.m) * (rotation(q) @ E3), qdot,
+                np.linalg.solve(J, u[1:] - np.cross(w, J @ w)))
 
     y0 = (x_of(s), v_of(s), np.array(s[6:10]), omega_of(s))
     k1 = f(*y0)
@@ -255,7 +255,7 @@ states_near_origin = st.builds(
 
 
 @EXAMPLES
-@given(moderate_states, st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)),
+@given(moderate_states, st.builds(control_input, f=st.floats(0.0, 50.0), tau=vec3(0.1)),
        inertias, dts)
 def test_integrate_step_matches_numpy_rk4(s, u, J, dt):
     p = VehicleParams(J=J)
@@ -313,9 +313,9 @@ def test_step_rejects_a_rate_that_turns_too_far(q, axis, dt):
         s = body_state(x=np.zeros(3), v=np.zeros(3), R=R, omega=omega)
         if raises:
             with pytest.raises(StateBlowUpError):
-                integrate_step(s, ControlInput(f=0.0), p, dt)
+                integrate_step(s, control_input(f=0.0), p, dt)
         else:
-            integrate_step(s, ControlInput(f=0.0), p, dt)
+            integrate_step(s, control_input(f=0.0), p, dt)
 
 
 @EXAMPLES
@@ -343,9 +343,11 @@ def reference_rotation_from_thrust_dir(b3, yaw):
     return np.column_stack([np.cross(b2, b3), b2, b3])
 
 
-def reference_position_loop(s, sp, integral, prev_e_v, held_R_d, cfg, p, dt):
-    """The position loop with numpy arrays: (f, R_d, integral, e_v, f_vec, a_cmd)."""
-    e_v = cfg.k_p * (sp.x_d - x_of(s)) - v_of(s)
+def reference_position_loop(s, target, integral, prev_e_v, held_R_d, cfg, p, dt):
+    """The position loop toward target = (x_d, yaw_d) with numpy arrays:
+    (f, R_d, integral, e_v, f_vec, a_cmd)."""
+    x_d, yaw_d = target
+    e_v = cfg.k_p * (np.array(x_d) - x_of(s)) - v_of(s)
     integral = np.clip(integral + e_v * dt, -cfg.integral_limit, cfg.integral_limit)
     d_e_v = np.zeros(3) if prev_e_v is None else (e_v - prev_e_v) / dt
     a_cmd = cfg.k_v * e_v + cfg.k_vi * integral + cfg.k_vd * d_e_v
@@ -354,7 +356,7 @@ def reference_position_loop(s, sp, integral, prev_e_v, held_R_d, cfg, p, dt):
     if norm < 1e-6:
         R_d = np.eye(3) if held_R_d is None else held_R_d
     else:
-        R_d = reference_rotation_from_thrust_dir(f_vec / norm, sp.yaw_d)
+        R_d = reference_rotation_from_thrust_dir(f_vec / norm, yaw_d)
     f = float(np.clip(p.m * float(f_vec @ (R_of(s) @ E3)), 0.0, cfg.max_thrust))
     return f, R_d, integral, e_v, f_vec, a_cmd
 
@@ -374,7 +376,7 @@ def assert_close(name, got, want, *terms):
 
 @st.composite
 def controller_cases(draw):
-    """A state, a controller state and a setpoint. In the 'degenerate' case the
+    """A state, a target (x_d, yaw_d) and a controller state. In the 'degenerate' case the
     commanded acceleration cancels gravity (no thrust direction); in the
     'parallel' case the thrust direction is horizontal along the heading yaw.
     Both start from a zero integral and no previous e_v, so a_cmd = (k_v + k_vi dt) e_v."""
@@ -393,20 +395,20 @@ def controller_cases(draw):
         a_cmd = np.array([-c * np.cos(yaw), -c * np.sin(yaw), P.g])
         e_v = a_cmd / (CFG.k_v + CFG.k_vi / CFG.position_rate)
         x_d = x_of(s) + (e_v + v_of(s)) / CFG.k_p
-    return case, s, Setpoint(x_d=x_d, yaw_d=yaw), cs, held
+    return case, s, (tuple(x_d.tolist()), yaw), cs, held
 
 
 @EXAMPLES
 @given(controller_cases(), inertias)
 def test_controller_tick_matches_numpy(case_data, J):
-    case, s, sp, cs, held = case_data
+    case, s, target, cs, held = case_data
     p = VehicleParams(J=J)
     dt = 1.0 / CFG.position_rate
-    cs2 = position_loop(s, sp, cs, CFG, p, dt)
+    cs2 = position_loop(s, *target, cs, CFG, p, dt)
     f, R_d = cs2.held_f, np.reshape(cs2.held_R_d, (3, 3))
     u = step_controller(s, cs2, CFG, p)
     want_f, want_R_d, want_int, want_e_v, f_vec, a_cmd = reference_position_loop(
-        s, sp, np.array(cs.integral), None if cs.prev_e_v is None else np.array(cs.prev_e_v),
+        s, target, np.array(cs.integral), None if cs.prev_e_v is None else np.array(cs.prev_e_v),
         held, CFG, p, dt)
     norm = np.linalg.norm(f_vec)
     if case == "degenerate":
@@ -418,10 +420,10 @@ def test_controller_tick_matches_numpy(case_data, J):
     assert_close("f", f, want_f, p.m * norm)
     assert_close("R_d", R_d, want_R_d, cond)
     assert_close("integral", cs2.integral, want_int, np.array(cs.integral), want_e_v * dt)
-    assert_close("e_v", cs2.prev_e_v, want_e_v, CFG.k_p * (sp.x_d - x_of(s)), v_of(s))
+    assert_close("e_v", cs2.prev_e_v, want_e_v, CFG.k_p * (np.array(target[0]) - x_of(s)), v_of(s))
     want_tau, terms = reference_moment(R_of(s), omega_of(s), want_R_d, p, CFG)
-    assert_close("tau", u.tau, want_tau, *terms, CFG.k_r * cond)
-    assert u.f == f
+    assert_close("tau", u[1:], want_tau, *terms, CFG.k_r * cond)
+    assert u[0] == f
 
 
 # -- the named-float tick against the generator tick, bit for bit ----------------------
@@ -439,9 +441,9 @@ def oracle_rotation_from_thrust_dir(b3, yaw):
     return (b1[0], b2[0], b3[0], b1[1], b2[1], b3[1], b1[2], b2[2], b3[2])
 
 
-def oracle_position_loop(s, sp, cs, cfg, p, dt):
-    lim = cfg.integral_limit
-    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(sp.x_d, s[:3], s[3:6])]
+def oracle_position_loop(s, target, cs, cfg, p, dt):
+    (x_d, yaw_d), lim = target, cfg.integral_limit
+    e_v = [cfg.k_p * (xd - x) - v for xd, x, v in zip(x_d, s[:3], s[3:6])]
     integral = tuple(min(max(i + e * dt, -lim), lim) for i, e in zip(cs.integral, e_v))
     d_e_v = (0.0, 0.0, 0.0) if cs.prev_e_v is None else [
         (e - q) / dt for e, q in zip(e_v, cs.prev_e_v)]
@@ -450,7 +452,7 @@ def oracle_position_loop(s, sp, cs, cfg, p, dt):
     f_vec = (-a0, -a1, p.g - a2)  # desired specific force g e3 - a_cmd along body-z
     norm = math.hypot(*f_vec)
     R_d = cs.held_R_d if norm < 1e-6 else oracle_rotation_from_thrust_dir(
-        [c / norm for c in f_vec], sp.yaw_d)
+        [c / norm for c in f_vec], yaw_d)
     r02, r12, r22 = quaternion_to_rotation(s[6:10])[2::3]  # body-z is the third column of R
     f = min(max(p.m * (f_vec[0] * r02 + f_vec[1] * r12 + f_vec[2] * r22), 0.0), cfg.max_thrust)
     return ControllerState(integral=integral, prev_e_v=tuple(e_v), held_f=f, held_R_d=R_d)
@@ -465,7 +467,7 @@ def oracle_step_controller(s, cs, cfg, p):
     omega = s[10:]
     R = quaternion_to_rotation(s[6:10])
     tau = oracle_attitude_moment(_rotation_error(R, cs.held_R_d), omega, p, cfg)
-    return ControlInput._trusted(cs.held_f, tau)
+    return (cs.held_f, *tau)
 
 
 def oracle_distance(w, x):
@@ -494,7 +496,7 @@ def event_bits(ev):
 
 def tick_bits(cs, u, ev):
     return (hexes(cs.integral, cs.prev_e_v or (), cs.held_f, cs.held_R_d),
-            hexes(u.f, u.tau), event_bits(ev))
+            hexes(u[0], u[1:]), event_bits(ev))
 
 
 @settings(max_examples=300, deadline=None)
@@ -504,15 +506,15 @@ def test_named_float_tick_is_bit_identical_to_generator_tick(case_data, J, norma
     """position_loop, step_controller (on the drawn held R_d or identity, and on the new
     one) and detect_contact (on a wall gap off touching contact) give the generator
     tick's bits: every ControllerState field, f and tau, and the event or None."""
-    _, s, sp, cs, _ = case_data
+    _, s, target, cs, _ = case_data
     p, dt = VehicleParams(J=J), 1.0 / CFG.position_rate
     unit = np.asarray(normal) / np.linalg.norm(normal)
     w = Wall(normal=normal, offset=float(unit @ x_of(s)) - p.r_contact - gap)
-    for held in (cs, position_loop(s, sp, cs, CFG, p, dt)):
+    for held in (cs, position_loop(s, *target, cs, CFG, p, dt)):
         assert tick_bits(held, step_controller(s, held, CFG, p), None) == tick_bits(
             held, oracle_step_controller(s, held, CFG, p), None)
-    new = position_loop(s, sp, cs, CFG, p, dt)
-    old = oracle_position_loop(s, sp, cs, CFG, p, dt)
+    new = position_loop(s, *target, cs, CFG, p, dt)
+    old = oracle_position_loop(s, target, cs, CFG, p, dt)
     assert tick_bits(new, step_controller(s, new, CFG, p), detect_contact(s, w, p, t)) == \
         tick_bits(old, oracle_step_controller(s, old, CFG, p), oracle_detect_contact(s, w, p, t))
 
@@ -540,7 +542,7 @@ oblique_walls = st.builds(Wall, normal=oblique_normals, offset=st.floats(-10.0, 
 
 @settings(max_examples=200, deadline=None)
 @given(moderate_states, arms, oblique_walls,
-       st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
+       st.builds(control_input, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
 def test_contact_step_matches_numpy(s, a, w, u, dt):
     got, got_l, got_l_dot, exited = contact_constrained_step(s, *a, w, u, P, SPRING, phi(dt), dt)
     l2, ld2, want_exited = advance_arm(*a, phi(dt), SPRING)
@@ -556,7 +558,7 @@ def test_contact_step_matches_numpy(s, a, w, u, dt):
 @given(states_near_origin, arms,
        st.builds(Wall, normal=vec3(1.0).filter(lambda n: np.linalg.norm(n) > 1e-3),
                  offset=st.floats(-1.0, 1.0)),
-       st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts,
+       st.builds(control_input, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts,
        st.floats(-0.02, 0.02))
 def test_contact_step_does_not_depend_on_the_start_normal_position(s, a, w, u, dt, d):
     """The step replaces x and v along the normal from the arm, so a start d off
@@ -612,9 +614,9 @@ blowups = st.sampled_from([math.inf, -math.inf, math.nan, 1.797e308, -1.797e308]
 @given(moderate_states,
        arms | st.tuples(st.floats(0.0, SPRING.l_max) | blowups, st.floats(-5.0, 5.0) | blowups),
        oblique_walls | st.builds(Wall, normal=oblique_normals, offset=blowups.filter(math.isfinite)),
-       st.builds(ControlInput, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
+       st.builds(control_input, f=st.floats(0.0, 50.0), tau=vec3(0.1)), dts)
 @example(hover([0.0, 0.0, 0.0]), (0.0, math.nan), WALL,
-         ControlInput(f=10.0), 1e-3)
+         control_input(f=10.0), 1e-3)
 def test_named_float_contact_step_is_bit_identical_to_sliced_step(s, a, w, u, dt):
     """contact_constrained_step, which unpacks the free state once and builds one tuple,
     gives the old step's bits: y, the arm state and exited, or the same StateBlowUpError."""
@@ -647,7 +649,7 @@ def traced_run(cfg):
 
     def attitude_tick(*args):
         u = step_controller(*args)
-        att.append((steps[0], u.f))
+        att.append((steps[0], u[0]))
         return u
 
     def position_tick(*args):
