@@ -150,10 +150,10 @@ def _modal_response(sigma, omega_d, v0, t):
 
 
 def _response_jacobian(theta, t, l, l_dot):
-    """(len(t), 3) derivatives of the modal response's l in theta = (sigma, omega_d, v0), from
-    its (l, l_dot) at theta: -t l, (t (l_dot + sigma l) - l)/omega_d and l/v0."""
+    """(len(t), 3) derivatives of the modal response's l in theta = (sigma, omega_d, v0), from its
+    (l, l_dot) at theta: -t l, (t (l_dot + sigma l) - l)/omega_d and l/v0, in MINPACK's F order."""
     sigma, omega_d, v0 = theta
-    return np.column_stack([-t * l, (t * (l_dot + sigma * l) - l) / omega_d, l / v0])
+    return np.array([-t * l, (t * (l_dot + sigma * l) - l) / omega_d, l / v0]).T
 
 
 def _transition(b_s, k_s, dt):
@@ -268,18 +268,21 @@ def _recurrence_start(t, l):
     l[k+m] = a l[k] + b l[k-m], a = 2 e^(-sigma m dt) cos(omega_d m dt) and b = -e^(-2 sigma m dt)
     (Prony in linear-prediction form; Kumaresan & Tufts 1982); off a uniform grid (spacing spread
     over 1e-9 relative) this reads a copy resampled onto np.linspace(t[0], t[-1], n). Noise swamps
-    short lags: m doubles while 3m < len(l) until omega_d m dt, out of an acos so it cannot
-    alias, passes 1 rad, and the lag where it is nearest 1 rad is kept. v0 is then linear. With
-    no damped pair, or at sigma < 0 or v0 <= 0, it starts at zeta 0.6 from the largest sample:
-    omega_d = atan2(0.8, 0.6)/t_peak, sigma = 0.75 omega_d and v0 = peak omega_d."""
+    short lags: m doubles while 3m < len(l) until omega_d m dt, out of an acos so it cannot alias,
+    passes 1 rad, and the lag nearest 1 rad is kept. Each lag's (a, b) solves the 2x2 normal
+    equations, and a lag whose det is not > 0 is skipped (lstsq's minimum-norm (a, b) could differ
+    there). v0 is then linear. With no damped pair, or at sigma < 0 or v0 <= 0, it starts at zeta
+    0.6 from the peak: omega_d = atan2(0.8, 0.6)/t_peak, sigma = 0.75 omega_d, v0 = peak omega_d."""
     steps = np.diff(t)
     if steps.max() - steps.min() > 1e-9 * steps.max():  # for the start only: the search fits t
         grid = np.linspace(t[0], t[-1], len(t))
         t, l = grid, np.interp(grid, t, l)
-    n, m, best = len(l), 1, None
+    n, m, best, u = len(l), 1, None, np.ldexp(l, -math.frexp(float(np.max(np.abs(l))))[1])
     while 3 * m < n:
-        a, b = np.linalg.lstsq(np.column_stack([l[m:n - m], l[:n - 2 * m]]), l[2 * m:],
-                               rcond=None)[0]
+        p, q, y = u[m:n - m], u[:n - 2 * m], u[2 * m:]  # l times 2^k: det cannot under/overflow
+        pp, pq, qq, py, qy = (float(v @ w) for v, w in ((p, p), (p, q), (q, q), (p, y), (q, y)))
+        det = pp * qq - pq * pq  # not > 0 (singular, or NaN): no damped pair, as at b >= 0
+        a, b = ((qq * py - pq * qy) / det, (pp * qy - pq * py) / det) if det > 0.0 else (0.0, 0.0)
         if b < 0.0 and abs(a) < 2.0 * math.sqrt(-b):  # a damped pair
             angle, lag = math.acos(0.5 * a / math.sqrt(-b)), m * float(t[-1]) / (n - 1)
             if best is None or abs(angle - 1.0) < abs(best[1] * best[2] - 1.0):
@@ -339,10 +342,10 @@ def fit_spring_params(trace: DisplacementTrace,
 
     # gtol 1e-5 ends the search above the cost's rounding floor, where rounding picks the last step
     sol, _, info, _, ier = leastsq(
-        lambda x: (response(x)[0] - trace.l) / amp, x0, full_output=True, ftol=1e-8, xtol=1e-8,
-        gtol=1e-5, maxfev=2000,
+        lambda x: (response(x)[0] - trace.l) / amp, x0, full_output=True, col_deriv=True,
+        ftol=1e-8, xtol=1e-8, gtol=1e-5, maxfev=2000,
         Dfun=lambda x: (_response_jacobian((x[0] * x[0], x[1], x[2] * x[2]), t, *response(x))
-                        * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]))
+                        * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]).T)
     sigma, omega_d, fvec = float(sol[0]) ** 2, abs(float(sol[1])), info["fvec"]
     nyquist = math.pi / float(np.max(np.diff(t)))  # at the trace's largest sample spacing
     if omega_d >= nyquist:

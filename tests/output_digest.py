@@ -9,14 +9,16 @@ Items, built through the public API only, so the script runs on older trees too:
   at 0.4 s with 1 ms logging; sweep/default: the default 4-speed sweep
 - config/<name>: `run_scenario` of each configs/*.yaml: CSV, aborted, diagnostic, events
 - fit/s<seed>: float.hex of b_s, k_s, v0, residual_norm and converged of the spring fits
-  of arm_identification's draws for that seed, generated here
+  of arm_identification's draws for that seed, generated here; the four floats are also
+  recorded as numbers and converged as a discrete outcome
 
 With --base REV, the same script also runs in a fresh interpreter on REV's src/,
 unpacked by `git archive` into a temporary directory. The report then names the first
-item that differs, the largest relative change of any Metrics field (and of a sweep
-row's achieved_v_c), and whether every discrete outcome is equal: row counts, t and
-contact columns, event counts, aborted flags, diagnostics, unreachable flags,
-re-collision counts and which metrics are None. It exits 1 if any digest differs.
+item that differs, the largest relative change of any Metrics field, of a sweep row's
+achieved_v_c or of a fit's four floats, and whether every discrete outcome is equal: row
+counts, t and contact columns, event counts, aborted flags, diagnostics, unreachable
+flags, re-collision counts, which metrics are None and each fit's converged flag. It
+exits 1 if any digest differs.
 Hashes rest on libm, so compare trees on one host only.
 """
 from __future__ import annotations
@@ -132,9 +134,11 @@ def _arm_draws(seed, n):
 def _fit_item(seed, n):
     from foldquad import fit_spring_params
     fits = [fit_spring_params(trace) for trace in _arm_draws(seed, n)]
-    text = json.dumps([_hex([f.params.b_s, f.params.k_s, f.v0, f.residual_norm]) + [f.converged]
-                       for f in fits])
-    return _record(text, {}, {"converged": [f.converged for f in fits]})
+    values = [[f.params.b_s, f.params.k_s, f.v0, f.residual_norm] for f in fits]
+    text = json.dumps([_hex(v) + [f.converged] for v, f in zip(values, fits)])
+    metrics = {f"{i}.{name}": float(x) for i, v in enumerate(values)
+               for name, x in zip(("b_s", "k_s", "v0", "residual_norm"), v)}
+    return _record(text, metrics, {"converged": [f.converged for f in fits]})
 
 
 def items(quick=False):
@@ -193,7 +197,7 @@ def compare(base, head):
              f"items: {len(a)} base, {len(b)} head, {len(differ)} differ"]
     if differ:
         lines.append(f"first item that differs: {differ[0]}")
-    lines.append(f"largest relative Metrics change: {worst:.3g}"
+    lines.append(f"largest relative Metrics or fit change: {worst:.3g}"
                  + (f" ({where})" if where else ""))
     lines.append("discrete outcomes: " + (
         "all equal" if not discrete and a.keys() == b.keys()

@@ -1010,7 +1010,8 @@ def test_any_flat_override_ends_in_a_documented_exit(d):
 
 def test_output_digest_is_reproducible_and_reports_a_change():
     """The cut-down item set, run twice, gives equal digests under stable item names (no
-    hash is pinned: libm may differ across hosts); a moved metric is reported as such."""
+    hash is pinned: libm may differ across hosts); a moved metric or fit field is reported
+    as such, and a flipped converged flag as a differing discrete outcome."""
     import output_digest
     a, b = output_digest.digest(quick=True), output_digest.digest(quick=True)
     assert a == b
@@ -1022,5 +1023,13 @@ def test_output_digest_is_reproducible_and_reports_a_change():
     lines, equal = output_digest.compare(a, b)
     assert not equal and "first item that differs: compare/default" in lines
     assert "discrete outcomes: all equal" in lines
-    assert any(line.startswith("largest relative Metrics change: ") and
+    assert any(line.startswith("largest relative Metrics or fit change: ") and
                line.endswith("(compare/default foldable.v_rb)") for line in lines)
+    fit = b["items"]["fit/s1"]
+    fit["metrics"]["1.k_s"] *= 1.0 + 1e-12
+    lines, _ = output_digest.compare(a, b)
+    assert "discrete outcomes: all equal" in lines
+    assert any(line.startswith("largest relative Metrics or fit change: 1e-12") and
+               line.endswith("(fit/s1 1.k_s)") for line in lines)
+    fit["discrete"]["converged"][0] = not fit["discrete"]["converged"][0]
+    assert "discrete outcomes: differ in fit/s1" in output_digest.compare(a, b)[0]
