@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -149,11 +149,13 @@ def _modal_response(sigma, omega_d, v0, t):
     return l, v0 * env * np.cos(wt) - sigma * l
 
 
-def _response_jacobian(theta, t, l, l_dot):
-    """(len(t), 3) derivatives of the modal response's l in theta = (sigma, omega_d, v0), from its
-    (l, l_dot) at theta: -t l, (t (l_dot + sigma l) - l)/omega_d and l/v0, in MINPACK's F order."""
+def _response_jacobian(theta, t, l, l_dot, scale):
+    """(3, len(t)) derivatives of the modal response's l in theta = (sigma, omega_d, v0), from its
+    (l, l_dot) at theta, row i times scale[i]: -t l, (t (l_dot + sigma l) - l)/omega_d and l/v0,
+    one row per parameter as MINPACK's lmder takes it with col_deriv."""
     sigma, omega_d, v0 = theta
-    return np.array([-t * l, (t * (l_dot + sigma * l) - l) / omega_d, l / v0]).T
+    return np.array([-t * l * scale[0], (t * (l_dot + sigma * l) - l) / omega_d * scale[1],
+                     l / v0 * scale[2]])
 
 
 def _transition(b_s, k_s, dt):
@@ -280,7 +282,7 @@ def _recurrence_start(t, l):
     n, m, best, u = len(l), 1, None, np.ldexp(l, -math.frexp(float(np.max(np.abs(l))))[1])
     while 3 * m < n:
         p, q, y = u[m:n - m], u[:n - 2 * m], u[2 * m:]  # l times 2^k: det cannot under/overflow
-        pp, pq, qq, py, qy = (float(v @ w) for v, w in ((p, p), (p, q), (q, q), (p, y), (q, y)))
+        pp, pq, qq, py, qy = float(p @ p), float(p @ q), float(q @ q), float(p @ y), float(q @ y)
         det = pp * qq - pq * pq  # not > 0 (singular, or NaN): no damped pair, as at b >= 0
         a, b = ((qq * py - pq * qy) / det, (pp * qy - pq * py) / det) if det > 0.0 else (0.0, 0.0)
         if b < 0.0 and abs(a) < 2.0 * math.sqrt(-b):  # a damped pair
@@ -311,13 +313,14 @@ def fit_spring_params(trace: DisplacementTrace,
     in (s, omega_d, w), sigma = s^2 and v0 = w^2, where every point is underdamped and starts
     with compression; the model is even in omega_d, so the fit takes |omega_d|. It starts from
     _recurrence_start, from the trace alone; template only supplies the result's l_max and
-    delta_l. Each point costs one _modal_response call, shared by its residual and its Jacobian.
+    delta_l. Each point costs one _modal_response call, shared by its residual and its Jacobian,
+    and MINPACK's lmder, called as scipy's leastsq calls it, evaluates each point's Jacobian once.
     ValueError for a trace whose largest deflection is negative (an arm trace starts with
     compression) or whose largest sample is its first, for a fit whose omega_d is at or above
     the trace's Nyquist frequency pi/dt (it would alias), and for a fit at critical damping as
     far as the trace can tell: its first zero crossing, at pi/omega_d, lies past the trace's end.
     """
-    from scipy.optimize import leastsq  # imported here: it dominates `import foldquad`
+    from scipy.optimize._minpack import _lmder  # imported here: it dominates `import foldquad`
 
     if len(trace) < 10:
         raise ValueError("trace too short for identification (need >= 10 samples)")
@@ -331,7 +334,7 @@ def fit_spring_params(trace: DisplacementTrace,
                          "trace starts with compression, so its largest |l| must be l > 0")
     sigma, omega_d, v0 = _recurrence_start(t, trace.l)
     # s's Jacobian column, 2s dl/dsigma, is 0 at s = 0, and a first step from near 0 overshoots
-    x0 = [math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)]
+    x0 = np.array([math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)])
     last = [None, None]  # the last point evaluated, as a list of floats, and its (l, l_dot)
 
     def response(x):
@@ -340,26 +343,27 @@ def fit_spring_params(trace: DisplacementTrace,
             last[:] = key, _modal_response(key[0] * key[0], key[1], key[2] * key[2], t)
         return last[1]
 
-    # gtol 1e-5 ends the search above the cost's rounding floor, where rounding picks the last step
-    sol, _, info, _, ier = leastsq(
-        lambda x: (response(x)[0] - trace.l) / amp, x0, full_output=True, col_deriv=True,
-        ftol=1e-8, xtol=1e-8, gtol=1e-5, maxfev=2000,
-        Dfun=lambda x: (_response_jacobian((x[0] * x[0], x[1], x[2] * x[2]), t, *response(x))
-                        * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]).T)
+    # lmder as leastsq calls it, less its shape-check evaluations at x0 and its covariance; gtol
+    # 1e-5 ends the search above the cost's rounding floor, where rounding picks the last step
+    sol, info, ier = _lmder(
+        lambda x: (response(x)[0] - trace.l) / amp,
+        lambda x: _response_jacobian((x[0] * x[0], x[1], x[2] * x[2]), t, *response(x),
+                                     (2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp)),
+        x0, (), True, True, 1e-8, 1e-8, 1e-5, 2000, 100.0, None)
     sigma, omega_d, fvec = float(sol[0]) ** 2, abs(float(sol[1])), info["fvec"]
     nyquist = math.pi / float(np.max(np.diff(t)))  # at the trace's largest sample spacing
     if omega_d >= nyquist:
         raise ValueError(f"the fitted omega_d={omega_d:g} rad/s is at or above the trace's "
                          f"Nyquist frequency pi/dt={nyquist:g} rad/s: it would alias")
-    # underdamped, bar rounding
-    fit = replace(template, b_s=2.0 * sigma, k_s=sigma * sigma + omega_d * omega_d)
+    fit = SpringParams(2.0 * sigma, sigma * sigma + omega_d * omega_d,  # underdamped, bar rounding
+                       template.l_max, template.delta_l)
     if omega_d * t[-1] < math.pi or not fit.is_underdamped:
         raise ValueError(f"the fit reached critical damping (b_s={fit.b_s:g}, k_s={fit.k_s:g}, "
                          f"omega_d={omega_d:g} rad/s): the trace is not an underdamped response")
-    residual_norm = amp * float(np.linalg.norm(fvec))
+    norm, e = math.sqrt(float(fvec @ fvec)), math.frexp(amp)[1]
     # a search can stop in a wrong basin, where the residual is about the trace's own norm;
-    # a fit must explain at least 3/4 of the trace's energy sum(l^2) to count
-    return FitResult(params=fit, residual_norm=residual_norm,
-                     converged=bool(1 <= ier <= 4 and np.isfinite(fvec @ fvec)
-                                    and residual_norm <= 0.5 * float(np.linalg.norm(trace.l))),
-                     v0=float(sol[2]) ** 2)
+    # a fit must explain at least 3/4 of the trace's energy sum(l^2) to count. Both sides are
+    # times 2^-e, which puts amp in [0.5, 1), so that sum(l^2) neither under- nor overflows
+    return FitResult(params=fit, residual_norm=amp * norm, v0=float(sol[2]) ** 2,
+                     converged=1 <= ier <= 4 and math.isfinite(norm) and math.ldexp(amp, -e) * norm
+                     <= 0.5 * float(np.linalg.norm(np.ldexp(trace.l, -e))))

@@ -105,7 +105,7 @@ class ScenarioConfig:
         base = cls().to_dict()
         unknown = set(d) - set(base)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown, key=str)}")
         if d.get("wall_normal", base["wall_normal"]) is None and d.get("wall_offset") is not None:
             raise ValueError("wall_offset is set but wall_normal is null: give both or neither")
         d = {**base, **d}

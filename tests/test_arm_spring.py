@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from foldquad import arm as arm_module
 from foldquad import collision, scenario
 from foldquad.arm import (ContactTimeoutError, DisplacementTrace, SpringParams,
-                          _modal_response, _recurrence_start, _response_jacobian,
-                          _transition, advance_arm, analytic_response, check_rk4_stable,
-                          contact_step_limit, fit_spring_params, simulate_contact)
+                          _has_oscillation, _modal_response, _recurrence_start,
+                          _response_jacobian, _transition, advance_arm, analytic_response,
+                          check_rk4_stable, contact_step_limit, fit_spring_params,
+                          simulate_contact)
 from foldquad.dynamics import MAX_STEPS, MIN_DT, VehicleParams, control_input, hover, integrate_step
 
 NOMINAL = SpringParams(b_s=30.0, k_s=500.0)
@@ -580,6 +581,26 @@ def test_fit_makes_no_finite_difference_evaluations(monkeypatch):
         assert abs(got - want) <= 1e-8 * want
 
 
+@pytest.mark.parametrize("noise, n", [(0.0, 1), (0.01, 3)])
+def test_fit_evaluates_each_jacobian_point_once(monkeypatch, noise, n):
+    """MINPACK asks for the Jacobian once per point it accepts, and the fit computes no other:
+    1 on the clean trace above and 3 with 1% noise, each at its own point. scipy's leastsq
+    also called the Jacobian at the start to check its shape, before MINPACK called it there
+    again."""
+    points = []
+    real = arm_module._response_jacobian
+
+    def counted(theta, *args):
+        points.append(tuple(map(float, theta)))
+        return real(theta, *args)
+
+    t, l = _synthetic_trace()
+    l = l + noise * np.max(l) * np.random.default_rng(1).standard_normal(len(t))
+    monkeypatch.setattr(arm_module, "_response_jacobian", counted)
+    assert fit_spring_params(DisplacementTrace(t=t, l=l)).converged
+    assert len(points) == len(set(points)) == n
+
+
 def _check_clean_fit(t, v0, p):
     l, _ = analytic_response(v0, p, t)
     res = fit_spring_params(DisplacementTrace(t=t, l=l))
@@ -702,6 +723,23 @@ def test_recurrence_start_does_not_depend_on_the_unit_of_l(k):
     assert _recurrence_start(t, np.ldexp(l, k)) == (sigma, omega_d, math.ldexp(v0, k))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
+def test_fit_does_not_depend_on_the_unit_of_l(k):
+    """The README trace times 2^k fits the same b_s and k_s bit for bit, with v0 and the
+    residual norm times 2^k, and converges. The 3/4-energy rule compares amp |fvec| with
+    |l| / 2, both times 2^-e for amp's exponent e: unscaled, |l| underflowed to 0 at 2^-600
+    and 2^-1000 (converged False), and at 2^600 and 2^1000 it overflowed to inf with a
+    RuntimeWarning, where any residual would have passed."""
+    t, l = _synthetic_trace(v0=1.0, n=600)
+    want = fit_spring_params(DisplacementTrace(t=t, l=l))
+    res = fit_spring_params(DisplacementTrace(t=t, l=np.ldexp(l, k)))
+    assert res.converged and want.converged
+    assert (res.params.b_s, res.params.k_s) == (want.params.b_s, want.params.k_s)
+    assert (res.v0, res.residual_norm) == (math.ldexp(want.v0, k),
+                                           math.ldexp(want.residual_norm, k))
+
+
 @settings(max_examples=60, deadline=None)
 @given(wn=st.floats(2.0, 400.0), zeta=st.floats(0.02, 0.95), v0=st.floats(0.05, 3.0),
        noise=st.floats(0.0, 0.05), dt=st.floats(1e-4, 2e-3), periods=st.floats(1.2, 3.0),
@@ -733,6 +771,78 @@ def test_closed_form_start_matches_the_lstsq_start(wn, zeta, v0, noise, dt, peri
     for got, ref in [(res.params.b_s, want.params.b_s), (res.params.k_s, want.params.k_s),
                      (res.v0, want.v0)]:
         assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def _leastsq_fit(trace):
+    """fit_spring_params as it called scipy's leastsq, which checks the residual's and the
+    Jacobian's shapes at x0 and adds a covariance before it returns MINPACK's lmder result:
+    the oracle of the direct lmder call. Returns (b_s, k_s, v0, residual_norm, converged)."""
+    from scipy.optimize import leastsq
+
+    if len(trace) < 10 or not _has_oscillation(trace.l):
+        raise ValueError("too short, or no oscillation")
+    t = trace.t - trace.t[0]
+    amp = float(trace.l[np.argmax(np.abs(trace.l))])
+    if amp < 0.0:
+        raise ValueError("largest deflection negative")
+    sigma, omega_d, v0 = _recurrence_start(t, trace.l)
+    x0 = [math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)]
+
+    def response(x):
+        return _modal_response(x[0] * x[0], x[1], x[2] * x[2], t)
+
+    def jacobian(x):
+        sigma, omega_d, v0 = x[0] * x[0], x[1], x[2] * x[2]
+        l, l_dot = response(x)
+        return (np.array([-t * l, (t * (l_dot + sigma * l) - l) / omega_d, l / v0]).T
+                * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]).T
+
+    sol, _, info, _, ier = leastsq(
+        lambda x: (response(x)[0] - trace.l) / amp, x0, full_output=True, col_deriv=True,
+        ftol=1e-8, xtol=1e-8, gtol=1e-5, maxfev=2000, Dfun=jacobian)
+    sigma, omega_d, fvec = float(sol[0]) ** 2, abs(float(sol[1])), info["fvec"]
+    if omega_d >= math.pi / float(np.max(np.diff(t))):
+        raise ValueError("at or above the Nyquist frequency")
+    fit = SpringParams(b_s=2.0 * sigma, k_s=sigma * sigma + omega_d * omega_d)
+    if omega_d * t[-1] < math.pi or not fit.is_underdamped:
+        raise ValueError("critical damping")
+    residual_norm = amp * float(np.linalg.norm(fvec))
+    return (fit.b_s, fit.k_s, float(sol[2]) ** 2, residual_norm,
+            bool(1 <= ier <= 4 and np.isfinite(fvec @ fvec)
+                 and residual_norm <= 0.5 * float(np.linalg.norm(trace.l))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wn=st.floats(2.0, 400.0), zeta=st.floats(0.02, 0.95), v0=st.floats(0.05, 3.0),
+       noise=st.floats(0.0, 0.05), dt=st.floats(1e-4, 2e-3), periods=st.floats(1.2, 3.0),
+       grid=st.sampled_from(["uniform", "one_dropped", "jitter"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_direct_lmder_fit_is_bit_identical_to_leastsq(wn, zeta, v0, noise, dt, periods, grid,
+                                                      seed):
+    """The fit calls MINPACK's lmder with leastsq's arguments, so on a noisy trace of 12 to
+    2,000 samples, on a uniform grid, with a sample dropped or with times jittered by up to
+    0.3 dt, b_s, k_s, v0, the residual norm and converged equal the leastsq fit's bit for
+    bit, and where one raises so does the other. A scipy whose lmder changed its contract
+    fails here."""
+    p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
+    t = np.arange(min(max(12, math.ceil(periods * 2.0 * np.pi / p.omega_d / dt)), 2000)) * dt
+    rng = np.random.default_rng(seed)
+    if grid == "jitter":
+        t[1:] += rng.uniform(-0.3 * dt, 0.3 * dt, len(t) - 1)
+    elif grid == "one_dropped":
+        t = np.delete(t, rng.integers(1, len(t) - 1))
+    l, _ = analytic_response(v0, p, t)
+    trace = DisplacementTrace(t=t, l=l + noise * np.max(np.abs(l)) * rng.standard_normal(len(t)))
+    try:
+        res = fit_spring_params(trace)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _leastsq_fit(trace)
+        return
+    want = _leastsq_fit(trace)
+    got = (res.params.b_s, res.params.k_s, res.v0, res.residual_norm)
+    assert list(map(float.hex, got)) == list(map(float.hex, want[:4]))
+    assert res.converged == want[4]
 
 
 @pytest.mark.parametrize("guess, drop", [
@@ -812,8 +922,8 @@ def _evaluate_twice_fit(trace):
     sol = least_squares(
         lambda x: (response(x)[0] - trace.l) / amp,
         [math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)],
-        jac=lambda x: (_response_jacobian((x[0] ** 2, x[1], x[2] ** 2), t, *response(x))
-                       * [2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp]),
+        jac=lambda x: _response_jacobian((x[0] ** 2, x[1], x[2] ** 2), t, *response(x),
+                                         (2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp)).T,
         method="lm", max_nfev=2000, gtol=1e-5)
     return ((sol.x[0] ** 2, abs(sol.x[1]), sol.x[2] ** 2),
             bool(sol.status > 0 and np.isfinite(sol.cost)
@@ -848,7 +958,7 @@ def test_response_jacobian_is_the_model_derivative(wn, zeta, v0):
     column's largest entry."""
     theta = np.array([zeta * wn, wn * math.sqrt(1.0 - zeta * zeta), v0])
     t = np.arange(0.0, 1.2 * 2.0 * np.pi / theta[1], 1e-3)
-    jac = _response_jacobian(theta, t, *_modal_response(*theta, t))
+    jac = _response_jacobian(theta, t, *_modal_response(*theta, t), (1.0, 1.0, 1.0)).T
     assert jac.shape == (len(t), 3)
     for i in range(3):
         up, down = theta.copy(), theta.copy()

@@ -789,6 +789,17 @@ def test_cli_rejects_config_whose_top_level_is_not_a_mapping(tmp_path, capsys, t
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_config_whose_unknown_keys_do_not_sort_together(tmp_path, capsys):
+    """YAML reads `1:` as an int key, which does not compare with a str key: the message
+    sorts the unknown keys by their text, where sorting them as they are raised TypeError
+    and `foldquad compare` ended in a traceback."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("1: 2\nfoo: 3\n")
+    assert cli_main(["compare", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: [1, 'foo']\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_contact_timeout_aborts_with_partial_log(tmp_path, capsys):
     cfg_path = tmp_path / "wall.yaml"
     ScenarioConfig(duration=2.0).save(cfg_path)
