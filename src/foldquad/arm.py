@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
+from importlib import machinery, util
 from itertools import chain
 
 import numpy as np
@@ -259,23 +261,22 @@ class FitResult:
 
 def _has_oscillation(l):
     """True if the trace shows a local max followed by a local min."""
-    d = np.diff(l)
-    turns = np.diff(np.sign(d[d != 0.0]))  # -2 at a local max, +2 at a local min
-    peaks = np.flatnonzero(turns < 0)
-    return len(peaks) > 0 and bool(np.any(turns[peaks[0]:] > 0))
+    d = l[1:] - l[:-1]
+    s = np.sign(d[d != 0.0])  # +1 rising, -1 falling, flat steps left out
+    peaks = np.flatnonzero(s[:-1] > s[1:])  # a local max: a rise, then a fall
+    return len(peaks) > 0 and bool(np.any(s[peaks[0]:-1] < s[peaks[0] + 1:]))
 
 
-def _recurrence_start(t, l):
+def _recurrence_start(t, l, steps):
     """(sigma, omega_d, v0) of l from the trace alone. On a grid of step dt a free response obeys
     l[k+m] = a l[k] + b l[k-m], a = 2 e^(-sigma m dt) cos(omega_d m dt) and b = -e^(-2 sigma m dt)
-    (Prony in linear-prediction form; Kumaresan & Tufts 1982); off a uniform grid (spacing spread
+    (Prony in linear-prediction form; Kumaresan & Tufts 1982); off a uniform grid (steps spread
     over 1e-9 relative) this reads a copy resampled onto np.linspace(t[0], t[-1], n). Noise swamps
     short lags: m doubles while 3m < len(l) until omega_d m dt, out of an acos so it cannot alias,
     passes 1 rad, and the lag nearest 1 rad is kept. Each lag's (a, b) solves the 2x2 normal
     equations, and a lag whose det is not > 0 is skipped (lstsq's minimum-norm (a, b) could differ
     there). v0 is then linear. With no damped pair, or at sigma < 0 or v0 <= 0, it starts at zeta
     0.6 from the peak: omega_d = atan2(0.8, 0.6)/t_peak, sigma = 0.75 omega_d, v0 = peak omega_d."""
-    steps = np.diff(t)
     if steps.max() - steps.min() > 1e-9 * steps.max():  # for the start only: the search fits t
         grid = np.linspace(t[0], t[-1], len(t))
         t, l = grid, np.interp(grid, t, l)
@@ -305,6 +306,19 @@ def _recurrence_start(t, l):
     return 0.75 * omega_d, omega_d, float(l[k]) * omega_d
 
 
+def _minpack():
+    """scipy's compiled MINPACK, without its package scipy.optimize (321 modules, about 49 MiB)."""
+    name = "scipy.optimize._minpack"
+    if name not in sys.modules:  # registered below, so a later `import scipy.optimize` reuses it
+        import scipy  # 11 modules, with scipy's own numpy-version guard
+        found = machinery.PathFinder.find_spec("_minpack", [scipy.__path__[0] + "/optimize"])
+        if found is None:
+            raise ImportError(f"{name} is missing from scipy {scipy.__version__}")
+        spec = util.spec_from_file_location(name, found.origin)
+        spec.loader.exec_module(sys.modules.setdefault(name, util.module_from_spec(spec)))
+    return sys.modules[name]
+
+
 def fit_spring_params(trace: DisplacementTrace,
                       template: SpringParams = SpringParams()) -> FitResult:
     """Least-squares identification of (b_s, k_s) from a displacement trace.
@@ -313,26 +327,24 @@ def fit_spring_params(trace: DisplacementTrace,
     in (s, omega_d, w), sigma = s^2 and v0 = w^2, where every point is underdamped and starts
     with compression; the model is even in omega_d, so the fit takes |omega_d|. It starts from
     _recurrence_start, from the trace alone; template only supplies the result's l_max and
-    delta_l. Each point costs one _modal_response call, shared by its residual and its Jacobian,
-    and MINPACK's lmder, called as scipy's leastsq calls it, evaluates each point's Jacobian once.
-    ValueError for a trace whose largest deflection is negative (an arm trace starts with
-    compression) or whose largest sample is its first, for a fit whose omega_d is at or above
+    delta_l. Each point costs one _modal_response call, shared by its residual and its Jacobian;
+    lmder, taken from _minpack and called as scipy's leastsq calls it, evaluates each point's
+    Jacobian once. ValueError for a trace whose largest deflection is negative (an arm trace
+    starts with compression) or whose largest sample is its first, for an omega_d at or above
     the trace's Nyquist frequency pi/dt (it would alias), and for a fit at critical damping as
-    far as the trace can tell: its first zero crossing, at pi/omega_d, lies past the trace's end.
-    """
-    from scipy.optimize._minpack import _lmder  # imported here: it dominates `import foldquad`
-
+    far as the trace can tell: its first zero crossing, at pi/omega_d, lies past its end."""
     if len(trace) < 10:
         raise ValueError("trace too short for identification (need >= 10 samples)")
     if not _has_oscillation(trace.l):
         raise ValueError("degenerate trace: no oscillation (local max + subsequent min)")
     t = trace.t - trace.t[0]
+    steps = t[1:] - t[:-1]
     # residuals / amp, so the tolerances do not depend on l's unit; the same scan gives the sign
     amp = float(trace.l[np.argmax(np.abs(trace.l))])
     if amp < 0.0:
         raise ValueError(f"the trace's largest deflection is negative (l={amp:g}): an arm "
                          "trace starts with compression, so its largest |l| must be l > 0")
-    sigma, omega_d, v0 = _recurrence_start(t, trace.l)
+    sigma, omega_d, v0 = _recurrence_start(t, trace.l, steps)
     # s's Jacobian column, 2s dl/dsigma, is 0 at s = 0, and a first step from near 0 overshoots
     x0 = np.array([math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)])
     last = [None, None]  # the last point evaluated, as a list of floats, and its (l, l_dot)
@@ -345,13 +357,13 @@ def fit_spring_params(trace: DisplacementTrace,
 
     # lmder as leastsq calls it, less its shape-check evaluations at x0 and its covariance; gtol
     # 1e-5 ends the search above the cost's rounding floor, where rounding picks the last step
-    sol, info, ier = _lmder(
+    sol, info, ier = _minpack()._lmder(
         lambda x: (response(x)[0] - trace.l) / amp,
         lambda x: _response_jacobian((x[0] * x[0], x[1], x[2] * x[2]), t, *response(x),
                                      (2.0 * x[0] / amp, 1.0 / amp, 2.0 * x[2] / amp)),
         x0, (), True, True, 1e-8, 1e-8, 1e-5, 2000, 100.0, None)
     sigma, omega_d, fvec = float(sol[0]) ** 2, abs(float(sol[1])), info["fvec"]
-    nyquist = math.pi / float(np.max(np.diff(t)))  # at the trace's largest sample spacing
+    nyquist = math.pi / float(steps.max())  # at the trace's largest sample spacing
     if omega_d >= nyquist:
         raise ValueError(f"the fitted omega_d={omega_d:g} rad/s is at or above the trace's "
                          f"Nyquist frequency pi/dt={nyquist:g} rad/s: it would alias")

@@ -1,7 +1,12 @@
 """Folding-arm spring model: closed form, contact integration, identification."""
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -660,16 +665,15 @@ def test_recurrence_start_is_exact_on_a_clean_uniform_trace(wn, zeta, v0, period
     p = SpringParams(b_s=2.0 * zeta * wn, k_s=wn * wn)
     t = np.arange(0.0, periods * 2.0 * np.pi / p.omega_d, 1e-3)
     l, _ = analytic_response(v0, p, t)
-    start = _recurrence_start(t, l)
+    start = _recurrence_start(t, l, np.diff(t))
     assert start is not None
     for got, want in zip(start, (0.5 * p.b_s, p.omega_d, v0)):
         assert abs(got - want) <= 1e-6 * want
 
 
-def _lstsq_start(t, l):
+def _lstsq_start(t, l, steps):
     """_recurrence_start with each lag's (a, b) from np.linalg.lstsq on the two lag columns, as
     the start solved them before the 2x2 normal equations: the oracle of the closed form."""
-    steps = np.diff(t)
     if steps.max() - steps.min() > 1e-9 * steps.max():
         grid = np.linspace(t[0], t[-1], len(t))
         t, l = grid, np.interp(grid, t, l)
@@ -708,7 +712,7 @@ def test_recurrence_start_skips_a_degenerate_lag(l, want):
     division by zero, and the start comes from the peak time, as from the lstsq start, whose
     minimum-norm (a, b) gives no damped pair here: a = b = 0, or b > 0."""
     t = np.arange(50) * 1e-3
-    assert _recurrence_start(t, l) == _lstsq_start(t, l) == want
+    assert _recurrence_start(t, l, np.diff(t)) == _lstsq_start(t, l, np.diff(t)) == want
 
 
 @pytest.mark.parametrize("k", [-300, -30, 30, 300])
@@ -718,9 +722,10 @@ def test_recurrence_start_does_not_depend_on_the_unit_of_l(k):
     l^4: at 2^-300 (about 1e-90) it underflows to 0 and at 2^300 it overflows, every lag is
     skipped, and the start fell back to the peak time (sigma 13.9 against 15)."""
     t, l = _synthetic_trace()
-    sigma, omega_d, v0 = _recurrence_start(t, l)
+    steps = np.diff(t)
+    sigma, omega_d, v0 = _recurrence_start(t, l, steps)
     assert abs(sigma - 15.0) <= 1e-12 * 15.0
-    assert _recurrence_start(t, np.ldexp(l, k)) == (sigma, omega_d, math.ldexp(v0, k))
+    assert _recurrence_start(t, np.ldexp(l, k), steps) == (sigma, omega_d, math.ldexp(v0, k))
 
 
 @pytest.mark.filterwarnings("error")
@@ -763,7 +768,8 @@ def test_closed_form_start_matches_the_lstsq_start(wn, zeta, v0, noise, dt, peri
                 pytest.raises(ValueError):
             fit_spring_params(trace)
         return
-    for got, ref in zip(_recurrence_start(t, trace.l), _lstsq_start(t, trace.l)):
+    steps = np.diff(t)
+    for got, ref in zip(_recurrence_start(t, trace.l, steps), _lstsq_start(t, trace.l, steps)):
         assert abs(got - ref) <= 1e-12 * abs(ref)
     with mock.patch.object(arm_module, "_recurrence_start", _lstsq_start):
         want = fit_spring_params(trace)
@@ -785,7 +791,7 @@ def _leastsq_fit(trace):
     amp = float(trace.l[np.argmax(np.abs(trace.l))])
     if amp < 0.0:
         raise ValueError("largest deflection negative")
-    sigma, omega_d, v0 = _recurrence_start(t, trace.l)
+    sigma, omega_d, v0 = _recurrence_start(t, trace.l, np.diff(t))
     x0 = [math.sqrt(max(sigma, 0.01 * omega_d)), float(omega_d), math.sqrt(v0)]
 
     def response(x):
@@ -845,6 +851,86 @@ def test_direct_lmder_fit_is_bit_identical_to_leastsq(wn, zeta, v0, noise, dt, p
     assert res.converged == want[4]
 
 
+# the set-up of each fresh-interpreter fit: a noisy 400-sample trace and the bits of a fit
+_FRESH_FIT = """
+import sys
+import numpy as np
+from foldquad.arm import DisplacementTrace, SpringParams, analytic_response, fit_spring_params
+t = np.arange(400) * 1e-3
+l = analytic_response(1.0, SpringParams(b_s=30.0, k_s=500.0), t)[0]
+trace = DisplacementTrace(t=t, l=l + 0.01 * np.random.default_rng(1).standard_normal(len(t)))
+def bits(res):
+    return [x.hex() for x in (res.params.b_s, res.params.k_s, res.v0, res.residual_norm)]
+"""
+
+
+def _fresh_fit(code):
+    """The lines that code prints, run after _FRESH_FIT in a fresh interpreter that imports
+    foldquad and this module."""
+    path = os.pathsep.join([str(Path(arm_module.__file__).parents[1]), str(Path(__file__).parent)])
+    return subprocess.run([sys.executable, "-c", _FRESH_FIT + code], check=True, text=True,
+                          env={"PYTHONPATH": path, "PATH": ""},
+                          capture_output=True).stdout.splitlines()
+
+
+def _in_process_bits():
+    names = {}
+    exec(_FRESH_FIT, names)
+    return str(names["bits"](fit_spring_params(names["trace"])))
+
+
+def test_fit_loads_minpack_without_the_scipy_optimize_package():
+    """A fit in a fresh interpreter loads scipy's compiled MINPACK module and no other module
+    of scipy.optimize, nor the package itself (321 modules, about 49 MiB), and its result
+    equals this process's bit for bit."""
+    assert _fresh_fit("""
+res = fit_spring_params(trace)
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+print(bits(res))
+""") == ["['scipy.optimize._minpack']", _in_process_bits()]
+
+
+def test_scipy_optimize_imported_after_a_fit_reuses_its_minpack():
+    """`import scipy.optimize` after a fit takes the module the fit loaded, and leastsq, which
+    calls it, then fits the same bits as the fit."""
+    assert _fresh_fit("""
+res = fit_spring_params(trace)
+loaded = sys.modules["scipy.optimize._minpack"]
+import scipy.optimize
+from test_arm_spring import _leastsq_fit
+print(scipy.optimize._minpack_py._minpack is loaded)
+print([x.hex() for x in _leastsq_fit(trace)[:4]] == bits(res))
+""") == ["True", "True"]
+
+
+def test_fit_after_import_scipy_optimize_calls_its_minpack():
+    """After `import scipy.optimize`, a fit calls lmder on that package's module: a counting
+    wrapper set on it sees the fit's one call, and the fit keeps its bits."""
+    assert _fresh_fit("""
+import scipy.optimize
+loaded, calls = scipy.optimize._minpack_py._minpack, []
+lmder = loaded._lmder
+loaded._lmder = lambda *args: calls.append(1) or lmder(*args)
+res = fit_spring_params(trace)
+print(sys.modules["scipy.optimize._minpack"] is loaded, len(calls))
+print(bits(res))
+""") == ["True 1", _in_process_bits()]
+
+
+def test_fit_without_a_minpack_extension_names_it_and_the_scipy_version(monkeypatch):
+    """A scipy whose optimize directory holds no _minpack extension makes the fit raise an
+    ImportError that names the module and the scipy version."""
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.optimize._minpack", raising=False)
+    monkeypatch.setattr(arm_module, "machinery", SimpleNamespace(
+        PathFinder=SimpleNamespace(find_spec=lambda name, path: None)))
+    t, l = _synthetic_trace()
+    with pytest.raises(ImportError) as err:
+        fit_spring_params(DisplacementTrace(t=t, l=l))
+    assert "scipy.optimize._minpack" in str(err.value) and scipy.__version__ in str(err.value)
+
+
 @pytest.mark.parametrize("guess, drop", [
     (None, None), (SpringParams(b_s=20.0, k_s=300.0), None),
     (SpringParams(b_s=20.0, k_s=5e6), None),
@@ -881,7 +967,7 @@ def test_fit_starts_off_s_zero(monkeypatch, b_s, drop):
         t, l = np.delete(t, drop), np.delete(l, drop)
     if b_s:
         monkeypatch.setattr(arm_module, "_recurrence_start",
-                            lambda t, l: (0.0, math.sqrt(300.0), math.sqrt(300.0)))
+                            lambda t, l, steps: (0.0, math.sqrt(300.0), math.sqrt(300.0)))
     res = fit_spring_params(DisplacementTrace(t=t, l=l))
     assert res.converged
     assert abs(res.params.b_s - b_s) <= 1e-9 and abs(res.params.k_s - 500.0) <= 1e-8 * 500.0
@@ -913,7 +999,7 @@ def _evaluate_twice_fit(trace):
 
     t = trace.t - trace.t[0]
     amp = float(np.max(np.abs(trace.l)))
-    sigma, omega_d, v0 = _recurrence_start(t, trace.l)
+    sigma, omega_d, v0 = _recurrence_start(t, trace.l, np.diff(t))
 
     def response(x):
         s2, w2 = x[0] ** 2, x[2] ** 2
