@@ -24,6 +24,7 @@ def log_row(t, state, u, x_d, l, contact):
     return [t, *state, l, *u, 1.0 if contact else 0.0, *x_d]
 
 SETTLE_RADIUS = 0.05  # m
+_CSV_BLOCK = 64  # rows formatted at a time: bounds a write's memory, one write call per block
 
 
 @dataclass
@@ -39,8 +40,8 @@ class SimLog:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[1] != len(COLUMNS):
             raise ValueError(f"log must have {len(COLUMNS)} columns")
-        if len(self.data) >= 2 and np.any(np.diff(self.data[:, 0]) <= 0):
-            raise ValueError("log timestamps must be strictly increasing")
+        if not (np.isfinite(self.data[:, 0]).all() and (np.diff(self.data[:, 0]) > 0).all()):
+            raise ValueError("log timestamps must be finite and strictly increasing")
 
     def column(self, name):
         return self.data[:, _COL[name]]
@@ -49,13 +50,20 @@ class SimLog:
         """Stacked (n, 3) columns e.g. x1..x3 via prefix 'x'."""
         return self.data[:, [_COL[f"{prefix}{i}"] for i in (1, 2, 3)]]
 
+    def _csv_text(self):
+        """The CSV in pieces: the header line, then the lines of each `_CSV_BLOCK` rows."""
+        yield ",".join(COLUMNS) + "\n"
+        for i in range(0, len(self.data), _CSV_BLOCK):
+            rows = self.data[i:i + _CSV_BLOCK].tolist()
+            yield "".join([",".join(map(repr, row)) + "\n" for row in rows])
+
     def to_csv(self) -> str:
-        rows = (",".join(map(repr, row)) for row in self.data.tolist())
-        return "\n".join((",".join(COLUMNS), *rows)) + "\n"
+        return "".join(self._csv_text())
 
     def write_csv(self, path):
+        """Write `to_csv()`'s bytes, streamed a block of rows at a time, never whole."""
         with open(path, "w") as fh:
-            fh.write(self.to_csv())
+            fh.writelines(self._csv_text())
 
     @classmethod
     def from_csv(cls, path):

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -405,11 +406,25 @@ def test_rigid_mode_oscillates_more_than_foldable():
 # -- simlog / metrics ---------------------------------------------------------------
 
 def test_simlog_csv_round_trip(tmp_path):
-    log = run_scenario(quiet_config())
+    """The written file holds `to_csv()`'s bytes, and `from_csv` reads every float back
+    bit for bit: on the reference pair, an aborted partial log, a one-row log and one
+    that holds -0.0, inf and nan outside t."""
+    report = compare_modes(ScenarioConfig())
+    aborted = run_scenario(ScenarioConfig.from_dict(
+        {"duration": 2.0, "spring_damping": 0, "spring_stiffness": 1}))
+    assert aborted.aborted
+    odd = np.zeros((3, len(COLUMNS)))
+    odd[:, 0] = [0.0, 0.001, 0.002]
+    odd[0, 1:4] = [-0.0, math.inf, -math.inf]
+    odd[1, 4:6] = [math.nan, -0.0]
     path = tmp_path / "log.csv"
-    log.write_csv(path)
-    loaded = SimLog.from_csv(path)
-    assert np.array_equal(loaded.data, log.data)
+    for log in (run_scenario(quiet_config()), report.foldable_log, report.rigid_log, aborted,
+                SimLog(data=np.zeros((1, len(COLUMNS)))), SimLog(data=odd)):
+        log.write_csv(path)
+        assert path.read_bytes() == log.to_csv().encode()
+        loaded = SimLog.from_csv(path).data
+        assert [list(map(float.hex, row)) for row in loaded.tolist()] == \
+            [list(map(float.hex, row)) for row in log.data.tolist()]
 
 
 def test_simlog_from_csv_keeps_the_first_row_of_a_headerless_log(tmp_path):
@@ -428,6 +443,44 @@ def test_simlog_rejects_malformed():
     bad[:, 0] = [0.0, 1.0, 1.0]  # non-increasing time
     with pytest.raises(ValueError):
         SimLog(data=bad)
+
+
+@pytest.mark.parametrize("t", [[0.0, math.nan, 0.2, 0.3], [0.0, 0.1, 0.2, math.inf],
+                               [-math.inf, 0.1, 0.2, 0.3], [math.nan]])
+def test_simlog_rejects_non_finite_timestamps(t):
+    """A NaN t fails no `<= 0` test of the steps, and an infinite t at either end makes
+    no step negative: both are refused as not finite."""
+    data = np.zeros((len(t), len(COLUMNS)))
+    data[:, 0] = t
+    with pytest.raises(ValueError, match="finite"):
+        SimLog(data=data)
+
+
+def test_cli_metrics_refuses_a_log_with_a_nan_timestamp(tmp_path, capsys):
+    lines = run_scenario(quiet_config(duration=0.1)).to_csv().splitlines(keepends=True)
+    lines[6] = "nan" + lines[6][lines[6].index(","):]  # the sixth data row's t
+    path = tmp_path / "nan_t.csv"
+    path.write_text("".join(lines))
+    assert cli_main(["metrics", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_write_csv_memory_does_not_grow_with_the_log(tmp_path):
+    """The write streams: its tracemalloc peak stays at a few bytes per row, where
+    building the whole text first takes over 1,000 B per row."""
+    n = 5001
+    data = np.random.default_rng(7).standard_normal((n, len(COLUMNS)))  # 17-digit reprs
+    data[:, 0] = np.arange(n) * 1e-3
+    log = SimLog(data=data)
+    tracemalloc.start()
+    try:
+        log.write_csv(tmp_path / "log.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 64, f"{peak / n:.1f} B per row"
 
 
 def _hand_built_log():
