@@ -448,8 +448,8 @@ def test_simlog_rejects_malformed():
 @pytest.mark.parametrize("t", [[0.0, math.nan, 0.2, 0.3], [0.0, 0.1, 0.2, math.inf],
                                [-math.inf, 0.1, 0.2, 0.3], [math.nan]])
 def test_simlog_rejects_non_finite_timestamps(t):
-    """A NaN t fails no `<= 0` test of the steps, and an infinite t at either end makes
-    no step negative: both are refused as not finite."""
+    """A NaN step compares false both ways, and an infinite t at either end leaves every
+    step positive: so t is refused as not finite, not as out of order."""
     data = np.zeros((len(t), len(COLUMNS)))
     data[:, 0] = t
     with pytest.raises(ValueError, match="finite"):
